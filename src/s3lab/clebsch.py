@@ -390,7 +390,11 @@ def change_of_basis(table: CGTable) -> np.ndarray:
 
 
 def block_diagonalization_defect(table: CGTable, g: GroupElement) -> float:
-    """Max deviation of U^T (D^m x D^n) U from blockdiag(D^k), k descending."""
+    """Max deviation of U^T (D^m x D^n) U from blockdiag(D^k), k descending.
+
+    Off-block leakage counts as 0 when there is no off-block entry (n = 0,
+    a single block); a NaN anywhere propagates to the result.
+    """
     U = change_of_basis(table)
     Dm = irrep_matrix(table.m, g)
     Dn = irrep_matrix(table.n, g)
@@ -400,7 +404,7 @@ def block_diagonalization_defect(table: CGTable, g: GroupElement) -> float:
     for k in table.kvals:
         size = int(k) + 1
         blk = big[off:off + size, off:off + size]
-        defect = max(defect, float(np.max(np.abs(blk - irrep_matrix(int(k), g)))))
+        defect = np.maximum(defect, np.max(np.abs(blk - irrep_matrix(int(k), g))))
         off += size
     # off-diagonal leakage
     mask = np.ones_like(big, dtype=bool)
@@ -409,5 +413,4 @@ def block_diagonalization_defect(table: CGTable, g: GroupElement) -> float:
         size = int(k) + 1
         mask[off:off + size, off:off + size] = False
         off += size
-    defect = max(defect, float(np.max(np.abs(big[mask]))))
-    return defect
+    return float(np.maximum(defect, np.max(np.abs(big[mask]), initial=0.0)))

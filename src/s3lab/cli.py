@@ -59,25 +59,34 @@ def _run_bilinear_verify(params: dict, out_dir: Path) -> int:
     m_max, n_max = params["m_max"], params["n_max"]
     seeds, seed = params["seeds"], params["seed"]
     m_values = [m for m in (8, 16, 32, 64) if m <= m_max] or [m_max]
+    cells = [(m, n) for m in m_values
+             for n in [0] + [n for n in (4, 8, 16, 32, 64) if n <= min(m, n_max)]]
+    # the no-growth fit runs over every cell, n = 0 included, and needs two
+    # distinct n; refuse before any work rather than report a made-up slope
+    fit_ns = sorted({n for (_, n) in cells})
+    if len(fit_ns) < 2:
+        print(f"the no-growth fit needs cells at two or more n; "
+              f"--m-max {m_max} --n-max {n_max} gives n = {fit_ns}", file=sys.stderr)
+        return 2
     rows = []
     cell_max = {}
-    for m in m_values:
-        n_values = [0] + [n for n in (4, 8, 16, 32, 64) if n <= min(m, n_max)]
-        for n in n_values:
-            ratios = bilinear.bilinear_ratio_scan(m, n, seeds, [seed, m, n])
-            for i, r in enumerate(ratios):
-                rows.append({"m": m, "n": n, "seed": i, "ratio": float(r)})
-            # the zonal witness pair saturates the bound; random maxima decay
-            # like (n+1)^(-1/2), so the flatness fit runs on witness-included
-            # cell maxima
-            witness = bilinear.zonal_pair_ratio(m, n)
-            rows.append({"m": m, "n": n, "seed": "zonal", "ratio": witness})
-            cell_max[(m, n)] = max(float(ratios.max()), witness)
-    fit_pts = [(np.log(n + 1.0), v) for (m, n), v in cell_max.items() if n >= 4]
-    slope = bilinear.fit_slope(*zip(*fit_pts)) if len(fit_pts) > 1 else 0.0
+    for m, n in cells:
+        ratios = bilinear.bilinear_ratio_scan(m, n, seeds, [seed, m, n])
+        for i, r in enumerate(ratios):
+            rows.append({"m": m, "n": n, "seed": i, "ratio": float(r)})
+        # the zonal witness pair saturates the bound; random maxima decay
+        # like (n+1)^(-1/2), so the flatness fit runs on witness-included
+        # cell maxima
+        witness = bilinear.zonal_pair_ratio(m, n)
+        rows.append({"m": m, "n": n, "seed": "zonal", "ratio": witness})
+        # np.max propagates a NaN; the builtin max may drop it
+        cell_max[(m, n)] = float(np.max([*ratios, witness]))
+    maxima = np.array(list(cell_max.values()))
+    slope = bilinear.fit_slope([np.log(n + 1.0) for (_, n) in cell_max], maxima)
+    c_star = float(np.max(maxima))
     summary = {
-        "C_star": max(cell_max.values()),
-        "argmax_cell": str(max(cell_max, key=cell_max.get)),
+        "C_star": c_star,
+        "argmax_cell": str(list(cell_max)[int(np.argmax(maxima))]),
         "fitted_slope": slope,
         "cell_max": {f"{m},{n}": v for (m, n), v in cell_max.items()},
     }
@@ -106,6 +115,9 @@ def _run_bilinear_verify(params: dict, out_dir: Path) -> int:
     paths = write_run_outputs(out_dir, "bilinear_verify", ["m", "n", "seed", "ratio"],
                               rows, summary, manifest)
     print(f"wrote {paths['csv']}  (C* = {summary['C_star']:.6g}, slope = {slope:.4f})")
+    if not (np.isfinite(c_star) and np.isfinite(slope)):
+        print(f"non-finite result: C* = {c_star}, slope = {slope}", file=sys.stderr)
+        return 1
     if abs(slope) > _SLOPE_LIMIT:
         print(f"no-growth assertion failed: |slope| = {abs(slope):.4f} > {_SLOPE_LIMIT}",
               file=sys.stderr)

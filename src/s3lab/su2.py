@@ -27,6 +27,10 @@ import numpy as np
 from scipy.special import gammaln
 
 _NORM_TOL = 1e-12
+# Entries kept by the d(theta) cache, which is keyed by tuples of float
+# angles; callers reuse at most a few keys at a time (one quadrature grid, or
+# the two node sets of one scan cell).
+_WIGNER_D_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -210,12 +214,13 @@ def irrep_matrix_binomial(m: int, g: GroupElement) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_WIGNER_D_CACHE_SIZE)
 def _wigner_d_cached(m: int, theta_key: tuple) -> np.ndarray:
     thetas = np.array(theta_key)
     out = np.empty((len(thetas), m + 1, m + 1))
     for i, th in enumerate(thetas):
         out[i] = _rotation_block(m, th) if m else np.ones((1, 1))
+    out.flags.writeable = False
     return out
 
 
@@ -224,7 +229,8 @@ def wigner_d(m: int, thetas: np.ndarray) -> np.ndarray:
 
     At these elements the full matrix factors as
     D[j, j'] = d[j, j'](theta) * exp(i (j+j'-m) phi1) * exp(i (j'-j) phi2),
-    which is what the tensor-grid evaluation paths rely on.
+    which is what the tensor-grid evaluation paths rely on.  The returned
+    array is read-only: it is shared through a bounded cache.
     """
     return _wigner_d_cached(m, tuple(np.asarray(thetas, dtype=float).tolist()))
 

@@ -141,8 +141,48 @@ def test_batch_matches_single():
     for i in range(3):
         single = product_l2_exact(Eigenfunction(m, A[i]), Eigenfunction(n, B[i]), table)
         assert np.sqrt(batch[i]) == pytest.approx(single, rel=1e-12)
-    f32 = product_norm2_batch(table, A, B, np.float32)
-    assert np.max(np.abs(f32 - batch) / batch) < 1e-5
+
+
+# The cells the scans run, an n = 0 cell, and both parities of m + n.  One
+# sampling node fewer than (m+n)//2 + 1 leaves errors of 1e-4 or more.
+@pytest.mark.parametrize("m,n,pairs", [
+    (8, 4, 3), (16, 9, 3), (32, 32, 2), (64, 32, 2), (64, 64, 1), (12, 0, 2), (9, 0, 2),
+])
+def test_sampling_engine_matches_ssum_oracle(m, n, pairs):
+    table = cg_table(m, n)
+    rng = np.random.default_rng([m, n])
+    A = rng.standard_normal((pairs, m + 1, m + 1)) + 1j * rng.standard_normal((pairs, m + 1, m + 1))
+    B = rng.standard_normal((pairs, n + 1, n + 1)) + 1j * rng.standard_normal((pairs, n + 1, n + 1))
+    batch = product_norm2_batch(table, A, B)
+    for i in range(pairs):
+        oracle = product_l2_exact(Eigenfunction(m, A[i]), Eigenfunction(n, B[i]), table)
+        assert np.sqrt(batch[i]) == pytest.approx(oracle, rel=1e-12)
+
+
+def test_sampling_engine_chunks_a_batch_of_16():
+    # 16 pairs x 65 nodes of 135 x 135 FFTs span many node chunks; scaled
+    # zonal pairs give ||f_i g_i||^2 = (i+1)^2 (n+1) exactly, so each result
+    # must land on its own pair
+    m = n = 64
+    a = np.eye(m + 1) / np.sqrt(m + 1.0)
+    b = np.eye(n + 1) / np.sqrt(n + 1.0)
+    scale = np.arange(1.0, 17.0)
+    A = scale[:, None, None] * np.broadcast_to(a, (16, m + 1, m + 1))
+    B = np.broadcast_to(b, (16, n + 1, n + 1))
+    got = product_norm2_batch(cg_table(m, n), A, B)
+    assert np.max(np.abs(got / (scale ** 2 * (n + 1.0)) - 1.0)) <= 1e-12
+
+
+def test_sampling_engine_rejects_mismatched_batches():
+    table = cg_table(6, 3)
+    a = np.zeros((2, 7, 7), dtype=complex)
+    b = np.zeros((2, 4, 4), dtype=complex)
+    with pytest.raises(ValueError):
+        product_norm2_batch(table, a[:, :6, :6], b)
+    with pytest.raises(ValueError):
+        product_norm2_batch(table, a, b[:1])
+    with pytest.raises(ValueError):
+        product_norm2_batch(table, a[0], b[0])
 
 
 def test_ratio_one_when_small_degree_is_zero():
@@ -184,3 +224,13 @@ def test_fit_slope():
     x = np.array([0.0, 1.0, 2.0, 3.0])
     assert fit_slope(x, 2.0 * x + 1.0) == pytest.approx(2.0)
     assert fit_slope(x, np.ones(4)) == pytest.approx(0.0)
+
+
+def test_fit_slope_needs_two_distinct_x():
+    with pytest.raises(ValueError):
+        fit_slope(np.array([1.0]), np.array([2.0]))
+    with pytest.raises(ValueError):
+        fit_slope(np.array([1.0, 1.0, 1.0]), np.array([2.0, 3.0, 4.0]))
+    with pytest.raises(ValueError):
+        fit_slope(np.array([]), np.array([]))
+    assert np.isnan(fit_slope(np.array([0.0, 1.0]), np.array([1.0, np.nan])))

@@ -108,6 +108,13 @@ def test_equivariance_block_diagonalization(mn):
         assert block_diagonalization_defect(cg_decompose(*mn), haar_sample(s)) <= 1e-8
 
 
+@pytest.mark.parametrize("m", [0, 1, 4, 9])
+def test_block_diagonalization_with_trivial_factor(m):
+    # (m, 0) tables have one block and no off-block entries: leakage is 0
+    for s in range(3):
+        assert block_diagonalization_defect(cg_decompose(m, 0), haar_sample(s)) <= 1e-12
+
+
 def test_base_change_inversion():
     # reconstructing each pure tensor from the table reproduces it
     m, n = 6, 4

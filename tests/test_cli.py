@@ -1,9 +1,11 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
+from s3lab import bilinear, cli
 from s3lab.reporting import file_sha256
 
 
@@ -57,6 +59,25 @@ def test_bilinear_verify_small(tmp_path):
     assert summary["zonal_min"] >= 0.1
     rows = (tmp_path / "bilinear_verify.csv").read_text().strip().splitlines()
     assert rows[0] == "m,n,seed,ratio"
+
+
+@pytest.mark.parametrize("m_max,n_max", [(8, 3), (2, 64)])
+def test_bilinear_verify_refuses_a_one_point_fit(tmp_path, m_max, n_max):
+    # only n = 0 cells leave no slope to fit: exit 2, no outputs
+    r = run_cli(["bilinear-verify", "--m-max", str(m_max), "--n-max", str(n_max),
+                 "--seeds", "2", "--out", str(tmp_path)], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert not (tmp_path / "bilinear_verify.summary.json").exists()
+
+
+def test_bilinear_verify_fails_closed_on_nan_witness(tmp_path, monkeypatch):
+    # a NaN witness must reach C* and the slope, whatever the argument order
+    monkeypatch.setattr(bilinear, "zonal_pair_ratio", lambda m, n: float("nan"))
+    code = cli.main(["bilinear-verify", "--m-max", "8", "--n-max", "8", "--seeds", "3",
+                     "--out", str(tmp_path)])
+    assert code == 1
+    summary = json.loads((tmp_path / "bilinear_verify.summary.json").read_text())["summary"]
+    assert math.isnan(summary["C_star"]) and math.isnan(summary["fitted_slope"])
 
 
 def test_lattice_scan_and_exit_codes(tmp_path):
