@@ -17,12 +17,15 @@ k = m+n, m+n-2, ..., m-n with component coefficients
 and ||fg||^2 = (n+1) sum_{k,M,M'} (m+1)/(k+1) |S(k,M,M')|^2.  That S-sum
 is the Clebsch-Gordan oracle (``product_l2_exact``, ``product_decompose``).
 
-The scans use a sampling-theorem engine instead (``product_norm2_batch``).
-Haar measure is uniform in x = cos(2 theta), and after averaging over the
-two phases |fg|^2 is a polynomial of degree m+n in x, so (m+n)//2 + 1
+The scans use a sampling-theorem engine instead (``product_norm2_batch``),
+which depends on (m, n) only, never on a Clebsch-Gordan table.  Haar
+measure is uniform in x = cos(2 theta), and after averaging over the two
+phases |fg|^2 is a polynomial of degree m+n in x, so (m+n)//2 + 1
 Gauss-Legendre nodes integrate it exactly.  At a node the phase average is
 the squared norm of a 2-D linear convolution of coefficient-times-d(theta)
-arrays, which a zero-padded 2-D FFT gives through Parseval.  See Kostelec
+arrays, which a zero-padded 2-D FFT gives through Parseval.  The nodes,
+weights, scaled d-matrices and FFT length of a cell form its
+``SamplingPlan``, built once by ``sampling_plan(m, n)``.  See Kostelec
 and Rockmore, "FFTs on the rotation group" (J. Fourier Anal. Appl. 14,
 2008), and McEwen et al., "A novel sampling theorem on the rotation group"
 (IEEE Signal Process. Lett. 22, 2015).
@@ -32,11 +35,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.fft
 
 from .clebsch import CGTable, cg_table
+from .fitting import fit_slope  # noqa: F401  (re-exported: the scans' slope fit)
 from .su2 import GroupElement, HaarQuadrature, from_angles, haar_samples, irrep_matrix, wigner_d
 
 
@@ -110,7 +115,7 @@ def recommended_levels(degree_sum: int) -> tuple[int, int, int]:
 
 def product_l2_quadrature(f: Eigenfunction, g: Eigenfunction, quad: HaarQuadrature) -> float:
     """Haar-quadrature oracle for ||fg||_{L2}; warns when under-resolved."""
-    need = max(32, 4 * (f.m + g.m) + 8)
+    need = recommended_levels(f.m + g.m)[0]
     if min(quad.levels) < need:
         warnings.warn(
             f"quadrature levels {quad.levels} below the resolution rule "
@@ -123,8 +128,7 @@ def product_l2_quadrature(f: Eigenfunction, g: Eigenfunction, quad: HaarQuadratu
 
 def multilinear_l2_quadrature(fs: list[Eigenfunction], quad: HaarQuadrature) -> float:
     """Quadrature value of || f_1 ... f_k ||_{L2}."""
-    total = sum(f.m for f in fs)
-    need = max(32, 4 * total + 8)
+    need = recommended_levels(sum(f.m for f in fs))[0]
     if min(quad.levels) < need:
         warnings.warn(
             f"quadrature levels {quad.levels} below the resolution rule ({need})",
@@ -197,6 +201,47 @@ def product_decompose(f: Eigenfunction, g: Eigenfunction, table: CGTable | None 
 # slices are transformed in chunks of at most this size, whatever the batch
 # size; a chunk holds at least one slice.
 _FFT_CHUNK = 1 << 16
+# Sampling plans kept by ``sampling_plan``.  A scan cell uses its plan twice
+# in a row (random pairs, then the zonal witness) and the zonal sweep never
+# reuses one, so two entries are enough; the largest scanned plan, (120, 60),
+# holds 13 MB.
+_PLAN_CACHE_SIZE = 2
+
+
+@dataclass(frozen=True)
+class SamplingPlan:
+    """What the sampling engine needs at degrees (m, n), built once per cell.
+
+    ``weights`` are the Gauss-Legendre weights w/2 at the (m+n)//2 + 1 nodes
+    x_i = cos(2 theta_i); ``dm`` and ``dn`` are sqrt(m+1) d^m(theta_i) and
+    sqrt(n+1) d^n(theta_i), of shapes (nodes, m+1, m+1) and (nodes, n+1, n+1);
+    ``fft_len`` is next_fast_len(m+n+1).  The arrays are read-only, because
+    plans are shared through a cache.
+    """
+
+    m: int
+    n: int
+    weights: np.ndarray
+    dm: np.ndarray
+    dn: np.ndarray
+    fft_len: int
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def sampling_plan(m: int, n: int) -> SamplingPlan:
+    """The cached ``SamplingPlan`` of the cell (m, n); needs m, n >= 0."""
+    m, n = int(m), int(n)
+    if m < 0 or n < 0:
+        raise ValueError(f"degrees must be nonnegative; got ({m}, {n})")
+    x, w = np.polynomial.legendre.leggauss((m + n) // 2 + 1)
+    theta = 0.5 * np.arccos(x)
+    dm, dn = wigner_d(m, theta), wigner_d(n, theta)
+    dm *= np.sqrt(m + 1.0)  # in place: no second copy of the largest array
+    dn *= np.sqrt(n + 1.0)
+    arrays = (0.5 * w, dm, dn)
+    for arr in arrays:
+        arr.flags.writeable = False
+    return SamplingPlan(m, n, *arrays, fft_len=scipy.fft.next_fast_len(m + n + 1))
 
 
 class _FastTable:
@@ -228,15 +273,14 @@ def _fast(table: CGTable) -> _FastTable:
     return ft
 
 
-def _check_batch(table: CGTable, abatch: np.ndarray, bbatch: np.ndarray):
+def _check_batch(m: int, n: int, abatch: np.ndarray, bbatch: np.ndarray):
     abatch = np.asarray(abatch, dtype=complex)
     bbatch = np.asarray(bbatch, dtype=complex)
-    m, n = table.m, table.n
     if (abatch.ndim != 3 or abatch.shape[1:] != (m + 1, m + 1)
             or bbatch.shape != (abatch.shape[0], n + 1, n + 1)):
         raise ValueError(
-            f"batches of shape {abatch.shape} and {bbatch.shape} do not match the "
-            f"(m, n) = ({m}, {n}) table: need (B, {m + 1}, {m + 1}) and (B, {n + 1}, {n + 1})"
+            f"batches of shape {abatch.shape} and {bbatch.shape} do not match "
+            f"(m, n) = ({m}, {n}): need (B, {m + 1}, {m + 1}) and (B, {n + 1}, {n + 1})"
         )
     return abatch, bbatch
 
@@ -247,7 +291,7 @@ def _product_norm2_ssum(table: CGTable, abatch: np.ndarray, bbatch: np.ndarray) 
     Cost O(K T^2) per pair with T = (m+1)(n+1); the independent oracle for
     ``product_norm2_batch``.
     """
-    abatch, bbatch = _check_batch(table, abatch, bbatch)
+    abatch, bbatch = _check_batch(table.m, table.n, abatch, bbatch)
     ft = _fast(table)
     nbatch = abatch.shape[0]
     T = ft.width
@@ -276,29 +320,24 @@ def _product_norm2_ssum(table: CGTable, abatch: np.ndarray, bbatch: np.ndarray) 
     return (table.n + 1.0) * acc
 
 
-def product_norm2_batch(table: CGTable, abatch: np.ndarray, bbatch: np.ndarray) -> np.ndarray:
+def product_norm2_batch(plan: SamplingPlan, abatch: np.ndarray, bbatch: np.ndarray) -> np.ndarray:
     """||f_i g_i||^2 for a batch of coefficient matrices, by the sampling engine.
 
-    abatch has shape (B, m+1, m+1) and bbatch (B, n+1, n+1), with (m, n)
-    read from ``table``; other shapes raise ValueError.  The integral over
-    x = cos(2 theta) uses (m+n)//2 + 1 Gauss-Legendre nodes with weights
-    w/2, exact for the degree-(m+n) polynomial that the phase average of
-    |fg|^2 is.  At node theta_i, with F = sqrt(m+1) a * d^m(theta_i) and
+    ``plan`` is ``sampling_plan(m, n)``; abatch has shape (B, m+1, m+1) and
+    bbatch (B, n+1, n+1), other shapes raise ValueError.  The integral over
+    x = cos(2 theta) uses the plan's (m+n)//2 + 1 Gauss-Legendre nodes with
+    weights w/2, exact for the degree-(m+n) polynomial that the phase average
+    of |fg|^2 is.  At node theta_i, with F = sqrt(m+1) a * d^m(theta_i) and
     G = sqrt(n+1) b * d^n(theta_i) entrywise, the phase average is the
     squared norm of the linear convolution F * G over (j, j'), computed as
-    sum |fft2(F, L) fft2(G, L)|^2 / L^2 with L = next_fast_len(m+n+1) >= m+n+1
-    so the circular convolution is the linear one.  All in float64: the
-    result matches the S-sum oracle to rounding (~1e-15 relative).  Cost per
-    pair is ~(m+n) 2-D FFTs of size L, against O(K T^2) for the S-sum.
+    sum |fft2(F, L) fft2(G, L)|^2 / L^2 with L = plan.fft_len >= m+n+1 so
+    the circular convolution is the linear one.  All in float64: the result
+    matches the S-sum oracle to rounding (~1e-15 relative).  Cost per pair is
+    ~(m+n) 2-D FFTs of size L, against O(K T^2) for the S-sum.
     """
-    abatch, bbatch = _check_batch(table, abatch, bbatch)
-    m, n = table.m, table.n
-    x, w = np.polynomial.legendre.leggauss((m + n) // 2 + 1)
-    theta = 0.5 * np.arccos(x)
-    dm = np.sqrt(m + 1.0) * wigner_d(m, theta)
-    dn = np.sqrt(n + 1.0) * wigner_d(n, theta)
-    L = scipy.fft.next_fast_len(m + n + 1)
-    nbatch, nodes = abatch.shape[0], len(theta)
+    abatch, bbatch = _check_batch(plan.m, plan.n, abatch, bbatch)
+    w, dm, dn, L = plan.weights, plan.dm, plan.dn, plan.fft_len
+    nbatch, nodes = abatch.shape[0], len(w)
     pair = np.repeat(np.arange(nbatch), nodes)
     node = np.tile(np.arange(nodes), nbatch)
     step = max(1, _FFT_CHUNK // (L * L))
@@ -310,7 +349,7 @@ def product_norm2_batch(table: CGTable, abatch: np.ndarray, bbatch: np.ndarray) 
         G = scipy.fft.fft(scipy.fft.fft(bbatch[p] * dn[q], n=L, axis=2), n=L, axis=1)
         F *= G
         v = F.view(np.float64).reshape(len(p), -1)
-        acc += np.bincount(p, weights=0.5 * w[q] * np.einsum("ij,ij->i", v, v),
+        acc += np.bincount(p, weights=w[q] * np.einsum("ij,ij->i", v, v),
                            minlength=nbatch)
     return acc / (L * L)
 
@@ -392,7 +431,7 @@ def bilinear_ratio_scan(m: int, n: int, n_pairs: int, seed, batch: int = 16) -> 
     Pairs go through ``product_norm2_batch`` (the sampling engine, float64)
     in batches of ``batch``; the ratios are exact to rounding at every cell.
     """
-    table = cg_table(m, n)
+    plan = sampling_plan(m, n)
     rng = np.random.default_rng(seed)
     out = np.empty(n_pairs)
     done = 0
@@ -402,7 +441,7 @@ def bilinear_ratio_scan(m: int, n: int, n_pairs: int, seed, batch: int = 16) -> 
         B = rng.standard_normal((b, n + 1, n + 1)) + 1j * rng.standard_normal((b, n + 1, n + 1))
         A /= np.linalg.norm(A, axis=(1, 2))[:, None, None]
         B /= np.linalg.norm(B, axis=(1, 2))[:, None, None]
-        out[done:done + b] = np.sqrt(product_norm2_batch(table, A, B) / (n + 1.0))
+        out[done:done + b] = np.sqrt(product_norm2_batch(plan, A, B) / (n + 1.0))
         done += b
     return out
 
@@ -415,10 +454,9 @@ def zonal_pair_ratio(m: int, n: int) -> float:
     the bilinear bound template and the flat reference the no-growth fit
     runs against.  Its deviation from 1 is rounding only.
     """
-    table = cg_table(m, n)
     a = (np.eye(m + 1) / np.sqrt(m + 1.0)).astype(complex)
     b = (np.eye(n + 1) / np.sqrt(n + 1.0)).astype(complex)
-    val = product_norm2_batch(table, a[None], b[None])[0]
+    val = product_norm2_batch(sampling_plan(m, n), a[None], b[None])[0]
     return float(np.sqrt(val / (n + 1.0)))
 
 
@@ -426,17 +464,3 @@ def zonal_ratio(n: int) -> float:
     """Saturation ratio of the zonal pair (m, n) = (2n, n)."""
     return zonal_pair_ratio(2 * n, n)
 
-
-def fit_slope(x: np.ndarray, y: np.ndarray) -> float:
-    """Least-squares slope of y against x.
-
-    Raises ValueError for fewer than two distinct x values, where no slope
-    is defined.  Non-finite data give a non-finite slope, which callers
-    treat as a breach.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(np.unique(x)) < 2:
-        raise ValueError(f"a slope needs at least two distinct x values; got {np.unique(x).tolist()}")
-    xc = x - x.mean()
-    return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))

@@ -21,6 +21,17 @@ from .reporting import build_manifest, default_out_dir, write_run_outputs
 
 _SLOPE_LIMIT = 0.05
 _PLANCHEREL_TOL = 0.02
+_CROSS_CHECK_TOL = 1e-4
+
+
+def _fit_ns_ok(Ns) -> bool:
+    """Whether a slope fitted over log N is defined: it needs two or more
+    distinct N.  Says why on stderr when it is not."""
+    distinct = sorted({float(N) for N in Ns})
+    if len(distinct) >= 2:
+        return True
+    print(f"the fit over N needs two or more distinct N; got {distinct}", file=sys.stderr)
+    return False
 
 
 def _run_cg_table(params: dict, out_dir: Path) -> int:
@@ -68,6 +79,9 @@ def _run_bilinear_verify(params: dict, out_dir: Path) -> int:
         print(f"the no-growth fit needs cells at two or more n; "
               f"--m-max {m_max} --n-max {n_max} gives n = {fit_ns}", file=sys.stderr)
         return 2
+    if params.get("zonal") and params["zonal_n_max"] < 1:
+        print(f"--zonal-n-max must be >= 1; got {params['zonal_n_max']}", file=sys.stderr)
+        return 2
     rows = []
     cell_max = {}
     for m, n in cells:
@@ -93,24 +107,25 @@ def _run_bilinear_verify(params: dict, out_dir: Path) -> int:
     if params.get("cross_check"):
         from .su2 import haar_quadrature
 
-        worst = 0.0
+        rels = [0.0]
         for (m, n) in cell_max:
             if m > 8:
                 continue
-            level = max(32, 4 * (m + n) + 8)
-            quad = haar_quadrature((level, level, level))
+            quad = haar_quadrature(bilinear.recommended_levels(m + n))
             for s in range(3):
                 f = bilinear.random_eigenfunction(m, [seed, m, n, s, 0])
                 g = bilinear.random_eigenfunction(n, [seed, m, n, s, 1])
                 exact = bilinear.product_l2_exact(f, g)
                 approx = bilinear.product_l2_quadrature(f, g, quad)
-                worst = max(worst, abs(exact - approx) / max(exact, 1e-300))
+                rels.append(abs(exact - approx) / max(exact, 1e-300))
+        # np.max and np.min propagate a NaN; the builtins may drop it
+        worst = float(np.max(rels))
         summary["quadrature_cross_check_rel"] = worst
-        summary["quadrature_cross_check_ok"] = worst <= 1e-4
+        summary["quadrature_cross_check_ok"] = bool(worst <= _CROSS_CHECK_TOL)
     if params.get("zonal"):
         zr = {n: bilinear.zonal_ratio(n) for n in range(1, params["zonal_n_max"] + 1)}
         summary["zonal_ratios"] = {str(n): v for n, v in zr.items()}
-        summary["zonal_min"] = min(zr.values())
+        summary["zonal_min"] = float(np.min(list(zr.values())))
     manifest = build_manifest("bilinear-verify", params, seed=seed)
     paths = write_run_outputs(out_dir, "bilinear_verify", ["m", "n", "seed", "ratio"],
                               rows, summary, manifest)
@@ -121,6 +136,14 @@ def _run_bilinear_verify(params: dict, out_dir: Path) -> int:
     if abs(slope) > _SLOPE_LIMIT:
         print(f"no-growth assertion failed: |slope| = {abs(slope):.4f} > {_SLOPE_LIMIT}",
               file=sys.stderr)
+        return 1
+    if params.get("cross_check") and not summary["quadrature_cross_check_ok"]:
+        print(f"quadrature cross-check failed: worst relative gap "
+              f"{summary['quadrature_cross_check_rel']} (tolerance {_CROSS_CHECK_TOL})",
+              file=sys.stderr)
+        return 1
+    if params.get("zonal") and not np.isfinite(summary["zonal_min"]):
+        print(f"non-finite zonal minimum: {summary['zonal_min']}", file=sys.stderr)
         return 1
     return 0
 
@@ -147,19 +170,22 @@ def _run_lattice_scan(params: dict, out_dir: Path) -> int:
         kwargs["Ns"] = params.get("Ns", [64, 128, 256, 512, 1024])
         kwargs["delta"] = params.get("delta", 0.1)
         kwargs["per_config"] = params.get("per_config", 3)
+    if "Ns" in kwargs and not _fit_ns_ok(kwargs["Ns"]):
+        return 2
     rows, summary = lattice.scan_constants(lemma, seed, **kwargs)
     manifest = build_manifest("lattice-scan", params, seed=seed)
     name = f"lattice_{lemma.replace('.', '_')}"
     paths = write_run_outputs(out_dir, name, _LATTICE_HEADERS[lemma], rows, summary, manifest)
     print(f"wrote {paths['csv']}")
-    if lemma == "5.1" and summary["max_ratio"] > _LATTICE_BOUNDS["5.1"]:
+    # "not <=" makes a NaN value a breach
+    if lemma == "5.1" and not summary["max_ratio"] <= _LATTICE_BOUNDS["5.1"]:
         print(f"measure/K ratio {summary['max_ratio']:.4g} exceeds the recorded bound",
               file=sys.stderr)
         return 1
-    if lemma in ("5.2a", "5.2b") and summary["fitted_exponent"] > _LATTICE_BOUNDS[lemma]:
+    if lemma in ("5.2a", "5.2b") and not summary["fitted_exponent"] <= _LATTICE_BOUNDS[lemma]:
         print(f"fitted exponent {summary['fitted_exponent']:.4g} exceeds 0.3", file=sys.stderr)
         return 1
-    if lemma == "5.3" and summary["fitted_slope"] > _LATTICE_BOUNDS["5.3"]:
+    if lemma == "5.3" and not summary["fitted_slope"] <= _LATTICE_BOUNDS["5.3"]:
         print(f"fitted slope {summary['fitted_slope']:.4g} exceeds {_SLOPE_LIMIT}",
               file=sys.stderr)
         return 1
@@ -202,22 +228,26 @@ def _run_strichartz(params: dict, out_dir: Path) -> int:
                        "flags": list(rep.warnings)}
         else:
             Ns = params.get("Ns", [8, 16, 32, 64])
+            if not _fit_ns_ok(Ns):
+                return 2
             rows, summary = strichartz.scan_strichartz_quotients(
                 Ns, params.get("delta", 0.1), params.get("trials", 6), seed,
                 h=params.get("h", 0.125),
                 t_window=tuple(params.get("window", (-60.0, 60.0, 8192))),
             )
             header = ["N", "M_kind", "M", "trial", "a2", "quotient"]
-            if summary["fitted_slope"] > _SLOPE_LIMIT:
+            if not summary["fitted_slope"] <= _SLOPE_LIMIT:
                 code = 1
     elif mode == "hyperbolic":
         Ns = params.get("Ns", [4, 8, 16, 32, 64])
+        if not _fit_ns_ok(Ns):
+            return 2
         rows, summary = strichartz.scan_hyperbolic_quotients(
             Ns, params.get("trials", 3), seed, h=params.get("h", 0.5),
             t_window=tuple(params.get("window", (-60.0, 60.0, 4096))),
         )
         header = ["trial", "N", "quotient"]
-        if summary["fitted_slope"] > _SLOPE_LIMIT:
+        if not summary["fitted_slope"] <= _SLOPE_LIMIT:
             code = 1
     elif mode == "quadrilinear":
         pkt = _small_random_packet(seed)
@@ -229,7 +259,7 @@ def _run_strichartz(params: dict, out_dir: Path) -> int:
                  "relative_mismatch": mismatch}]
         header = ["trial", "frequency_side", "time_side", "relative_mismatch"]
         summary = {"relative_mismatch": mismatch, "flags": list(res.warnings)}
-        if mismatch > _PLANCHEREL_TOL:
+        if not mismatch <= _PLANCHEREL_TOL:
             code = 1
     elif mode == "kernel-split":
         pkt = _small_random_packet(seed, n_nodes=16)
@@ -246,7 +276,7 @@ def _run_strichartz(params: dict, out_dir: Path) -> int:
         Ns = params.get("Ns", [4, 8, 16, 32])
         rows, summary = strichartz.box_scaling_probe(Ns, h=params.get("h", 0.25))
         header = ["N", "n_t", "norm", "ratio"]
-        if summary["spread_factor"] > 2.0:
+        if not summary["spread_factor"] <= 2.0:
             code = 1
     else:
         print(f"unknown mode {mode!r}", file=sys.stderr)

@@ -1,0 +1,22 @@
+"""The one least-squares slope fit behind every scan's trend statistic: the
+bilinear no-growth fit, the lattice growth exponents and the Strichartz
+quotient slopes."""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def fit_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of y against x.
+
+    Raises ValueError for fewer than two distinct x values, where no slope
+    is defined.  Non-finite data give a non-finite slope, which callers
+    treat as a breach.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if len(np.unique(x)) < 2:
+        raise ValueError(f"a slope needs at least two distinct x values; got {np.unique(x).tolist()}")
+    xc = x - x.mean()
+    return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fitting import fit_slope
+
 
 @dataclass(frozen=True)
 class AnnulusQuery:
@@ -222,10 +224,7 @@ def scan_lemma52(Ns: list, per_n: int, seed, variant: str = "quadric") -> tuple[
         counts = np.sort(counts)
         max_per_n.append(int(max(counts.max(), 1)))
         decile_per_n.append(float(max(counts[-max(1, per_n // 10):].mean(), 1.0)))
-    logs = np.log(np.asarray(Ns, dtype=float))
-    y = np.log(np.asarray(decile_per_n))
-    xc = logs - logs.mean()
-    exponent = float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
+    exponent = fit_slope(np.log(np.asarray(Ns, dtype=float)), np.log(np.asarray(decile_per_n)))
     summary = {"lemma": "5.2" + ("a" if variant == "quadric" else "b"),
                "Ns": list(Ns), "max_counts": max_per_n,
                "top_decile_means": decile_per_n, "fitted_exponent": exponent}
@@ -289,10 +288,7 @@ def scan_lemma53(Ns: list, delta: float, per_config: int, seed, slack: float = 1
     for N in Ns:
         vals = np.sort(per_n_ratios[N])
         decile.append(max(vals[-max(1, len(vals) // 10):].mean(), 1e-12))
-    logs = np.log(np.asarray(Ns, dtype=float))
-    y = np.log(np.asarray(decile))
-    xc = logs - logs.mean()
-    slope = float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
+    slope = fit_slope(np.log(np.asarray(Ns, dtype=float)), np.log(np.asarray(decile)))
     summary = {"lemma": "5.3", "Ns": list(Ns), "delta": delta,
                "max_ratio_per_N": {str(N): max_per_n[N] for N in Ns},
                "top_decile_means": decile,

@@ -4,13 +4,16 @@ Every CLI run writes three files: ``<name>.csv`` (data rows),
 ``<name>.summary.json`` (summary object embedding the deterministic part of
 the manifest), and ``<name>.manifest.json`` (the manifest plus a wall-clock
 timestamp).  The timestamp lives only in the manifest sidecar so that
-re-running a manifest reproduces the data files byte for byte.
+re-running a manifest reproduces the data files byte for byte.  Summaries
+are strict JSON: a non-finite float is written as the string "nan", "inf"
+or "-inf".
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from datetime import datetime, timezone
 from pathlib import Path
@@ -42,7 +45,7 @@ def _fmt(value) -> str:
 
 def _round_floats(obj):
     if isinstance(obj, float):
-        return float(f"{obj:.17g}")
+        return float(f"{obj:.17g}") if math.isfinite(obj) else repr(float(obj))
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -68,7 +71,7 @@ def write_run_outputs(out_dir: Path, name: str, header: list, rows: list,
     write_csv(csv_path, header, rows)
     with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(_round_floats({"manifest": manifest, "summary": summary}),
-                  fh, indent=1, sort_keys=True)
+                  fh, indent=1, sort_keys=True, allow_nan=False)
         fh.write("\n")
     stamped = dict(manifest)
     stamped["timestamp"] = datetime.now(timezone.utc).isoformat()

@@ -35,6 +35,8 @@ import numpy as np
 import scipy.fft as sfft
 from scipy.special import sici
 
+from .fitting import fit_slope
+
 FEJER_TOTAL = 4.0 * np.pi  # integral of the weight over R
 
 
@@ -581,10 +583,7 @@ def scan_strichartz_quotients(
                              "a2": slab.a[1], "quotient": q})
                 best = max(best, q)
         per_n_max[N] = best
-    logs = np.log(np.asarray(Ns, dtype=float))
-    vals = np.asarray([per_n_max[N] for N in Ns])
-    xc = logs - logs.mean()
-    slope = float(np.dot(xc, vals - vals.mean()) / np.dot(xc, xc))
+    slope = fit_slope(np.log(np.asarray(Ns, dtype=float)), [per_n_max[N] for N in Ns])
     summary = {"Ns": list(Ns), "delta": delta,
                "max_per_N": {str(N): per_n_max[N] for N in Ns},
                "fitted_slope": slope, "flags": sorted(warn)}
@@ -711,10 +710,7 @@ def scan_hyperbolic_quotients(
         rep = hyperbolic_l4_quotient(int(N), trials, [seed, ni], h=h, t_window=t_window)
         rows.extend(dict(r) for r in rep.rows)
         per_n[N] = rep.max_quotient
-    logs = np.log(np.asarray(Ns, dtype=float))
-    vals = np.asarray([per_n[N] for N in Ns])
-    xc = logs - logs.mean()
-    slope = float(np.dot(xc, vals - vals.mean()) / np.dot(xc, xc))
+    slope = fit_slope(np.log(np.asarray(Ns, dtype=float)), [per_n[N] for N in Ns])
     summary = {"Ns": list(Ns), "max_per_N": {str(N): per_n[N] for N in Ns},
                "fitted_slope": slope}
     return rows, summary

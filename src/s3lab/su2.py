@@ -27,10 +27,10 @@ import numpy as np
 from scipy.special import gammaln
 
 _NORM_TOL = 1e-12
-# Entries kept by the d(theta) cache, which is keyed by tuples of float
-# angles; callers reuse at most a few keys at a time (one quadrature grid, or
-# the two node sets of one scan cell).
-_WIGNER_D_CACHE_SIZE = 16
+# d(theta) entries that ``wigner_d`` computes per chunk of angles (1 MiB of
+# float64; its work buffers are at most about twice that); a chunk holds at
+# least one angle.
+_WIGNER_D_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -156,6 +156,38 @@ def _rotation_eig(m: int) -> tuple:
     return evals, evecs
 
 
+@lru_cache(maxsize=None)
+def _rotation_eig_real(m: int) -> tuple:
+    """The real form of ``_rotation_eig`` that ``wigner_d`` evaluates.
+
+    With D = diag(i^j), T = D^* H D is real tridiagonal with off-diagonal
+    -c_+ and the same eigenvalues lambda = -m, -m+2, ..., m; let Q be its
+    orthogonal eigenvectors.  Then d(theta) = Re(D Q e^{-i theta lambda}
+    Q^T D^*), and the sign of i^{j-j'} is absorbed by W = diag(u) Q with
+    u_j = (-1)^{floor(j/2)}.  Split by the parity of the row index, with
+    W0, W1 the even and odd rows of W, c = cos(theta lambda) and
+    s = sin(theta lambda):
+
+        d[even, even] = W0 c W0^T,    d[odd, odd] = W1 c W1^T,
+        d[even, odd] = -W0 s W1^T,    d[odd, even] = -d[even, odd]^T.
+
+    The eigenvector of -lambda is +-P q with P = diag((-1)^j), so each
+    block is twice its sum over lambda > 0 plus the lambda = 0 term: only
+    the columns with lambda >= 0 are kept, those with lambda > 0 scaled by
+    sqrt(2).  Returns (lambda, W0, W1) over the kept columns.
+    """
+    sup = np.array([ladder_coeff(m, alpha, "raise") for alpha in range(-m, m, 2)])
+    T = np.zeros((m + 1, m + 1))
+    idx = np.arange(m)
+    T[idx, idx + 1] = T[idx + 1, idx] = -sup
+    evals, evecs = np.linalg.eigh(T)
+    j = np.arange(m + 1)
+    W = np.where((j // 2) % 2 == 0, 1.0, -1.0)[:, None] * evecs
+    keep = evals > -0.5  # the eigenvalues are integers up to rounding
+    W = W[:, keep] * np.where(evals[keep] > 0.5, np.sqrt(2.0), 1.0)
+    return evals[keep], W[0::2], W[1::2]
+
+
 def _rotation_block(m: int, theta: float) -> np.ndarray:
     evals, evecs = _rotation_eig(m)
     return ((evecs * np.exp(-1j * theta * evals)) @ evecs.conj().T).real
@@ -214,25 +246,39 @@ def irrep_matrix_binomial(m: int, g: GroupElement) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=_WIGNER_D_CACHE_SIZE)
-def _wigner_d_cached(m: int, theta_key: tuple) -> np.ndarray:
-    thetas = np.array(theta_key)
-    out = np.empty((len(thetas), m + 1, m + 1))
-    for i, th in enumerate(thetas):
-        out[i] = _rotation_block(m, th) if m else np.ones((1, 1))
-    out.flags.writeable = False
-    return out
-
-
 def wigner_d(m: int, thetas: np.ndarray) -> np.ndarray:
     """Real reduced matrices d^m(theta) at a = cos(theta), b = sin(theta).
 
     At these elements the full matrix factors as
     D[j, j'] = d[j, j'](theta) * exp(i (j+j'-m) phi1) * exp(i (j'-j) phi2),
-    which is what the tensor-grid evaluation paths rely on.  The returned
-    array is read-only: it is shared through a bounded cache.
+    which is what the tensor-grid evaluation paths rely on.
+
+    Returns an array of shape (len(thetas), m+1, m+1).  All angles come
+    from one real eigensystem of the rotation generator (see
+    ``_rotation_eig_real``), in real arithmetic: per chunk of angles, at
+    most ``_WIGNER_D_CHUNK`` entries, two real matrix products give the
+    four parity blocks of d(theta), about 3 (m+1)^3 / 8 multiply-adds per
+    angle.  ``_rotation_block``, the per-angle path of ``irrep_matrix``
+    through the complex eigensystem, is its independent check.
     """
-    return _wigner_d_cached(m, tuple(np.asarray(thetas, dtype=float).tolist()))
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    thetas = np.asarray(thetas, dtype=float).reshape(-1)
+    evals, w0, w1 = _rotation_eig_real(m)
+    size, n1 = m + 1, w1.shape[0]
+    out = np.empty((len(thetas), size, size))
+    step = max(1, _WIGNER_D_CHUNK // (size * size))
+    for s0 in range(0, len(thetas), step):
+        phase = thetas[s0:s0 + step, None, None] * evals
+        c, s = np.cos(phase), np.sin(phase)
+        d = out[s0:s0 + step]
+        d[:, 0::2, 0::2] = (w0 * c) @ w0.T
+        # the odd-odd block and the even-odd block share the right factor W1^T
+        rows = np.concatenate([w1 * c, -(w0 * s)], axis=1) @ w1.T
+        d[:, 1::2, 1::2] = rows[:, :n1]
+        d[:, 0::2, 1::2] = rows[:, n1:]
+        d[:, 1::2, 0::2] = -rows[:, n1:].transpose(0, 2, 1)
+    return out
 
 
 def character(m: int, g: GroupElement) -> float:

@@ -19,8 +19,10 @@ from s3lab.bilinear import (
     product_norm2_batch,
     random_eigenfunction,
     recommended_levels,
+    sampling_plan,
     sup_norm_estimate,
     zonal,
+    zonal_pair_ratio,
     zonal_ratio,
 )
 
@@ -137,7 +139,7 @@ def test_batch_matches_single():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((3, m + 1, m + 1)) + 1j * rng.standard_normal((3, m + 1, m + 1))
     B = rng.standard_normal((3, n + 1, n + 1)) + 1j * rng.standard_normal((3, n + 1, n + 1))
-    batch = product_norm2_batch(table, A, B)
+    batch = product_norm2_batch(sampling_plan(m, n), A, B)
     for i in range(3):
         single = product_l2_exact(Eigenfunction(m, A[i]), Eigenfunction(n, B[i]), table)
         assert np.sqrt(batch[i]) == pytest.approx(single, rel=1e-12)
@@ -153,7 +155,7 @@ def test_sampling_engine_matches_ssum_oracle(m, n, pairs):
     rng = np.random.default_rng([m, n])
     A = rng.standard_normal((pairs, m + 1, m + 1)) + 1j * rng.standard_normal((pairs, m + 1, m + 1))
     B = rng.standard_normal((pairs, n + 1, n + 1)) + 1j * rng.standard_normal((pairs, n + 1, n + 1))
-    batch = product_norm2_batch(table, A, B)
+    batch = product_norm2_batch(sampling_plan(m, n), A, B)
     for i in range(pairs):
         oracle = product_l2_exact(Eigenfunction(m, A[i]), Eigenfunction(n, B[i]), table)
         assert np.sqrt(batch[i]) == pytest.approx(oracle, rel=1e-12)
@@ -169,20 +171,41 @@ def test_sampling_engine_chunks_a_batch_of_16():
     scale = np.arange(1.0, 17.0)
     A = scale[:, None, None] * np.broadcast_to(a, (16, m + 1, m + 1))
     B = np.broadcast_to(b, (16, n + 1, n + 1))
-    got = product_norm2_batch(cg_table(m, n), A, B)
+    got = product_norm2_batch(sampling_plan(m, n), A, B)
     assert np.max(np.abs(got / (scale ** 2 * (n + 1.0)) - 1.0)) <= 1e-12
 
 
 def test_sampling_engine_rejects_mismatched_batches():
-    table = cg_table(6, 3)
+    plan = sampling_plan(6, 3)
     a = np.zeros((2, 7, 7), dtype=complex)
     b = np.zeros((2, 4, 4), dtype=complex)
     with pytest.raises(ValueError):
-        product_norm2_batch(table, a[:, :6, :6], b)
+        product_norm2_batch(plan, a[:, :6, :6], b)
     with pytest.raises(ValueError):
-        product_norm2_batch(table, a, b[:1])
+        product_norm2_batch(plan, a, b[:1])
     with pytest.raises(ValueError):
-        product_norm2_batch(table, a[0], b[0])
+        product_norm2_batch(plan, a[0], b[0])
+
+
+def test_sampling_plan_contents():
+    m, n = 9, 4
+    plan = sampling_plan(m, n)
+    assert (plan.m, plan.n) == (m, n) and plan.fft_len >= m + n + 1
+    assert len(plan.weights) == (m + n) // 2 + 1 == len(plan.dm) == len(plan.dn)
+    assert plan.dm.shape[1:] == (m + 1, m + 1) and plan.dn.shape[1:] == (n + 1, n + 1)
+    # weights w/2 of the Gauss-Legendre rule on [-1, 1] sum to 1 (Haar mass)
+    assert plan.weights.sum() == pytest.approx(1.0, abs=1e-15)
+    assert not plan.dm.flags.writeable and not plan.weights.flags.writeable
+    assert sampling_plan(m, n) is plan
+    with pytest.raises(ValueError):
+        sampling_plan(-1, 0)
+
+
+def test_scans_build_no_cg_table():
+    cg_table.cache_clear()
+    bilinear_ratio_scan(64, 32, 2, 0)
+    zonal_pair_ratio(64, 32)
+    assert cg_table.cache_info().misses == 0
 
 
 def test_ratio_one_when_small_degree_is_zero():

@@ -1,5 +1,4 @@
 import json
-import math
 import subprocess
 import sys
 
@@ -7,6 +6,13 @@ import pytest
 
 from s3lab import bilinear, cli
 from s3lab.reporting import file_sha256
+
+
+def strict_json(path):
+    """Parse a summary as strict JSON: a bare NaN or Infinity is an error."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(path.read_text(), parse_constant=refuse)
 
 
 def run_cli(args, cwd):
@@ -76,8 +82,26 @@ def test_bilinear_verify_fails_closed_on_nan_witness(tmp_path, monkeypatch):
     code = cli.main(["bilinear-verify", "--m-max", "8", "--n-max", "8", "--seeds", "3",
                      "--out", str(tmp_path)])
     assert code == 1
-    summary = json.loads((tmp_path / "bilinear_verify.summary.json").read_text())["summary"]
-    assert math.isnan(summary["C_star"]) and math.isnan(summary["fitted_slope"])
+    summary = strict_json(tmp_path / "bilinear_verify.summary.json")["summary"]
+    assert summary["C_star"] == "nan" and summary["fitted_slope"] == "nan"
+
+
+def test_bilinear_verify_fails_closed_on_nan_cross_check(tmp_path, monkeypatch):
+    monkeypatch.setattr(bilinear, "product_l2_quadrature", lambda f, g, quad: float("nan"))
+    code = cli.main(["bilinear-verify", "--m-max", "8", "--n-max", "4", "--seeds", "2",
+                     "--cross-check", "--out", str(tmp_path)])
+    assert code == 1
+    summary = strict_json(tmp_path / "bilinear_verify.summary.json")["summary"]
+    assert summary["quadrature_cross_check_rel"] == "nan"
+    assert summary["quadrature_cross_check_ok"] is False
+
+
+def test_bilinear_verify_fails_closed_on_nan_zonal(tmp_path, monkeypatch):
+    monkeypatch.setattr(bilinear, "zonal_ratio", lambda n: float("nan") if n == 2 else 1.0)
+    code = cli.main(["bilinear-verify", "--m-max", "8", "--n-max", "4", "--seeds", "2",
+                     "--zonal", "--zonal-n-max", "3", "--out", str(tmp_path)])
+    assert code == 1
+    assert strict_json(tmp_path / "bilinear_verify.summary.json")["summary"]["zonal_min"] == "nan"
 
 
 def test_lattice_scan_and_exit_codes(tmp_path):
@@ -86,6 +110,23 @@ def test_lattice_scan_and_exit_codes(tmp_path):
     assert r.returncode == 0, r.stderr
     summary = json.loads((tmp_path / "lattice_5_2b.summary.json").read_text())["summary"]
     assert summary["fitted_exponent"] <= 0.3
+
+
+def test_lattice_scan_refuses_a_one_point_fit(tmp_path):
+    # one N leaves the fitted exponent undefined: exit 2, no outputs
+    r = run_cli(["lattice-scan", "--lemma", "5.2b", "--N", "64", "--out", str(tmp_path)], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert not list(tmp_path.glob("lattice_5_2b.*"))
+
+
+def test_strichartz_hyperbolic_refuses_a_one_point_fit(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"Ns": [4]}))
+    out = tmp_path / "out"
+    r = run_cli(["strichartz", "--mode", "hyperbolic", "--config", str(config),
+                 "--out", str(out)], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert not out.exists()
 
 
 def test_strichartz_kernel_split_mode(tmp_path):

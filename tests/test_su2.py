@@ -16,6 +16,7 @@ from s3lab.su2 import (
     weights,
     wigner_d,
 )
+from s3lab.su2 import _rotation_block
 
 SETTINGS = dict(max_examples=30, deadline=None, database=None, derandomize=True)
 
@@ -209,6 +210,20 @@ def test_quadrature_schur_relations():
         va, vb = grids[m], grids[mp]
         integral = q.integrate(va[:, :, :, 0, 0] * np.conj(vb[:, :, :, 0, 0]))
         assert abs(integral) <= 1e-8
+
+
+@pytest.mark.parametrize("m", [0, 1, 8, 63, 64, 120])
+def test_wigner_d_matches_per_angle_block(m):
+    # odd m has no zero eigenvalue, even m has one; 120 is the largest degree
+    # the scans evaluate (the zonal cell (120, 60)), where 23 angles span
+    # several chunks
+    thetas = np.linspace(0.0, np.pi / 2, 23)
+    d = wigner_d(m, thetas)
+    assert d.shape == (len(thetas), m + 1, m + 1)
+    for i, th in enumerate(thetas):
+        assert np.max(np.abs(d[i] - _rotation_block(m, th))) <= 1e-13
+    eye = np.eye(m + 1)
+    assert np.max(np.abs(d @ d.transpose(0, 2, 1) - eye)) <= 1e-13
 
 
 def test_weights_helper():
