@@ -15,23 +15,21 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bilinear, lattice, strichartz
+from . import bilinear, gates, lattice, strichartz
 from .clebsch import CGConstructionError, cg_decompose, verify_orthogonality
+from .fitting import check_fit_xs
 from .reporting import build_manifest, default_out_dir, write_run_outputs
-
-_SLOPE_LIMIT = 0.05
-_PLANCHEREL_TOL = 0.02
-_CROSS_CHECK_TOL = 1e-4
 
 
 def _fit_ns_ok(Ns) -> bool:
     """Whether a slope fitted over log N is defined: it needs two or more
     distinct N.  Says why on stderr when it is not."""
-    distinct = sorted({float(N) for N in Ns})
-    if len(distinct) >= 2:
-        return True
-    print(f"the fit over N needs two or more distinct N; got {distinct}", file=sys.stderr)
-    return False
+    try:
+        check_fit_xs(Ns)
+    except ValueError as exc:
+        print(f"the fit over N = {list(Ns)} is undefined: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _run_cg_table(params: dict, out_dir: Path) -> int:
@@ -121,7 +119,7 @@ def _run_bilinear_verify(params: dict, out_dir: Path) -> int:
         # np.max and np.min propagate a NaN; the builtins may drop it
         worst = float(np.max(rels))
         summary["quadrature_cross_check_rel"] = worst
-        summary["quadrature_cross_check_ok"] = bool(worst <= _CROSS_CHECK_TOL)
+        summary["quadrature_cross_check_ok"] = bool(worst <= gates.CROSS_CHECK_TOL)
     if params.get("zonal"):
         zr = {n: bilinear.zonal_ratio(n) for n in range(1, params["zonal_n_max"] + 1)}
         summary["zonal_ratios"] = {str(n): v for n, v in zr.items()}
@@ -133,13 +131,13 @@ def _run_bilinear_verify(params: dict, out_dir: Path) -> int:
     if not (np.isfinite(c_star) and np.isfinite(slope)):
         print(f"non-finite result: C* = {c_star}, slope = {slope}", file=sys.stderr)
         return 1
-    if abs(slope) > _SLOPE_LIMIT:
-        print(f"no-growth assertion failed: |slope| = {abs(slope):.4f} > {_SLOPE_LIMIT}",
+    if abs(slope) > gates.SLOPE_BOUND:
+        print(f"no-growth assertion failed: |slope| = {abs(slope):.4f} > {gates.SLOPE_BOUND}",
               file=sys.stderr)
         return 1
     if params.get("cross_check") and not summary["quadrature_cross_check_ok"]:
         print(f"quadrature cross-check failed: worst relative gap "
-              f"{summary['quadrature_cross_check_rel']} (tolerance {_CROSS_CHECK_TOL})",
+              f"{summary['quadrature_cross_check_rel']} (tolerance {gates.CROSS_CHECK_TOL})",
               file=sys.stderr)
         return 1
     if params.get("zonal") and not np.isfinite(summary["zonal_min"]):
@@ -154,8 +152,6 @@ _LATTICE_HEADERS = {
     "5.2b": ["lemma", "N", "k", "C", "value", "normalized_ratio"],
     "5.3": ["lemma", "case", "N", "M", "l", "k", "C", "value", "normalized_ratio"],
 }
-
-_LATTICE_BOUNDS = {"5.1": 10.0, "5.2a": 0.3, "5.2b": 0.3, "5.3": _SLOPE_LIMIT}
 
 
 def _run_lattice_scan(params: dict, out_dir: Path) -> int:
@@ -177,19 +173,22 @@ def _run_lattice_scan(params: dict, out_dir: Path) -> int:
     name = f"lattice_{lemma.replace('.', '_')}"
     paths = write_run_outputs(out_dir, name, _LATTICE_HEADERS[lemma], rows, summary, manifest)
     print(f"wrote {paths['csv']}")
-    # "not <=" makes a NaN value a breach
-    if lemma == "5.1" and not summary["max_ratio"] <= _LATTICE_BOUNDS["5.1"]:
-        print(f"measure/K ratio {summary['max_ratio']:.4g} exceeds the recorded bound",
-              file=sys.stderr)
-        return 1
-    if lemma in ("5.2a", "5.2b") and not summary["fitted_exponent"] <= _LATTICE_BOUNDS[lemma]:
-        print(f"fitted exponent {summary['fitted_exponent']:.4g} exceeds 0.3", file=sys.stderr)
-        return 1
-    if lemma == "5.3" and not summary["fitted_slope"] <= _LATTICE_BOUNDS["5.3"]:
-        print(f"fitted slope {summary['fitted_slope']:.4g} exceeds {_SLOPE_LIMIT}",
-              file=sys.stderr)
-        return 1
-    return 0
+    if lemma == "5.1":
+        checks = [("measure/K ratio", summary["max_ratio"], gates.ANNULUS_BOUND)]
+    elif lemma in ("5.2a", "5.2b"):
+        checks = [("fitted exponent", summary["fitted_exponent"], gates.EXPONENT_BOUND)]
+    else:
+        # np.max propagates a NaN; the builtin max may drop it
+        worst = float(np.max(list(summary["max_ratio_per_N"].values())))
+        checks = [("fitted slope", summary["fitted_slope"], gates.SLOPE_BOUND),
+                  ("largest normalized ratio", worst, gates.SETB_BOUND)]
+    code = 0
+    for what, value, bound in checks:
+        # "not <=" makes a NaN value a breach
+        if not value <= bound:
+            print(f"{what} {value:.4g} exceeds {bound}", file=sys.stderr)
+            code = 1
+    return code
 
 
 def _small_random_packet(seed, n_nodes: int = 24, N: float = 6.0, h: float = 0.5):
@@ -205,8 +204,29 @@ def _small_random_packet(seed, n_nodes: int = 24, N: float = 6.0, h: float = 0.5
     return strichartz.WavePacket(grid=grid, values=vals)
 
 
+# the config keys each strichartz mode reads, besides "mode" and "seed"
+_STRICHARTZ_KEYS = {
+    "elliptic": {"Ns", "delta", "trials", "h", "window"},
+    "hyperbolic": {"Ns", "trials", "h", "window"},
+    "quadrilinear": set(),
+    "kernel-split": {"k_shift"},
+    "box-scaling": {"Ns", "h"},
+}
+# an elliptic config with a "slab" record is a single-slab run, which reads these
+_SLAB_KEYS = {"slab", "delta", "trials", "grid", "window"}
+
+
 def _run_strichartz(params: dict, out_dir: Path) -> int:
     mode, seed = params["mode"], params["seed"]
+    if mode not in _STRICHARTZ_KEYS:
+        print(f"unknown mode {mode!r}", file=sys.stderr)
+        return 2
+    allowed = _SLAB_KEYS if mode == "elliptic" and "slab" in params else _STRICHARTZ_KEYS[mode]
+    unknown = sorted(set(params) - {"mode", "seed"} - allowed)
+    if unknown:
+        print(f"unknown config keys for mode {mode!r}: {', '.join(unknown)} "
+              f"(allowed: {', '.join(sorted(allowed))})", file=sys.stderr)
+        return 2
     manifest = build_manifest("strichartz", params, seed=seed)
     name = f"strichartz_{mode.replace('-', '_')}"
     code = 0
@@ -236,7 +256,7 @@ def _run_strichartz(params: dict, out_dir: Path) -> int:
                 t_window=tuple(params.get("window", (-60.0, 60.0, 8192))),
             )
             header = ["N", "M_kind", "M", "trial", "a2", "quotient"]
-            if not summary["fitted_slope"] <= _SLOPE_LIMIT:
+            if not summary["fitted_slope"] <= gates.SLOPE_BOUND:
                 code = 1
     elif mode == "hyperbolic":
         Ns = params.get("Ns", [4, 8, 16, 32, 64])
@@ -247,7 +267,7 @@ def _run_strichartz(params: dict, out_dir: Path) -> int:
             t_window=tuple(params.get("window", (-60.0, 60.0, 4096))),
         )
         header = ["trial", "N", "quotient"]
-        if not summary["fitted_slope"] <= _SLOPE_LIMIT:
+        if not summary["fitted_slope"] <= gates.SLOPE_BOUND:
             code = 1
     elif mode == "quadrilinear":
         pkt = _small_random_packet(seed)
@@ -259,7 +279,7 @@ def _run_strichartz(params: dict, out_dir: Path) -> int:
                  "relative_mismatch": mismatch}]
         header = ["trial", "frequency_side", "time_side", "relative_mismatch"]
         summary = {"relative_mismatch": mismatch, "flags": list(res.warnings)}
-        if not mismatch <= _PLANCHEREL_TOL:
+        if not mismatch <= gates.PLANCHEREL_TOL:
             code = 1
     elif mode == "kernel-split":
         pkt = _small_random_packet(seed, n_nodes=16)
@@ -276,11 +296,8 @@ def _run_strichartz(params: dict, out_dir: Path) -> int:
         Ns = params.get("Ns", [4, 8, 16, 32])
         rows, summary = strichartz.box_scaling_probe(Ns, h=params.get("h", 0.25))
         header = ["N", "n_t", "norm", "ratio"]
-        if not summary["spread_factor"] <= 2.0:
+        if not summary["spread_factor"] <= gates.BOX_SPREAD_BOUND:
             code = 1
-    else:
-        print(f"unknown mode {mode!r}", file=sys.stderr)
-        return 2
     paths = write_run_outputs(out_dir, name, header, rows, summary, manifest)
     print(f"wrote {paths['csv']}")
     if code:

@@ -7,6 +7,14 @@ from __future__ import annotations
 import numpy as np
 
 
+def check_fit_xs(x) -> None:
+    """Raise ValueError unless x holds at least two distinct values, where a
+    slope is defined.  Scans call it on their N before any work."""
+    distinct = np.unique(np.asarray(x, dtype=float))
+    if len(distinct) < 2:
+        raise ValueError(f"a slope needs at least two distinct x values; got {distinct.tolist()}")
+
+
 def fit_slope(x: np.ndarray, y: np.ndarray) -> float:
     """Least-squares slope of y against x.
 
@@ -16,7 +24,6 @@ def fit_slope(x: np.ndarray, y: np.ndarray) -> float:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if len(np.unique(x)) < 2:
-        raise ValueError(f"a slope needs at least two distinct x values; got {np.unique(x).tolist()}")
+    check_fit_xs(x)
     xc = x - x.mean()
     return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))

@@ -1,0 +1,22 @@
+"""The one table of gate constants: the bounds that the CLI and the
+acceptance suite compare measured values against.  Where the two used to
+differ, the table keeps the tighter value."""
+
+# bilinear: largest witness-included cell maximum (measured 1.0)
+C_STAR_BOUND = 1.05
+# trilinear ratio of the multilinear corollary (measured max 1.00)
+TRILINEAR_BOUND = 1.25
+# annulus measure / K over random queries (measured max ~4.2 over 1e4 queries)
+ANNULUS_BOUND = 8.0
+# resonant-set measure / ((M/N)^(4 delta) N), worst over a 5.3 scan (measured max ~27)
+SETB_BOUND = 60.0
+# fitted growth exponent of the 5.2 quadric and hyperbola counts
+EXPONENT_BOUND = 0.3
+# fitted slopes: bilinear no-growth, 5.3 ratios, Strichartz quotients
+SLOPE_BOUND = 0.05
+# relative Plancherel mismatch, time side against frequency side
+PLANCHEREL_TOL = 0.02
+# relative gap between exact product norms and the quadrature oracle
+CROSS_CHECK_TOL = 1e-4
+# max/min ratio spread of the square-indicator norms against N^(1/4)
+BOX_SPREAD_BOUND = 2.0

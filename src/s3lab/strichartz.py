@@ -35,7 +35,7 @@ import numpy as np
 import scipy.fft as sfft
 from scipy.special import sici
 
-from .fitting import fit_slope
+from .fitting import check_fit_xs, fit_slope
 
 FEJER_TOTAL = 4.0 * np.pi  # integral of the weight over R
 
@@ -494,6 +494,19 @@ class QuotientReport:
     warnings: tuple
 
 
+def _worst_warnings(warnings) -> tuple:
+    """Merge warnings of the form "flag:value" or "flag:name=value", keeping
+    per flag the one with the largest value (the largest truncation
+    fraction, the largest needed n_t), sorted by flag."""
+    worst = {}
+    for w in warnings:
+        flag, _, value = w.partition(":")
+        num = float(value.rpartition("=")[2])
+        if flag not in worst or num > worst[flag][0]:
+            worst[flag] = (num, w)
+    return tuple(worst[flag][1] for flag in sorted(worst))
+
+
 def strichartz_quotient(
     slab: SlabSpec,
     delta: float,
@@ -512,21 +525,21 @@ def strichartz_quotient(
     grid = grid_for_slab(slab, h)
     scale = (slab.M / slab.N) ** delta * slab.N**0.25
     rows = []
-    warn = set()
+    warn = []
     best = (0.0, None)
     for trial in range(trials):
         pkt = sample_slab_packet(slab, grid, "gaussian-random", rng)
         res = evolve_l4_norm(pkt, 0, "elliptic", t_window)
         q = res.value / (scale * pkt.l2_norm())
         rows.append({"trial": trial, "quotient": q})
-        warn.update(w.split(":")[0] for w in res.warnings)
+        warn.extend(res.warnings)
         if q > best[0]:
             best = (q, trial)
     return QuotientReport(
         rows=tuple(rows),
         max_quotient=best[0],
         argmax={"trial": best[1]},
-        warnings=tuple(sorted(warn)),
+        warnings=_worst_warnings(warn),
     )
 
 
@@ -557,10 +570,12 @@ def scan_strichartz_quotients(
 ) -> tuple[list, dict]:
     """Quotient scan over N in Ns and M in {1, sqrt(N), N} with random
     directions, offsets and centers; every third trial pins the direction
-    to the Case 1 / Case 2 boundary |a2| = (M/N)^(1-4 delta)."""
+    to the Case 1 / Case 2 boundary |a2| = (M/N)^(1-4 delta).  The
+    summary's flags keep the worst value per warning flag."""
+    check_fit_xs(Ns)
     rows = []
     per_n_max = {}
-    warn = set()
+    warn = []
     for ni, N in enumerate(Ns):
         best = 0.0
         for mi, mkind in enumerate(("1", "sqrt", "N")):
@@ -578,7 +593,7 @@ def scan_strichartz_quotients(
                     continue
                 rep = strichartz_quotient(slab, delta, 1, rng, h=h, t_window=t_window)
                 q = rep.max_quotient
-                warn.update(rep.warnings)
+                warn.extend(rep.warnings)
                 rows.append({"N": N, "M_kind": mkind, "M": M, "trial": trial,
                              "a2": slab.a[1], "quotient": q})
                 best = max(best, q)
@@ -586,7 +601,7 @@ def scan_strichartz_quotients(
     slope = fit_slope(np.log(np.asarray(Ns, dtype=float)), [per_n_max[N] for N in Ns])
     summary = {"Ns": list(Ns), "delta": delta,
                "max_per_N": {str(N): per_n_max[N] for N in Ns},
-               "fitted_slope": slope, "flags": sorted(warn)}
+               "fitted_slope": slope, "flags": list(_worst_warnings(warn))}
     return rows, summary
 
 
@@ -676,7 +691,7 @@ def hyperbolic_l4_quotient(
     rng = np.random.default_rng(seed)
     grid = FrequencyGrid(h=h, xi1_extent=float(N), xi2_min=-N, xi2_max=N)
     rows = []
-    warn = set()
+    warn = []
     best = (0.0, None)
     shape = (2 * N + 1, 2 * grid.imax + 1)
     for trial in range(trials):
@@ -686,14 +701,14 @@ def hyperbolic_l4_quotient(
         res = _windowed_l4_txy(pkt, dispersion, t_window)
         q = res.value / pkt.l2_norm()
         rows.append({"trial": trial, "N": N, "quotient": q})
-        warn.update(w.split(":")[0] for w in res.warnings)
+        warn.extend(res.warnings)
         if q > best[0]:
             best = (q, trial)
     return QuotientReport(
         rows=tuple(rows),
         max_quotient=best[0],
         argmax={"trial": best[1]},
-        warnings=tuple(sorted(warn)),
+        warnings=_worst_warnings(warn),
     )
 
 
@@ -704,6 +719,7 @@ def scan_hyperbolic_quotients(
     h: float = 0.5,
     t_window: tuple = (-60.0, 60.0, 4096),
 ) -> tuple[list, dict]:
+    check_fit_xs(Ns)
     rows = []
     per_n = {}
     for ni, N in enumerate(Ns):

@@ -160,3 +160,46 @@ def test_manifest_rerun_reproduces_outputs(tmp_path, args, name):
     assert r2.returncode == 0, r2.stderr
     for suffix in (".csv", ".summary.json"):
         assert file_sha256(first / f"{name}{suffix}") == file_sha256(second / f"{name}{suffix}")
+
+
+def test_strichartz_refuses_unknown_config_keys(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"Nz": [4], "trails": 1}))
+    out = tmp_path / "out"
+    r = run_cli(["strichartz", "--mode", "hyperbolic", "--config", str(config),
+                 "--out", str(out)], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "Nz" in r.stderr and "trails" in r.stderr
+    assert not out.exists()
+
+
+def test_strichartz_single_slab_config_keys(tmp_path, monkeypatch):
+    # a single-slab record reads "grid" but not the scan's "Ns"
+    calls = []
+    monkeypatch.setattr(cli.strichartz, "strichartz_quotient", lambda *a, **k: calls.append(a))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"slab": {"xi0": [0.0, 0], "a": [1.0, 0.0], "c": 0.0,
+                                           "M": 2, "N": 4}, "Ns": [4, 8]}))
+    code = cli.main(["strichartz", "--mode", "elliptic", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2 and calls == []
+    assert not (tmp_path / "out").exists()
+
+
+def _lattice_summary(monkeypatch, summary):
+    monkeypatch.setattr(cli.lattice, "scan_constants", lambda lemma, seed, **kw: ([], summary))
+
+
+@pytest.mark.parametrize("lemma,summary,code", [
+    ("5.1", {"max_ratio": 7.9}, 0),
+    ("5.1", {"max_ratio": 9.0}, 1),  # above the 8.0 of the gate table
+    ("5.3", {"fitted_slope": 0.01, "max_ratio_per_N": {"64": 30.0, "128": 59.0}}, 0),
+    ("5.3", {"fitted_slope": 0.01, "max_ratio_per_N": {"64": 30.0, "128": 61.0}}, 1),
+    ("5.3", {"fitted_slope": 0.01, "max_ratio_per_N": {"64": float("nan"), "128": 1.0}}, 1),
+])
+def test_lattice_scan_gates_from_the_gate_table(tmp_path, monkeypatch, lemma, summary, code):
+    _lattice_summary(monkeypatch, summary)
+    args = ["lattice-scan", "--lemma", lemma, "--out", str(tmp_path)]
+    if lemma == "5.3":
+        args += ["--N", "64", "--N", "128"]
+    assert cli.main(args) == code

@@ -1,15 +1,21 @@
+import decimal
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as stn
 
+from s3lab import lattice
 from s3lab.lattice import (
     AnnulusQuery,
     SetBQuery,
     annulus_measure,
+    annulus_measures,
     count_hyperbola,
+    count_hyperbola_batch,
     count_quadric,
+    count_quadric_batch,
     scan_constants,
     setB_measure,
     setB_measure_monte_carlo,
@@ -209,3 +215,168 @@ def test_scan_53_cases_present():
 def test_scan_unknown_lemma():
     with pytest.raises(ValueError):
         scan_constants("9.9", seed=0)
+
+
+# -- array kernels against their oracles ----------------------------------------
+
+def annulus_exact(C, K):
+    """The per-row sum over every integer row d in [-dmax, dmax], in 40-digit
+    decimal arithmetic from the exact binary values of C and K."""
+    with decimal.localcontext(decimal.Context(prec=40)):
+        lo, hi = decimal.Decimal(C), decimal.Decimal(C) + decimal.Decimal(K)
+        total = decimal.Decimal(0)
+        for d in range(-math.isqrt(max(int(hi), 0)) - 1, math.isqrt(max(int(hi), 0)) + 2):
+            a, b = hi - d * d, lo - d * d
+            total += 2 * ((a.sqrt() if a > 0 else 0) - (b.sqrt() if b > 0 else 0))
+        return float(total)
+
+
+def test_annulus_batch_matches_exact_rows_and_scalar(monkeypatch):
+    rng = np.random.default_rng(4)
+    # C up to 1e6 against K down to 1: the plain difference of the two roots
+    # on a row would lose about six digits
+    C = np.concatenate([rng.uniform(-10.0, 1e6, 30), [-20.0, 0.0, 3.5, 16.0, 999000.123]])
+    K = np.concatenate([rng.uniform(1.0, 1e3, 30), [2.0, 1.0, 1.0, 9.0, 1.5]])
+    batch = annulus_measures(C, K)
+    for c, k, v in zip(C, K, batch):
+        assert v == pytest.approx(annulus_exact(c, k), rel=1e-14, abs=0.0)
+        assert v == pytest.approx(annulus_measure(AnnulusQuery(C=c, K=k, center=(0.0, 0))),
+                                  rel=1e-14, abs=0.0)
+    # blocks of 7 entries: every query split over many column blocks
+    monkeypatch.setattr(lattice, "_BLOCK", 7)
+    assert np.allclose(annulus_measures(C, K), batch, rtol=1e-14, atol=0.0)
+    with pytest.raises(ValueError):
+        annulus_measures([0.0, 1.0], [2.0, 0.5])
+    with pytest.raises(ValueError):
+        annulus_measures([0.0, float("nan")], [2.0, 2.0])
+    with pytest.raises(ValueError):
+        annulus_measures([0.0], [float("inf")])
+
+
+def brute_setB_exact(q: SetBQuery, slack: float) -> Fraction:
+    """Exact rational sum over every admissible (m, n) of the interval length,
+    from the exact binary values of l, C and slack."""
+    l, C, h = Fraction(q.l), Fraction(q.C), Fraction(slack) / Fraction(q.l)
+    N = int(q.N)
+    total = Fraction(0)
+    for m in range(q.k - N, q.k + N + 1):
+        for n in range(-N, N + 1):
+            if m == 0 or n == 0:
+                continue
+            c = -(m * n + C) / l
+            total += max(min(c + h, 2 * l) - max(c - h, -2 * l), 0)
+    return total
+
+
+# l = 1 (case a), 4 = sqrt(N) (case b), 8 = 2 sqrt(N) and 16 = the cap (case c)
+@pytest.mark.parametrize("l", [1.0, 4.0, 8.0, 16.0])
+@pytest.mark.parametrize("slack_of_l", ["0.3", "1", "2l^2", "2l^2+50"])
+def test_setB_closed_form_against_exact_sum(l, slack_of_l):
+    slack = {"0.3": 0.3, "1": 1.0, "2l^2": 2.0 * l * l, "2l^2+50": 2.0 * l * l + 50.0}[slack_of_l]
+    # k = 3: the m-range straddles 0; k = +-40: one sign of m only.  C = 0.7 and
+    # C = -l^2 + 0.25 put the n = 0 term inside the support, C = 123.4 does not
+    for k in (3, 40, -40):
+        for C in (0.7, -l * l + 0.25, 123.4):
+            q = SetBQuery(l=l, k=k, C=C, M=16.0, N=16.0)
+            exact = float(brute_setB_exact(q, slack))
+            assert setB_measure(q, slack) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
+def setB_rows(q: SetBQuery, slack: float) -> float:
+    """The per-row sum: for each m, the clipped interval lengths over all n."""
+    N = int(q.N)
+    ms = np.arange(q.k - N, q.k + N + 1, dtype=float)
+    ns = np.arange(-N, N + 1, dtype=float)
+    ns = ns[ns != 0.0]
+    total = 0.0
+    for m in ms[ms != 0.0]:
+        center = -(m * ns + q.C) / q.l
+        lo = np.maximum(center - slack / q.l, -2.0 * q.l)
+        hi = np.minimum(center + slack / q.l, 2.0 * q.l)
+        total += float(np.maximum(hi - lo, 0.0).sum())
+    return total
+
+
+def test_setB_closed_form_against_row_sum_at_512(monkeypatch):
+    rng = np.random.default_rng(8)
+    for l, M in [(1.0, 1.0), (16.0, 512.0), (45.25, 512.0), (181.0, 256.0)]:
+        k = int(rng.integers(0, 1025))
+        m0, n0 = int(rng.integers(max(k - 512, 1), k + 513)), int(rng.integers(1, 513))
+        for C in (float(rng.uniform(-512.0**2, 512.0**2)), -(m0 * n0) + 0.3):
+            q = SetBQuery(l=l, k=k, C=C, M=M, N=512.0)
+            value = setB_measure(q)
+            assert value == pytest.approx(setB_rows(q, 1.0), rel=1e-10, abs=0.0)
+            monkeypatch.setattr(lattice, "_BLOCK", 100)  # rows in blocks of 100
+            assert setB_measure(q) == pytest.approx(value, rel=1e-14, abs=0.0)
+            monkeypatch.undo()
+
+
+def test_setB_without_slack_is_empty():
+    q = SetBQuery(l=2.0, k=1, C=0.5, M=4.0, N=4.0)
+    assert setB_measure(q, slack=0.0) == 0.0
+    assert setB_measure(q, slack=-1.0) == 0.0
+
+
+def test_counter_batches_match_scalar_and_brute_force(monkeypatch):
+    rng = np.random.default_rng(12)
+    N = 9
+    ks = [int(k) for k in rng.integers(-30, 31, 40)]
+    Cq = [int(c) for c in rng.integers(-150, 151, 40)]
+    Ch = [int(c) for c in rng.integers(-80, 81, 40)]
+    quad = count_quadric_batch(ks, Cq, N)
+    hyp = count_hyperbola_batch(ks, Ch, N)
+    assert quad.tolist() == [brute_quadric(k, C, N) for k, C in zip(ks, Cq)]
+    assert quad.tolist() == [count_quadric(k, C, N) for k, C in zip(ks, Cq)]
+    assert hyp.tolist() == [brute_hyperbola(k, C, N) for k, C in zip(ks, Ch)]
+    assert hyp.tolist() == [count_hyperbola(k, C, N) for k, C in zip(ks, Ch)]
+    # tiles of 5 entries: pairs and columns both split
+    monkeypatch.setattr(lattice, "_BLOCK", 5)
+    assert count_quadric_batch(ks, Cq, N).tolist() == quad.tolist()
+    assert count_hyperbola_batch(ks, Ch, N).tolist() == hyp.tolist()
+
+
+@pytest.mark.parametrize("lemma,brute", [("5.2a", brute_quadric), ("5.2b", brute_hyperbola)])
+def test_lemma52_scan_counts_match_brute_force(lemma, brute):
+    rows, summary = scan_constants(lemma, seed=6, Ns=[6, 10], per_n=25)
+    assert len(rows) == 50
+    for r in rows:
+        assert r["value"] == brute(r["k"], r["C"], r["N"])
+    assert summary["max_counts"] == [
+        max(1, max(r["value"] for r in rows if r["N"] == N)) for N in (6, 10)]
+
+
+def test_counters_refuse_int64_unsafe_input():
+    with pytest.raises(ValueError, match="2\\^62"):
+        count_quadric(2**31, 0, 1)  # k^2 = 2^62
+    with pytest.raises(ValueError, match="2\\^62"):
+        count_quadric(0, 2**60, 1)  # 4|C| = 2^62
+    assert count_quadric(0, 2**60 - 2, 1) == 0  # just inside: 2^62 - 4
+    with pytest.raises(ValueError, match="2\\^62"):
+        count_quadric_batch([0, 1], [5, 2**62], 4)  # the second pair alone is unsafe
+    with pytest.raises(ValueError, match="2\\^62"):
+        count_hyperbola(0, 2**62 + 1, 4)
+    with pytest.raises(ValueError, match="2\\^62"):
+        count_hyperbola(2**62, 6, 1)  # |k| + N = 2^62 + 1
+    assert count_hyperbola(0, 2**62, 4) == 0
+    with pytest.raises(ValueError):
+        count_quadric_batch([1, 2], [3], 4)
+    with pytest.raises(ValueError):
+        count_hyperbola(0, 6, 0)
+
+
+def test_hyperbola_work_is_capped_by_the_box():
+    # the old divisor loop ran about 2.8e6 iterations here
+    assert count_hyperbola(2**40, 7 * 2**40, 16) == 1
+
+
+@pytest.mark.parametrize("lemma,kwargs,kernel", [
+    ("5.3", dict(Ns=[256], per_config=2), "setB_measure"),
+    ("5.2a", dict(Ns=[64, 64], per_n=5), "count_quadric_batch"),
+    ("5.2b", dict(Ns=[64], per_n=5), "count_hyperbola_batch"),
+])
+def test_scans_refuse_a_single_N_before_any_work(monkeypatch, lemma, kwargs, kernel):
+    calls = []
+    monkeypatch.setattr(lattice, kernel, lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="two distinct"):
+        scan_constants(lemma, seed=3, **kwargs)
+    assert calls == []

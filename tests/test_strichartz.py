@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as stn
@@ -280,3 +282,69 @@ def test_hyperbolic_quotient_cap_and_determinism():
     r2 = st.hyperbolic_l4_quotient(4, 1, 3, h=0.5, t_window=(-30.0, 30.0, 512))
     assert r1.max_quotient == r2.max_quotient
     assert r1.max_quotient > 0
+
+
+def test_worst_warnings_keep_the_largest_value_per_flag():
+    merged = st._worst_warnings([
+        "window-truncation:0.0200", "time-aliasing-risk:need_nt=300",
+        "window-truncation:0.0500", "time-aliasing-risk:need_nt=900",
+        "time-aliasing-risk:need_nt=500", "window-truncation:0.0100",
+    ])
+    assert merged == ("time-aliasing-risk:need_nt=900", "window-truncation:0.0500")
+    assert st._worst_warnings([]) == ()
+
+
+def _varying_warnings(monkeypatch, name, values):
+    """Wrap an integrator so that call i reports the warnings values[i]."""
+    orig = getattr(st, name)
+    calls = iter(values)
+
+    def wrapped(*args, **kwargs):
+        return dataclasses.replace(orig(*args, **kwargs), warnings=next(calls))
+
+    monkeypatch.setattr(st, name, wrapped)
+
+
+def test_quotient_reports_keep_warning_values(monkeypatch):
+    per_trial = [("window-truncation:0.0200", "time-aliasing-risk:need_nt=300"),
+                 ("window-truncation:0.0500", "time-aliasing-risk:need_nt=900"),
+                 ("time-aliasing-risk:need_nt=500",)]
+    worst = ("time-aliasing-risk:need_nt=900", "window-truncation:0.0500")
+    slab = st.SlabSpec(xi0=(0.0, 0), a=(1.0, 0.0), c=0.0, M=4.0, N=4.0)
+    _varying_warnings(monkeypatch, "evolve_l4_norm", per_trial)
+    rep = st.strichartz_quotient(slab, 0.1, 3, 0, h=0.5, t_window=(-10.0, 10.0, 64))
+    assert rep.warnings == worst
+    _varying_warnings(monkeypatch, "_windowed_l4_txy", per_trial)
+    rep = st.hyperbolic_l4_quotient(2, 3, 0, h=0.5, t_window=(-10.0, 10.0, 64))
+    assert rep.warnings == worst
+
+
+def test_elliptic_scan_flags_keep_worst_values(monkeypatch):
+    seen = []
+    orig = st.evolve_l4_norm
+
+    def spy(*args, **kwargs):
+        res = orig(*args, **kwargs)
+        seen.extend(res.warnings)
+        return res
+
+    monkeypatch.setattr(st, "evolve_l4_norm", spy)
+    _, summary = st.scan_strichartz_quotients([4, 8], 0.1, 1, 2, h=0.5,
+                                              t_window=(-10.0, 10.0, 64))
+    need = max(int(w.split("=")[1]) for w in seen if w.startswith("time-aliasing-risk"))
+    assert f"time-aliasing-risk:need_nt={need}" in summary["flags"]
+    assert any(f.startswith("window-truncation:") for f in summary["flags"])
+    assert len(summary["flags"]) == 2
+
+
+@pytest.mark.parametrize("scan,kernel", [
+    (lambda: st.scan_strichartz_quotients([8], 0.1, 1, 0), "evolve_l4_norm"),
+    (lambda: st.scan_strichartz_quotients([8, 8.0], 0.1, 1, 0), "evolve_l4_norm"),
+    (lambda: st.scan_hyperbolic_quotients([4], 1, 0), "_windowed_l4_txy"),
+])
+def test_quotient_scans_refuse_a_single_N_before_any_work(monkeypatch, scan, kernel):
+    calls = []
+    monkeypatch.setattr(st, kernel, lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="two distinct"):
+        scan()
+    assert calls == []
