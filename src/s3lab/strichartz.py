@@ -24,6 +24,14 @@ and the x1 Riemann sum is exact once the FFT length exceeds four times the
 maximal frequency index.  The weight is the Fejer-type window
 phi_w(t) = 2 (sin(t/2)/(t/2))^2 with triangular transform supported in
 [-1, 1].
+
+The same quartic is measured in x2 either at the point x2 = 0 (the slice
+norm of the refined L^inf_{x2} L4_{t,x1} estimate) or over the torus
+[0, 2 pi) (the L4 norm on R x T of the hyperbolic estimate), where u
+carries the factor e^{i x2 xi2} and the identity gains the constraint
+<xi2> = 0 and a factor 2 pi.  One evaluator computes both: the torus is
+sampled at equispaced points, exact once their number exceeds four times
+the maximal |xi2|.
 """
 
 from __future__ import annotations
@@ -217,15 +225,18 @@ def _lambda_rows_cols(p: WavePacket, k_shift: int, dispersion: str):
     return mu, xi1**2
 
 
+def _support_lambda(p: WavePacket, k_shift: int, dispersion: str) -> np.ndarray:
+    """Lambda at the support nodes, in the order of ``p.support()``."""
+    mu, colsq = _lambda_rows_cols(p, k_shift, dispersion)
+    rows, cols = np.nonzero(p.values)
+    return colsq[cols] + mu[rows]
+
+
 def lambda_spread(p: WavePacket, k_shift: int, dispersion: str) -> float:
     """Spread of Lambda over the packet support (drives time resolution)."""
-    cols, rows, _ = p.support()
-    if len(cols) == 0:
+    lam = _support_lambda(p, k_shift, dispersion)
+    if len(lam) == 0:
         return 0.0
-    lam = (p.grid.h * cols) ** 2 + (
-        rows.astype(float) ** 2 + k_shift * rows if dispersion == "elliptic"
-        else -rows.astype(float) ** 2
-    )
     return float(lam.max() - lam.min())
 
 
@@ -256,20 +267,20 @@ class EvolveResult:
     warnings: tuple = field(default_factory=tuple)
 
 
-def evolve_l4_norm(
-    p: WavePacket,
-    k_shift: int = 0,
-    dispersion: str = "elliptic",
-    t_window: tuple = (-60.0, 60.0, 1024),
+def _weighted_quartic(
+    p: WavePacket, k_shift: int, dispersion: str, t_window: tuple, x2_torus: bool
 ) -> EvolveResult:
-    """L4 norm of phi_w(t)^{1/4} u over (window) x (one x1 period).
+    """Integral of phi_w(t) |u|^4 over (window) x (one x1 period) x (x2 measure).
 
-    The evolution is computed per time node by collapsing the xi2 rows with
-    their phases (a single BLAS product over the time chunk) and one FFT in
-    xi1; the x1 Riemann sum is exact because the FFT length exceeds four
-    times the largest occupied frequency index.  Time integration is
-    composite Simpson.  Window truncation and time-resolution risks are
-    surfaced as warnings, never silently ignored.
+    The x2 measure is the point x2 = 0 with weight 1 (the slice) or, with
+    ``x2_torus``, Q equispaced points y_q on [0, 2 pi) with weight 2 pi / Q,
+    where Q exceeds four times the largest |xi2| so the torus sum is exact.
+    Per time chunk the xi2 rows fold onto the x2 points with their phases
+    e^{i y_q xi2 - i t mu} (a single BLAS product), then one FFT in xi1 gives
+    u on the x1 grid; that Riemann sum is exact because the FFT length
+    exceeds four times the largest occupied frequency index.  Time
+    integration is composite Simpson.  Window truncation and time-resolution
+    risks are surfaced as warnings, never silently ignored.
     """
     t0, t1, n_t = t_window
     n_t = int(n_t)
@@ -292,21 +303,30 @@ def evolve_l4_norm(
     P = sfft.next_fast_len(4 * imax_sup + 2)
     bins = np.mod(cidx, P)
     h = p.grid.h
-    dx = p.grid.period / P
+    dvol = p.grid.period / P
+    xi2 = (row_live + p.grid.xi2_min).astype(float)
+    if x2_torus:
+        Q = sfft.next_fast_len(4 * int(np.max(np.abs(xi2))) + 2)
+        dvol *= 2.0 * np.pi / Q
+    else:
+        Q = 1
+    yph = np.exp(1j * (2.0 * np.pi / Q) * np.arange(Q)[:, None] * xi2[None, :])
 
     quartic = 0.0
-    chunk = max(1, int(4e6 // max(P, 1)))
+    chunk = max(1, int(4e6 // (Q * P)))
     for start in range(0, n_t + 1, chunk):
         tc = ts[start:start + chunk]
         wphi = sw[start:start + chunk] * fejer_weight(tc)
         rph = np.exp(-1j * tc[:, None] * mu[None, :])
-        W = rph @ V
-        W *= h * np.exp(-1j * tc[:, None] * colsq[None, :])
-        buf = np.zeros((len(tc), P), dtype=complex)
-        buf[:, bins] = W
-        u = sfft.ifft(buf, axis=1) * P
+        W = (rph[:, None, :] * yph[None, :, :]).reshape(-1, len(mu)) @ V
+        W = W.reshape(len(tc), Q, -1)
+        W *= (h * np.exp(-1j * tc[:, None] * colsq[None, :]))[:, None, :]
+        buf = np.zeros((len(tc), Q, P), dtype=complex)
+        buf[:, :, bins] = W
+        u = sfft.ifft(buf, axis=2, overwrite_x=True)
+        u *= P
         au2 = u.real**2 + u.imag**2
-        quartic += dx * float(wphi @ (au2 * au2).sum(axis=1))
+        quartic += dvol * float(wphi @ (au2 * au2).reshape(len(tc), -1).sum(axis=1))
 
     trunc_rel = fejer_tail(min(abs(t0), abs(t1))) / FEJER_TOTAL
     warn = []
@@ -323,6 +343,17 @@ def evolve_l4_norm(
     )
 
 
+def evolve_l4_norm(
+    p: WavePacket,
+    k_shift: int = 0,
+    dispersion: str = "elliptic",
+    t_window: tuple = (-60.0, 60.0, 1024),
+) -> EvolveResult:
+    """L4 norm of phi_w(t)^{1/4} u over (window) x (one x1 period) at the
+    slice x2 = 0; the weighted quartic evaluator with the point x2 measure."""
+    return _weighted_quartic(p, k_shift, dispersion, t_window, x2_torus=False)
+
+
 # -- frequency-side quartic ----------------------------------------------------
 
 _MAX_QUADRILINEAR_NODES = 64
@@ -336,7 +367,7 @@ def _pair_groups(p: WavePacket, k_shift: int, ordered: bool):
     """
     cols, rows, vals = p.support()
     n = len(cols)
-    lam = (p.grid.h * cols) ** 2 + rows.astype(float) ** 2 + k_shift * rows
+    lam = _support_lambda(p, k_shift, "elliptic")
     pi, qi = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     pi, qi = pi.ravel(), qi.ravel()
     if ordered:
@@ -623,69 +654,17 @@ def box_scaling_probe(Ns: list, h: float = 0.25, t_span: tuple = (-60.0, 60.0)) 
     return rows, summary
 
 
-def _windowed_l4_txy(p: WavePacket, dispersion: str, t_window: tuple) -> EvolveResult:
-    """Weighted L4 norm over (window) x (x1 period) x (x2 torus); the
-    hyperbolic variant restores the e^{i x2 xi2} factor and integrates x2."""
-    t0, t1, n_t = t_window
-    n_t = int(n_t)
-    if n_t < 64:
-        raise ValueError("need at least 64 time intervals")
-    n_t += n_t % 2
-    ts, sw = _simpson_weights(t0, t1, n_t)
-    V = p.values
-    live_r = np.flatnonzero(np.any(V != 0, axis=1))
-    live_c = np.flatnonzero(np.any(V != 0, axis=0))
-    V = np.ascontiguousarray(V[np.ix_(live_r, live_c)]) * p.grid.h
-    jj = (live_r + p.grid.xi2_min).astype(float)
-    ii = live_c - p.grid.imax
-    xi1 = p.grid.h * ii
-    mu = jj**2
-    sgn = -1.0 if dispersion == "hyperbolic" else 1.0
-    jmax = int(np.max(np.abs(jj)))
-    imax = int(np.max(np.abs(ii)))
-    P = sfft.next_fast_len(4 * imax + 2)
-    Q = sfft.next_fast_len(4 * jmax + 2)
-    rbins = np.mod((live_r + p.grid.xi2_min), Q)
-    cbins = np.mod(ii, P)
-    dy = 2.0 * np.pi / Q
-    dx = p.grid.period / P
-
-    quartic = 0.0
-    chunk = max(1, int(6e6 // (P * Q)))
-    for start in range(0, n_t + 1, chunk):
-        tc = ts[start:start + chunk]
-        wphi = sw[start:start + chunk] * fejer_weight(tc)
-        rph = np.exp(-1j * sgn * tc[:, None] * mu[None, :])
-        cph = np.exp(-1j * tc[:, None] * (xi1**2)[None, :])
-        B = rph[:, :, None] * V[None, :, :] * cph[:, None, :]
-        buf = np.zeros((len(tc), Q, P), dtype=complex)
-        buf[:, rbins[:, None], cbins[None, :]] = B
-        u = sfft.ifft2(buf, axes=(1, 2)) * (Q * P)
-        au2 = u.real**2 + u.imag**2
-        quartic += dx * dy * float(wphi @ (au2 * au2).sum(axis=(1, 2)))
-
-    trunc_rel = fejer_tail(min(abs(t0), abs(t1))) / FEJER_TOTAL
-    warn = []
-    if trunc_rel > 0.01:
-        warn.append(f"window-truncation:{trunc_rel:.4f}")
-    return EvolveResult(
-        value=float(max(quartic, 0.0) ** 0.25),
-        quartic=float(quartic),
-        truncation_rel=float(trunc_rel),
-        warnings=tuple(warn),
-    )
-
-
 def hyperbolic_l4_quotient(
     N: int,
     trials: int,
     seed,
     h: float = 0.5,
     t_window: tuple = (-60.0, 60.0, 4096),
-    dispersion: str = "hyperbolic",
 ) -> QuotientReport:
     """Max over random unit-norm data on [-N, N]^2 of the windowed
-    space-time L4 norm in (t, x1, x2) divided by the data's L2 norm."""
+    space-time L4 norm in (t, x1, x2) divided by the data's L2 norm: the
+    weighted quartic evaluator under the hyperbolic Lambda = xi1^2 - xi2^2,
+    with x2 integrated over the torus."""
     if N > 64:
         raise ValueError("N is capped at 64")
     rng = np.random.default_rng(seed)
@@ -698,7 +677,7 @@ def hyperbolic_l4_quotient(
         vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         vals /= np.sqrt(h) * np.linalg.norm(vals)
         pkt = WavePacket(grid=grid, values=vals)
-        res = _windowed_l4_txy(pkt, dispersion, t_window)
+        res = _weighted_quartic(pkt, 0, "hyperbolic", t_window, x2_torus=True)
         q = res.value / pkt.l2_norm()
         rows.append({"trial": trial, "N": N, "quotient": q})
         warn.extend(res.warnings)
@@ -719,14 +698,18 @@ def scan_hyperbolic_quotients(
     h: float = 0.5,
     t_window: tuple = (-60.0, 60.0, 4096),
 ) -> tuple[list, dict]:
+    """Hyperbolic quotient scan over N in Ns; the summary's flags keep the
+    worst value per warning flag."""
     check_fit_xs(Ns)
     rows = []
     per_n = {}
+    warn = []
     for ni, N in enumerate(Ns):
         rep = hyperbolic_l4_quotient(int(N), trials, [seed, ni], h=h, t_window=t_window)
         rows.extend(dict(r) for r in rep.rows)
         per_n[N] = rep.max_quotient
+        warn.extend(rep.warnings)
     slope = fit_slope(np.log(np.asarray(Ns, dtype=float)), [per_n[N] for N in Ns])
     summary = {"Ns": list(Ns), "max_per_N": {str(N): per_n[N] for N in Ns},
-               "fitted_slope": slope}
+               "fitted_slope": slope, "flags": list(_worst_warnings(warn))}
     return rows, summary

@@ -129,6 +129,23 @@ def test_strichartz_hyperbolic_refuses_a_one_point_fit(tmp_path):
     assert not out.exists()
 
 
+def test_strichartz_hyperbolic_mode_flags_and_rerun(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"Ns": [2, 4], "trials": 1, "window": [-10, 10, 64]}))
+    first = tmp_path / "first"
+    second = tmp_path / "second"
+    r = run_cli(["strichartz", "--mode", "hyperbolic", "--config", str(config),
+                 "--out", str(first)], tmp_path)
+    assert r.returncode == 0, r.stderr
+    name = "strichartz_hyperbolic"
+    summary = strict_json(first / f"{name}.summary.json")["summary"]
+    assert any(f.startswith("time-aliasing-risk:need_nt=") for f in summary["flags"])
+    r2 = run_cli(["rerun", str(first / f"{name}.manifest.json"), "--out", str(second)], tmp_path)
+    assert r2.returncode == 0, r2.stderr
+    for suffix in (".csv", ".summary.json"):
+        assert file_sha256(first / f"{name}{suffix}") == file_sha256(second / f"{name}{suffix}")
+
+
 def test_strichartz_kernel_split_mode(tmp_path):
     r = run_cli(["strichartz", "--mode", "kernel-split", "--seed", "5",
                  "--out", str(tmp_path)], tmp_path)

@@ -109,6 +109,68 @@ def test_single_mode_closed_form():
     assert res.value == pytest.approx(closed, rel=1e-6)
 
 
+@pytest.mark.parametrize("dispersion", ["elliptic", "hyperbolic"])
+def test_single_mode_torus_closed_form(dispersion):
+    # one frequency: |u| = h |V| on the whole (x1, x2) torus, so the torus
+    # quartic is 2 pi times the slice closed form
+    p = _single_node_packet()
+    n_t = 2048
+    res = st._weighted_quartic(p, 3, dispersion, (-60.0, 60.0, n_t), x2_torus=True)
+    ts, sw = st._simpson_weights(-60.0, 60.0, n_t)
+    int_phi = float(sw @ st.fejer_weight(ts))
+    h = p.grid.h
+    closed = 2 * np.pi * (h / np.sqrt(h)) ** 4 * (2 * np.pi / h) * int_phi
+    assert res.quartic == pytest.approx(closed, rel=1e-12)
+
+
+@pytest.mark.parametrize("dispersion", ["elliptic", "hyperbolic"])
+def test_one_row_torus_is_2pi_times_slice(dispersion):
+    # a single xi2 row makes |u| independent of x2
+    grid = st.FrequencyGrid(h=0.5, xi1_extent=4.0, xi2_min=-3, xi2_max=3)
+    rng = np.random.default_rng(2)
+    vals = np.zeros((7, 17), dtype=complex)
+    vals[5] = rng.standard_normal(17) + 1j * rng.standard_normal(17)
+    p = st.WavePacket(grid=grid, values=vals)
+    w = (-30.0, 30.0, 512)
+    slice_q = st._weighted_quartic(p, 1, dispersion, w, x2_torus=False).quartic
+    torus_q = st._weighted_quartic(p, 1, dispersion, w, x2_torus=True).quartic
+    assert abs(torus_q - 2 * np.pi * slice_q) <= 1e-13 * torus_q
+
+
+def _direct_torus_quartic(p, k, dispersion, t_window):
+    """Oracle: |u|^4 by explicit exponential sums on (x1, x2) grids twice as
+    fine as exactness needs, with the same Simpson rule in t."""
+    t0, t1, n_t = t_window
+    ts, sw = st._simpson_weights(t0, t1, n_t)
+    cols, rows, vals = p.support()
+    xi1 = p.grid.h * cols
+    xi2 = rows.astype(float)
+    lam = xi1**2 + (xi2**2 + k * xi2 if dispersion == "elliptic" else -(xi2**2))
+    nx = 8 * int(np.max(np.abs(cols))) + 1
+    ny = 8 * int(np.max(np.abs(rows))) + 1
+    x1 = p.grid.period * np.arange(nx) / nx
+    x2 = 2 * np.pi * np.arange(ny) / ny
+    space = np.exp(1j * (x1[:, None, None] * xi1 + x2[None, :, None] * xi2))
+    total = 0.0
+    for t, w in zip(ts, sw):
+        u = space @ (p.grid.h * vals * np.exp(-1j * t * lam))
+        total += w * st.fejer_weight(t) * np.sum(np.abs(u) ** 4)
+    return total * (p.grid.period / nx) * (2 * np.pi / ny)
+
+
+@pytest.mark.parametrize("dispersion", ["elliptic", "hyperbolic"])
+def test_torus_quartic_matches_direct_sum(dispersion):
+    p = _random_packet(4, n_nodes=14, N=3.0)
+    w = (-10.0, 10.0, 64)
+    res = st._weighted_quartic(p, 2, dispersion, w, x2_torus=True)
+    assert res.quartic == pytest.approx(_direct_torus_quartic(p, 2, dispersion, w), rel=1e-12)
+
+
+def test_torus_refuses_too_few_time_intervals():
+    with pytest.raises(ValueError, match="64 time intervals"):
+        st.hyperbolic_l4_quotient(4, 1, 0, t_window=(-60.0, 60.0, 32))
+
+
 def test_single_node_quadrilinear_closed_form():
     p = _single_node_packet()
     h = p.grid.h
@@ -314,7 +376,7 @@ def test_quotient_reports_keep_warning_values(monkeypatch):
     _varying_warnings(monkeypatch, "evolve_l4_norm", per_trial)
     rep = st.strichartz_quotient(slab, 0.1, 3, 0, h=0.5, t_window=(-10.0, 10.0, 64))
     assert rep.warnings == worst
-    _varying_warnings(monkeypatch, "_windowed_l4_txy", per_trial)
+    _varying_warnings(monkeypatch, "_weighted_quartic", per_trial)
     rep = st.hyperbolic_l4_quotient(2, 3, 0, h=0.5, t_window=(-10.0, 10.0, 64))
     assert rep.warnings == worst
 
@@ -337,10 +399,28 @@ def test_elliptic_scan_flags_keep_worst_values(monkeypatch):
     assert len(summary["flags"]) == 2
 
 
+def test_hyperbolic_scan_flags_keep_worst_values(monkeypatch):
+    seen = []
+    orig = st._weighted_quartic
+
+    def spy(p, k_shift, dispersion, t_window, x2_torus):
+        seen.append(p)
+        return orig(p, k_shift, dispersion, t_window, x2_torus)
+
+    monkeypatch.setattr(st, "_weighted_quartic", spy)
+    _, summary = st.scan_hyperbolic_quotients([2, 4], 2, 1, h=0.5,
+                                              t_window=(-10.0, 10.0, 64))
+    assert len(seen) == 4
+    need = max(st.anti_alias_nt(p, 0, "hyperbolic", -10.0, 10.0) for p in seen)
+    assert f"time-aliasing-risk:need_nt={need}" in summary["flags"]
+    assert any(f.startswith("window-truncation:") for f in summary["flags"])
+    assert len(summary["flags"]) == 2
+
+
 @pytest.mark.parametrize("scan,kernel", [
     (lambda: st.scan_strichartz_quotients([8], 0.1, 1, 0), "evolve_l4_norm"),
     (lambda: st.scan_strichartz_quotients([8, 8.0], 0.1, 1, 0), "evolve_l4_norm"),
-    (lambda: st.scan_hyperbolic_quotients([4], 1, 0), "_windowed_l4_txy"),
+    (lambda: st.scan_hyperbolic_quotients([4], 1, 0), "_weighted_quartic"),
 ])
 def test_quotient_scans_refuse_a_single_N_before_any_work(monkeypatch, scan, kernel):
     calls = []
