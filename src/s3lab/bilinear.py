@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.fft
 
-from .clebsch import CGTable, cg_table
+from .clebsch import CGTable, cg_table, change_of_basis
 from .fitting import fit_slope  # noqa: F401  (re-exported: the scans' slope fit)
 from .su2 import GroupElement, HaarQuadrature, from_angles, haar_samples, irrep_matrix, wigner_d
 
@@ -87,7 +87,9 @@ def evaluate_on_grid(f: Eigenfunction, quad: HaarQuadrature) -> np.ndarray:
 
     Uses the single-Fourier-mode structure of the matrix entries in the
     angles: D[j, j'] = d[j, j'](theta) e^{i (j+j'-m) phi1} e^{i (j'-j) phi2},
-    so each theta slice is one zero-padded 2-D inverse FFT.
+    so each theta slice is one zero-padded 2-D inverse FFT.  The slices are
+    transformed in chunks of at most ``_FFT_CHUNK`` complex entries (at
+    least one slice), written in place into the output.
     """
     m = f.m
     n1, n2 = quad.nphi1, quad.nphi2
@@ -97,13 +99,14 @@ def evaluate_on_grid(f: Eigenfunction, quad: HaarQuadrature) -> np.ndarray:
     j = np.arange(m + 1)
     pidx = (j[:, None] + j[None, :] - m) % n1
     qidx = (j[None, :] - j[:, None]) % n2
-    scale = np.sqrt(m + 1.0)
-    out = np.empty((len(quad.theta), n1, n2), dtype=complex)
-    freq = np.zeros((n1, n2), dtype=complex)
-    for i in range(len(quad.theta)):
-        freq[:] = 0.0
-        freq[pidx, qidx] = scale * f.coeffs * dmats[i]
-        out[i] = np.fft.ifft2(freq) * (n1 * n2)
+    coeffs = np.sqrt(m + 1.0) * f.coeffs
+    out = np.zeros((len(quad.theta), n1, n2), dtype=complex)
+    step = max(1, _FFT_CHUNK // (n1 * n2))
+    for s in range(0, len(quad.theta), step):
+        chunk = out[s:s + step]
+        chunk[:, pidx, qidx] = coeffs * dmats[s:s + step]
+        out[s:s + step] = scipy.fft.ifft2(chunk, axes=(1, 2), norm="forward",
+                                          overwrite_x=True)
     return out
 
 
@@ -170,36 +173,35 @@ def product_decompose(f: Eigenfunction, g: Eigenfunction, table: CGTable | None 
     """Decompose fg into eigenfunction components of degree k.
 
     Pointwise, evaluate(f, .) * evaluate(g, .) equals the sum of the
-    component evaluations.
+    component evaluations.  The degree-k columns of ``change_of_basis``,
+    reshaped to the chain tensor U_k[alpha, beta, gamma], give every S-sum
+    of that degree at once: S_k = U_k^T (a x b) U_k, contracted one factor
+    at a time.  The change of basis is dense, ((m+1)(n+1))^2 floats: this is
+    the oracle at small degrees, not a scan path.
     """
     _check_degree_order(f, g)
     m, n = f.m, g.m
     table = table if table is not None else cg_table(m, n)
     a, b = f.coeffs, g.coeffs
-    components, s_sums = {}, {}
+    U = change_of_basis(table)
+    components, s_sums, off = {}, {}, 0
     for k in table.kvals:
         k = int(k)
-        gammas = np.arange(-k, k + 1, 2)
-        S = np.zeros((k + 1, k + 1), dtype=complex)
-        vecs = []
-        for gamma in gammas:
-            alphas, coeffs = table.chain_vector(k, int(gamma))
-            arow = (alphas + m) // 2
-            brow = (gamma - alphas + n) // 2
-            vecs.append((arow, brow, coeffs))
-        for i, (ar1, br1, c1) in enumerate(vecs):
-            for j, (ar2, br2, c2) in enumerate(vecs):
-                X = a[np.ix_(ar1, ar2)] * b[np.ix_(br1, br2)]
-                S[i, j] = c1 @ X @ c2
+        Uk = U[:, off:off + k + 1].reshape(m + 1, n + 1, k + 1)
+        off += k + 1
+        X = np.tensordot(a, Uk, axes=(0, 0))          # [alpha', beta, gamma]
+        X = np.tensordot(b, X, axes=(0, 1))           # [beta', alpha', gamma]
+        S = np.tensordot(X, Uk, axes=([1, 0], [0, 1]))  # [gamma, gamma']
         s_sums[k] = S
         bk = np.sqrt((m + 1.0) * (n + 1.0) / (k + 1.0)) * S
         components[k] = Eigenfunction(k, bk)
     return ProductDecomposition(m=m, n=n, components=components, s_sums=s_sums)
 
 
-# Complex entries per FFT buffer of the sampling engine.  Its (pair, node)
-# slices are transformed in chunks of at most this size, whatever the batch
-# size; a chunk holds at least one slice.
+# Complex entries per FFT buffer of the sampling engine and of
+# ``evaluate_on_grid``.  Their (pair, node) and theta slices are transformed
+# in chunks of at most this size, whatever the batch or grid size; a chunk
+# holds at least one slice.
 _FFT_CHUNK = 1 << 16
 # Sampling plans kept by ``sampling_plan``.  A scan cell uses its plan twice
 # in a row (random pairs, then the zonal witness) and the zonal sweep never

@@ -4,15 +4,20 @@ The table for a pair (m, n), m >= n, is built by the lowering-chain plus
 orthogonal-complement algorithm: the chain for the top block k = m+n starts
 from the highest-weight pure tensor; each subsequent chain top is the (unique
 up to phase) vector of the largest remaining weight eigenvalue annihilated by
-the raising operator inside the orthogonal complement of the chains built so
-far.  Tops are lowered step by step with
+the raising operator, which lies in the orthogonal complement of the chains
+built so far.  All tops come at once from a two-term recursion
+(``_chain_tops``).  Tops are lowered step by step with
 
     F (v_{m,alpha} x v_{n,beta}) = c_-(m,alpha) v_{m,alpha-2} x v_{n,beta}
                                  + c_-(n,beta)  v_{m,alpha} x v_{n,beta-2},
 
-normalizing each step.  Phase convention: the chain-top coefficient on the
-product-basis element with the largest alpha is real and strictly positive.
-Under this convention every stored coefficient is real.
+normalizing each step, over the weights gamma >= 0 only; the blocks at
+gamma < 0 follow by the reflection symmetry of the coefficients.  At each
+weight one matrix Gram-Schmidt step (``_gram_schmidt_step``) removes the
+roundoff of the lowering, and a Gram defect above ``_ORTH_TOL`` before it
+raises ``CGConstructionError``.  Phase convention: the chain-top
+coefficient on the product-basis element with the largest alpha is real and
+strictly positive.  Under this convention every stored coefficient is real.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ _ORTH_TOL = 1e-8
 
 
 class CGConstructionError(RuntimeError):
-    """Raised when a chain top cannot be orthogonalized to tolerance."""
+    """Raised when the chain columns at a weight are not orthonormal to
+    ``_ORTH_TOL``, or a lowering step degenerates."""
 
 
 @dataclass(frozen=True)
@@ -142,124 +148,134 @@ def _alpha_support(m: int, n: int, gamma: int) -> np.ndarray:
     return np.arange(lo, hi + 1, 2)
 
 
-def _chain_top(m: int, n: int, k: int) -> np.ndarray:
-    """Unit vector in V_k annihilated by the raising operator, on the
-    ascending-alpha support, with positive coefficient at the largest alpha.
+def _chain_tops(m: int, n: int) -> np.ndarray:
+    """All chain tops at once, shape (n+1, n+1).
 
-    Annihilation gives the two-term recursion
-    u[alpha+2] = -(c_+(m,alpha) / c_+(n,k-alpha-2)) u[alpha]; both ladder
-    factors are strictly positive inside the triangle range, so every entry
-    is nonzero and the signs alternate.
+    Row kappa is the unit vector of weight k = m+n-2 kappa annihilated by the
+    raising operator, on its ascending-alpha support alpha = m - 2 kappa + 2i,
+    i = 0..kappa (entries beyond i = kappa are 0), with a positive coefficient
+    at the largest alpha.  Annihilation gives the two-term recursion
+
+        u[i+1] / u[i] = -sqrt((m-kappa+i+1)(kappa-i) / ((n-i)(i+1))),
+
+    whose factors are strictly positive inside the triangle range, so every
+    entry is nonzero and the signs alternate.  The magnitudes are the
+    exponentials of the cumulative sums of the log-ratios, shifted so that
+    the largest is 1: no overflow at any (m, n).
     """
-    alphas = _alpha_support(m, n, k)
-    d = len(alphas)
-    u = np.empty(d)
-    u[0] = 1.0
-    for i in range(d - 1):
-        alpha = alphas[i]
-        cm = 0.5 * np.sqrt((m + alpha + 2.0) * (m - alpha))
-        beta = k - alpha - 2
-        cn = 0.5 * np.sqrt((n + beta + 2.0) * (n - beta))
-        u[i + 1] = -cm / cn * u[i]
-        if abs(u[i + 1]) > 1e200:
-            u[: i + 2] *= 1e-200
-    u /= np.linalg.norm(u)
-    if u[-1] < 0:
-        u = -u
-    return u
+    kappa = np.arange(n + 1)[:, None]
+    i = np.arange(n + 1)[None, :]
+    step = i[:, :-1]                                  # the step i -> i+1
+    live = step < kappa
+    ratio = np.where(live, (m - kappa + step + 1.0) * (kappa - step)
+                     / ((n - step) * (step + 1.0)), 1.0)
+    logs = np.zeros((n + 1, n + 1))
+    np.cumsum(0.5 * np.log(ratio), axis=1, out=logs[:, 1:])
+    logs[i > kappa] = -np.inf
+    tops = np.exp(logs - logs.max(axis=1, keepdims=True))
+    tops /= np.linalg.norm(tops, axis=1, keepdims=True)
+    tops[(kappa - i) % 2 == 1] *= -1.0
+    return tops
 
 
-def _orthonormalize_columns(U: np.ndarray, m: int, n: int, gamma: int) -> np.ndarray:
-    """Gram-Schmidt on the chain columns inside V_gamma, decreasing k order.
+def _gram_schmidt_step(U: np.ndarray, m: int, n: int, gamma: int) -> np.ndarray:
+    """One matrix Gram-Schmidt step on the chain columns at weight gamma.
 
-    In exact arithmetic the columns are already orthonormal; the pass exists
-    to stop roundoff from compounding along long lowering chains.  One
-    re-orthogonalization pass is allowed, after which residual defect is a
-    construction failure.
+    With D = U^T U - I the step is U - U (triu(D, 1) + diag(D) / 2): column j
+    loses its components along the columns before it (k descending) and is
+    rescaled to unit norm, which is classical Gram-Schmidt to second order in
+    the defect (Bjorck, Linear Algebra Appl. 197-198, 1994).  The incoming
+    columns, a fresh chain top and the lowered chains, are orthonormal in
+    exact arithmetic, so the step only removes roundoff.  A defect above
+    ``_ORTH_TOL`` (NaN included) means a wrong chain top or lowering step,
+    and raises.
     """
-    for attempt in range(2):
-        for i in range(U.shape[1]):
-            if i:
-                U[:, i] -= U[:, :i] @ (U[:, :i].T @ U[:, i])
-            nrm = np.linalg.norm(U[:, i])
-            if nrm < 1e-14:
-                raise CGConstructionError(
-                    f"degenerate chain column at gamma={gamma} for (m={m}, n={n})"
-                )
-            U[:, i] /= nrm
-        gram = U.T @ U
-        defect = np.max(np.abs(gram - np.eye(U.shape[1])))
-        if defect <= _ORTH_TOL:
-            return U
-    raise CGConstructionError(
-        f"orthogonality defect {defect:.3g} beyond {_ORTH_TOL} persists at "
-        f"gamma={gamma} for (m={m}, n={n}) after one re-orthogonalization"
-    )
+    D = U.T @ U
+    diag = D.reshape(-1)[::D.shape[0] + 1]            # a view of D's diagonal
+    diag -= 1.0
+    defect = np.max(np.abs(D))
+    if not defect <= _ORTH_TOL:
+        raise CGConstructionError(
+            f"Gram defect {defect:.3g} beyond {_ORTH_TOL} in the chain columns "
+            f"at gamma={gamma} for (m={m}, n={n})"
+        )
+    diag *= 0.5
+    return U - U @ np.triu(D)
 
 
 def cg_decompose(m: int, n: int) -> CGTable:
-    """Construct the Clebsch-Gordan table for (m, n) with m >= n >= 0."""
+    """Construct the Clebsch-Gordan table for (m, n) with m >= n >= 0.
+
+    The lowering chains run over the weights gamma >= 0 only.  At each of
+    them, after the new chain top (if any) joins the lowered chains, one
+    ``_gram_schmidt_step`` removes roundoff; it raises
+    ``CGConstructionError`` when the incoming Gram defect is above
+    ``_ORTH_TOL``.  The blocks at gamma < 0 follow from the reflection
+    symmetry C^{k,-gamma}_{-alpha,-beta} = (-1)^((m+n-k)/2) C^{k,gamma}_{alpha,beta}
+    (Varshalovich, Moskalev & Khersonskii 1988, sec. 8.4): the block at
+    -gamma is the block at gamma with its columns reversed and row kappa
+    multiplied by (-1)^kappa.
+    """
     if not (m >= n >= 0):
         raise ValueError(f"need m >= n >= 0, got (m={m}, n={n})")
     kvals = np.arange(m + n, m - n - 1, -2)
     gammas = np.arange(m + n, -(m + n) - 1, -2)
     K = len(kvals)
+    tops = _chain_tops(m, n)
 
     slots_alpha = np.arange(-m, m + 1, 2)            # alpha on the full slot grid
     cm_lower = 0.5 * np.sqrt(
         np.maximum((m - slots_alpha + 2.0) * (m + slots_alpha), 0.0)
     )                                                # c_-(m, alpha) per slot
+    half = (m + n) // 2 + 1                          # the weights gamma >= 0
+    beta = gammas[:half, None] - slots_alpha         # beta per (gamma, slot)
+    cn_lower = np.where(
+        (beta >= -n + 2) & (beta <= n),
+        0.5 * np.sqrt(np.maximum((n - beta + 2.0) * (n + beta), 0.0)),
+        0.0,
+    )                                                # c_-(n, beta) per (gamma, slot)
 
     alphas: list = []
     blocks: list = []
-    # Columns of U live on the full alpha-slot grid; column order is k descending.
+    # Columns of U live on the full alpha-slot grid, one per chain, k
+    # descending; no chain ends at a weight gamma >= 0.
     U = np.zeros((m + 1, 0))
-    active: list[int] = []                           # kappa indices of live chains
-
-    for gamma in gammas:
+    for t in range(half):
+        gamma = int(gammas[t])
         sup = _alpha_support(m, n, gamma)
         sup_slots = (sup + m) // 2
-        new_chain = gamma >= m - n and gamma in kvals
-        if new_chain:
-            # a new chain starts at gamma = k; the Gram-Schmidt pass below
-            # realizes it inside the orthogonal complement of the earlier chains
-            top = _chain_top(m, n, int(gamma))
+        if t < K:
+            # the chain of k = gamma starts here, on the support of its top
             col = np.zeros(m + 1)
-            col[sup_slots] = top
+            col[sup_slots] = tops[t, :t + 1]
             U = np.column_stack([U, col])
-            active.append(len(active))
 
-        U = _orthonormalize_columns(U, m, n, int(gamma))
-        if new_chain and U[sup_slots[-1], -1] < 0:
+        U = _gram_schmidt_step(U, m, n, gamma)
+        if t < K and U[sup_slots[-1], -1] < 0:
             U[:, -1] = -U[:, -1]
 
         block = np.zeros((K, len(sup)))
-        block[np.array(active), :] = U[sup_slots, :].T
+        block[:U.shape[1], :] = U[sup_slots, :].T
         alphas.append(sup)
         blocks.append(block)
 
-        if gamma - 2 < -(m + n):
+        if t + 1 == half:
             break
-        # lower every live chain: V_gamma -> V_{gamma-2}
-        beta = gamma - slots_alpha
-        cn = np.where(
-            (beta >= -n + 2) & (beta <= n),
-            0.5 * np.sqrt(np.maximum((n - beta + 2.0) * (n + beta), 0.0)),
-            0.0,
-        )
-        W = cn[:, None] * U
+        # lower every chain: V_gamma -> V_{gamma-2}
+        W = cn_lower[t][:, None] * U
         W[:-1, :] += cm_lower[1:, None] * U[1:, :]
-        # chains with k < |gamma - 2| end here
-        keep = [j for j, kap in enumerate(active) if kvals[kap] >= abs(gamma - 2)]
-        U = W[:, keep]
-        active = [active[j] for j in keep]
-        norms = np.linalg.norm(U, axis=0)
-        if U.shape[1] and norms.min() < 1e-14:
+        norms = np.linalg.norm(W, axis=0)
+        if norms.min() < 1e-14:
             raise CGConstructionError(
                 f"degenerate lowering norm at gamma={gamma - 2} for (m={m}, n={n})"
             )
-        if U.shape[1]:
-            U = U / norms
+        U = W / norms
+
+    sign = (-1.0) ** np.arange(K)
+    for t in range(half, len(gammas)):
+        mirror = len(gammas) - 1 - t                 # gammas[mirror] = -gammas[t]
+        alphas.append(-alphas[mirror][::-1])
+        blocks.append(sign[:, None] * blocks[mirror][:, ::-1])
 
     return CGTable(m=m, n=n, gammas=gammas, kvals=kvals, alphas=alphas, blocks=blocks)
 
@@ -276,20 +292,23 @@ def verify_orthogonality(table: CGTable) -> dict:
     Weight conservation makes cross-gamma terms vanish exactly, so both
     identities reduce to per-gamma Gram matrices: with B the (K, d) block at
     gamma, the row identity is B^T B = I over product-basis pairs and the
-    column identity is B B^T = I over the k values with k >= |gamma|.
+    column identity is B B^T = I over the k values with k >= |gamma|.  The
+    blocks are zero-padded to one (gammas, K, max d) stack, so both Gram
+    matrices of every gamma come from one batched product each, and a NaN
+    anywhere in the table is the reported defect.
     """
-    max_row = 0.0
-    max_col = 0.0
-    for t, gamma in enumerate(table.gammas):
-        B = table.blocks[t]
-        d = B.shape[1]
-        row_defect = np.max(np.abs(B.T @ B - np.eye(d)))
-        valid = np.abs(gamma) <= table.kvals
-        Bv = B[valid]
-        col_defect = np.max(np.abs(Bv @ Bv.T - np.eye(Bv.shape[0])))
-        max_row = max(max_row, float(row_defect))
-        max_col = max(max_col, float(col_defect))
-    return {"max_row_defect": max_row, "max_col_defect": max_col}
+    widths = np.array([B.shape[1] for B in table.blocks])
+    dmax = int(widths.max())
+    P = np.zeros((len(widths), len(table.kvals), dmax))
+    for t, B in enumerate(table.blocks):
+        P[t, :, :widths[t]] = B
+    eye_row = np.eye(dmax) * (np.arange(dmax) < widths[:, None])[:, :, None]
+    row = np.abs(P.transpose(0, 2, 1) @ P - eye_row)
+    valid = np.abs(table.gammas)[:, None] <= table.kvals[None, :]
+    Pv = np.where(valid[:, :, None], P, 0.0)
+    eye_col = np.eye(len(table.kvals)) * valid[:, :, None]
+    col = np.abs(Pv @ Pv.transpose(0, 2, 1) - eye_col)
+    return {"max_row_defect": float(np.max(row)), "max_col_defect": float(np.max(col))}
 
 
 def expand_in_product_basis(table: CGTable, k: int, gamma: int) -> TensorVector:
@@ -338,22 +357,15 @@ def casimir_matrix(m: int, n: int) -> np.ndarray:
     return H @ H + 2.0 * (E @ F) + 2.0 * (F @ E)
 
 
-def tensor_slot(table: CGTable, alpha: int, beta: int) -> int:
-    """Row-major index of v_{m,alpha} x v_{n,beta} in the Kronecker ordering."""
-    return ((alpha + table.m) // 2) * (table.n + 1) + (beta + table.n) // 2
-
-
 def chain_projectors(table: CGTable) -> dict[int, np.ndarray]:
-    """Per-k projectors sum_gamma u_{k,gamma} u_{k,gamma}^T on the tensor space."""
-    dim = (table.m + 1) * (table.n + 1)
-    out = {}
+    """Per-k projectors sum_gamma u_{k,gamma} u_{k,gamma}^T on the tensor
+    space: U_k U_k^T with U_k the degree-k columns of ``change_of_basis``."""
+    U = change_of_basis(table)
+    out, off = {}, 0
     for k in table.kvals:
-        P = np.zeros((dim, dim))
-        for gamma in range(-k, k + 1, 2):
-            alphas, coeffs = table.chain_vector(int(k), gamma)
-            idx = np.array([tensor_slot(table, int(a), int(gamma - a)) for a in alphas])
-            P[np.ix_(idx, idx)] += np.outer(coeffs, coeffs)
-        out[int(k)] = P
+        Uk = U[:, off:off + k + 1]
+        out[int(k)] = Uk @ Uk.T
+        off += k + 1
     return out
 
 
@@ -376,17 +388,22 @@ def casimir_projectors(m: int, n: int) -> dict[int, np.ndarray]:
 
 def change_of_basis(table: CGTable) -> np.ndarray:
     """Orthogonal matrix whose columns are the u_{k,gamma} in the Kronecker
-    ordering; columns grouped by k (descending), gamma ascending within k."""
-    dim = (table.m + 1) * (table.n + 1)
-    cols = []
-    for k in table.kvals:
-        for gamma in range(-int(k), int(k) + 1, 2):
-            alphas, coeffs = table.chain_vector(int(k), gamma)
-            v = np.zeros(dim)
-            for a, c in zip(alphas, coeffs):
-                v[tensor_slot(table, int(a), int(gamma - a))] = c
-            cols.append(v)
-    return np.column_stack(cols)
+    ordering (row ((alpha+m)/2)(n+1) + (beta+n)/2 for v_{m,alpha} x v_{n,beta});
+    columns grouped by k (descending), gamma ascending within k.  The row
+    and column of every stored coefficient come from one index computation
+    over the concatenated blocks."""
+    m, n, kvals = table.m, table.n, table.kvals
+    starts = np.cumsum(kvals + 1) - (kvals + 1)      # first column of each k
+    gamma = np.repeat(table.gammas, [len(sup) for sup in table.alphas])
+    alpha = np.concatenate(table.alphas)
+    rows = (alpha + m) // 2 * (n + 1) + (gamma - alpha + n) // 2
+    cols = starts[:, None] + (gamma + kvals[:, None]) // 2
+    live = np.abs(gamma) <= kvals[:, None]           # not a structural zero
+    dim = (m + 1) * (n + 1)
+    U = np.zeros((dim, dim))
+    U[np.broadcast_to(rows, cols.shape)[live], cols[live]] = (
+        np.concatenate(table.blocks, axis=1)[live])
+    return U
 
 
 def block_diagonalization_defect(table: CGTable, g: GroupElement) -> float:

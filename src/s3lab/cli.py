@@ -61,6 +61,12 @@ def _run_cg_table(params: dict, out_dir: Path) -> int:
         table.to_json(out_dir / f"{name}.table.json")
     print(f"wrote {paths['csv']}  (defects: row {report['max_row_defect']:.3g}, "
           f"col {report['max_col_defect']:.3g})")
+    # np.max propagates a NaN; the builtin may drop it
+    worst = float(np.max([report["max_row_defect"], report["max_col_defect"]]))
+    if not worst <= gates.CG_DEFECT_BOUND:
+        print(f"orthogonality defect {worst:.3g} beyond {gates.CG_DEFECT_BOUND:g}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

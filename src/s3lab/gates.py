@@ -2,6 +2,9 @@
 acceptance suite compare measured values against.  Where the two used to
 differ, the table keeps the tighter value."""
 
+# Clebsch-Gordan row and column orthogonality defects (measured max 3.1e-15
+# over 541 tables up to m + n = 200)
+CG_DEFECT_BOUND = 1e-9
 # bilinear: largest witness-included cell maximum (measured 1.0)
 C_STAR_BOUND = 1.05
 # trilinear ratio of the multilinear corollary (measured max 1.00)

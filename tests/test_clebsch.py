@@ -1,7 +1,12 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as stn
 
+from s3lab import clebsch
+from s3lab.bilinear import product_decompose, random_eigenfunction
 from s3lab.su2 import haar_sample, irrep_matrix
 from s3lab.clebsch import (
     CGConstructionError,
@@ -170,3 +175,136 @@ def test_construction_stability_long_chain():
     rep = verify_orthogonality(cg_decompose(40, 20))
     assert rep["max_row_defect"] <= 1e-12
     assert rep["max_col_defect"] <= 1e-12
+
+
+# -- exact values: the Racah formula ------------------------------------------
+
+def racah_cg(m, n, k, alpha, beta):
+    """<j1 m1 j2 m2 | J M> in the Condon-Shortley convention by the Racah
+    formula, exactly in rationals and rounded once; every argument doubled
+    (j1 = m/2, m1 = alpha/2, j2 = n/2, m2 = beta/2, J = k/2)."""
+    f = math.factorial
+    gamma = alpha + beta
+    a, b, c = (m + n - k) // 2, (m - n + k) // 2, (n - m + k) // 2
+    square = Fraction((k + 1) * f(a) * f(b) * f(c), f((m + n + k) // 2 + 1))
+    square *= (f((m + alpha) // 2) * f((m - alpha) // 2) * f((n + beta) // 2)
+               * f((n - beta) // 2) * f((k + gamma) // 2) * f((k - gamma) // 2))
+    total = Fraction(0)
+    for z in range(a + 1):
+        args = (z, a - z, (m - alpha) // 2 - z, (n + beta) // 2 - z,
+                (k - n + alpha) // 2 + z, (k - m - beta) // 2 + z)
+        if min(args) >= 0:
+            term = Fraction(1, math.prod(f(x) for x in args))
+            total += -term if z % 2 else term
+    return math.copysign(math.sqrt(square * total * total), total)
+
+
+def table_entries(table):
+    """(k, gamma, alpha, beta) of every stored coefficient."""
+    return [rec[2:6] for rec in table.records()]
+
+
+def test_racah_oracle_small_values():
+    assert racah_cg(1, 1, 0, 1, -1) == pytest.approx(ROOT2, abs=1e-15)
+    assert racah_cg(1, 1, 0, -1, 1) == pytest.approx(-ROOT2, abs=1e-15)
+    assert racah_cg(2, 2, 2, 0, 0) == 0.0   # <1 0 1 0 | 1 0> vanishes
+
+
+@pytest.mark.parametrize("mn", [(9, 5), (16, 16), (20, 7)])
+def test_whole_tables_match_racah(mn):
+    t = cg_decompose(*mn)
+    worst = max(abs(t.coefficient(k, g, a, b) - racah_cg(*mn, k, a, b))
+                for k, g, a, b in table_entries(t))
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("mn", [(60, 30), (90, 90), (150, 50)])
+def test_sampled_entries_match_racah(mn):
+    # the sizes that criterion 1 and the cg-table command build
+    t = cg_decompose(*mn)
+    entries = table_entries(t)
+    rng = np.random.default_rng(sum(mn))
+    picks = [entries[i] for i in rng.choice(len(entries), size=50, replace=False)]
+    worst = max(abs(t.coefficient(k, g, a, b) - racah_cg(*mn, k, a, b))
+                for k, g, a, b in picks)
+    assert worst <= 1e-13
+
+
+def test_reflection_symmetry():
+    # m + n even: the gamma = 0 block is lowered, not reflected, so the
+    # symmetry holds there to rounding only
+    m, n = 12, 6
+    t = cg_decompose(m, n)
+    for k, g, a, b in table_entries(t):
+        sign = (-1) ** ((m + n - k) // 2)
+        assert abs(t.coefficient(k, -g, -a, -b) - sign * t.coefficient(k, g, a, b)) <= 1e-15
+
+
+# -- fail closed --------------------------------------------------------------
+
+def off_complement_tops(chain_tops, m, n, eps=1e-3):
+    """The chain tops of (m, n) with the top of k = m+n-2 moved eps off the
+    orthogonal complement of the first chain: at weight m+n-2 that chain is
+    (sqrt(m), sqrt(n)) / sqrt(m+n) on alpha = m-2, m."""
+    tops = chain_tops(m, n)
+    lowered = np.sqrt([m, n]) / np.sqrt(m + n)
+    row = tops[1, :2] + eps * lowered
+    tops[1, :2] = row / np.linalg.norm(row)
+    return tops
+
+
+def test_construction_error_on_a_top_off_the_complement(monkeypatch):
+    tops = clebsch._chain_tops
+    monkeypatch.setattr(clebsch, "_chain_tops", lambda m, n: off_complement_tops(tops, m, n))
+    with pytest.raises(CGConstructionError, match="Gram defect"):
+        cg_decompose(12, 8)
+    # the unperturbed tops are orthogonal to the first chain to rounding
+    assert abs(tops(12, 8)[1, :2] @ (np.sqrt([12, 8]) / np.sqrt(20))) <= 1e-15
+
+
+def test_nan_table_reads_nan_defects():
+    t = cg_decompose(9, 5)
+    for block in t.blocks:
+        block[:] = np.nan
+    rep = verify_orthogonality(t)
+    assert np.isnan(rep["max_row_defect"]) and np.isnan(rep["max_col_defect"])
+
+
+# -- the change of basis against its column-by-column construction ------------
+
+@pytest.mark.parametrize("mn", [(6, 4), (15, 15), (40, 3)])
+def test_change_of_basis_matches_expansion(mn):
+    t = cg_decompose(*mn)
+    cols = [expand_in_product_basis(t, int(k), g).entries.ravel()
+            for k in t.kvals for g in range(-int(k), int(k) + 1, 2)]
+    np.testing.assert_array_equal(change_of_basis(t), np.column_stack(cols))
+
+
+def direct_s_sums(table, a, b):
+    """S(k, gamma, gamma') by the per-(gamma, gamma') double loop."""
+    m, n = table.m, table.n
+    out = {}
+    for k in table.kvals:
+        k = int(k)
+        vecs = []
+        for gamma in range(-k, k + 1, 2):
+            alphas, coeffs = table.chain_vector(k, gamma)
+            vecs.append(((alphas + m) // 2, (gamma - alphas + n) // 2, coeffs))
+        S = np.zeros((k + 1, k + 1), dtype=complex)
+        for i, (ar1, br1, c1) in enumerate(vecs):
+            for j, (ar2, br2, c2) in enumerate(vecs):
+                S[i, j] = c1 @ (a[np.ix_(ar1, ar2)] * b[np.ix_(br1, br2)]) @ c2
+        out[k] = S
+    return out
+
+
+@pytest.mark.parametrize("mn", [(0, 0), (3, 1), (4, 4), (6, 2), (6, 5)])
+def test_product_decompose_matches_direct_s_sums(mn):
+    m, n = mn
+    f, g = random_eigenfunction(m, [7, m, n]), random_eigenfunction(n, [8, m, n])
+    t = cg_decompose(m, n)
+    dec = product_decompose(f, g, t)
+    ref = direct_s_sums(t, f.coeffs, g.coeffs)
+    assert set(dec.s_sums) == set(ref)
+    for k, S in ref.items():
+        assert np.max(np.abs(dec.s_sums[k] - S)) <= 1e-14

@@ -2,9 +2,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from s3lab import bilinear, cli
+from s3lab import bilinear, clebsch, cli
 from s3lab.reporting import file_sha256
 
 
@@ -51,6 +52,36 @@ def test_cg_table_invalid_args(tmp_path):
     assert r.returncode == 2, r.stderr
     r = run_cli(["bogus-command"], tmp_path)
     assert r.returncode == 2, r.stderr
+
+
+def test_cg_table_fails_closed_on_a_construction_error(tmp_path, monkeypatch, capsys):
+    # the top of k = m+n-2 moved 1e-3 off the complement of the first chain,
+    # which at weight m+n-2 is (sqrt(m), sqrt(n)) / sqrt(m+n)
+    tops = clebsch._chain_tops
+
+    def off_complement(m, n):
+        out = tops(m, n)
+        out[1, :2] += 1e-3 * np.sqrt([m, n]) / np.sqrt(m + n)
+        out[1, :2] /= np.linalg.norm(out[1, :2])
+        return out
+
+    monkeypatch.setattr(clebsch, "_chain_tops", off_complement)
+    assert cli.main(["cg-table", "12", "8", "--out", str(tmp_path)]) == 1
+    assert "construction failed" in capsys.readouterr().err
+    assert not (tmp_path / "cg_table_m12_n8.csv").exists()
+
+
+def test_cg_table_fails_closed_on_a_nan_table(tmp_path, monkeypatch, capsys):
+    def nan_table(m, n):
+        table = clebsch.cg_decompose(m, n)
+        table.blocks[1][0, 0] = np.nan
+        return table
+
+    monkeypatch.setattr(cli, "cg_decompose", nan_table)
+    assert cli.main(["cg-table", "6", "4", "--out", str(tmp_path)]) == 1
+    assert "orthogonality defect nan" in capsys.readouterr().err
+    summary = strict_json(tmp_path / "cg_table_m6_n4.summary.json")["summary"]
+    assert summary["max_row_defect"] == "nan" and summary["max_col_defect"] == "nan"
 
 
 def test_bilinear_verify_small(tmp_path):
