@@ -20,8 +20,9 @@ the weighted quartic satisfies the exact on-grid identity
       = (2 pi)^2 h^3 sum_{<xi1> = 0} phi_w_hat(<Lambda>) v1 v3 conj(v2 v4)
 
 up to time-window truncation, where <.> is the four-term alternating sum
-and the x1 Riemann sum is exact once the FFT length exceeds four times the
-maximal frequency index.  The weight is the Fejer-type window
+and the x1 Riemann sum is exact once the FFT length exceeds twice the span
+of the occupied xi1 indices (|u|^4 has no x1 frequency beyond it).  The
+weight is the Fejer-type window
 phi_w(t) = 2 (sin(t/2)/(t/2))^2 with triangular transform supported in
 [-1, 1].
 
@@ -30,8 +31,8 @@ norm of the refined L^inf_{x2} L4_{t,x1} estimate) or over the torus
 [0, 2 pi) (the L4 norm on R x T of the hyperbolic estimate), where u
 carries the factor e^{i x2 xi2} and the identity gains the constraint
 <xi2> = 0 and a factor 2 pi.  One evaluator computes both: the torus is
-sampled at equispaced points, exact once their number exceeds four times
-the maximal |xi2|.
+sampled at equispaced points, exact once their number exceeds twice the
+span of the occupied xi2 rows.
 """
 
 from __future__ import annotations
@@ -63,9 +64,22 @@ def fejer_hat(tau):
 
 
 def fejer_tail(T: float) -> float:
-    """Exact two-sided tail integral of the weight beyond |t| > T."""
+    """Exact two-sided tail integral of the weight beyond |t| > T >= 0;
+    fejer_tail(0) is its limit, the total 4 pi."""
+    if T == 0:
+        return FEJER_TOTAL
     si = sici(T)[0]
     return float(8.0 * ((1.0 - math.cos(T)) / T + math.pi / 2.0 - si))
+
+
+def _fejer_upper_tail(T: float) -> float:
+    """Integral of the weight over (T, inf) for any real T.  The window
+    (t_min, t_max) misses the fraction
+    (_fejer_upper_tail(t_max) + _fejer_upper_tail(-t_min)) / (4 pi), that is
+    1 - (Phi(t_max) - Phi(t_min)) / (4 pi) with Phi the odd antiderivative;
+    for a symmetric window the sum is exactly fejer_tail(t_max)."""
+    half = fejer_tail(abs(T)) / 2.0
+    return half if T >= 0 else FEJER_TOTAL - half
 
 
 @dataclass(frozen=True)
@@ -267,27 +281,47 @@ class EvolveResult:
     warnings: tuple = field(default_factory=tuple)
 
 
+def _phase_table(tc: np.ndarray, dt: float, lam: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """scale * e^{-i t lam} on the equispaced nodes tc (step dt), shape
+    (len(tc), len(lam)), from two tables: base phases at every B-th node and
+    steps e^{-i j dt lam} for j < B, with B = ceil(sqrt(len(tc))).  Each
+    entry then costs one complex multiply instead of one complex exp."""
+    n = len(tc)
+    B = math.isqrt(n - 1) + 1
+    base = scale * np.exp(-1j * tc[::B, None] * lam[None, :])
+    step = np.exp(-1j * (dt * np.arange(B))[:, None] * lam[None, :])
+    return (base[:, None, :] * step[None, :, :]).reshape(-1, len(lam))[:n]
+
+
 def _weighted_quartic(
     p: WavePacket, k_shift: int, dispersion: str, t_window: tuple, x2_torus: bool
 ) -> EvolveResult:
     """Integral of phi_w(t) |u|^4 over (window) x (one x1 period) x (x2 measure).
 
     The x2 measure is the point x2 = 0 with weight 1 (the slice) or, with
-    ``x2_torus``, Q equispaced points y_q on [0, 2 pi) with weight 2 pi / Q,
-    where Q exceeds four times the largest |xi2| so the torus sum is exact.
-    Per time chunk the xi2 rows fold onto the x2 points with their phases
-    e^{i y_q xi2 - i t mu} (a single BLAS product), then one FFT in xi1 gives
-    u on the x1 grid; that Riemann sum is exact because the FFT length
-    exceeds four times the largest occupied frequency index.  Time
-    integration is composite Simpson.  Window truncation and time-resolution
-    risks are surfaced as warnings, never silently ignored.
+    ``x2_torus``, Q equispaced points y_q on [0, 2 pi) with weight 2 pi / Q.
+    The live columns are taken as their contiguous run [lo, hi] and shifted
+    to frequency 0, and the live rows likewise by their lowest xi2; both
+    shifts multiply u by a unimodular factor, so |u| is unchanged and |u|^4
+    carries x1 frequencies within +-2 (hi - lo) and x2 frequencies within
+    twice the row span.  The equispaced sums are therefore exact once the
+    FFT length P exceeds twice the column span and Q twice the row span.
+    Per time chunk the rows fold onto the x2 points with their phases
+    e^{i y_q xi2 - i t mu} (a single BLAS product), then one zero-padded
+    FFT of length P in xi1 gives u on the x1 grid; the time phases come
+    from ``_phase_table``.  Time integration is composite Simpson.  The
+    window must be finite with t_min < t_max; truncation and
+    time-resolution risks are surfaced as warnings, never silently ignored.
     """
     t0, t1, n_t = t_window
+    if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
+        raise ValueError(f"time window needs finite t_min < t_max, got ({t0}, {t1})")
     n_t = int(n_t)
     if n_t < 64:
         raise ValueError("need at least 64 time intervals")
     n_t += n_t % 2
     ts, sw = _simpson_weights(t0, t1, n_t)
+    dt = (t1 - t0) / n_t
 
     mu, colsq = _lambda_rows_cols(p, k_shift, dispersion)
     V = p.values
@@ -295,40 +329,39 @@ def _weighted_quartic(
     col_live = np.flatnonzero(np.any(V != 0, axis=0))
     if len(row_live) == 0:
         raise ValueError("empty packet")
-    V = np.ascontiguousarray(V[np.ix_(row_live, col_live)])
+    lo, hi = int(col_live[0]), int(col_live[-1])
+    V = np.ascontiguousarray(V[row_live, lo:hi + 1])
     mu = mu[row_live]
-    colsq = colsq[col_live]
-    cidx = col_live - p.grid.imax
-    imax_sup = int(np.max(np.abs(cidx)))
-    P = sfft.next_fast_len(4 * imax_sup + 2)
-    bins = np.mod(cidx, P)
+    colsq = colsq[lo:hi + 1]
+    P = sfft.next_fast_len(2 * (hi - lo) + 1)
     h = p.grid.h
     dvol = p.grid.period / P
-    xi2 = (row_live + p.grid.xi2_min).astype(float)
     if x2_torus:
-        Q = sfft.next_fast_len(4 * int(np.max(np.abs(xi2))) + 2)
+        Q = sfft.next_fast_len(2 * int(row_live[-1] - row_live[0]) + 1)
         dvol *= 2.0 * np.pi / Q
     else:
         Q = 1
-    yph = np.exp(1j * (2.0 * np.pi / Q) * np.arange(Q)[:, None] * xi2[None, :])
+    yph = np.exp(1j * (2.0 * np.pi / Q) * np.arange(Q)[:, None] * (row_live - row_live[0])[None, :])
 
     quartic = 0.0
     chunk = max(1, int(4e6 // (Q * P)))
     for start in range(0, n_t + 1, chunk):
         tc = ts[start:start + chunk]
         wphi = sw[start:start + chunk] * fejer_weight(tc)
-        rph = np.exp(-1j * tc[:, None] * mu[None, :])
-        W = (rph[:, None, :] * yph[None, :, :]).reshape(-1, len(mu)) @ V
+        W = (_phase_table(tc, dt, mu)[:, None, :] * yph).reshape(-1, len(mu)) @ V
         W = W.reshape(len(tc), Q, -1)
-        W *= (h * np.exp(-1j * tc[:, None] * colsq[None, :]))[:, None, :]
-        buf = np.zeros((len(tc), Q, P), dtype=complex)
-        buf[:, :, bins] = W
-        u = sfft.ifft(buf, axis=2, overwrite_x=True)
-        u *= P
-        au2 = u.real**2 + u.imag**2
-        quartic += dvol * float(wphi @ (au2 * au2).reshape(len(tc), -1).sum(axis=1))
+        W *= _phase_table(tc, dt, colsq, h)[:, None, :]
+        # u on the (x2, x1) points as float (re, im) pairs; one chunk's
+        # buffers live at a time: W before the FFT, u after it
+        u = sfft.ifft(W, n=P, axis=2, norm="forward").view(np.float64).reshape(len(tc), -1, 2)
+        del W
+        np.square(u, out=u)
+        au2 = u[..., 0]
+        au2 += u[..., 1]
+        quartic += dvol * float(np.einsum("tx,tx->t", au2, au2) @ wphi)
+        del u, au2
 
-    trunc_rel = fejer_tail(min(abs(t0), abs(t1))) / FEJER_TOTAL
+    trunc_rel = (_fejer_upper_tail(t1) + _fejer_upper_tail(-t0)) / FEJER_TOTAL
     warn = []
     if trunc_rel > 0.01:
         warn.append(f"window-truncation:{trunc_rel:.4f}")

@@ -226,7 +226,7 @@ def _sparse_packet(seed, n_nodes, N, h):
     return strichartz.WavePacket(grid=grid, values=vals)
 
 
-def test_criterion_7_strichartz_suite():
+def test_criterion_7_strichartz_suite(monkeypatch):
     t0 = time.time()
     # Plancherel identity, <= 32-node packets, within 2%; refinement to 0.5%
     worst_pl = 0.0
@@ -253,17 +253,36 @@ def test_criterion_7_strichartz_suite():
         tuples += rep.tuple_count
 
     # quotient scan, no growth in N
+    t_ell = time.time()
     _, summ = strichartz.scan_strichartz_quotients(
         [8, 16, 32, 64], 0.1, 6, seed=7, h=0.125, t_window=(-60.0, 60.0, 8192))
+    t_ell = time.time() - t_ell
     assert summ["fitted_slope"] <= SLOPE_BOUND
 
     # box example tracks N^{1/4} within a factor 2
+    t_box = time.time()
     _, box = strichartz.box_scaling_probe([4, 8, 16, 32], h=0.25)
+    t_box = time.time() - t_box
     assert box["spread_factor"] <= BOX_SPREAD_BOUND
 
-    # hyperbolic quotients bounded for N <= 64
+    # hyperbolic quotients bounded for N <= 64; the N = 64 evaluations are
+    # timed one by one to report the cost per time node
+    quartic, n64 = strichartz._weighted_quartic, []
+
+    def timed_quartic(pkt, *args, **kwargs):
+        start = time.perf_counter()
+        out = quartic(pkt, *args, **kwargs)
+        if pkt.grid.xi2_max == 64:
+            n64.append(time.perf_counter() - start)
+        return out
+
+    monkeypatch.setattr(strichartz, "_weighted_quartic", timed_quartic)
+    t_hyp = time.time()
     _, hyp = strichartz.scan_hyperbolic_quotients(
         [4, 8, 16, 32, 64], 2, seed=5, h=0.5, t_window=(-60.0, 60.0, 4096))
+    t_hyp = time.time() - t_hyp
+    monkeypatch.undo()
+    ms_per_node = 1e3 * sum(n64) / (len(n64) * 4097)
     assert hyp["fitted_slope"] <= SLOPE_BOUND
 
     # Galilean invariance at 1e-6
@@ -277,11 +296,14 @@ def test_criterion_7_strichartz_suite():
     gal = max(abs(sh2 - base), abs(sh1 - base)) / base
     assert gal <= 1e-6
 
+    rest = time.time() - t0 - t_ell - t_box - t_hyp
     _report(
         7,
         f"Plancherel {worst_pl:.4f}/refined {refined:.4f}, {tuples} Gamma tuples covered, "
         f"quotient slope {summ['fitted_slope']:+.4f}, box spread {box['spread_factor']:.3f}, "
-        f"hyperbolic slope {hyp['fitted_slope']:+.4f}, Galilean {gal:.1e}",
+        f"hyperbolic slope {hyp['fitted_slope']:+.4f}, Galilean {gal:.1e}; "
+        f"elliptic scan {t_ell:.1f}s, hyperbolic scan {t_hyp:.1f}s "
+        f"({ms_per_node:.2f} ms per time node at N=64), box probe {t_box:.1f}s, rest {rest:.1f}s",
         t0, 900,
     )
 

@@ -171,6 +171,142 @@ def test_torus_refuses_too_few_time_intervals():
         st.hyperbolic_l4_quotient(4, 1, 0, t_window=(-60.0, 60.0, 32))
 
 
+def _reference_quartic(p, k, dispersion, t_window, x2_torus):
+    """Oracle: the direct form of the evaluator, with a complex exp per
+    (time node, frequency), FFT lengths P = 4 max|xi1 index| + 2 and
+    Q = 4 max|xi2| + 2 about frequency 0, and the columns scattered into a
+    zeroed buffer."""
+    t0, t1, n_t = t_window
+    ts, sw = st._simpson_weights(t0, t1, n_t)
+    mu, colsq = st._lambda_rows_cols(p, k, dispersion)
+    rows = np.flatnonzero(np.any(p.values != 0, axis=1))
+    cols = np.flatnonzero(np.any(p.values != 0, axis=0))
+    V = p.values[np.ix_(rows, cols)]
+    mu, colsq = mu[rows], colsq[cols]
+    cidx = cols - p.grid.imax
+    P = 4 * int(np.max(np.abs(cidx))) + 2
+    xi2 = (rows + p.grid.xi2_min).astype(float)
+    Q = 4 * int(np.max(np.abs(xi2))) + 2 if x2_torus else 1
+    dvol = p.grid.period / P * (2 * np.pi / Q if x2_torus else 1.0)
+    yph = np.exp(1j * (2 * np.pi / Q) * np.arange(Q)[:, None] * xi2[None, :])
+    total = 0.0
+    for t, w in zip(ts, sw):
+        W = (yph * np.exp(-1j * t * mu)) @ V * (p.grid.h * np.exp(-1j * t * colsq))
+        buf = np.zeros((Q, P), dtype=complex)
+        buf[:, np.mod(cidx, P)] = W
+        u = P * np.fft.ifft(buf, axis=1)
+        total += w * st.fejer_weight(t) * dvol * np.sum(np.abs(u) ** 4)
+    return total
+
+
+def _gapped_packet(seed):
+    """Five nodes spread over far-apart rows and columns of a wide grid."""
+    grid = st.FrequencyGrid(h=0.5, xi1_extent=12.0, xi2_min=-9, xi2_max=9)
+    rng = np.random.default_rng(seed)
+    vals = np.zeros((19, 2 * grid.imax + 1), dtype=complex)
+    vals[[0, 3, 3, 11, 18], [2, 3, 30, 47, 40]] = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    return st.WavePacket(grid=grid, values=vals)
+
+
+_ORACLE_PACKETS = {
+    "centred": lambda: _random_packet(11, n_nodes=20, N=5.0),
+    "off-centre": lambda: st.shift_packet_xi1(st.shift_packet_xi2(_random_packet(12, 14, 4.0), 6), 13),
+    "gapped": lambda: _gapped_packet(13),
+}
+
+
+@pytest.mark.parametrize("x2_torus", [False, True])
+@pytest.mark.parametrize("dispersion", ["elliptic", "hyperbolic"])
+@pytest.mark.parametrize("name", sorted(_ORACLE_PACKETS))
+def test_quartic_matches_direct_reference(name, dispersion, x2_torus):
+    p = _ORACLE_PACKETS[name]()
+    # 1025 and 301 nodes: neither is a multiple of the phase-table block B
+    for w in [(-60.0, 60.0, 1024), (-7.0, 31.0, 300)]:
+        got = st._weighted_quartic(p, 3, dispersion, w, x2_torus).quartic
+        ref = _reference_quartic(p, 3, dispersion, w, x2_torus)
+        assert abs(got - ref) <= 1e-12 * ref
+
+
+def test_box_quartic_at_anti_alias_nt_matches_reference():
+    # 39192 intervals of the N = 16 box span three time chunks, the last one short
+    p = st.box_packet(16, h=0.25)
+    n_t = st.anti_alias_nt(p, 0, "elliptic", -60.0, 60.0)
+    got = st.evolve_l4_norm(p, 0, "elliptic", (-60.0, 60.0, n_t)).quartic
+    ref = _reference_quartic(p, 0, "elliptic", (-60.0, 60.0, n_t), False)
+    assert abs(got - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("x2_torus", [False, True])
+def test_single_column_packet(x2_torus):
+    # one xi1 column gives FFT length P = 1; |u| does not depend on x1
+    grid = st.FrequencyGrid(h=0.5, xi1_extent=4.0, xi2_min=-3, xi2_max=3)
+    vals = np.zeros((7, 17), dtype=complex)
+    vals[[1, 2, 6], 11] = [0.4 - 0.3j, 1.1, -0.2 + 0.9j]
+    p = st.WavePacket(grid=grid, values=vals)
+    w = (-20.0, 20.0, 256)
+    got = st._weighted_quartic(p, 2, "elliptic", w, x2_torus).quartic
+    assert abs(got - _reference_quartic(p, 2, "elliptic", w, x2_torus)) <= 1e-12 * got
+
+
+@pytest.mark.parametrize("dispersion", ["elliptic", "hyperbolic"])
+def test_torus_row_span_away_from_zero(dispersion):
+    # rows xi2 in {2, 3, 5}: the span 3 sets Q, not max|xi2| = 5
+    grid = st.FrequencyGrid(h=0.5, xi1_extent=3.0, xi2_min=-1, xi2_max=6)
+    rng = np.random.default_rng(5)
+    vals = np.zeros((8, 13), dtype=complex)
+    vals[[3, 4, 6]] = rng.standard_normal((3, 13)) + 1j * rng.standard_normal((3, 13))
+    vals[:, :4] = 0.0
+    p = st.WavePacket(grid=grid, values=vals)
+    w = (-10.0, 10.0, 64)
+    got = st._weighted_quartic(p, 1, dispersion, w, x2_torus=True).quartic
+    assert abs(got - _reference_quartic(p, 1, dispersion, w, True)) <= 1e-12 * got
+    assert got == pytest.approx(_direct_torus_quartic(p, 1, dispersion, w), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 65, 4097])
+def test_phase_table_matches_exp(n):
+    # ceil(sqrt(n)) divides none of 2, 10, 65, 4097: the last block is partial
+    ts = np.linspace(-60.0, 60.0, 4097)[:n]
+    lam = np.array([-4096.0, -3.5, 0.0, 0.25, 17.0, 4160.0])
+    table = st._phase_table(ts, 120.0 / 4096, lam, 0.5)
+    assert table.shape == (n, len(lam))
+    assert np.max(np.abs(table - 0.5 * np.exp(-1j * ts[:, None] * lam))) <= 1e-11
+
+
+@pytest.mark.parametrize("window", [
+    (60.0, -60.0, 256), (5.0, 5.0, 256), (float("nan"), 60.0, 256),
+    (-60.0, float("inf"), 256), (-float("inf"), float("inf"), 256),
+])
+@pytest.mark.parametrize("x2_torus", [False, True])
+def test_window_refused_before_any_work(monkeypatch, window, x2_torus):
+    calls = []
+    monkeypatch.setattr(st, "_simpson_weights", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match="t_min < t_max"):
+        st._weighted_quartic(st.box_packet(2, 0.5), 0, "elliptic", window, x2_torus)
+    assert calls == []
+
+
+def test_fejer_tail_at_zero_is_the_total():
+    assert st.fejer_tail(0.0) == st.FEJER_TOTAL
+    assert st.fejer_tail(1e-9) == pytest.approx(st.FEJER_TOTAL, rel=1e-8)
+
+
+@pytest.mark.parametrize("t0,t1", [(10.0, 60.0), (0.0, 60.0), (-30.0, 5.0), (-60.0, -2.0),
+                                   (-60.0, 60.0), (-3.0, 40.0)])
+def test_truncation_matches_quadrature(t0, t1):
+    from scipy.integrate import quad
+
+    inside = quad(st.fejer_weight, t0, t1, limit=400, epsabs=1e-13, epsrel=1e-13)[0]
+    res = st.evolve_l4_norm(_single_node_packet(), 0, "elliptic", (t0, t1, 128))
+    assert res.truncation_rel == pytest.approx(1.0 - inside / st.FEJER_TOTAL, abs=1e-10)
+
+
+@pytest.mark.parametrize("T", [10.0, 60.0, 240.0, 7.3])
+def test_symmetric_truncation_is_the_two_sided_tail(T):
+    res = st.evolve_l4_norm(_single_node_packet(), 0, "elliptic", (-T, T, 128))
+    assert res.truncation_rel == st.fejer_tail(T) / st.FEJER_TOTAL
+
+
 def test_single_node_quadrilinear_closed_form():
     p = _single_node_packet()
     h = p.grid.h
