@@ -220,6 +220,30 @@ _STRICHARTZ_KEYS = {
 }
 # an elliptic config with a "slab" record is a single-slab run, which reads these
 _SLAB_KEYS = {"slab", "delta", "trials", "grid", "window"}
+# the scans read "window" as a list [t_min, t_max, n_t]; a single-slab run
+# reads it as a record with these keys and defaults
+_SCAN_WINDOWS = {"elliptic": (-60.0, 60.0, 8192), "hyperbolic": (-60.0, 60.0, 4096)}
+_SLAB_WINDOW = {"t_min": -60.0, "t_max": 60.0, "n_t": 8192}
+
+
+def _config_window(params: dict, mode: str):
+    """The (t_min, t_max, n_t) window of an elliptic or hyperbolic run,
+    checked before any work; None after naming the bad window on stderr."""
+    given = params.get("window")
+    if mode == "elliptic" and "slab" in params:
+        record = {} if given is None else given
+        if not isinstance(record, dict) or set(record) - set(_SLAB_WINDOW):
+            print(f"bad window {given!r}: a single-slab run reads a record with keys "
+                  f"{', '.join(_SLAB_WINDOW)}", file=sys.stderr)
+            return None
+        window = tuple(record.get(key, default) for key, default in _SLAB_WINDOW.items())
+    else:
+        window = _SCAN_WINDOWS[mode] if given is None else given
+    try:
+        return strichartz.check_window(window)
+    except ValueError as exc:
+        print(f"bad window {given!r}: {exc}", file=sys.stderr)
+        return None
 
 
 def _run_strichartz(params: dict, out_dir: Path) -> int:
@@ -233,6 +257,16 @@ def _run_strichartz(params: dict, out_dir: Path) -> int:
         print(f"unknown config keys for mode {mode!r}: {', '.join(unknown)} "
               f"(allowed: {', '.join(sorted(allowed))})", file=sys.stderr)
         return 2
+    if mode in _SCAN_WINDOWS:
+        t_window = _config_window(params, mode)
+        if t_window is None:
+            return 2
+    if mode == "box-scaling":
+        try:
+            strichartz.lattice_q(params.get("h", 0.25))
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 2
     manifest = build_manifest("strichartz", params, seed=seed)
     name = f"strichartz_{mode.replace('-', '_')}"
     code = 0
@@ -242,9 +276,6 @@ def _run_strichartz(params: dict, out_dir: Path) -> int:
             sl = params["slab"]
             slab = strichartz.SlabSpec(xi0=tuple(sl["xi0"]), a=tuple(sl["a"]),
                                        c=sl["c"], M=sl["M"], N=sl["N"])
-            win = params.get("window", {})
-            t_window = (win.get("t_min", -60.0), win.get("t_max", 60.0),
-                        win.get("n_t", 8192))
             rep = strichartz.strichartz_quotient(
                 slab, params.get("delta", 0.1), params.get("trials", 8), seed,
                 h=params.get("grid", {}).get("h", 0.125), t_window=t_window)
@@ -258,9 +289,7 @@ def _run_strichartz(params: dict, out_dir: Path) -> int:
                 return 2
             rows, summary = strichartz.scan_strichartz_quotients(
                 Ns, params.get("delta", 0.1), params.get("trials", 6), seed,
-                h=params.get("h", 0.125),
-                t_window=tuple(params.get("window", (-60.0, 60.0, 8192))),
-            )
+                h=params.get("h", 0.125), t_window=t_window)
             header = ["N", "M_kind", "M", "trial", "a2", "quotient"]
             if not summary["fitted_slope"] <= gates.SLOPE_BOUND:
                 code = 1
@@ -269,23 +298,21 @@ def _run_strichartz(params: dict, out_dir: Path) -> int:
         if not _fit_ns_ok(Ns):
             return 2
         rows, summary = strichartz.scan_hyperbolic_quotients(
-            Ns, params.get("trials", 3), seed, h=params.get("h", 0.5),
-            t_window=tuple(params.get("window", (-60.0, 60.0, 4096))),
-        )
+            Ns, params.get("trials", 3), seed, h=params.get("h", 0.5), t_window=t_window)
         header = ["trial", "N", "quotient"]
         if not summary["fitted_slope"] <= gates.SLOPE_BOUND:
             code = 1
     elif mode == "quadrilinear":
         pkt = _small_random_packet(seed)
         freq = strichartz.quadrilinear_form_frequency(pkt, 0)
-        n_t = strichartz.anti_alias_nt(pkt, 0, "elliptic", -240.0, 240.0)
-        res = strichartz.evolve_l4_norm(pkt, 0, "elliptic", (-240.0, 240.0, n_t))
+        res = strichartz.evolve_l4_norm_exact(pkt, 0, "elliptic")
         mismatch = abs(res.quartic - freq) / freq
         rows = [{"trial": 0, "frequency_side": freq, "time_side": res.quartic,
                  "relative_mismatch": mismatch}]
         header = ["trial", "frequency_side", "time_side", "relative_mismatch"]
-        summary = {"relative_mismatch": mismatch, "flags": list(res.warnings)}
-        if not mismatch <= gates.PLANCHEREL_TOL:
+        summary = {"relative_mismatch": mismatch, "time_rule": "periodic-exact",
+                   "n_nodes": res.n_nodes, "flags": list(res.warnings)}
+        if not mismatch <= gates.PLANCHEREL_EXACT_TOL:
             code = 1
     elif mode == "kernel-split":
         pkt = _small_random_packet(seed, n_nodes=16)

@@ -16,15 +16,29 @@ the same convention so measured constants absorb it).  With
 
 the weighted quartic satisfies the exact on-grid identity
 
-    || phi_w(t)^{1/4} u ||_{L4(window x period)}^4
+    || phi_w(t)^{1/4} u ||_{L4(R x period)}^4
       = (2 pi)^2 h^3 sum_{<xi1> = 0} phi_w_hat(<Lambda>) v1 v3 conj(v2 v4)
 
-up to time-window truncation, where <.> is the four-term alternating sum
-and the x1 Riemann sum is exact once the FFT length exceeds twice the span
-of the occupied xi1 indices (|u|^4 has no x1 frequency beyond it).  The
-weight is the Fejer-type window
+where <.> is the four-term alternating sum and the x1 Riemann sum is
+exact once the FFT length exceeds twice the span of the occupied xi1
+indices (|u|^4 has no x1 frequency beyond it).  The weight is the
+Fejer-type window
 phi_w(t) = 2 (sin(t/2)/(t/2))^2 with triangular transform supported in
 [-1, 1].
+
+Two time rules evaluate the t integral.  The windowed rule is composite
+Simpson on a finite window, which misses the Fejer tail outside it.  The
+periodic-exact rule needs h^2 = 1/q for an integer q: then every Lambda
+lies on (1/q)Z, so F(t) = int |u|^4 dx has period T = 2 pi q, and by
+Poisson summation the T-periodization of phi_w is the finite sum
+
+    W_T(t) = sum_k phi_w(t + kT) = (1/q) sum_{|j|<q} 2 (1 - |j|/q) e^{ijt/q}
+           = 2 (sin(t/2) / (q sin(t/(2q))))^2,
+
+so int_R phi_w F dt = int_0^T W_T F dt.  W_T F is a trigonometric
+polynomial in t/q of degree below q (2 spread + 1), so the trapezoid rule
+on n = q (2 spread + 1) equispaced nodes of one period integrates it
+exactly: no truncation, no Simpson error, no aliasing.
 
 The same quartic is measured in x2 either at the point x2 = 0 (the slice
 norm of the refined L^inf_{x2} L4_{t,x1} estimate) or over the torus
@@ -254,6 +268,16 @@ def lambda_spread(p: WavePacket, k_shift: int, dispersion: str) -> float:
     return float(lam.max() - lam.min())
 
 
+def lattice_q(h: float) -> int:
+    """The integer q = 1/h^2 of a grid step on the lattice of the
+    periodic-exact time rule; ValueError when 1/h^2 is not an integer."""
+    q = 1.0 / (h * h) if h > 0 else math.nan
+    qi = round(q) if math.isfinite(q) else 0
+    if qi < 1 or abs(q - qi) > 1e-9 * q:
+        raise ValueError(f"the periodic-exact time rule needs h^2 = 1/q for an integer q, got h = {h}")
+    return qi
+
+
 def anti_alias_nt(p: WavePacket, k_shift: int, dispersion: str, t_min: float, t_max: float) -> int:
     """Smallest even Simpson interval count that resolves every oscillation
     of phi_w |u|^4 on the window (the Simpson weight pattern folds at
@@ -273,12 +297,32 @@ def _simpson_weights(t0: float, t1: float, n_t: int) -> tuple[np.ndarray, np.nda
     return ts, w
 
 
+def check_window(t_window) -> tuple[float, float, int]:
+    """(t_min, t_max, n_t) of a windowed time rule; ValueError unless the
+    window has three entries with t_min < t_max finite and n_t >= 64."""
+    try:
+        t0, t1, n_t = (float(v) for v in t_window)
+    except (TypeError, ValueError):
+        raise ValueError(f"time window needs three numbers (t_min, t_max, n_t), got {t_window!r}") from None
+    if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
+        raise ValueError(f"time window needs finite t_min < t_max, got ({t0}, {t1})")
+    if not (math.isfinite(n_t) and n_t >= 64):
+        raise ValueError(f"need at least 64 time intervals, got n_t = {n_t}")
+    return t0, t1, int(n_t)
+
+
 @dataclass(frozen=True)
 class EvolveResult:
     value: float
     quartic: float
     truncation_rel: float
+    n_nodes: int
     warnings: tuple = field(default_factory=tuple)
+
+
+def _blocks(base: np.ndarray, step: np.ndarray, n: int) -> np.ndarray:
+    """The products base[b] * step[s] in the order b * len(step) + s, first n."""
+    return (base[:, None, :] * step[None, :, :]).reshape(-1, base.shape[1])[:n]
 
 
 def _phase_table(tc: np.ndarray, dt: float, lam: np.ndarray, scale: float = 1.0) -> np.ndarray:
@@ -290,13 +334,95 @@ def _phase_table(tc: np.ndarray, dt: float, lam: np.ndarray, scale: float = 1.0)
     B = math.isqrt(n - 1) + 1
     base = scale * np.exp(-1j * tc[::B, None] * lam[None, :])
     step = np.exp(-1j * (dt * np.arange(B))[:, None] * lam[None, :])
-    return (base[:, None, :] * step[None, :, :]).reshape(-1, len(lam))[:n]
+    return _blocks(base, step, n)
+
+
+def _dft_phase_table(j0: int, j1: int, n: int, m: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """scale * e^{-2 pi i j m / n} on the nodes j0 <= j < j1 for integer m,
+    shape (j1 - j0, len(m)), from base and step tables as in
+    ``_phase_table``.  Each j m is reduced mod n in integers before the exp,
+    so the angles stay in [0, 2 pi) and the phases are exact at any j m."""
+    count = j1 - j0
+    B = math.isqrt(count - 1) + 1
+    m = m % n
+    base = scale * np.exp((-2j * np.pi / n) * ((np.arange(j0, j1, B)[:, None] * m) % n))
+    step = np.exp((-2j * np.pi / n) * ((np.arange(B)[:, None] * m) % n))
+    return _blocks(base, step, count)
+
+
+def _windowed_rule(p: WavePacket, k_shift: int, dispersion: str, t_window: tuple):
+    """Composite Simpson on the window: node weights (Simpson times phi_w),
+    the phase-table maker, the truncated Fejer fraction and the warnings."""
+    t0, t1, n_t = check_window(t_window)
+    n_t += n_t % 2
+    ts, sw = _simpson_weights(t0, t1, n_t)
+    dt = (t1 - t0) / n_t
+
+    def phases(j0, j1, lam, scale=1.0):
+        return _phase_table(ts[j0:j1], dt, lam, scale)
+
+    trunc_rel = (_fejer_upper_tail(t1) + _fejer_upper_tail(-t0)) / FEJER_TOTAL
+    warn = []
+    if trunc_rel > 0.01:
+        warn.append(f"window-truncation:{trunc_rel:.4f}")
+    needed = anti_alias_nt(p, k_shift, dispersion, t0, t1)
+    if n_t < needed:
+        warn.append(f"time-aliasing-risk:need_nt={needed}")
+    return sw * fejer_weight(ts), phases, trunc_rel, tuple(warn)
+
+
+def _periodized_fejer(q: int, n: int) -> np.ndarray:
+    """W_T(t) = sum_k phi_w(t + kT) = 2 (sin(t/2) / (q sin(t/(2q))))^2,
+    T = 2 pi q, at the n nodes t_j = j T / n of one period.  Both angles
+    pi q j / n and pi j / n are folded into [0, pi/2] in integers (W_T is
+    even in each sine), so no node loses digits near a multiple of pi; the
+    limit at j = 0 is 2."""
+    j = np.arange(1, n)
+    a = (q * j) % n
+    num = np.sin(np.pi / n * np.minimum(a, n - a))
+    den = q * np.sin(np.pi / n * np.minimum(j, n - j))
+    w = np.empty(n)
+    w[0] = 2.0
+    w[1:] = 2.0 * (num / den) ** 2
+    return w
+
+
+def _periodic_rule(p: WavePacket, k_shift: int, dispersion: str):
+    """The periodic-exact rule on one period T = 2 pi q: n = q (2 spread + 1)
+    nodes t_j = j T / n with weights (T/n) W_T(t_j), the phase-table maker
+    (exact: q Lambda is an integer, so t_j Lambda = 2 pi j (q Lambda) / n),
+    zero truncation and no warnings."""
+    q = lattice_q(p.grid.h)
+    m = np.rint(q * _support_lambda(p, k_shift, dispersion)).astype(np.int64)
+    n = 2 * int(m.max() - m.min()) + q
+    weights = (2.0 * np.pi * q / n) * _periodized_fejer(q, n)
+
+    def phases(j0, j1, lam, scale=1.0):
+        return _dft_phase_table(j0, j1, n, np.rint(q * lam).astype(np.int64), scale)
+
+    return weights, phases, 0.0, ()
+
+
+# entries of one time chunk's (node, x2 point, x1 point) buffer, 4 MiB as
+# complex: a 4e6-entry (64 MiB) buffer fell out of cache on every chunk,
+# while from 2^16 to 2^20 entries the run time moves by a few per cent and
+# peak memory grows with the budget
+_CHUNK_ENTRIES = 2**18
 
 
 def _weighted_quartic(
-    p: WavePacket, k_shift: int, dispersion: str, t_window: tuple, x2_torus: bool
+    p: WavePacket, k_shift: int, dispersion: str, t_window, x2_torus: bool
 ) -> EvolveResult:
-    """Integral of phi_w(t) |u|^4 over (window) x (one x1 period) x (x2 measure).
+    """Integral of phi_w(t) |u|^4 over t x (one x1 period) x (x2 measure).
+
+    The time rule is the windowed one on ``t_window = (t_min, t_max, n_t)``
+    (composite Simpson over the window, finite with t_min < t_max and
+    n_t >= 64; truncation and time-resolution risks are surfaced as
+    warnings, never silently ignored) or, with ``t_window=None``, the
+    periodic-exact one over the whole line (h^2 = 1/q for an integer q,
+    n = q (2 spread + 1) nodes on one period 2 pi q with the Poisson-
+    periodized weight W_T; see the module docstring).  Both refuse their
+    input before any work.
 
     The x2 measure is the point x2 = 0 with weight 1 (the slice) or, with
     ``x2_torus``, Q equispaced points y_q on [0, 2 pi) with weight 2 pi / Q.
@@ -306,29 +432,23 @@ def _weighted_quartic(
     carries x1 frequencies within +-2 (hi - lo) and x2 frequencies within
     twice the row span.  The equispaced sums are therefore exact once the
     FFT length P exceeds twice the column span and Q twice the row span.
-    Per time chunk the rows fold onto the x2 points with their phases
-    e^{i y_q xi2 - i t mu} (a single BLAS product), then one zero-padded
-    FFT of length P in xi1 gives u on the x1 grid; the time phases come
-    from ``_phase_table``.  Time integration is composite Simpson.  The
-    window must be finite with t_min < t_max; truncation and
-    time-resolution risks are surfaced as warnings, never silently ignored.
+    Per time chunk of at most ``_CHUNK_ENTRIES`` (node, x2, x1) entries the
+    rows fold onto the x2 points with their phases e^{i y_q xi2 - i t mu}
+    (a single BLAS product), then one zero-padded FFT of length P in xi1
+    gives u on the x1 grid; the time phases come from the rule's phase
+    tables.
     """
-    t0, t1, n_t = t_window
-    if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
-        raise ValueError(f"time window needs finite t_min < t_max, got ({t0}, {t1})")
-    n_t = int(n_t)
-    if n_t < 64:
-        raise ValueError("need at least 64 time intervals")
-    n_t += n_t % 2
-    ts, sw = _simpson_weights(t0, t1, n_t)
-    dt = (t1 - t0) / n_t
-
-    mu, colsq = _lambda_rows_cols(p, k_shift, dispersion)
     V = p.values
     row_live = np.flatnonzero(np.any(V != 0, axis=1))
-    col_live = np.flatnonzero(np.any(V != 0, axis=0))
     if len(row_live) == 0:
         raise ValueError("empty packet")
+    if t_window is None:
+        weights, phases, trunc_rel, warn = _periodic_rule(p, k_shift, dispersion)
+    else:
+        weights, phases, trunc_rel, warn = _windowed_rule(p, k_shift, dispersion, t_window)
+
+    mu, colsq = _lambda_rows_cols(p, k_shift, dispersion)
+    col_live = np.flatnonzero(np.any(V != 0, axis=0))
     lo, hi = int(col_live[0]), int(col_live[-1])
     V = np.ascontiguousarray(V[row_live, lo:hi + 1])
     mu = mu[row_live]
@@ -344,35 +464,29 @@ def _weighted_quartic(
     yph = np.exp(1j * (2.0 * np.pi / Q) * np.arange(Q)[:, None] * (row_live - row_live[0])[None, :])
 
     quartic = 0.0
-    chunk = max(1, int(4e6 // (Q * P)))
-    for start in range(0, n_t + 1, chunk):
-        tc = ts[start:start + chunk]
-        wphi = sw[start:start + chunk] * fejer_weight(tc)
-        W = (_phase_table(tc, dt, mu)[:, None, :] * yph).reshape(-1, len(mu)) @ V
-        W = W.reshape(len(tc), Q, -1)
-        W *= _phase_table(tc, dt, colsq, h)[:, None, :]
+    n_nodes = len(weights)
+    chunk = max(1, _CHUNK_ENTRIES // (Q * P))
+    for j0 in range(0, n_nodes, chunk):
+        j1 = min(j0 + chunk, n_nodes)
+        W = (phases(j0, j1, mu)[:, None, :] * yph).reshape(-1, len(mu)) @ V
+        W = W.reshape(j1 - j0, Q, -1)
+        W *= phases(j0, j1, colsq, h)[:, None, :]
         # u on the (x2, x1) points as float (re, im) pairs; one chunk's
         # buffers live at a time: W before the FFT, u after it
-        u = sfft.ifft(W, n=P, axis=2, norm="forward").view(np.float64).reshape(len(tc), -1, 2)
+        u = sfft.ifft(W, n=P, axis=2, norm="forward").view(np.float64).reshape(j1 - j0, -1, 2)
         del W
         np.square(u, out=u)
         au2 = u[..., 0]
         au2 += u[..., 1]
-        quartic += dvol * float(np.einsum("tx,tx->t", au2, au2) @ wphi)
+        quartic += dvol * float(np.einsum("tx,tx->t", au2, au2) @ weights[j0:j1])
         del u, au2
 
-    trunc_rel = (_fejer_upper_tail(t1) + _fejer_upper_tail(-t0)) / FEJER_TOTAL
-    warn = []
-    if trunc_rel > 0.01:
-        warn.append(f"window-truncation:{trunc_rel:.4f}")
-    needed = anti_alias_nt(p, k_shift, dispersion, t0, t1)
-    if n_t < needed:
-        warn.append(f"time-aliasing-risk:need_nt={needed}")
     return EvolveResult(
         value=float(max(quartic, 0.0) ** 0.25),
         quartic=float(quartic),
         truncation_rel=float(trunc_rel),
-        warnings=tuple(warn),
+        n_nodes=n_nodes,
+        warnings=warn,
     )
 
 
@@ -383,8 +497,19 @@ def evolve_l4_norm(
     t_window: tuple = (-60.0, 60.0, 1024),
 ) -> EvolveResult:
     """L4 norm of phi_w(t)^{1/4} u over (window) x (one x1 period) at the
-    slice x2 = 0; the weighted quartic evaluator with the point x2 measure."""
+    slice x2 = 0; the weighted quartic evaluator with the point x2 measure
+    and the windowed time rule."""
+    if t_window is None:
+        raise ValueError("evolve_l4_norm needs a time window; evolve_l4_norm_exact integrates over all t")
     return _weighted_quartic(p, k_shift, dispersion, t_window, x2_torus=False)
+
+
+def evolve_l4_norm_exact(p: WavePacket, k_shift: int = 0, dispersion: str = "elliptic") -> EvolveResult:
+    """L4 norm of phi_w(t)^{1/4} u over all t x (one x1 period) at the slice
+    x2 = 0, by the periodic-exact time rule: equal to the frequency side
+    up to rounding.  Needs h^2 = 1/q for an integer q (ValueError before
+    any work otherwise); it uses q (2 spread + 1) time nodes."""
+    return _weighted_quartic(p, k_shift, dispersion, None, x2_torus=False)
 
 
 # -- frequency-side quartic ----------------------------------------------------
@@ -669,18 +794,20 @@ def scan_strichartz_quotients(
     return rows, summary
 
 
-def box_scaling_probe(Ns: list, h: float = 0.25, t_span: tuple = (-60.0, 60.0)) -> tuple[list, dict]:
-    """Weighted L4 norms of the square-indicator example; the norms should
-    track N^{1/4} within a bounded factor.  Time sampling is chosen per N
-    to resolve every oscillation (no Simpson folding)."""
+def box_scaling_probe(Ns: list, h: float = 0.25) -> tuple[list, dict]:
+    """Weighted L4 norms of the square-indicator example over all t; the
+    norms should track N^{1/4} within a bounded factor.  Each norm is exact
+    by the periodic-exact time rule (the Fejer weight periodized by Poisson
+    summation): with q = 1/h^2 the box's Lambda spread is 2 N^2, so it uses
+    q (4 N^2 + 1) nodes, the rows' ``n_t``.  An h with 1/h^2 not an integer
+    raises ValueError before any work."""
+    lattice_q(h)
     rows = []
     ratios = []
     for N in Ns:
-        pkt = box_packet(int(N), h=h)
-        n_t = anti_alias_nt(pkt, 0, "elliptic", t_span[0], t_span[1])
-        res = evolve_l4_norm(pkt, 0, "elliptic", (t_span[0], t_span[1], n_t))
+        res = evolve_l4_norm_exact(box_packet(int(N), h=h))
         ratio = res.value / float(N) ** 0.25
-        rows.append({"N": N, "n_t": n_t, "norm": res.value, "ratio": ratio})
+        rows.append({"N": N, "n_t": res.n_nodes, "norm": res.value, "ratio": ratio})
         ratios.append(ratio)
     summary = {"Ns": list(Ns), "ratios": ratios,
                "spread_factor": float(max(ratios) / min(ratios))}

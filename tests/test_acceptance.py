@@ -261,7 +261,7 @@ def test_criterion_7_strichartz_suite(monkeypatch):
 
     # box example tracks N^{1/4} within a factor 2
     t_box = time.time()
-    _, box = strichartz.box_scaling_probe([4, 8, 16, 32], h=0.25)
+    box_rows, box = strichartz.box_scaling_probe([4, 8, 16, 32], h=0.25)
     t_box = time.time() - t_box
     assert box["spread_factor"] <= BOX_SPREAD_BOUND
 
@@ -303,7 +303,8 @@ def test_criterion_7_strichartz_suite(monkeypatch):
         f"quotient slope {summ['fitted_slope']:+.4f}, box spread {box['spread_factor']:.3f}, "
         f"hyperbolic slope {hyp['fitted_slope']:+.4f}, Galilean {gal:.1e}; "
         f"elliptic scan {t_ell:.1f}s, hyperbolic scan {t_hyp:.1f}s "
-        f"({ms_per_node:.2f} ms per time node at N=64), box probe {t_box:.1f}s, rest {rest:.1f}s",
+        f"({ms_per_node:.2f} ms per time node at N=64), box probe {t_box:.1f}s "
+        f"({'/'.join(str(r['n_t']) for r in box_rows)} time nodes), rest {rest:.1f}s",
         t0, 900,
     )
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from s3lab import bilinear, clebsch, cli
+from s3lab import bilinear, clebsch, cli, gates, strichartz
 from s3lab.reporting import file_sha256
 
 
@@ -191,6 +191,18 @@ def test_strichartz_quadrilinear_mode(tmp_path):
     assert r.returncode == 0, r.stderr
     summary = json.loads((tmp_path / "strichartz_quadrilinear.summary.json").read_text())["summary"]
     assert summary["relative_mismatch"] <= 0.02
+    # the periodic-exact time rule leaves only rounding
+    assert summary["relative_mismatch"] <= gates.PLANCHEREL_EXACT_TOL
+    assert summary["time_rule"] == "periodic-exact" and summary["n_nodes"] > 0
+
+
+def test_strichartz_quadrilinear_gate_is_the_exact_tolerance(tmp_path, monkeypatch):
+    # a 1e-9 mismatch passes the windowed rule's 2 % but not the exact rule's 1e-12
+    freq = strichartz.quadrilinear_form_frequency
+    monkeypatch.setattr(cli.strichartz, "quadrilinear_form_frequency",
+                        lambda p, k: freq(p, k) * (1 + 1e-9))
+    assert cli.main(["strichartz", "--mode", "quadrilinear", "--seed", "4",
+                     "--out", str(tmp_path)]) == 1
 
 
 @pytest.mark.parametrize("args,name", [
@@ -232,6 +244,85 @@ def test_strichartz_single_slab_config_keys(tmp_path, monkeypatch):
                      "--out", str(tmp_path / "out")])
     assert code == 2 and calls == []
     assert not (tmp_path / "out").exists()
+
+
+_BAD_SCAN_WINDOWS = [
+    [60, -60, 256], [5, 5, 256], [float("nan"), 60, 256], [-60, float("inf"), 256],
+    [-60, 60, 32], [-60, 60], [-60, 60, 256, 1], {"t_min": -60, "t_max": 60, "n_t": 256},
+]
+
+
+def _refuses_before_any_work(tmp_path, monkeypatch, capsys, mode, config):
+    calls = []
+    monkeypatch.setattr(cli.strichartz, "_weighted_quartic", lambda *a, **k: calls.append(a))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code = cli.main(["strichartz", "--mode", mode, "--config", str(path), "--out", str(out)])
+    assert code == 2 and calls == []
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window", _BAD_SCAN_WINDOWS)
+@pytest.mark.parametrize("mode", ["elliptic", "hyperbolic"])
+def test_strichartz_scans_refuse_a_bad_window(tmp_path, monkeypatch, capsys, mode, window):
+    err = _refuses_before_any_work(tmp_path, monkeypatch, capsys, mode,
+                                   {"Ns": [4, 8], "trials": 1, "window": window})
+    assert f"bad window {window!r}" in err
+
+
+_SLAB = {"xi0": [0.0, 0], "a": [1.0, 0.0], "c": 0.0, "M": 2, "N": 4}
+
+
+@pytest.mark.parametrize("window", [
+    {"t_min": 60, "t_max": -60}, {"t_max": float("nan")}, {"t_min": -float("inf")},
+    {"n_t": 32}, {"t_min": 70}, {"t_min": -60, "tmax": 60}, [-60, 60, 256],
+])
+def test_single_slab_run_refuses_a_bad_window(tmp_path, monkeypatch, capsys, window):
+    err = _refuses_before_any_work(tmp_path, monkeypatch, capsys, "elliptic",
+                                   {"slab": _SLAB, "trials": 1, "window": window})
+    assert f"bad window {window!r}" in err
+
+
+def test_single_slab_window_record_fills_defaults(tmp_path, monkeypatch):
+    seen = []
+
+    def fake_quotient(slab, delta, trials, seed, h, t_window):
+        seen.append(t_window)
+        return strichartz.QuotientReport(rows=(), max_quotient=1.0, argmax={}, warnings=())
+
+    monkeypatch.setattr(cli.strichartz, "strichartz_quotient", fake_quotient)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"slab": _SLAB, "window": {"t_min": -30, "n_t": 128}}))
+    assert cli.main(["strichartz", "--mode", "elliptic", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert seen == [(-30.0, 60.0, 128)]
+
+
+def test_strichartz_box_scaling_refuses_h_off_the_lattice(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli.strichartz, "box_scaling_probe", lambda *a, **k: calls.append(a))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"Ns": [2, 4], "h": 0.3}))
+    out = tmp_path / "out"
+    code = cli.main(["strichartz", "--mode", "box-scaling", "--config", str(config),
+                     "--out", str(out)])
+    assert code == 2 and calls == []
+    assert "h = 0.3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_strichartz_box_scaling_reports_the_exact_rule_nodes(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"Ns": [2, 4], "h": 0.5}))
+    r = run_cli(["strichartz", "--mode", "box-scaling", "--config", str(config),
+                 "--out", str(tmp_path)], tmp_path)
+    assert r.returncode == 0, r.stderr
+    lines = (tmp_path / "strichartz_box_scaling.csv").read_text().splitlines()
+    assert lines[0].split(",")[:2] == ["N", "n_t"]
+    # q (4 N^2 + 1) nodes with q = 1/h^2 = 4: the box's Lambda spread is 2 N^2
+    assert [line.split(",")[1] for line in lines[1:]] == ["68", "260"]
 
 
 def _lattice_summary(monkeypatch, summary):

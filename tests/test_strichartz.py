@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from hypothesis import given, settings, strategies as stn
 
 import s3lab.strichartz as st
@@ -228,12 +229,27 @@ def test_quartic_matches_direct_reference(name, dispersion, x2_torus):
 
 
 def test_box_quartic_at_anti_alias_nt_matches_reference():
-    # 39192 intervals of the N = 16 box span three time chunks, the last one short
+    # 39192 intervals of the N = 16 box span 40 time chunks of 992 nodes, the last one short
     p = st.box_packet(16, h=0.25)
     n_t = st.anti_alias_nt(p, 0, "elliptic", -60.0, 60.0)
     got = st.evolve_l4_norm(p, 0, "elliptic", (-60.0, 60.0, n_t)).quartic
     ref = _reference_quartic(p, 0, "elliptic", (-60.0, 60.0, n_t), False)
     assert abs(got - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("dispersion", ["elliptic", "hyperbolic"])
+def test_one_node_chunks_match_reference(dispersion):
+    # rows span 40 and columns 1620: Q P = 81 * 3267 exceeds the chunk
+    # budget, so every time chunk holds a single node
+    grid = st.FrequencyGrid(h=0.5, xi1_extent=405.0, xi2_min=-20, xi2_max=20)
+    rng = np.random.default_rng(17)
+    vals = np.zeros((41, 1621), dtype=complex)
+    vals[[0, 5, 20, 33, 40], [0, 400, 810, 1300, 1620]] = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    p = st.WavePacket(grid=grid, values=vals)
+    assert 81 * sfft.next_fast_len(2 * 1620 + 1) > st._CHUNK_ENTRIES
+    w = (-10.0, 10.0, 64)
+    got = st._weighted_quartic(p, 1, dispersion, w, x2_torus=True).quartic
+    assert abs(got - _reference_quartic(p, 1, dispersion, w, True)) <= 1e-12 * got
 
 
 @pytest.mark.parametrize("x2_torus", [False, True])
@@ -391,6 +407,125 @@ def test_plancherel_identity_and_refinement():
     assert abs(res2.quartic - freq2) / freq2 <= 0.005
 
 
+# -- the periodic-exact time rule -------------------------------------------------
+
+@pytest.mark.parametrize("seed,n_nodes,N,h,k", [
+    # criterion 7's Plancherel packets, then the benchmark's 64-node ones
+    (7, 28, 5.0, 0.5, 0), (8, 28, 5.0, 0.5, 0), (9, 28, 5.0, 0.5, 0), (7, 28, 5.0, 0.25, 0),
+    (1, 64, 6.0, 0.5, 0), (2, 64, 6.0, 0.5, 3), (3, 64, 6.0, 0.25, -2),
+    # q = 64: a period of 402 and a Lambda spread of 141 (18 112 nodes)
+    (7, 64, 12.0, 0.125, 0),
+])
+def test_exact_rule_equals_frequency_side(seed, n_nodes, N, h, k):
+    p = _random_packet(seed, n_nodes, N, h)
+    res = st.evolve_l4_norm_exact(p, k)
+    freq = st.quadrilinear_form_frequency(p, k)
+    assert abs(res.quartic - freq) <= 1e-12 * freq
+    assert res.truncation_rel == 0.0 and res.warnings == ()
+    q = round(1 / h**2)
+    assert res.n_nodes == round(q * (2 * st.lambda_spread(p, k, "elliptic") + 1))
+
+
+@pytest.mark.parametrize("q,n", [(1, 5), (4, 36), (16, 80), (64, 192)])
+def test_periodized_weight_is_the_poisson_sum_of_the_fejer_weight(q, n):
+    T = 2 * np.pi * q
+    ts = T * np.arange(n) / n
+    got = st._periodized_fejer(q, n)
+    K = 20_000
+    partial = np.zeros(n)
+    for k in range(-K, K + 1):
+        partial += st.fejer_weight(ts + k * T)
+    # phi_w(t) <= 8 / t^2 and |t + kT| >= (|k| - 1) T on [0, T), so the
+    # terms with |k| > K add at most 16 / (T^2 (K - 1))
+    tail = 16.0 / (T**2 * (K - 1))
+    assert np.all(got - partial >= -1e-12)
+    assert np.all(got - partial <= tail + 1e-12)
+    # the trapezoid rule integrates W_T exactly: its integral is that of phi_w
+    assert (T / n) * got.sum() == pytest.approx(st.FEJER_TOTAL, rel=1e-14)
+
+
+def _torus_frequency_side(p, k, dispersion):
+    """Oracle: (2 pi)^3 h^3 sum of phi_w_hat(<Lambda>) v1 v3 conj(v2 v4) over
+    all quadruples with xi1 and xi2 conserved, by a four-fold broadcast."""
+    cols, rows, vals = p.support()
+    xi2 = rows.astype(float)
+    lam = (p.grid.h * cols) ** 2 + (xi2**2 + k * xi2 if dispersion == "elliptic" else -(xi2**2))
+    a, b, c, d = np.ix_(*[np.arange(len(cols))] * 4)
+    keep = (cols[a] + cols[c] == cols[b] + cols[d]) & (rows[a] + rows[c] == rows[b] + rows[d])
+    terms = st.fejer_hat(lam[a] + lam[c] - lam[b] - lam[d]) * vals[a] * vals[c] * np.conj(vals[b] * vals[d])
+    return float(((2 * np.pi) ** 3 * p.grid.h**3 * np.sum(terms * keep)).real)
+
+
+@pytest.mark.parametrize("dispersion", ["elliptic", "hyperbolic"])
+@pytest.mark.parametrize("seed,h", [(21, 0.5), (22, 0.5), (23, 0.25)])
+def test_exact_torus_rule_equals_brute_force_frequency_side(seed, h, dispersion):
+    p = _random_packet(seed, n_nodes=12, N=3.0, h=h)
+    res = st._weighted_quartic(p, 1, dispersion, None, x2_torus=True)
+    ref = _torus_frequency_side(p, 1, dispersion)
+    assert abs(res.quartic - ref) <= 1e-12 * ref
+
+
+def test_exact_rule_galilean_shifts():
+    slab = st.SlabSpec(xi0=(0.0, 0), a=(0.6, 0.8), c=0.2, M=2.0, N=6.0)
+    grid = st.grid_for_slab(slab, h=0.25)
+    p = st.sample_slab_packet(slab, grid, "gaussian-random", 11)
+    base = st.evolve_l4_norm_exact(p, 4).quartic
+    for j in (1, -2):
+        shifted = st.evolve_l4_norm_exact(st.shift_packet_xi2(p, j), 4 - 2 * j).quartic
+        assert abs(shifted - base) <= 1e-12 * base
+    for steps in (3, -5):
+        shifted = st.evolve_l4_norm_exact(st.shift_packet_xi1(p, steps), 4).quartic
+        assert abs(shifted - base) <= 1e-12 * base
+
+
+@pytest.mark.parametrize("h,q", [(1.0, 1), (0.5, 4), (2**-0.5, 2), (0.125, 64), (1 / 3, 9)])
+def test_lattice_q(h, q):
+    assert st.lattice_q(h) == q
+
+
+@pytest.mark.parametrize("h", [0.3, 2.0, 0.0, -0.5, float("nan"), float("inf")])
+def test_lattice_q_refuses_steps_off_the_lattice(h):
+    with pytest.raises(ValueError, match="h\\^2 = 1/q"):
+        st.lattice_q(h)
+
+
+def test_exact_rule_refuses_before_any_work(monkeypatch):
+    calls = []
+    monkeypatch.setattr(st, "_support_lambda", lambda *a: calls.append(a))
+    monkeypatch.setattr(st, "_dft_phase_table", lambda *a: calls.append(a))
+    off = st.FrequencyGrid(h=0.3, xi1_extent=3.0, xi2_min=-2, xi2_max=2)
+    vals = np.zeros((5, 21), dtype=complex)
+    vals[2, 10] = 1.0
+    with pytest.raises(ValueError, match="h\\^2 = 1/q"):
+        st.evolve_l4_norm_exact(st.WavePacket(grid=off, values=vals))
+    empty = st.FrequencyGrid(h=0.5, xi1_extent=3.0, xi2_min=-2, xi2_max=2)
+    with pytest.raises(ValueError, match="empty packet"):
+        st.evolve_l4_norm_exact(st.WavePacket(grid=empty, values=np.zeros((5, 13))))
+    with pytest.raises(ValueError, match="empty packet"):
+        st._weighted_quartic(st.WavePacket(grid=empty, values=np.zeros((5, 13))), 0, "hyperbolic",
+                             None, x2_torus=True)
+    monkeypatch.setattr(st, "box_packet", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="h\\^2 = 1/q"):
+        st.box_scaling_probe([2, 4], h=0.3)
+    assert calls == []
+
+
+def test_evolve_l4_norm_needs_a_window():
+    with pytest.raises(ValueError, match="evolve_l4_norm_exact"):
+        st.evolve_l4_norm(_single_node_packet(), 0, "elliptic", None)
+
+
+@pytest.mark.parametrize("n,j0,j1", [(7, 0, 7), (4100, 0, 65), (4100, 4000, 4100), ((1 << 20) + 7, 999_000, 1_000_001)])
+def test_dft_phase_table_is_exact(n, j0, j1):
+    # the reference reduces j m mod n with Python integers, then takes one exp
+    m = np.array([0, 1, -3, 17, n - 1, 5 * n + 2, -(1 << 50) - 7], dtype=np.int64)
+    table = st._dft_phase_table(j0, j1, n, m, 0.5)
+    ref = np.array([[0.5 * np.exp(-2j * np.pi * ((j * int(mm)) % n) / n) for mm in m]
+                    for j in range(j0, j1)])
+    assert table.shape == (j1 - j0, len(m))
+    assert np.max(np.abs(table - ref)) <= 1e-14
+
+
 def test_galilean_invariance():
     slab = st.SlabSpec(xi0=(0.0, 0), a=(0.6, 0.8), c=0.2, M=2.0, N=6.0)
     grid = st.grid_for_slab(slab, h=0.25)
@@ -469,7 +604,7 @@ def test_box_packet_and_probe():
     cols, rows, _ = p.support()
     assert rows.min() == -4 and rows.max() == 4
     assert abs(p.grid.h * cols).max() == pytest.approx(4.0)
-    rows_, summary = st.box_scaling_probe([2, 4], h=0.5, t_span=(-30.0, 30.0))
+    rows_, summary = st.box_scaling_probe([2, 4], h=0.5)
     assert summary["spread_factor"] < 2.0
 
 
