@@ -164,14 +164,24 @@ def _run_lattice_scan(params: dict, out_dir: Path) -> int:
     lemma, seed = params["lemma"], params["seed"]
     kwargs = {}
     if lemma == "5.1":
+        count = "n_queries"
         kwargs["n_queries"] = params.get("n_queries", 10000)
     elif lemma in ("5.2a", "5.2b"):
+        count = "per_n"
         kwargs["Ns"] = params.get("Ns", [64, 128, 256, 512])
         kwargs["per_n"] = params.get("per_n", 500)
     else:
+        count = "per_config"
         kwargs["Ns"] = params.get("Ns", [64, 128, 256, 512, 1024])
         kwargs["delta"] = params.get("delta", 0.1)
         kwargs["per_config"] = params.get("per_config", 3)
+    # refuse before any work, as for a one-N fit: a gate over no samples
+    # would pass on nothing
+    try:
+        lattice.check_count(count, kwargs[count])
+    except ValueError as exc:
+        print(f"the scan would gate on no samples: {exc}", file=sys.stderr)
+        return 2
     if "Ns" in kwargs and not _fit_ns_ok(kwargs["Ns"]):
         return 2
     rows, summary = lattice.scan_constants(lemma, seed, **kwargs)

@@ -12,8 +12,14 @@ is the one-element call of its kernel:
 * the quadric and hyperbola counters take a batch of (k, C) pairs at one N
   and enumerate one coordinate exactly in int64 (O(N) per pair, whatever
   |C| is; inputs outside the int64-safe range are refused up front);
-* the resonant-set measure sums, for every row m at once, a trapezoid in
-  n in closed form (O(N) per query).
+* the resonant-set measure takes a batch of (l, k, C) queries at one N and
+  sums, over a (queries x rows m) grid at once, a trapezoid in n in closed
+  form (O(N) per query).
+
+The scans draw their samples from one seeded generator: lemma 5.1 draws
+each parameter as one array, lemmas 5.2 and 5.3 one query at a time, and
+every scan measures its samples in one kernel call, or one per N.  A
+sample count below 1 is refused before any work.
 
 The "up to a constant" cutoffs in the set definitions are instantiated as
 1 (exposed as a slack parameter), and |m - k| <~ N is instantiated as
@@ -218,9 +224,9 @@ class SetBQuery:
             raise ValueError(f"l={self.l} exceeds the cap M^(1-4d) N^(4d) = {cap:.6g}")
 
 
-def _n_range(m: np.ndarray, lo: float, hi: float, n_min: int, n_max: int):
+def _n_range(m: np.ndarray, lo, hi, n_min: int, n_max: int):
     """First n and count of the n in [n_min, n_max] with lo <= m n < hi, per
-    row m != 0."""
+    row m != 0; lo and hi broadcast against m."""
     mf = m.astype(float)
     pos = m > 0
     first = np.where(pos, np.ceil(lo / mf), np.floor(hi / mf) + 1.0)
@@ -230,11 +236,12 @@ def _n_range(m: np.ndarray, lo: float, hi: float, n_min: int, n_max: int):
     return first, np.maximum(last - first + 1, 0).astype(float)
 
 
-def setB_measure(q: SetBQuery, slack: float = 1.0) -> float:
-    """Exact measure of the resonant set: the sum over admissible (m, n) of
-    the length of {|x| <= 2l} intersected with {|lx + mn + C| <= slack}.
+def setB_measures(ls, ks, Cs, N: int, slack: float = 1.0) -> np.ndarray:
+    """Exact measures of a batch of resonant sets at one N, one per query
+    (l, k, C): the sum over admissible (m, n) of the length of {|x| <= 2l}
+    intersected with {|lx + mn + C| <= slack}.
 
-    Closed form, O(N) per call with no loop over m.  With c = -(mn + C)/l
+    Closed form, O(N) per query with no loop over m.  With c = -(mn + C)/l
     and h = slack/l a pair contributes the trapezoid
     f(c) = clip(2l + h - |c|, 0, 2 min(h, 2l)).  In u = mn the rising ramp,
     the plateau and the falling ramp are the half-open ranges
@@ -246,30 +253,47 @@ def setB_measure(q: SetBQuery, slack: float = 1.0) -> float:
     without subtracting it); adjacent pieces share their breakpoint, so they
     partition the n.  A ramp sums as an arithmetic series taken from its
     first n, cnt v_first + s cnt (cnt - 1)/2 with s = -+m/l, so no
-    |C|/l-sized terms cancel.  m = 0 is not a row.  Rows are taken in blocks
-    of at most _BLOCK.
+    |C|/l-sized terms cancel.  The rows m = k - N .. k + N of all queries
+    form one (queries x rows) grid, taken in tiles of at most _BLOCK
+    entries; m = 0 is not a row and is masked out.  N < 1 or slack <= 0
+    gives zeros.
     """
-    N = int(q.N)
-    l, C = float(q.l), float(q.C)
+    ls = np.asarray(ls, dtype=float).ravel()
+    Cs = np.asarray(Cs, dtype=float).ravel()
+    ks = np.array([operator.index(k) for k in ks], dtype=np.int64)
+    if not len(ls) == len(ks) == len(Cs):
+        raise ValueError(f"{len(ls)} l values, {len(ks)} k values and {len(Cs)} C values")
+    N = int(N)
+    out = np.zeros(len(ls))
     if N < 1 or not slack > 0.0:
-        return 0.0
-    top = 2.0 * l * l + slack
-    gap = abs(2.0 * l * l - slack)
-    plateau = 2.0 * min(slack, 2.0 * l * l) / l
-    U1, U2, U3, U4 = top - C, gap - C, -gap - C, -top - C
-    total = 0.0
-    for start in range(q.k - N, q.k + N + 1, _BLOCK):
-        m = np.arange(start, min(start + _BLOCK, q.k + N + 1), dtype=np.int64)
-        m = m[m != 0]
-        step = m.astype(float) / l
+        return out
+    top = 2.0 * ls * ls + slack
+    gap = np.abs(2.0 * ls * ls - slack)
+    plateau = 2.0 * np.minimum(slack, 2.0 * ls * ls) / ls
+    U1, U2, U3, U4 = top - Cs, gap - Cs, -gap - Cs, -top - Cs
+    j = np.arange(-N, N + 1, dtype=np.int64)
+    for rows, cols in _tiles(len(ls), len(j)):
+        l, p = ls[rows, None], plateau[rows, None]
+        u1, u2, u3, u4 = U1[rows, None], U2[rows, None], U3[rows, None], U4[rows, None]
+        m = ks[rows, None] + j[None, cols]
+        row = m != 0
+        m[~row] = 1  # a stand-in row; row masks it out
+        step = m / l
+        total = np.zeros(m.shape)
         for n_min, n_max in ((-N, -1), (1, N)):
-            first, cnt = _n_range(m, U2, U1, n_min, n_max)
-            rising = cnt * ((U1 - (m * first)) / l) - step * (cnt * (cnt - 1.0) / 2.0)
-            _, flat = _n_range(m, U3, U2, n_min, n_max)
-            first, cnt = _n_range(m, U4, U3, n_min, n_max)
-            falling = cnt * (((m * first) - U4) / l) + step * (cnt * (cnt - 1.0) / 2.0)
-            total += float(rising.sum() + plateau * flat.sum() + falling.sum())
-    return total
+            first, cnt = _n_range(m, u2, u1, n_min, n_max)
+            total += cnt * ((u1 - (m * first)) / l) - step * (cnt * (cnt - 1.0) / 2.0)
+            _, flat = _n_range(m, u3, u2, n_min, n_max)
+            total += p * flat
+            first, cnt = _n_range(m, u4, u3, n_min, n_max)
+            total += cnt * (((m * first) - u4) / l) + step * (cnt * (cnt - 1.0) / 2.0)
+        out[rows] += np.sum(total, axis=1, where=row)
+    return out
+
+
+def setB_measure(q: SetBQuery, slack: float = 1.0) -> float:
+    """Exact measure of one resonant set; the one-query call of setB_measures."""
+    return float(setB_measures([q.l], [q.k], [q.C], q.N, slack)[0])
 
 
 def setB_measure_monte_carlo(q: SetBQuery, slack: float, n_samples: int, seed) -> tuple[float, float]:
@@ -288,27 +312,33 @@ def setB_measure_monte_carlo(q: SetBQuery, slack: float, n_samples: int, seed) -
 
 # -- scans --------------------------------------------------------------------
 
+def check_count(name: str, count) -> None:
+    """Refuse a scan sample count below 1: a gate over no samples would pass
+    on nothing."""
+    if not count >= 1:
+        raise ValueError(f"{name} must be >= 1; got {count}")
+
+
 def scan_lemma51(n_queries: int, seed) -> tuple[list, dict]:
-    """Worst-case ratio measure / K over random annulus queries, drawn one
-    query at a time and measured in one batch."""
+    """Worst-case ratio measure / K over random annulus queries.
+
+    C ~ U(-10, 1e6), K ~ U(1, 1e3) and the integer xi2_center ~ U{-1000..1000}
+    are each drawn as one array, in that order, and measured in one batch;
+    the center drops out of the measure and is reported only.
+    """
+    check_count("n_queries", n_queries)
     rng = np.random.default_rng(seed)
-    Cs, Ks = np.empty(n_queries), np.empty(n_queries)
-    xi2cs = np.empty(n_queries, dtype=np.int64)
-    for i in range(n_queries):
-        Cs[i] = rng.uniform(-10.0, 1e6)
-        Ks[i] = rng.uniform(1.0, 1e3)
-        xi2cs[i] = rng.integers(-1000, 1001)
-        rng.uniform(-10, 10)  # the first center coordinate, which the measure ignores
+    Cs = rng.uniform(-10.0, 1e6, n_queries)
+    Ks = rng.uniform(1.0, 1e3, n_queries)
+    xi2cs = rng.integers(-1000, 1001, n_queries)
     values = annulus_measures(Cs, Ks)
-    rows = []
-    worst = (0.0, None)
-    for i, (C, K, xi2c, val) in enumerate(zip(Cs.tolist(), Ks.tolist(), xi2cs.tolist(),
-                                              values.tolist())):
-        ratio = val / K
-        rows.append({"lemma": "5.1", "C": C, "K": K, "xi2_center": xi2c,
-                     "value": val, "normalized_ratio": ratio})
-        if ratio > worst[0]:
-            worst = (ratio, i)
+    ratios = values / Ks
+    rows = [{"lemma": "5.1", "C": C, "K": K, "xi2_center": xi2c,
+             "value": val, "normalized_ratio": ratio}
+            for C, K, xi2c, val, ratio in zip(Cs.tolist(), Ks.tolist(), xi2cs.tolist(),
+                                              values.tolist(), ratios.tolist())]
+    i = int(np.argmax(ratios))
+    worst = (float(ratios[i]), i) if ratios[i] > 0.0 else (0.0, None)
     summary = {"lemma": "5.1", "queries": n_queries,
                "max_ratio": worst[0], "argmax_index": worst[1]}
     return rows, summary
@@ -344,6 +374,7 @@ def scan_lemma52(Ns: list, per_n: int, seed, variant: str = "quadric") -> tuple[
     """
     if variant not in ("quadric", "hyperbola"):
         raise ValueError("variant must be 'quadric' or 'hyperbola'")
+    check_count("per_n", per_n)
     check_fit_xs(Ns)
     counter = count_quadric_batch if variant == "quadric" else count_hyperbola_batch
     rng = np.random.default_rng(seed)
@@ -387,18 +418,22 @@ def _lemma53_lvalues(N: int, M: float, delta: float) -> list:
 def scan_lemma53(Ns: list, delta: float, per_config: int, seed, slack: float = 1.0) -> tuple[list, dict]:
     """Worst-case scan of measure / ((M/N)^(4 delta) N) over the grid.
 
-    Per-N maxima over a handful of random (k, C) draws are too noisy for a
-    five-point trend fit (a lucky resonance window swings the slope by O(1)),
-    so the reported slope is fitted in log space to the top-decile mean of
-    the normalized ratios per N; the raw maxima per N and per proof case
-    (a: l ~ 1, b: l up to sqrt(N), c: beyond) are reported alongside.
+    The (k, C) draws are made one query at a time, in grid order, and each
+    N's queries are measured in one setB_measures call.  Per-N maxima over a
+    handful of random (k, C) draws are too noisy for a five-point trend fit
+    (a lucky resonance window swings the slope by O(1)), so the reported
+    slope is fitted in log space to the top-decile mean of the normalized
+    ratios per N; the raw maxima per N and per proof case (a: l ~ 1, b: l up
+    to sqrt(N), c: beyond) are reported alongside.
     """
+    check_count("per_config", per_config)
     check_fit_xs(Ns)
     rng = np.random.default_rng(seed)
     rows = []
     per_n_ratios = {N: [] for N in Ns}
     case_max = {"a": 0.0, "b": 0.0, "c": 0.0}
     for N in Ns:
+        queries = []
         M = 1.0
         while M <= N:
             for l, case in _lemma53_lvalues(N, M, delta):
@@ -411,15 +446,18 @@ def scan_lemma53(Ns: list, delta: float, per_config: int, seed, slack: float = 1
                         n0 = int(rng.integers(1, int(N) + 1))
                         x0 = float(rng.uniform(-2 * l, 2 * l))
                         C = -(l * x0 + m0 * n0) + float(rng.uniform(-0.5, 0.5))
-                    q = SetBQuery(l=l, k=k, C=C, M=M, N=float(N), delta=delta)
-                    val = setB_measure(q, slack=slack)
-                    ratio = val / ((M / N) ** (4.0 * delta) * N)
-                    rows.append({"lemma": "5.3", "case": case, "N": N, "M": M,
-                                 "l": l, "k": k, "C": C, "value": val,
-                                 "normalized_ratio": ratio})
-                    per_n_ratios[N].append(ratio)
-                    case_max[case] = max(case_max[case], ratio)
+                    queries.append((SetBQuery(l=l, k=k, C=C, M=M, N=float(N), delta=delta),
+                                    case))
             M *= 2.0
+        values = setB_measures([q.l for q, _ in queries], [q.k for q, _ in queries],
+                               [q.C for q, _ in queries], N, slack=slack).tolist()
+        for (q, case), val in zip(queries, values):
+            ratio = val / ((q.M / N) ** (4.0 * delta) * N)
+            rows.append({"lemma": "5.3", "case": case, "N": N, "M": q.M,
+                         "l": q.l, "k": q.k, "C": q.C, "value": val,
+                         "normalized_ratio": ratio})
+            per_n_ratios[N].append(ratio)
+            case_max[case] = max(case_max[case], ratio)
     max_per_n = {N: max(v) for N, v in per_n_ratios.items()}
     decile = []
     for N in Ns:

@@ -194,21 +194,29 @@ def test_criterion_5_multilinear_corollary():
 
 def test_criterion_6_lattice_lemma_scans():
     t0 = time.time()
-    _, s51 = lattice.scan_constants("5.1", seed=3, n_queries=10000)
+    scan_s = {}
+
+    def timed_scan(lemma, **kwargs):
+        start = time.time()
+        _, summary = lattice.scan_constants(lemma, seed=3, **kwargs)
+        scan_s[lemma] = time.time() - start
+        return summary
+
+    s51 = timed_scan("5.1", n_queries=10000)
     assert s51["max_ratio"] <= ANNULUS_BOUND
-    _, s52a = lattice.scan_constants("5.2a", seed=3, Ns=[64, 128, 256, 512], per_n=1000)
-    _, s52b = lattice.scan_constants("5.2b", seed=3, Ns=[64, 128, 256, 512], per_n=1000)
+    s52a = timed_scan("5.2a", Ns=[64, 128, 256, 512], per_n=1000)
+    s52b = timed_scan("5.2b", Ns=[64, 128, 256, 512], per_n=1000)
     assert s52a["fitted_exponent"] <= EXPONENT_BOUND
     assert s52b["fitted_exponent"] <= EXPONENT_BOUND
-    _, s53 = lattice.scan_constants("5.3", seed=3, Ns=[64, 128, 256, 512, 1024],
-                                    delta=0.1, per_config=4)
+    s53 = timed_scan("5.3", Ns=[64, 128, 256, 512, 1024], delta=0.1, per_config=4)
     assert s53["fitted_slope"] <= SLOPE_BOUND
     assert max(s53["max_ratio_per_N"].values()) <= SETB_BOUND
     _report(
         6,
         f"5.1 max {s51['max_ratio']:.3f}, 5.2 exponents {s52a['fitted_exponent']:+.3f}/"
         f"{s52b['fitted_exponent']:+.3f}, 5.3 slope {s53['fitted_slope']:+.4f} "
-        f"(cases {sorted(s53['case_max'])})",
+        f"(cases {sorted(s53['case_max'])}); scans "
+        + ", ".join(f"{lemma} {t:.2f}s" for lemma, t in scan_s.items()),
         t0, 300,
     )
 

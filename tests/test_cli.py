@@ -150,6 +150,21 @@ def test_lattice_scan_refuses_a_one_point_fit(tmp_path):
     assert not list(tmp_path.glob("lattice_5_2b.*"))
 
 
+@pytest.mark.parametrize("args,count", [
+    (["--lemma", "5.1", "--n-queries", "0"], "n_queries"),
+    (["--lemma", "5.2a", "--per-n", "0"], "per_n"),
+    (["--lemma", "5.2b", "--per-n", "-2"], "per_n"),
+    (["--lemma", "5.3", "--per-config", "0"], "per_config"),
+])
+def test_lattice_scan_refuses_an_empty_sample(tmp_path, monkeypatch, capsys, args, count):
+    # a gate over no samples would pass on nothing: exit 2, no outputs
+    calls = []
+    monkeypatch.setattr(cli.lattice, "scan_constants", lambda *a, **k: calls.append(a))
+    assert cli.main(["lattice-scan", *args, "--out", str(tmp_path)]) == 2
+    assert f"{count} must be >= 1" in capsys.readouterr().err
+    assert calls == [] and not list(tmp_path.iterdir())
+
+
 def test_strichartz_hyperbolic_refuses_a_one_point_fit(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"Ns": [4]}))

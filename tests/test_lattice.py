@@ -19,6 +19,7 @@ from s3lab.lattice import (
     scan_constants,
     setB_measure,
     setB_measure_monte_carlo,
+    setB_measures,
 )
 
 SETTINGS = dict(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -370,7 +371,7 @@ def test_hyperbola_work_is_capped_by_the_box():
 
 
 @pytest.mark.parametrize("lemma,kwargs,kernel", [
-    ("5.3", dict(Ns=[256], per_config=2), "setB_measure"),
+    ("5.3", dict(Ns=[256], per_config=2), "setB_measures"),
     ("5.2a", dict(Ns=[64, 64], per_n=5), "count_quadric_batch"),
     ("5.2b", dict(Ns=[64], per_n=5), "count_hyperbola_batch"),
 ])
@@ -380,3 +381,66 @@ def test_scans_refuse_a_single_N_before_any_work(monkeypatch, lemma, kwargs, ker
     with pytest.raises(ValueError, match="two distinct"):
         scan_constants(lemma, seed=3, **kwargs)
     assert calls == []
+
+
+@pytest.mark.parametrize("lemma,kwargs,count,kernel", [
+    ("5.1", dict(n_queries=0), "n_queries", "annulus_measures"),
+    ("5.2a", dict(Ns=[16, 32], per_n=0), "per_n", "count_quadric_batch"),
+    ("5.2b", dict(Ns=[16, 32], per_n=-1), "per_n", "count_hyperbola_batch"),
+    ("5.3", dict(Ns=[16, 32], per_config=0), "per_config", "setB_measures"),
+])
+def test_scans_refuse_an_empty_sample_before_any_work(monkeypatch, lemma, kwargs, count, kernel):
+    # a gate over no samples would pass on nothing
+    calls = []
+    monkeypatch.setattr(lattice, kernel, lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match=f"{count} must be >= 1"):
+        scan_constants(lemma, seed=3, **kwargs)
+    assert calls == []
+
+
+def test_lemma51_scan_rows_are_the_batch_measures_of_their_draws():
+    rows, summary = scan_constants("5.1", seed=5, n_queries=300)
+    assert len(rows) == summary["queries"] == 300
+    values = annulus_measures([r["C"] for r in rows], [r["K"] for r in rows])
+    for r, v in zip(rows, values):
+        assert -10.0 <= r["C"] < 1e6 and 1.0 <= r["K"] < 1e3
+        assert type(r["xi2_center"]) is int and -1000 <= r["xi2_center"] <= 1000
+        assert r["value"] == pytest.approx(float(annulus_measures([r["C"]], [r["K"]])[0]),
+                                           rel=1e-14, abs=0.0)
+        assert r["value"] == v
+        assert r["normalized_ratio"] == r["value"] / r["K"]
+    ratios = [r["normalized_ratio"] for r in rows]
+    assert summary["max_ratio"] == max(ratios)
+    assert summary["argmax_index"] == ratios.index(max(ratios))
+    assert scan_constants("5.1", seed=5, n_queries=300) == (rows, summary)
+    assert scan_constants("5.1", seed=6, n_queries=300)[0] != rows
+
+
+@pytest.mark.parametrize("N", [16, 64, 512])
+def test_setB_batch_matches_one_query_calls(monkeypatch, N):
+    rng = np.random.default_rng(N)
+    queries = []
+    # k = 0 and k = N: the m-range straddles 0 (or ends at it); k = -3N and
+    # k = 3N: one sign of m only
+    for k in (0, 5, N, -3 * N, 3 * N):
+        for l in (1.0, 2.0, 0.5 * math.sqrt(N) + 1.0):
+            m0, n0 = int(rng.integers(1, N + 1)), int(rng.integers(1, N + 1))
+            for C in (float(rng.uniform(-N * N, N * N)), -(m0 * n0) + 0.3, 0.7):
+                queries.append(SetBQuery(l=l, k=k, C=C, M=float(N), N=float(N)))
+    ls, ks, Cs = ([getattr(q, f) for q in queries] for f in ("l", "k", "C"))
+    for slack in (0.3, 1.0, 40.0):
+        batch = setB_measures(ls, ks, Cs, N, slack)
+        assert batch.shape == (len(queries),)
+        for q, v in zip(queries, batch):
+            assert v == pytest.approx(setB_measure(q, slack), rel=1e-14, abs=0.0)
+        # tiles of N // 3 entries: each query's rows split over about six tiles
+        monkeypatch.setattr(lattice, "_BLOCK", N // 3)
+        assert np.allclose(setB_measures(ls, ks, Cs, N, slack), batch, rtol=1e-14, atol=0.0)
+        monkeypatch.undo()
+    if N == 16:
+        for q, v in zip(queries, setB_measures(ls, ks, Cs, N, 1.0)):
+            assert v == pytest.approx(float(brute_setB_exact(q, 1.0)), rel=1e-13, abs=0.0)
+    for slack in (0.0, -1.0):
+        assert setB_measures(ls, ks, Cs, N, slack).tolist() == [0.0] * len(queries)
+    with pytest.raises(ValueError):
+        setB_measures([1.0, 2.0], [0], [0.5, 0.5], N)
