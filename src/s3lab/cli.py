@@ -4,6 +4,11 @@ reproducible seed and machine-readable CSV + JSON output.
 Exit codes: 0 success, 1 invariant or construction failure, 2 invalid
 arguments.  Re-running a saved manifest (``s3lab rerun x.manifest.json``)
 reproduces the data outputs byte for byte.
+
+Each ``strichartz`` mode and each ``lattice-scan`` lemma is one ``_Entry`` of
+a table: the parser's choices, the key and pre-work checks, the CSV header
+and the runner all read it.  Every subcommand's exit code comes from
+``_gate``.
 """
 
 from __future__ import annotations
@@ -11,25 +16,38 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import bilinear, gates, lattice, strichartz
 from .clebsch import CGConstructionError, cg_decompose, verify_orthogonality
-from .fitting import check_fit_xs
+from .fitting import check_count, check_fit_xs
 from .reporting import build_manifest, default_out_dir, write_run_outputs
 
 
-def _fit_ns_ok(Ns) -> bool:
-    """Whether a slope fitted over log N is defined: it needs two or more
-    distinct N.  Says why on stderr when it is not."""
-    try:
-        check_fit_xs(Ns)
-    except ValueError as exc:
-        print(f"the fit over N = {list(Ns)} is undefined: {exc}", file=sys.stderr)
-        return False
-    return True
+def _gate(checks) -> int:
+    """1 if any (what, value, bound) check breaks value <= bound, naming each
+    breach with its value and bound on stderr; 0 otherwise."""
+    code = 0
+    for what, value, bound in checks:
+        # "not <=" makes a NaN value a breach
+        if not value <= bound:
+            print(f"{what} {value:.4g} exceeds {bound:g}", file=sys.stderr)
+            code = 1
+    return code
+
+
+def _finish(subcommand: str, params: dict, seed, out_dir: Path, name: str, header: list,
+            result: tuple, note: str = "") -> int:
+    """Write a run's (rows, summary) outputs, then gate its checks."""
+    rows, summary, checks = result
+    paths = write_run_outputs(out_dir, name, header, rows, summary,
+                              build_manifest(subcommand, params, seed=seed))
+    print(f"wrote {paths['csv']}{note}")
+    return _gate(checks)
 
 
 def _run_cg_table(params: dict, out_dir: Path) -> int:
@@ -53,21 +71,17 @@ def _run_cg_table(params: dict, out_dir: Path) -> int:
         "dimension_identity": table.dimension_identity(),
         **report,
     }
-    manifest = build_manifest("cg-table", params, seed=None)
-    name = f"cg_table_m{m}_n{n}"
-    paths = write_run_outputs(out_dir, name, ["m", "n", "k", "gamma", "alpha", "beta", "value"],
-                              rows, summary, manifest)
-    if params.get("format") == "json":
-        table.to_json(out_dir / f"{name}.table.json")
-    print(f"wrote {paths['csv']}  (defects: row {report['max_row_defect']:.3g}, "
-          f"col {report['max_col_defect']:.3g})")
     # np.max propagates a NaN; the builtin may drop it
     worst = float(np.max([report["max_row_defect"], report["max_col_defect"]]))
-    if not worst <= gates.CG_DEFECT_BOUND:
-        print(f"orthogonality defect {worst:.3g} beyond {gates.CG_DEFECT_BOUND:g}",
-              file=sys.stderr)
-        return 1
-    return 0
+    name = f"cg_table_m{m}_n{n}"
+    code = _finish("cg-table", params, None, out_dir, name,
+                   ["m", "n", "k", "gamma", "alpha", "beta", "value"],
+                   (rows, summary, [("orthogonality defect", worst, gates.CG_DEFECT_BOUND)]),
+                   f"  (defects: row {report['max_row_defect']:.3g}, "
+                   f"col {report['max_col_defect']:.3g})")
+    if params.get("format") == "json":
+        table.to_json(out_dir / f"{name}.table.json")
+    return code
 
 
 def _run_bilinear_verify(params: dict, out_dir: Path) -> int:
@@ -108,6 +122,7 @@ def _run_bilinear_verify(params: dict, out_dir: Path) -> int:
         "fitted_slope": slope,
         "cell_max": {f"{m},{n}": v for (m, n), v in cell_max.items()},
     }
+    checks = [("C*", c_star, gates.C_STAR_BOUND), ("|slope|", abs(slope), gates.SLOPE_BOUND)]
     if params.get("cross_check"):
         from .su2 import haar_quadrature
 
@@ -126,85 +141,82 @@ def _run_bilinear_verify(params: dict, out_dir: Path) -> int:
         worst = float(np.max(rels))
         summary["quadrature_cross_check_rel"] = worst
         summary["quadrature_cross_check_ok"] = bool(worst <= gates.CROSS_CHECK_TOL)
+        checks.append(("quadrature cross-check gap", worst, gates.CROSS_CHECK_TOL))
     if params.get("zonal"):
         zr = {n: bilinear.zonal_ratio(n) for n in range(1, params["zonal_n_max"] + 1)}
         summary["zonal_ratios"] = {str(n): v for n, v in zr.items()}
         summary["zonal_min"] = float(np.min(list(zr.values())))
-    manifest = build_manifest("bilinear-verify", params, seed=seed)
-    paths = write_run_outputs(out_dir, "bilinear_verify", ["m", "n", "seed", "ratio"],
-                              rows, summary, manifest)
-    print(f"wrote {paths['csv']}  (C* = {summary['C_star']:.6g}, slope = {slope:.4f})")
-    if not (np.isfinite(c_star) and np.isfinite(slope)):
-        print(f"non-finite result: C* = {c_star}, slope = {slope}", file=sys.stderr)
-        return 1
-    if abs(slope) > gates.SLOPE_BOUND:
-        print(f"no-growth assertion failed: |slope| = {abs(slope):.4f} > {gates.SLOPE_BOUND}",
-              file=sys.stderr)
-        return 1
-    if params.get("cross_check") and not summary["quadrature_cross_check_ok"]:
-        print(f"quadrature cross-check failed: worst relative gap "
-              f"{summary['quadrature_cross_check_rel']} (tolerance {gates.CROSS_CHECK_TOL})",
-              file=sys.stderr)
-        return 1
-    if params.get("zonal") and not np.isfinite(summary["zonal_min"]):
-        print(f"non-finite zonal minimum: {summary['zonal_min']}", file=sys.stderr)
-        return 1
-    return 0
+        # finite: at most the largest float
+        checks.append(("|zonal minimum|", abs(summary["zonal_min"]), sys.float_info.max))
+    return _finish("bilinear-verify", params, seed, out_dir, "bilinear_verify",
+                   ["m", "n", "seed", "ratio"], (rows, summary, checks),
+                   f"  (C* = {c_star:.6g}, slope = {slope:.4f})")
 
 
-_LATTICE_HEADERS = {
-    "5.1": ["lemma", "C", "K", "xi2_center", "value", "normalized_ratio"],
-    "5.2a": ["lemma", "N", "k", "C", "value", "normalized_ratio"],
-    "5.2b": ["lemma", "N", "k", "C", "value", "normalized_ratio"],
-    "5.3": ["lemma", "case", "N", "M", "l", "k", "C", "value", "normalized_ratio"],
+class _Entry(NamedTuple):
+    """One strichartz mode or lattice lemma."""
+
+    keys: dict  # every key the run reads, with its default
+    header: list  # CSV header
+    run: Callable  # (args, seed) -> (rows, summary, [(what, value, bound)])
+    checks: dict = {}  # key -> check run before any work; returns the value to run with
+
+
+def _run_entry(subcommand: str, entry: _Entry, params: dict, out_dir: Path, name: str) -> int:
+    """Read the entry's keys from params, defaults filled in; check them
+    before any work (exit 2, naming the key and its value); run, write and
+    gate."""
+    args = {key: params.get(key, default) for key, default in entry.keys.items()}
+    for key, check in entry.checks.items():
+        try:
+            args[key] = check(args[key])
+        except ValueError as exc:
+            print(f"bad {key} {args[key]!r}: {exc}", file=sys.stderr)
+            return 2
+    seed = params["seed"]
+    return _finish(subcommand, params, seed, out_dir, name, entry.header, entry.run(args, seed))
+
+
+def _scan(lemma: str, gate: Callable) -> Callable:
+    """The runner of one lattice lemma: its scan, then gate(summary)."""
+    def run(args, seed):
+        rows, summary = lattice.scan_constants(lemma, seed, **args)
+        return rows, summary, gate(summary)
+    return run
+
+
+def _lemma53_gate(summary):
+    # np.max propagates a NaN; the builtin max may drop it
+    worst = float(np.max(list(summary["max_ratio_per_N"].values())))
+    return [("fitted slope", summary["fitted_slope"], gates.SLOPE_BOUND),
+            ("largest normalized ratio", worst, gates.SETB_BOUND)]
+
+
+def _lemma52(variant: str) -> _Entry:
+    return _Entry({"Ns": (64, 128, 256, 512), "per_n": 500},
+                  ["lemma", "N", "k", "C", "value", "normalized_ratio"],
+                  _scan(variant, lambda s: [("fitted exponent", s["fitted_exponent"],
+                                             gates.EXPONENT_BOUND)]),
+                  {"per_n": partial(check_count, "per_n"), "Ns": check_fit_xs})
+
+
+_LEMMAS = {
+    "5.1": _Entry({"n_queries": 10000}, ["lemma", "C", "K", "xi2_center", "value", "normalized_ratio"],
+                  _scan("5.1", lambda s: [("measure/K ratio", s["max_ratio"], gates.ANNULUS_BOUND)]),
+                  {"n_queries": partial(check_count, "n_queries")}),
+    "5.2a": _lemma52("5.2a"),
+    "5.2b": _lemma52("5.2b"),
+    "5.3": _Entry({"Ns": (64, 128, 256, 512, 1024), "delta": 0.1, "per_config": 3},
+                  ["lemma", "case", "N", "M", "l", "k", "C", "value", "normalized_ratio"],
+                  _scan("5.3", _lemma53_gate),
+                  {"per_config": partial(check_count, "per_config"), "Ns": check_fit_xs}),
 }
 
 
 def _run_lattice_scan(params: dict, out_dir: Path) -> int:
-    lemma, seed = params["lemma"], params["seed"]
-    kwargs = {}
-    if lemma == "5.1":
-        count = "n_queries"
-        kwargs["n_queries"] = params.get("n_queries", 10000)
-    elif lemma in ("5.2a", "5.2b"):
-        count = "per_n"
-        kwargs["Ns"] = params.get("Ns", [64, 128, 256, 512])
-        kwargs["per_n"] = params.get("per_n", 500)
-    else:
-        count = "per_config"
-        kwargs["Ns"] = params.get("Ns", [64, 128, 256, 512, 1024])
-        kwargs["delta"] = params.get("delta", 0.1)
-        kwargs["per_config"] = params.get("per_config", 3)
-    # refuse before any work, as for a one-N fit: a gate over no samples
-    # would pass on nothing
-    try:
-        lattice.check_count(count, kwargs[count])
-    except ValueError as exc:
-        print(f"the scan would gate on no samples: {exc}", file=sys.stderr)
-        return 2
-    if "Ns" in kwargs and not _fit_ns_ok(kwargs["Ns"]):
-        return 2
-    rows, summary = lattice.scan_constants(lemma, seed, **kwargs)
-    manifest = build_manifest("lattice-scan", params, seed=seed)
-    name = f"lattice_{lemma.replace('.', '_')}"
-    paths = write_run_outputs(out_dir, name, _LATTICE_HEADERS[lemma], rows, summary, manifest)
-    print(f"wrote {paths['csv']}")
-    if lemma == "5.1":
-        checks = [("measure/K ratio", summary["max_ratio"], gates.ANNULUS_BOUND)]
-    elif lemma in ("5.2a", "5.2b"):
-        checks = [("fitted exponent", summary["fitted_exponent"], gates.EXPONENT_BOUND)]
-    else:
-        # np.max propagates a NaN; the builtin max may drop it
-        worst = float(np.max(list(summary["max_ratio_per_N"].values())))
-        checks = [("fitted slope", summary["fitted_slope"], gates.SLOPE_BOUND),
-                  ("largest normalized ratio", worst, gates.SETB_BOUND)]
-    code = 0
-    for what, value, bound in checks:
-        # "not <=" makes a NaN value a breach
-        if not value <= bound:
-            print(f"{what} {value:.4g} exceeds {bound}", file=sys.stderr)
-            code = 1
-    return code
+    lemma = params["lemma"]
+    return _run_entry("lattice-scan", _LEMMAS[lemma], params, out_dir,
+                      f"lattice_{lemma.replace('.', '_')}")
 
 
 def _small_random_packet(seed, n_nodes: int = 24, N: float = 6.0, h: float = 0.5):
@@ -220,132 +232,122 @@ def _small_random_packet(seed, n_nodes: int = 24, N: float = 6.0, h: float = 0.5
     return strichartz.WavePacket(grid=grid, values=vals)
 
 
-# the config keys each strichartz mode reads, besides "mode" and "seed"
-_STRICHARTZ_KEYS = {
-    "elliptic": {"Ns", "delta", "trials", "h", "window"},
-    "hyperbolic": {"Ns", "trials", "h", "window"},
-    "quadrilinear": set(),
-    "kernel-split": {"k_shift"},
-    "box-scaling": {"Ns", "h"},
-}
-# an elliptic config with a "slab" record is a single-slab run, which reads these
-_SLAB_KEYS = {"slab", "delta", "trials", "grid", "window"}
-# the scans read "window" as a list [t_min, t_max, n_t]; a single-slab run
-# reads it as a record with these keys and defaults
-_SCAN_WINDOWS = {"elliptic": (-60.0, 60.0, 8192), "hyperbolic": (-60.0, 60.0, 4096)}
-_SLAB_WINDOW = {"t_min": -60.0, "t_max": 60.0, "n_t": 8192}
+_SLAB_FIELDS = ("xi0", "a", "c", "M", "N")
 
 
-def _config_window(params: dict, mode: str):
-    """The (t_min, t_max, n_t) window of an elliptic or hyperbolic run,
-    checked before any work; None after naming the bad window on stderr."""
-    given = params.get("window")
-    if mode == "elliptic" and "slab" in params:
-        record = {} if given is None else given
-        if not isinstance(record, dict) or set(record) - set(_SLAB_WINDOW):
-            print(f"bad window {given!r}: a single-slab run reads a record with keys "
-                  f"{', '.join(_SLAB_WINDOW)}", file=sys.stderr)
-            return None
-        window = tuple(record.get(key, default) for key, default in _SLAB_WINDOW.items())
-    else:
-        window = _SCAN_WINDOWS[mode] if given is None else given
+def _slab_spec(record) -> strichartz.SlabSpec:
+    """The SlabSpec of a config's slab record; ValueError naming a missing
+    record, a missing or unknown key, or a value SlabSpec refuses."""
+    fields = f"a slab record has the keys {', '.join(_SLAB_FIELDS)}"
+    if not isinstance(record, dict):
+        raise ValueError(fields)
+    problems = ([f"missing {key}" for key in _SLAB_FIELDS if key not in record]
+                + [f"unknown {key}" for key in sorted(set(record) - set(_SLAB_FIELDS))])
+    if problems:
+        raise ValueError(f"{', '.join(problems)}; {fields}")
     try:
-        return strichartz.check_window(window)
-    except ValueError as exc:
-        print(f"bad window {given!r}: {exc}", file=sys.stderr)
-        return None
+        return strichartz.SlabSpec(xi0=tuple(record["xi0"]), a=tuple(record["a"]),
+                                   c=record["c"], M=record["M"], N=record["N"])
+    except (TypeError, IndexError) as exc:
+        raise ValueError(str(exc)) from None
+
+
+def _lattice_h(h):
+    strichartz.lattice_q(h)
+    return h
+
+
+def _fitted_slope(summary):
+    return [("fitted slope", summary["fitted_slope"], gates.SLOPE_BOUND)]
+
+
+def _elliptic(a, seed):
+    rows, summary = strichartz.scan_strichartz_quotients(
+        a["Ns"], a["delta"], a["trials"], seed, h=a["h"], t_window=a["window"])
+    return rows, summary, _fitted_slope(summary)
+
+
+def _slab(a, seed):
+    rep = strichartz.strichartz_quotient(a["slab"], a["delta"], a["trials"], seed,
+                                         h=a["h"], t_window=a["window"])
+    summary = {"max_quotient": rep.max_quotient, "argmax": rep.argmax,
+               "flags": list(rep.warnings)}
+    return [dict(r) for r in rep.rows], summary, []
+
+
+def _hyperbolic(a, seed):
+    rows, summary = strichartz.scan_hyperbolic_quotients(
+        a["Ns"], a["trials"], seed, h=a["h"], t_window=a["window"])
+    return rows, summary, _fitted_slope(summary)
+
+
+def _quadrilinear(a, seed):
+    pkt = _small_random_packet(seed)
+    freq = strichartz.quadrilinear_form_frequency(pkt, 0)
+    res = strichartz.evolve_l4_norm_exact(pkt, 0, "elliptic")
+    mismatch = abs(res.quartic - freq) / freq
+    rows = [{"trial": 0, "frequency_side": freq, "time_side": res.quartic,
+             "relative_mismatch": mismatch}]
+    summary = {"relative_mismatch": mismatch, "time_rule": "periodic-exact",
+               "n_nodes": res.n_nodes, "flags": list(res.warnings)}
+    return rows, summary, [("Plancherel mismatch", mismatch, gates.PLANCHEREL_EXACT_TOL)]
+
+
+def _kernel_split(a, seed):
+    pkt = _small_random_packet(seed, n_nodes=16)
+    rep = strichartz.kernel_split_diagnostics(pkt, a["k_shift"])
+    rows = [{"gamma_total": rep.gamma_total, "K1_part": rep.K1_part,
+             "K2_part": rep.K2_part, "tuples": rep.tuple_count,
+             "cover_ok": rep.cover_ok}]
+    summary = {"cover_ok": rep.cover_ok,
+               "K1_plus_K2_ge_gamma": rep.K1_part + rep.K2_part >= rep.gamma_total - 1e-12}
+    return rows, summary, [("cover failure", int(not rep.cover_ok), 0),
+                           ("Gamma mass beyond K1 + K2",
+                            rep.gamma_total - (rep.K1_part + rep.K2_part), 1e-12)]
+
+
+def _box_scaling(a, seed):
+    rows, summary = strichartz.box_scaling_probe(a["Ns"], h=a["h"])
+    return rows, summary, [("spread factor", summary["spread_factor"], gates.BOX_SPREAD_BOUND)]
+
+
+_TRIALS = partial(check_count, "trials")
+_SCAN_CHECKS = {"Ns": check_fit_xs, "trials": _TRIALS, "window": strichartz.check_window}
+
+_MODES = {
+    "elliptic": _Entry({"Ns": (8, 16, 32, 64), "delta": 0.1, "trials": 6, "h": 0.125,
+                        "window": (-60.0, 60.0, 8192)},
+                       ["N", "M_kind", "M", "trial", "a2", "quotient"], _elliptic, _SCAN_CHECKS),
+    "slab": _Entry({"slab": None, "delta": 0.1, "trials": 8, "h": 0.125,
+                    "window": (-60.0, 60.0, 8192)},
+                   ["trial", "quotient"], _slab,
+                   {"slab": _slab_spec, "trials": _TRIALS, "window": strichartz.check_window}),
+    "hyperbolic": _Entry({"Ns": (4, 8, 16, 32, 64), "trials": 3, "h": 0.5,
+                          "window": (-60.0, 60.0, 4096)},
+                         ["trial", "N", "quotient"], _hyperbolic, _SCAN_CHECKS),
+    "quadrilinear": _Entry({}, ["trial", "frequency_side", "time_side", "relative_mismatch"],
+                           _quadrilinear),
+    "kernel-split": _Entry({"k_shift": 0},
+                           ["gamma_total", "K1_part", "K2_part", "tuples", "cover_ok"],
+                           _kernel_split),
+    "box-scaling": _Entry({"Ns": (4, 8, 16, 32), "h": 0.25}, ["N", "n_t", "norm", "ratio"],
+                          _box_scaling, {"h": _lattice_h}),
+}
 
 
 def _run_strichartz(params: dict, out_dir: Path) -> int:
-    mode, seed = params["mode"], params["seed"]
-    if mode not in _STRICHARTZ_KEYS:
+    mode = params["mode"]
+    if mode not in _MODES:
         print(f"unknown mode {mode!r}", file=sys.stderr)
         return 2
-    allowed = _SLAB_KEYS if mode == "elliptic" and "slab" in params else _STRICHARTZ_KEYS[mode]
-    unknown = sorted(set(params) - {"mode", "seed"} - allowed)
+    entry = _MODES[mode]
+    unknown = sorted(set(params) - {"mode", "seed"} - set(entry.keys))
     if unknown:
         print(f"unknown config keys for mode {mode!r}: {', '.join(unknown)} "
-              f"(allowed: {', '.join(sorted(allowed))})", file=sys.stderr)
+              f"(allowed: {', '.join(sorted(entry.keys))})", file=sys.stderr)
         return 2
-    if mode in _SCAN_WINDOWS:
-        t_window = _config_window(params, mode)
-        if t_window is None:
-            return 2
-    if mode == "box-scaling":
-        try:
-            strichartz.lattice_q(params.get("h", 0.25))
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-    manifest = build_manifest("strichartz", params, seed=seed)
-    name = f"strichartz_{mode.replace('-', '_')}"
-    code = 0
-    if mode == "elliptic":
-        if "slab" in params:
-            # single-slab run from a config record
-            sl = params["slab"]
-            slab = strichartz.SlabSpec(xi0=tuple(sl["xi0"]), a=tuple(sl["a"]),
-                                       c=sl["c"], M=sl["M"], N=sl["N"])
-            rep = strichartz.strichartz_quotient(
-                slab, params.get("delta", 0.1), params.get("trials", 8), seed,
-                h=params.get("grid", {}).get("h", 0.125), t_window=t_window)
-            rows = [dict(r) for r in rep.rows]
-            header = ["trial", "quotient"]
-            summary = {"max_quotient": rep.max_quotient, "argmax": rep.argmax,
-                       "flags": list(rep.warnings)}
-        else:
-            Ns = params.get("Ns", [8, 16, 32, 64])
-            if not _fit_ns_ok(Ns):
-                return 2
-            rows, summary = strichartz.scan_strichartz_quotients(
-                Ns, params.get("delta", 0.1), params.get("trials", 6), seed,
-                h=params.get("h", 0.125), t_window=t_window)
-            header = ["N", "M_kind", "M", "trial", "a2", "quotient"]
-            if not summary["fitted_slope"] <= gates.SLOPE_BOUND:
-                code = 1
-    elif mode == "hyperbolic":
-        Ns = params.get("Ns", [4, 8, 16, 32, 64])
-        if not _fit_ns_ok(Ns):
-            return 2
-        rows, summary = strichartz.scan_hyperbolic_quotients(
-            Ns, params.get("trials", 3), seed, h=params.get("h", 0.5), t_window=t_window)
-        header = ["trial", "N", "quotient"]
-        if not summary["fitted_slope"] <= gates.SLOPE_BOUND:
-            code = 1
-    elif mode == "quadrilinear":
-        pkt = _small_random_packet(seed)
-        freq = strichartz.quadrilinear_form_frequency(pkt, 0)
-        res = strichartz.evolve_l4_norm_exact(pkt, 0, "elliptic")
-        mismatch = abs(res.quartic - freq) / freq
-        rows = [{"trial": 0, "frequency_side": freq, "time_side": res.quartic,
-                 "relative_mismatch": mismatch}]
-        header = ["trial", "frequency_side", "time_side", "relative_mismatch"]
-        summary = {"relative_mismatch": mismatch, "time_rule": "periodic-exact",
-                   "n_nodes": res.n_nodes, "flags": list(res.warnings)}
-        if not mismatch <= gates.PLANCHEREL_EXACT_TOL:
-            code = 1
-    elif mode == "kernel-split":
-        pkt = _small_random_packet(seed, n_nodes=16)
-        rep = strichartz.kernel_split_diagnostics(pkt, params.get("k_shift", 0))
-        rows = [{"gamma_total": rep.gamma_total, "K1_part": rep.K1_part,
-                 "K2_part": rep.K2_part, "tuples": rep.tuple_count,
-                 "cover_ok": rep.cover_ok}]
-        header = ["gamma_total", "K1_part", "K2_part", "tuples", "cover_ok"]
-        summary = {"cover_ok": rep.cover_ok,
-                   "K1_plus_K2_ge_gamma": rep.K1_part + rep.K2_part >= rep.gamma_total - 1e-12}
-        if not rep.cover_ok:
-            code = 1
-    elif mode == "box-scaling":
-        Ns = params.get("Ns", [4, 8, 16, 32])
-        rows, summary = strichartz.box_scaling_probe(Ns, h=params.get("h", 0.25))
-        header = ["N", "n_t", "norm", "ratio"]
-        if not summary["spread_factor"] <= gates.BOX_SPREAD_BOUND:
-            code = 1
-    paths = write_run_outputs(out_dir, name, header, rows, summary, manifest)
-    print(f"wrote {paths['csv']}")
-    if code:
-        print("invariant breach detected; see summary", file=sys.stderr)
-    return code
+    return _run_entry("strichartz", entry, params, out_dir,
+                      f"strichartz_{mode.replace('-', '_')}")
 
 
 _HANDLERS = {
@@ -387,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("lattice-scan", help="measure/counting lemma scans")
-    p.add_argument("--lemma", choices=["5.1", "5.2a", "5.2b", "5.3"], required=True)
+    p.add_argument("--lemma", choices=list(_LEMMAS), required=True)
     p.add_argument("--seed", type=int, default=11)
     p.add_argument("--n-queries", type=int, default=10000)
     p.add_argument("--per-n", type=int, default=500)
@@ -397,8 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("strichartz", help="space-time norm experiments on R x T")
-    p.add_argument("--mode", required=True,
-                   choices=["elliptic", "hyperbolic", "quadrilinear", "kernel-split", "box-scaling"])
+    p.add_argument("--mode", required=True, choices=list(_MODES))
     p.add_argument("--config", default=None, help="JSON file overriding defaults")
     p.add_argument("--seed", type=int, default=3)
     p.add_argument("--out", default=None)
@@ -414,23 +415,11 @@ def main(argv=None) -> int:
     if args.command == "rerun":
         return run_manifest(args.manifest, args.out)
     out_dir = Path(args.out) if args.out else default_out_dir()
-    if args.command == "cg-table":
-        params = {"m": args.m, "n": args.n, "format": args.format}
-    elif args.command == "bilinear-verify":
-        params = {"m_max": args.m_max, "n_max": args.n_max, "seeds": args.seeds,
-                  "seed": args.seed, "zonal": args.zonal, "zonal_n_max": args.zonal_n_max,
-                  "cross_check": args.cross_check}
-    elif args.command == "lattice-scan":
-        params = {"lemma": args.lemma, "seed": args.seed,
-                  "n_queries": args.n_queries, "per_n": args.per_n,
-                  "per_config": args.per_config, "delta": args.delta}
-        if args.Ns:
-            params["Ns"] = args.Ns
-    else:
-        params = {"mode": args.mode, "seed": args.seed}
-        if args.config:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                params.update(json.load(fh))
+    params = {k: v for k, v in vars(args).items()
+              if k not in ("command", "out", "config") and v is not None}
+    if getattr(args, "config", None):
+        with open(args.config, "r", encoding="utf-8") as fh:
+            params.update(json.load(fh))
     return _HANDLERS[args.command](params, out_dir)
 
 

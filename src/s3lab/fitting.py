@@ -1,18 +1,28 @@
 """The one least-squares slope fit behind every scan's trend statistic: the
 bilinear no-growth fit, the lattice growth exponents and the Strichartz
-quotient slopes."""
+quotient slopes; and the checks a scan makes on its input before any work,
+so that no gate is fitted to fewer than two points or passes on no samples."""
 
 from __future__ import annotations
 
 import numpy as np
 
 
-def check_fit_xs(x) -> None:
-    """Raise ValueError unless x holds at least two distinct values, where a
-    slope is defined.  Scans call it on their N before any work."""
+def check_fit_xs(x):
+    """Return x; ValueError unless it holds at least two distinct values,
+    where a slope is defined.  Scans call it on their N before any work."""
     distinct = np.unique(np.asarray(x, dtype=float))
     if len(distinct) < 2:
         raise ValueError(f"a slope needs at least two distinct x values; got {distinct.tolist()}")
+    return x
+
+
+def check_count(name: str, count):
+    """Return a scan's sample count; ValueError when it is below 1, where a
+    gate over no samples would pass on nothing."""
+    if not count >= 1:
+        raise ValueError(f"{name} must be >= 1; got {count}")
+    return count
 
 
 def fit_slope(x: np.ndarray, y: np.ndarray) -> float:

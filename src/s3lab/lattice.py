@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import check_fit_xs, fit_slope
+from .fitting import check_count, check_fit_xs, fit_slope
 
 # most entries in any temporary array of a kernel (128 KiB of float64); on
 # lattice-cli, 2^16 measured 5% more peak RSS and no less time
@@ -311,13 +311,6 @@ def setB_measure_monte_carlo(q: SetBQuery, slack: float, n_samples: int, seed) -
 
 
 # -- scans --------------------------------------------------------------------
-
-def check_count(name: str, count) -> None:
-    """Refuse a scan sample count below 1: a gate over no samples would pass
-    on nothing."""
-    if not count >= 1:
-        raise ValueError(f"{name} must be >= 1; got {count}")
-
 
 def scan_lemma51(n_queries: int, seed) -> tuple[list, dict]:
     """Worst-case ratio measure / K over random annulus queries.

@@ -58,7 +58,7 @@ import numpy as np
 import scipy.fft as sfft
 from scipy.special import sici
 
-from .fitting import check_fit_xs, fit_slope
+from .fitting import check_count, check_fit_xs, fit_slope
 
 FEJER_TOTAL = 4.0 * np.pi  # integral of the weight over R
 
@@ -707,9 +707,12 @@ def strichartz_quotient(
     """Max over random slab packets of
 
         evolve_l4_norm / ((M/N)^delta N^{1/4} ||phi||_{L2}).
+
+    Fewer than one trial raises ValueError before any work.
     """
     if not (0.0 < delta < 0.125):
         raise ValueError("delta must lie in (0, 1/8)")
+    check_count("trials", trials)
     rng = np.random.default_rng(seed)
     grid = grid_for_slab(slab, h)
     scale = (slab.M / slab.N) ** delta * slab.N**0.25
@@ -760,8 +763,10 @@ def scan_strichartz_quotients(
     """Quotient scan over N in Ns and M in {1, sqrt(N), N} with random
     directions, offsets and centers; every third trial pins the direction
     to the Case 1 / Case 2 boundary |a2| = (M/N)^(1-4 delta).  The
-    summary's flags keep the worst value per warning flag."""
+    summary's flags keep the worst value per warning flag.  Fewer than two
+    distinct N or one trial raise ValueError before any work."""
     check_fit_xs(Ns)
+    check_count("trials", trials)
     rows = []
     per_n_max = {}
     warn = []
@@ -827,6 +832,7 @@ def hyperbolic_l4_quotient(
     with x2 integrated over the torus."""
     if N > 64:
         raise ValueError("N is capped at 64")
+    check_count("trials", trials)
     rng = np.random.default_rng(seed)
     grid = FrequencyGrid(h=h, xi1_extent=float(N), xi2_min=-N, xi2_max=N)
     rows = []
@@ -859,8 +865,10 @@ def scan_hyperbolic_quotients(
     t_window: tuple = (-60.0, 60.0, 4096),
 ) -> tuple[list, dict]:
     """Hyperbolic quotient scan over N in Ns; the summary's flags keep the
-    worst value per warning flag."""
+    worst value per warning flag.  Fewer than two distinct N or one trial
+    raise ValueError before any work."""
     check_fit_xs(Ns)
+    check_count("trials", trials)
     rows = []
     per_n = {}
     warn = []

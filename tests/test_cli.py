@@ -1,6 +1,10 @@
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -133,6 +137,16 @@ def test_bilinear_verify_fails_closed_on_nan_zonal(tmp_path, monkeypatch):
                      "--zonal", "--zonal-n-max", "3", "--out", str(tmp_path)])
     assert code == 1
     assert strict_json(tmp_path / "bilinear_verify.summary.json")["summary"]["zonal_min"] == "nan"
+
+
+def test_bilinear_verify_gates_c_star(tmp_path, monkeypatch, capsys):
+    # a witness of 1.1 in every cell leaves the slope flat but C* above 1.05
+    monkeypatch.setattr(bilinear, "zonal_pair_ratio", lambda m, n: 1.1)
+    code = cli.main(["bilinear-verify", "--m-max", "8", "--n-max", "8", "--seeds", "3",
+                     "--out", str(tmp_path)])
+    assert code == 1
+    assert f"C* 1.1 exceeds {gates.C_STAR_BOUND:g}" in capsys.readouterr().err
+    assert strict_json(tmp_path / "bilinear_verify.summary.json")["summary"]["C_star"] == 1.1
 
 
 def test_lattice_scan_and_exit_codes(tmp_path):
@@ -291,28 +305,59 @@ _SLAB = {"xi0": [0.0, 0], "a": [1.0, 0.0], "c": 0.0, "M": 2, "N": 4}
 
 
 @pytest.mark.parametrize("window", [
-    {"t_min": 60, "t_max": -60}, {"t_max": float("nan")}, {"t_min": -float("inf")},
-    {"n_t": 32}, {"t_min": 70}, {"t_min": -60, "tmax": 60}, [-60, 60, 256],
+    [60, -60, 8192], [-60, float("nan"), 8192], [-float("inf"), 60, 8192],
+    [-60, 60, 32], [70, 60, 8192], [-60, 60], {"t_min": -60, "t_max": 60, "n_t": 256},
 ])
-def test_single_slab_run_refuses_a_bad_window(tmp_path, monkeypatch, capsys, window):
-    err = _refuses_before_any_work(tmp_path, monkeypatch, capsys, "elliptic",
+def test_slab_mode_refuses_a_bad_window(tmp_path, monkeypatch, capsys, window):
+    err = _refuses_before_any_work(tmp_path, monkeypatch, capsys, "slab",
                                    {"slab": _SLAB, "trials": 1, "window": window})
     assert f"bad window {window!r}" in err
 
 
-def test_single_slab_window_record_fills_defaults(tmp_path, monkeypatch):
+@pytest.mark.parametrize("given,window", [
+    ({}, (-60.0, 60.0, 8192)),
+    ({"window": [-30, 60, 128]}, (-30.0, 60.0, 128)),
+])
+def test_slab_mode_fills_defaults(tmp_path, monkeypatch, given, window):
     seen = []
 
     def fake_quotient(slab, delta, trials, seed, h, t_window):
-        seen.append(t_window)
+        seen.append((slab, delta, trials, seed, h, t_window))
         return strichartz.QuotientReport(rows=(), max_quotient=1.0, argmax={}, warnings=())
 
     monkeypatch.setattr(cli.strichartz, "strichartz_quotient", fake_quotient)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"slab": _SLAB, "window": {"t_min": -30, "n_t": 128}}))
-    assert cli.main(["strichartz", "--mode", "elliptic", "--config", str(config),
+    config.write_text(json.dumps({"slab": _SLAB, **given}))
+    assert cli.main(["strichartz", "--mode", "slab", "--config", str(config),
                      "--out", str(tmp_path / "out")]) == 0
-    assert seen == [(-30.0, 60.0, 128)]
+    slab = strichartz.SlabSpec(xi0=(0.0, 0), a=(1.0, 0.0), c=0.0, M=2, N=4)
+    assert seen == [(slab, 0.1, 8, 3, 0.125, window)]
+    assert (tmp_path / "out" / "strichartz_slab.csv").read_text() == "trial,quotient\n"
+
+
+@pytest.mark.parametrize("config,named", [
+    ({"trials": 1}, "bad slab None"),
+    ({"slab": {k: v for k, v in _SLAB.items() if k != "M"}, "trials": 1}, "missing M"),
+    ({"slab": {**_SLAB, "b": 1.0}, "trials": 1}, "unknown b"),
+    ({"slab": {**_SLAB, "M": 5}, "trials": 1}, "need 1 <= M <= N"),
+    ({"slab": {**_SLAB, "xi0": 0.0}, "trials": 1}, "bad slab"),
+    ({"slab": _SLAB, "grid": {"h": 0.125}}, "grid"),
+])
+def test_slab_mode_refuses_a_bad_slab_record(tmp_path, monkeypatch, capsys, config, named):
+    # a missing, malformed or unbuildable record, or the old "grid" key of
+    # an elliptic single-slab config: exit 2 before any work, no outputs
+    assert named in _refuses_before_any_work(tmp_path, monkeypatch, capsys, "slab", config)
+
+
+@pytest.mark.parametrize("mode,config", [
+    ("elliptic", {"Ns": [2, 4], "trials": 0}),
+    ("hyperbolic", {"Ns": [2, 4], "trials": 0}),
+    ("slab", {"slab": _SLAB, "trials": 0}),
+])
+def test_strichartz_refuses_zero_trials(tmp_path, monkeypatch, capsys, mode, config):
+    # a gate over no trials would pass on nothing
+    err = _refuses_before_any_work(tmp_path, monkeypatch, capsys, mode, config)
+    assert "trials must be >= 1; got 0" in err
 
 
 def test_strichartz_box_scaling_refuses_h_off_the_lattice(tmp_path, monkeypatch, capsys):
@@ -340,6 +385,45 @@ def test_strichartz_box_scaling_reports_the_exact_rule_nodes(tmp_path):
     assert [line.split(",")[1] for line in lines[1:]] == ["68", "260"]
 
 
+def _scan_summary(field):
+    return lambda value: lambda *a, **k: ([], {field: value})
+
+
+def _kernel_report(value):
+    # K1 + K2 = 1, so the Gamma mass beyond them is value
+    return lambda *a, **k: strichartz.KernelSplitReport(1.0 + value, 1.0, 0.0, 1, 1, 0, True,
+                                                        (1, 0, 0, 0))
+
+
+def _time_side_off_by(value):
+    # the time side (1 + value) times the frequency side: a mismatch of value
+    freq = strichartz.quadrilinear_form_frequency
+    return lambda p, k, dispersion: SimpleNamespace(quartic=freq(p, k) * (1.0 + value),
+                                                    n_nodes=1, warnings=())
+
+
+@pytest.mark.parametrize("breaching", [True, False], ids=["above", "nan"])
+@pytest.mark.parametrize("mode,call,fake,value,bound", [
+    ("elliptic", "scan_strichartz_quotients", _scan_summary("fitted_slope"), 0.08,
+     gates.SLOPE_BOUND),
+    ("hyperbolic", "scan_hyperbolic_quotients", _scan_summary("fitted_slope"), 0.08,
+     gates.SLOPE_BOUND),
+    ("box-scaling", "box_scaling_probe", _scan_summary("spread_factor"), 3.0,
+     gates.BOX_SPREAD_BOUND),
+    ("kernel-split", "kernel_split_diagnostics", _kernel_report, 0.5, 1e-12),
+    ("quadrilinear", "evolve_l4_norm_exact", _time_side_off_by, 0.5, gates.PLANCHEREL_EXACT_TOL),
+], ids=["elliptic", "hyperbolic", "box-scaling", "kernel-split", "quadrilinear"])
+def test_strichartz_gates_fail_closed(tmp_path, monkeypatch, capsys, mode, call, fake, value,
+                                      bound, breaching):
+    value = value if breaching else float("nan")
+    monkeypatch.setattr(cli.strichartz, call, fake(value))
+    assert cli.main(["strichartz", "--mode", mode, "--out", str(tmp_path)]) == 1
+    assert f"{value:.4g} exceeds {bound:g}" in capsys.readouterr().err
+    name = f"strichartz_{mode.replace('-', '_')}"
+    assert strict_json(tmp_path / f"{name}.summary.json")["manifest"]["params"]["mode"] == mode
+    assert (tmp_path / f"{name}.csv").exists()
+
+
 def _lattice_summary(monkeypatch, summary):
     monkeypatch.setattr(cli.lattice, "scan_constants", lambda lemma, seed, **kw: ([], summary))
 
@@ -357,3 +441,41 @@ def test_lattice_scan_gates_from_the_gate_table(tmp_path, monkeypatch, lemma, su
     if lemma == "5.3":
         args += ["--N", "64", "--N", "128"]
     assert cli.main(args) == code
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _documented_commands():
+    """Every CLI line of scripts/*.sh (shell loops expanded) and every
+    ``s3lab`` line of the README's code blocks, as (where, argv) pairs."""
+    out = []
+    for path in sorted((_ROOT / "scripts").glob("*.sh")):
+        text = path.read_text().replace("\\\n", " ")
+        loops = dict(re.findall(r"for (\w+) in (.+?); do", text))
+        for line in text.splitlines():
+            if "-m s3lab.cli" not in line:
+                continue
+            lines = [line]
+            for var, values in loops.items():
+                if f"${var}" in line:
+                    lines = [ln.replace(f"${var}", v) for ln in lines for v in shlex.split(values)]
+            out += [(f"{path.name}: {ln.strip()}", shlex.split(ln.split("-m s3lab.cli", 1)[1]))
+                    for ln in lines]
+    blocks = (_ROOT / "README.md").read_text().split("```")[1::2]
+    out += [(f"README.md: {line}", shlex.split(line)[1:])
+            for block in blocks for line in block.splitlines() if line.startswith("s3lab ")]
+    return out
+
+
+def test_documented_commands_parse():
+    # a renamed mode, lemma or option breaks a script or a README example
+    commands = _documented_commands()
+    assert {where.split(":")[0] for where, _ in commands} >= {
+        "README.md", "cg_tables.sh", "lattice_scans.sh", "strichartz_suite.sh"}
+    parser = cli._build_parser()
+    for where, argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"{where} does not parse: {argv}")

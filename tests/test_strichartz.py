@@ -617,6 +617,24 @@ def test_hyperbolic_quotient_cap_and_determinism():
     assert r1.max_quotient > 0
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+@pytest.mark.parametrize("scan", [
+    lambda t: st.strichartz_quotient(st.SlabSpec(xi0=(0.0, 0), a=(1.0, 0.0), c=0.0, M=2.0, N=4.0),
+                                     0.1, t, 0, h=0.5),
+    lambda t: st.scan_strichartz_quotients([2, 4], 0.1, t, 0, h=0.5),
+    lambda t: st.hyperbolic_l4_quotient(2, t, 0),
+    lambda t: st.scan_hyperbolic_quotients([2, 4], t, 0),
+], ids=["strichartz_quotient", "scan_strichartz_quotients", "hyperbolic_l4_quotient",
+        "scan_hyperbolic_quotients"])
+def test_quotients_refuse_no_trials_before_any_work(monkeypatch, scan, trials):
+    # a maximum over no trials would read 0.0 and pass every gate
+    calls = []
+    monkeypatch.setattr(st, "_weighted_quartic", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match=f"trials must be >= 1; got {trials}"):
+        scan(trials)
+    assert calls == []
+
+
 def test_worst_warnings_keep_the_largest_value_per_flag():
     merged = st._worst_warnings([
         "window-truncation:0.0200", "time-aliasing-risk:need_nt=300",
