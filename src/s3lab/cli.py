@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bilinear, gates, lattice, strichartz
-from .clebsch import CGConstructionError, cg_decompose, verify_orthogonality
+from .clebsch import CGConstructionError, cg_decompose, cg_table, verify_orthogonality
 from .fitting import check_count, check_fit_xs
 from .reporting import build_manifest, default_out_dir, write_run_outputs
 
@@ -102,6 +102,7 @@ def _run_bilinear_verify(params: dict, out_dir: Path) -> int:
         return 2
     rows = []
     cell_max = {}
+    witnesses = []
     for m, n in cells:
         ratios = bilinear.bilinear_ratio_scan(m, n, seeds, [seed, m, n])
         for i, r in enumerate(ratios):
@@ -111,6 +112,7 @@ def _run_bilinear_verify(params: dict, out_dir: Path) -> int:
         # cell maxima
         witness = bilinear.zonal_pair_ratio(m, n)
         rows.append({"m": m, "n": n, "seed": "zonal", "ratio": witness})
+        witnesses.append(witness)
         # np.max propagates a NaN; the builtin max may drop it
         cell_max[(m, n)] = float(np.max([*ratios, witness]))
     maxima = np.array(list(cell_max.values()))
@@ -126,10 +128,12 @@ def _run_bilinear_verify(params: dict, out_dir: Path) -> int:
     if params.get("cross_check"):
         from .su2 import haar_quadrature
 
-        rels = [0.0]
+        rels, defects = [0.0], [0.0]
         for (m, n) in cell_max:
             if m > 8:
                 continue
+            report = verify_orthogonality(cg_table(m, n))
+            defects += [report["max_row_defect"], report["max_col_defect"]]
             quad = haar_quadrature(bilinear.recommended_levels(m + n))
             for s in range(3):
                 f = bilinear.random_eigenfunction(m, [seed, m, n, s, 0])
@@ -141,6 +145,8 @@ def _run_bilinear_verify(params: dict, out_dir: Path) -> int:
         worst = float(np.max(rels))
         summary["quadrature_cross_check_rel"] = worst
         summary["quadrature_cross_check_ok"] = bool(worst <= gates.CROSS_CHECK_TOL)
+        # the worst orthogonality defect of the CG tables behind the exact norms
+        summary["cg_defect_max"] = float(np.max(defects))
         checks.append(("quadrature cross-check gap", worst, gates.CROSS_CHECK_TOL))
     if params.get("zonal"):
         zr = {n: bilinear.zonal_ratio(n) for n in range(1, params["zonal_n_max"] + 1)}
@@ -148,6 +154,9 @@ def _run_bilinear_verify(params: dict, out_dir: Path) -> int:
         summary["zonal_min"] = float(np.min(list(zr.values())))
         # finite: at most the largest float
         checks.append(("|zonal minimum|", abs(summary["zonal_min"]), sys.float_info.max))
+        witnesses += zr.values()
+    # each witness is 1 by the character product rule; np.max propagates a NaN
+    summary["witness_dev_max"] = float(np.max(np.abs(np.array(witnesses) - 1.0)))
     return _finish("bilinear-verify", params, seed, out_dir, "bilinear_verify",
                    ["m", "n", "seed", "ratio"], (rows, summary, checks),
                    f"  (C* = {c_star:.6g}, slope = {slope:.4f})")
@@ -314,17 +323,25 @@ def _box_scaling(a, seed):
 _TRIALS = partial(check_count, "trials")
 _SCAN_CHECKS = {"Ns": check_fit_xs, "trials": _TRIALS, "window": strichartz.check_window}
 
+
+def _hyperbolic_ns(Ns):
+    return strichartz._check_hyperbolic_ns(check_fit_xs(Ns))
+
+
 _MODES = {
     "elliptic": _Entry({"Ns": (8, 16, 32, 64), "delta": 0.1, "trials": 6, "h": 0.125,
                         "window": (-60.0, 60.0, 8192)},
-                       ["N", "M_kind", "M", "trial", "a2", "quotient"], _elliptic, _SCAN_CHECKS),
+                       ["N", "M_kind", "M", "trial", "a2", "quotient"], _elliptic,
+                       {**_SCAN_CHECKS, "delta": strichartz.check_delta}),
     "slab": _Entry({"slab": None, "delta": 0.1, "trials": 8, "h": 0.125,
                     "window": (-60.0, 60.0, 8192)},
                    ["trial", "quotient"], _slab,
-                   {"slab": _slab_spec, "trials": _TRIALS, "window": strichartz.check_window}),
+                   {"slab": _slab_spec, "delta": strichartz.check_delta, "trials": _TRIALS,
+                    "window": strichartz.check_window}),
     "hyperbolic": _Entry({"Ns": (4, 8, 16, 32, 64), "trials": 3, "h": 0.5,
                           "window": (-60.0, 60.0, 4096)},
-                         ["trial", "N", "quotient"], _hyperbolic, _SCAN_CHECKS),
+                         ["trial", "N", "quotient"], _hyperbolic,
+                         {**_SCAN_CHECKS, "Ns": _hyperbolic_ns}),
     "quadrilinear": _Entry({}, ["trial", "frequency_side", "time_side", "relative_mismatch"],
                            _quadrilinear),
     "kernel-split": _Entry({"k_shift": 0},

@@ -696,6 +696,15 @@ def _worst_warnings(warnings) -> tuple:
     return tuple(worst[flag][1] for flag in sorted(worst))
 
 
+def check_delta(delta):
+    """Return delta; ValueError unless 0 < delta < 1/8, the range of the
+    exponent in the quotient's (M/N)^delta factor.  The elliptic quotient
+    and scan call it before any work."""
+    if not 0.0 < delta < 0.125:
+        raise ValueError(f"delta must lie in (0, 1/8); got {delta}")
+    return delta
+
+
 def strichartz_quotient(
     slab: SlabSpec,
     delta: float,
@@ -708,10 +717,10 @@ def strichartz_quotient(
 
         evolve_l4_norm / ((M/N)^delta N^{1/4} ||phi||_{L2}).
 
-    Fewer than one trial raises ValueError before any work.
+    A delta outside (0, 1/8) or fewer than one trial raises ValueError
+    before any work.
     """
-    if not (0.0 < delta < 0.125):
-        raise ValueError("delta must lie in (0, 1/8)")
+    check_delta(delta)
     check_count("trials", trials)
     rng = np.random.default_rng(seed)
     grid = grid_for_slab(slab, h)
@@ -764,9 +773,11 @@ def scan_strichartz_quotients(
     directions, offsets and centers; every third trial pins the direction
     to the Case 1 / Case 2 boundary |a2| = (M/N)^(1-4 delta).  The
     summary's flags keep the worst value per warning flag.  Fewer than two
-    distinct N or one trial raise ValueError before any work."""
+    distinct N, one trial or a delta outside (0, 1/8) raise ValueError
+    before any work."""
     check_fit_xs(Ns)
     check_count("trials", trials)
+    check_delta(delta)
     rows = []
     per_n_max = {}
     warn = []
@@ -819,6 +830,19 @@ def box_scaling_probe(Ns: list, h: float = 0.25) -> tuple[list, dict]:
     return rows, summary
 
 
+# Largest N of the hyperbolic quotient, whose random data fill [-N, N]^2.
+_HYPERBOLIC_N_MAX = 64
+
+
+def _check_hyperbolic_ns(Ns):
+    """Return Ns; ValueError naming the first N above ``_HYPERBOLIC_N_MAX``.
+    The hyperbolic quotient and scan call it before any work."""
+    for N in Ns:
+        if not N <= _HYPERBOLIC_N_MAX:
+            raise ValueError(f"N is capped at {_HYPERBOLIC_N_MAX}; got {N}")
+    return Ns
+
+
 def hyperbolic_l4_quotient(
     N: int,
     trials: int,
@@ -829,9 +853,9 @@ def hyperbolic_l4_quotient(
     """Max over random unit-norm data on [-N, N]^2 of the windowed
     space-time L4 norm in (t, x1, x2) divided by the data's L2 norm: the
     weighted quartic evaluator under the hyperbolic Lambda = xi1^2 - xi2^2,
-    with x2 integrated over the torus."""
-    if N > 64:
-        raise ValueError("N is capped at 64")
+    with x2 integrated over the torus.  An N above 64 or fewer than one
+    trial raises ValueError before any work."""
+    _check_hyperbolic_ns([N])
     check_count("trials", trials)
     rng = np.random.default_rng(seed)
     grid = FrequencyGrid(h=h, xi1_extent=float(N), xi2_min=-N, xi2_max=N)
@@ -865,9 +889,9 @@ def scan_hyperbolic_quotients(
     t_window: tuple = (-60.0, 60.0, 4096),
 ) -> tuple[list, dict]:
     """Hyperbolic quotient scan over N in Ns; the summary's flags keep the
-    worst value per warning flag.  Fewer than two distinct N or one trial
-    raise ValueError before any work."""
-    check_fit_xs(Ns)
+    worst value per warning flag.  Fewer than two distinct N, an N above 64
+    or one trial raise ValueError before any work."""
+    _check_hyperbolic_ns(check_fit_xs(Ns))
     check_count("trials", trials)
     rows = []
     per_n = {}

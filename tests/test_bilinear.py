@@ -208,6 +208,38 @@ def test_scans_build_no_cg_table():
     assert cg_table.cache_info().misses == 0
 
 
+# Criterion 4's scan cells and the (2n, n) cells of the zonal sweep.
+_SCAN_CELLS = [(m, n) for m in (8, 16, 32, 64) for n in (4, 8, 16, 32, 64) if n <= m]
+_SWEEP_CELLS = [(2 * n, n) for n in (10, 20, 30, 40, 50, 60)]
+
+
+def _zonal_engine_ratio(m, n):
+    a = np.eye(m + 1) / np.sqrt(m + 1.0)
+    b = np.eye(n + 1) / np.sqrt(n + 1.0)
+    return float(np.sqrt(product_norm2_batch(sampling_plan(m, n), a[None], b[None])[0] / (n + 1.0)))
+
+
+@pytest.mark.parametrize("m,n", _SCAN_CELLS + _SWEEP_CELLS)
+def test_zonal_witness_matches_the_engine(m, n):
+    # the diagonal convolution sees the same plan as the 2-D engine, so it
+    # carries the same plan-borne deviation from 1, not just a similar one
+    assert abs(zonal_pair_ratio(m, n) - _zonal_engine_ratio(m, n)) <= 1e-13
+
+
+def test_engine_keeps_the_zonal_identity_at_the_largest_cell():
+    # the witness no longer runs the engine; this keeps the engine checked
+    # on exact data at the largest cell the scans build
+    assert abs(_zonal_engine_ratio(120, 60) ** 2 - 1.0) <= 1e-11
+
+
+def test_zonal_witness_runs_no_2d_engine(monkeypatch):
+    calls = []
+    monkeypatch.setattr("s3lab.bilinear.product_norm2_batch", lambda *a: calls.append(a))
+    assert zonal_pair_ratio(16, 8) == pytest.approx(1.0, abs=1e-13)
+    assert zonal_ratio(5) == pytest.approx(1.0, abs=1e-13)
+    assert calls == []
+
+
 def test_ratio_one_when_small_degree_is_zero():
     # with n = 0 the product just rescales f, so the ratio is exactly 1
     for seed in range(5):

@@ -89,17 +89,31 @@ def test_cg_table_fails_closed_on_a_nan_table(tmp_path, monkeypatch, capsys):
 
 
 def test_bilinear_verify_small(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
     r = run_cli(
         ["bilinear-verify", "--m-max", "8", "--n-max", "8", "--seeds", "10",
-         "--seed", "1", "--zonal", "--zonal-n-max", "4", "--out", str(tmp_path)],
+         "--seed", "1", "--zonal", "--zonal-n-max", "4", "--cross-check", "--out", str(first)],
         tmp_path,
     )
     assert r.returncode == 0, r.stderr
-    summary = json.loads((tmp_path / "bilinear_verify.summary.json").read_text())["summary"]
+    summary = json.loads((first / "bilinear_verify.summary.json").read_text())["summary"]
     assert summary["C_star"] <= 1.5
     assert summary["zonal_min"] >= 0.1
-    rows = (tmp_path / "bilinear_verify.csv").read_text().strip().splitlines()
+    # health figures: every witness is 1 to rounding, every CG table orthogonal
+    witnesses = [float(row.split(",")[3]) for row in
+                 (first / "bilinear_verify.csv").read_text().splitlines() if ",zonal," in row]
+    witnesses += summary["zonal_ratios"].values()
+    assert summary["witness_dev_max"] == max(abs(w - 1.0) for w in witnesses)
+    assert summary["witness_dev_max"] <= 1e-12
+    assert 0.0 < summary["cg_defect_max"] <= gates.CG_DEFECT_BOUND
+    rows = (first / "bilinear_verify.csv").read_text().strip().splitlines()
     assert rows[0] == "m,n,seed,ratio"
+    r = run_cli(["rerun", str(first / "bilinear_verify.manifest.json"), "--out", str(second)],
+                tmp_path)
+    assert r.returncode == 0, r.stderr
+    for suffix in (".csv", ".summary.json"):
+        name = f"bilinear_verify{suffix}"
+        assert file_sha256(first / name) == file_sha256(second / name)
 
 
 @pytest.mark.parametrize("m_max,n_max", [(8, 3), (2, 64)])
@@ -119,6 +133,7 @@ def test_bilinear_verify_fails_closed_on_nan_witness(tmp_path, monkeypatch):
     assert code == 1
     summary = strict_json(tmp_path / "bilinear_verify.summary.json")["summary"]
     assert summary["C_star"] == "nan" and summary["fitted_slope"] == "nan"
+    assert summary["witness_dev_max"] == "nan"
 
 
 def test_bilinear_verify_fails_closed_on_nan_cross_check(tmp_path, monkeypatch):
@@ -136,7 +151,8 @@ def test_bilinear_verify_fails_closed_on_nan_zonal(tmp_path, monkeypatch):
     code = cli.main(["bilinear-verify", "--m-max", "8", "--n-max", "4", "--seeds", "2",
                      "--zonal", "--zonal-n-max", "3", "--out", str(tmp_path)])
     assert code == 1
-    assert strict_json(tmp_path / "bilinear_verify.summary.json")["summary"]["zonal_min"] == "nan"
+    summary = strict_json(tmp_path / "bilinear_verify.summary.json")["summary"]
+    assert summary["zonal_min"] == "nan" and summary["witness_dev_max"] == "nan"
 
 
 def test_bilinear_verify_gates_c_star(tmp_path, monkeypatch, capsys):
@@ -358,6 +374,25 @@ def test_strichartz_refuses_zero_trials(tmp_path, monkeypatch, capsys, mode, con
     # a gate over no trials would pass on nothing
     err = _refuses_before_any_work(tmp_path, monkeypatch, capsys, mode, config)
     assert "trials must be >= 1; got 0" in err
+
+
+@pytest.mark.parametrize("delta", [0.2, 0.125, 0.0, -0.1])
+@pytest.mark.parametrize("mode,config", [
+    ("elliptic", {"Ns": [2, 4], "trials": 1, "window": [-10, 10, 64]}),
+    ("slab", {"slab": _SLAB, "trials": 1, "window": [-10, 10, 64]}),
+])
+def test_strichartz_refuses_delta_outside_its_range(tmp_path, monkeypatch, capsys, mode, config,
+                                                   delta):
+    err = _refuses_before_any_work(tmp_path, monkeypatch, capsys, mode,
+                                   {**config, "delta": delta})
+    assert f"bad delta {delta!r}: delta must lie in (0, 1/8); got {delta}" in err
+
+
+def test_strichartz_hyperbolic_refuses_n_above_the_cap(tmp_path, monkeypatch, capsys):
+    # N = 2 would run before N = 128 hit the cap
+    err = _refuses_before_any_work(tmp_path, monkeypatch, capsys, "hyperbolic",
+                                   {"Ns": [2, 128], "trials": 1, "window": [-10, 10, 64]})
+    assert "bad Ns [2, 128]: N is capped at 64; got 128" in err
 
 
 def test_strichartz_box_scaling_refuses_h_off_the_lattice(tmp_path, monkeypatch, capsys):

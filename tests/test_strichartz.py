@@ -635,6 +635,24 @@ def test_quotients_refuse_no_trials_before_any_work(monkeypatch, scan, trials):
     assert calls == []
 
 
+@pytest.mark.parametrize("scan,message", [
+    (lambda: st.strichartz_quotient(st.SlabSpec(xi0=(0.0, 0), a=(1.0, 0.0), c=0.0, M=2.0, N=4.0),
+                                    0.2, 1, 0, h=0.5), r"delta .* got 0.2"),
+    (lambda: st.scan_strichartz_quotients([2, 4], 0.125, 1, 0, h=0.5), r"delta .* got 0.125"),
+    (lambda: st.scan_strichartz_quotients([2, 4], 0.0, 1, 0, h=0.5), r"delta .* got 0.0"),
+    (lambda: st.hyperbolic_l4_quotient(128, 1, 0), "N is capped at 64; got 128"),
+    (lambda: st.scan_hyperbolic_quotients([2, 128], 1, 0), "N is capped at 64; got 128"),
+], ids=["strichartz_quotient", "scan_strichartz_quotients", "scan_strichartz_quotients_zero",
+        "hyperbolic_l4_quotient", "scan_hyperbolic_quotients"])
+def test_quotients_refuse_bad_delta_and_large_n_before_any_work(monkeypatch, scan, message):
+    # the scans check every argument before their first N, not when they reach it
+    calls = []
+    monkeypatch.setattr(st, "_weighted_quartic", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match=message):
+        scan()
+    assert calls == []
+
+
 def test_worst_warnings_keep_the_largest_value_per_flag():
     merged = st._worst_warnings([
         "window-truncation:0.0200", "time-aliasing-risk:need_nt=300",
