@@ -93,9 +93,14 @@ def evaluate_on_grid(f: Eigenfunction, quad: HaarQuadrature) -> np.ndarray:
 
     Uses the single-Fourier-mode structure of the matrix entries in the
     angles: D[j, j'] = d[j, j'](theta) e^{i (j+j'-m) phi1} e^{i (j'-j) phi2},
-    so each theta slice is one zero-padded 2-D inverse FFT.  The slices are
-    transformed in chunks of at most ``_FFT_CHUNK`` complex entries (at
-    least one slice), written in place into the output.
+    so each theta slice is one zero-padded 2-D inverse FFT whose nonzero
+    entries lie in the 2m+1 rows p = j+j'-m (mod nphi1).  The short axis
+    goes first, as in ``product_norm2_batch``: those rows are
+    inverse-transformed along phi2, placed, and then every column is
+    inverse-transformed along phi1.  Both passes run on chunks of at most
+    ``_FFT_CHUNK`` complex grid entries (at least one slice), written in
+    place into the output.  Levels below 2m+1 in either phi raise
+    ValueError.
     """
     m = f.m
     n1, n2 = quad.nphi1, quad.nphi2
@@ -103,16 +108,18 @@ def evaluate_on_grid(f: Eigenfunction, quad: HaarQuadrature) -> np.ndarray:
         raise ValueError(f"phi levels ({n1}, {n2}) cannot hold degree-{m} modes")
     dmats = wigner_d(m, quad.theta)
     j = np.arange(m + 1)
-    pidx = (j[:, None] + j[None, :] - m) % n1
+    ridx = j[:, None] + j[None, :]                   # the row p + m, before the wrap
     qidx = (j[None, :] - j[:, None]) % n2
+    prow = (np.arange(2 * m + 1) - m) % n1
     coeffs = np.sqrt(m + 1.0) * f.coeffs
     out = np.zeros((len(quad.theta), n1, n2), dtype=complex)
     step = max(1, _FFT_CHUNK // (n1 * n2))
+    rows = np.zeros((min(step, len(quad.theta)), 2 * m + 1, n2), dtype=complex)
     for s in range(0, len(quad.theta), step):
-        chunk = out[s:s + step]
-        chunk[:, pidx, qidx] = coeffs * dmats[s:s + step]
-        out[s:s + step] = scipy.fft.ifft2(chunk, axes=(1, 2), norm="forward",
-                                          overwrite_x=True)
+        chunk, part = out[s:s + step], rows[:len(quad.theta) - s]
+        part[:, ridx, qidx] = coeffs * dmats[s:s + step]
+        chunk[:, prow, :] = scipy.fft.ifft(part, axis=2, norm="forward")
+        out[s:s + step] = scipy.fft.ifft(chunk, axis=1, norm="forward", overwrite_x=True)
     return out
 
 

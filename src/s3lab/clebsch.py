@@ -18,6 +18,22 @@ roundoff of the lowering, and a Gram defect above ``_ORTH_TOL`` before it
 raises ``CGConstructionError``.  Phase convention: the chain-top
 coefficient on the product-basis element with the largest alpha is real and
 strictly positive.  Under this convention every stored coefficient is real.
+The chain columns live in one preallocated array, and the supports come
+from per-table slot ranges, so a weight costs a fixed, small number of
+array operations.
+
+The tables are checked against an independent oracle: the eigenprojectors
+of the Casimir operator Omega = H^2 + 2EF + 2FE under the tensor-product
+action, whose k(k+2) eigenspace is the degree-k summand.  Omega commutes
+with the total weight, so in the Kronecker basis it is block diagonal over
+gamma = alpha + beta, with blocks of size at most n+1 (tridiagonal, in
+ascending alpha).  ``_casimir_blocks`` builds only those in-block entries,
+from the ladder matrices through the mixed-product form
+Omega = Omega_m x 1 + 1 x Omega_n + 2 H_m x H_n + 4 (E_m x F_n + F_m x E_n);
+``casimir_matrix`` places them densely and ``casimir_projectors``
+diagonalizes all blocks in one batched eigensolver call.  The oracle stays
+independent of the construction: it uses the weight and ladder formulas
+and an eigensolver, never a lowering chain or a stored coefficient.
 """
 
 from __future__ import annotations
@@ -142,12 +158,6 @@ class CGTable:
             fh.write("\n")
 
 
-def _alpha_support(m: int, n: int, gamma: int) -> np.ndarray:
-    lo = max(-m, gamma - n)
-    hi = min(m, gamma + n)
-    return np.arange(lo, hi + 1, 2)
-
-
 def _chain_tops(m: int, n: int) -> np.ndarray:
     """All chain tops at once, shape (n+1, n+1).
 
@@ -173,34 +183,35 @@ def _chain_tops(m: int, n: int) -> np.ndarray:
     np.cumsum(0.5 * np.log(ratio), axis=1, out=logs[:, 1:])
     logs[i > kappa] = -np.inf
     tops = np.exp(logs - logs.max(axis=1, keepdims=True))
-    tops /= np.linalg.norm(tops, axis=1, keepdims=True)
+    tops /= np.sqrt((tops * tops).sum(axis=1, keepdims=True))   # the row norms
     tops[(kappa - i) % 2 == 1] *= -1.0
     return tops
 
 
-def _gram_schmidt_step(U: np.ndarray, m: int, n: int, gamma: int) -> np.ndarray:
+def _gram_schmidt_step(U: np.ndarray, upper: np.ndarray, m: int, n: int,
+                       gamma: int) -> np.ndarray:
     """One matrix Gram-Schmidt step on the chain columns at weight gamma.
 
     With D = U^T U - I the step is U - U (triu(D, 1) + diag(D) / 2): column j
     loses its components along the columns before it (k descending) and is
     rescaled to unit norm, which is classical Gram-Schmidt to second order in
-    the defect (Bjorck, Linear Algebra Appl. 197-198, 1994).  The incoming
-    columns, a fresh chain top and the lowered chains, are orthonormal in
-    exact arithmetic, so the step only removes roundoff.  A defect above
-    ``_ORTH_TOL`` (NaN included) means a wrong chain top or lowering step,
-    and raises.
+    the defect (Bjorck, Linear Algebra Appl. 197-198, 1994).  ``upper`` is
+    the mask with 1 above the diagonal, 1/2 on it and 0 below, so D * upper
+    is that triangle exactly.  The incoming columns, a fresh chain top and
+    the lowered chains, are orthonormal in exact arithmetic, so the step
+    only removes roundoff.  A defect above ``_ORTH_TOL`` (NaN included)
+    means a wrong chain top or lowering step, and raises.
     """
     D = U.T @ U
     diag = D.reshape(-1)[::D.shape[0] + 1]            # a view of D's diagonal
     diag -= 1.0
-    defect = np.max(np.abs(D))
+    defect = np.abs(D).max()
     if not defect <= _ORTH_TOL:
         raise CGConstructionError(
             f"Gram defect {defect:.3g} beyond {_ORTH_TOL} in the chain columns "
             f"at gamma={gamma} for (m={m}, n={n})"
         )
-    diag *= 0.5
-    return U - U @ np.triu(D)
+    return U - U @ (D * upper)
 
 
 def cg_decompose(m: int, n: int) -> CGTable:
@@ -233,43 +244,46 @@ def cg_decompose(m: int, n: int) -> CGTable:
         (beta >= -n + 2) & (beta <= n),
         0.5 * np.sqrt(np.maximum((n - beta + 2.0) * (n + beta), 0.0)),
         0.0,
-    )                                                # c_-(n, beta) per (gamma, slot)
+    )[:, :, None]                                    # c_-(n, beta) per (gamma, slot)
+    cm_shift = cm_lower[1:, None]                    # c_-(m, alpha+2) per slot alpha
+    # the support max(-m, gamma-n) <= alpha <= min(m, gamma+n) as slots lo:hi
+    lo = (np.maximum(gammas[:half] - n + m, 0) // 2).tolist()
+    hi = (np.minimum(gammas[:half] + n + m, 2 * m) // 2 + 1).tolist()
+    upper = np.tri(K).T - 0.5 * np.eye(K)            # the mask of _gram_schmidt_step
 
     alphas: list = []
     blocks: list = []
-    # Columns of U live on the full alpha-slot grid, one per chain, k
-    # descending; no chain ends at a weight gamma >= 0.
-    U = np.zeros((m + 1, 0))
-    for t in range(half):
-        gamma = int(gammas[t])
-        sup = _alpha_support(m, n, gamma)
-        sup_slots = (sup + m) // 2
+    # Column c of ``chains`` is the chain of k = kvals[c] on the full
+    # alpha-slot grid; the first min(t+1, K) are live at weight gammas[t],
+    # and no chain ends at a weight gamma >= 0.
+    chains = np.zeros((m + 1, K))
+    for t, gamma in enumerate(gammas[:half].tolist()):
+        a, b = lo[t], hi[t]
+        live = min(t + 1, K)
         if t < K:
             # the chain of k = gamma starts here, on the support of its top
-            col = np.zeros(m + 1)
-            col[sup_slots] = tops[t, :t + 1]
-            U = np.column_stack([U, col])
+            chains[a:b, t] = tops[t, :t + 1]
 
-        U = _gram_schmidt_step(U, m, n, gamma)
-        if t < K and U[sup_slots[-1], -1] < 0:
+        U = _gram_schmidt_step(chains[:, :live], upper[:live, :live], m, n, gamma)
+        if t < K and U[b - 1, -1] < 0:
             U[:, -1] = -U[:, -1]
 
-        block = np.zeros((K, len(sup)))
-        block[:U.shape[1], :] = U[sup_slots, :].T
-        alphas.append(sup)
+        block = np.zeros((K, b - a))
+        block[:live, :] = U[a:b, :].T
+        alphas.append(slots_alpha[a:b])
         blocks.append(block)
 
         if t + 1 == half:
             break
         # lower every chain: V_gamma -> V_{gamma-2}
-        W = cn_lower[t][:, None] * U
-        W[:-1, :] += cm_lower[1:, None] * U[1:, :]
-        norms = np.linalg.norm(W, axis=0)
+        W = cn_lower[t] * U
+        W[:-1, :] += cm_shift * U[1:, :]
+        norms = np.sqrt((W * W).sum(axis=0))         # np.linalg.norm(W, axis=0)
         if norms.min() < 1e-14:
             raise CGConstructionError(
                 f"degenerate lowering norm at gamma={gamma - 2} for (m={m}, n={n})"
             )
-        U = W / norms
+        np.divide(W, norms, out=chains[:, :live])
 
     sign = (-1.0) ** np.arange(K)
     for t in range(half, len(gammas)):
@@ -323,38 +337,87 @@ def expand_in_product_basis(table: CGTable, k: int, gamma: int) -> TensorVector:
 # -- Casimir oracle ---------------------------------------------------------
 
 def _ladder_matrices(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense matrices of H, E, F on the degree-m weight basis (column = input)."""
+    """Dense matrices of H, E, F on the degree-m weight basis (column = input):
+    E v_alpha = c_+(m, alpha) v_{alpha+2} and F v_alpha = c_-(m, alpha) v_{alpha-2}."""
     alphas = np.arange(-m, m + 1, 2)
     H = np.diag(alphas.astype(float))
-    E = np.zeros((m + 1, m + 1))
-    F = np.zeros((m + 1, m + 1))
-    for i, alpha in enumerate(alphas):
-        if i + 1 <= m:
-            E[i + 1, i] = 0.5 * np.sqrt((m + alpha + 2.0) * (m - alpha))
-        if i - 1 >= 0:
-            F[i - 1, i] = 0.5 * np.sqrt((m - alpha + 2.0) * (m + alpha))
+    E = np.diag(0.5 * np.sqrt((m + alphas[:-1] + 2.0) * (m - alphas[:-1])), -1)
+    F = np.diag(0.5 * np.sqrt((m - alphas[1:] + 2.0) * (m + alphas[1:])), 1)
     return H, E, F
+
+
+def _casimir_dim(m: int, n: int) -> int:
+    if not (m >= n >= 0):
+        raise ValueError("need m >= n >= 0")
+    dim = (m + 1) * (n + 1)
+    if dim > 4096:
+        raise ValueError(f"tensor dimension {dim} exceeds the 4096 cap")
+    return dim
+
+
+def _casimir_blocks(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The weight blocks of Omega, zero-padded to one (m+n+1, n+1, n+1) stack.
+
+    Block s holds the product vectors v_{m,alpha} x v_{n,beta} of weight
+    gamma = 2s - m - n; its member r has alpha slot i = max(0, s-n) + r and
+    beta slot s - i.  In the mixed-product form
+
+        Omega = Omega_m x 1 + 1 x Omega_n + 2 H_m x H_n + 4 (E_m x F_n + F_m x E_n),
+
+    with Omega_m = H_m^2 + 2 E_m F_m + 2 F_m E_m from ``_ladder_matrices``,
+    the first three terms are diagonal on the block (the off-diagonal
+    entries of Omega_m x 1 change the weight, and are 0 anyway) and the
+    last two join the neighbouring members r and r+1.  Pad members get
+    diagonal -1, below every eigenvalue k(k+2), and no coupling.  Returns
+    (rows, live, blocks): rows[s, r] is the Kronecker index (i (n+1) + j)
+    of member r, live[s, r] says whether r is a member, not a pad.
+    """
+    Hm, Em, Fm = _ladder_matrices(m)
+    Hn, En, Fn = _ladder_matrices(n)
+    # the diagonals of Omega_m and Omega_n
+    om = (np.einsum("ij,ji->i", Hm, Hm) + 2.0 * np.einsum("ij,ji->i", Em, Fm)
+          + 2.0 * np.einsum("ij,ji->i", Fm, Em))
+    on = (np.einsum("ij,ji->i", Hn, Hn) + 2.0 * np.einsum("ij,ji->i", En, Fn)
+          + 2.0 * np.einsum("ij,ji->i", Fn, En))
+    s = np.arange(m + n + 1)[:, None]
+    i = np.maximum(s - n, 0) + np.arange(n + 1)      # alpha slot per member
+    live = i <= np.minimum(s, m)
+    i = np.minimum(i, np.minimum(s, m))              # pads clipped onto the last member
+    j = s - i                                        # beta slot
+    blocks = np.zeros((m + n + 1, n + 1, n + 1))
+    r = np.arange(n + 1)
+    blocks[:, r, r] = np.where(live, om[i] + on[j] + 2.0 * Hm[i, i] * Hn[j, j], -1.0)
+    # E_m x F_n takes member r = (i, j) to r+1 = (i+1, j-1), F_m x E_n back
+    ir, jr = i[:, :-1], j[:, :-1]
+    up, down = np.minimum(ir + 1, m), np.maximum(jr - 1, 0)
+    pair = live[:, 1:]                               # members r and r+1 both live
+    blocks[:, r[1:], r[:-1]] = np.where(pair, 4.0 * Em[up, ir] * Fn[down, jr], 0.0)
+    blocks[:, r[:-1], r[1:]] = np.where(pair, 4.0 * Fm[ir, up] * En[jr, down], 0.0)
+    return i * (n + 1) + j, live, blocks
+
+
+def _scatter_blocks(dim: int, rows: np.ndarray, live: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The dense dim x dim matrix whose weight blocks are ``blocks`` (pads dropped)."""
+    pair = live[:, :, None] & live[:, None, :]
+    R = np.broadcast_to(rows[:, :, None], blocks.shape)
+    out = np.zeros((dim, dim))
+    out[R[pair], R.transpose(0, 2, 1)[pair]] = blocks[pair]
+    return out
 
 
 def casimir_matrix(m: int, n: int) -> np.ndarray:
     """Matrix of Omega = H^2 + 2EF + 2FE under the tensor-product action.
 
     Independent oracle for the table: it uses only the weight and ladder
-    formulas, never the constructed coefficients.  Hermitian with eigenvalues
-    k(k+2), each of multiplicity k+1.
+    formulas, never the constructed coefficients.  Omega commutes with the
+    total weight, so in the Kronecker basis it is block diagonal over
+    gamma = alpha + beta; its entries are those of ``_casimir_blocks``, in
+    the mixed-product form, placed densely.  Hermitian with eigenvalues
+    k(k+2), each of multiplicity k+1.  Dimensions above 4096 raise
+    ValueError.
     """
-    if not (m >= n >= 0):
-        raise ValueError("need m >= n >= 0")
-    dim = (m + 1) * (n + 1)
-    if dim > 4096:
-        raise ValueError(f"tensor dimension {dim} exceeds the 4096 cap")
-    Hm, Em, Fm = _ladder_matrices(m)
-    Hn, En, Fn = _ladder_matrices(n)
-    Im, In = np.eye(m + 1), np.eye(n + 1)
-    H = np.kron(Hm, In) + np.kron(Im, Hn)
-    E = np.kron(Em, In) + np.kron(Im, En)
-    F = np.kron(Fm, In) + np.kron(Im, Fn)
-    return H @ H + 2.0 * (E @ F) + 2.0 * (F @ E)
+    dim = _casimir_dim(m, n)
+    return _scatter_blocks(dim, *_casimir_blocks(m, n))
 
 
 def chain_projectors(table: CGTable) -> dict[int, np.ndarray]:
@@ -370,19 +433,35 @@ def chain_projectors(table: CGTable) -> dict[int, np.ndarray]:
 
 
 def casimir_projectors(m: int, n: int) -> dict[int, np.ndarray]:
-    """Eigenprojectors of the Casimir oracle, keyed by k with k(k+2) eigenvalue."""
-    omega = casimir_matrix(m, n)
-    vals, vecs = np.linalg.eigh(omega)
+    """Eigenprojectors of the Casimir oracle, keyed by k with k(k+2) eigenvalue.
+
+    Omega is block diagonal over the weight gamma, with blocks of size at
+    most n+1 (``_casimir_blocks``), so one batched ``np.linalg.eigh`` of
+    the zero-padded block stack gives its spectrum.  Each k(k+2) must
+    appear exactly once in every block with |gamma| <= k, and in no other,
+    so k+1 times in all; otherwise RuntimeError, naming k.  The projector
+    onto the k(k+2) eigenspace is the sum of the outer products of those
+    eigenvectors, one per weight block, scattered densely.  The oracle
+    stays independent of the table: it uses only the weight and ladder
+    formulas and an eigensolver, never a Clebsch-Gordan coefficient.
+    Dimensions above 4096 raise ValueError.
+    """
+    dim = _casimir_dim(m, n)
+    rows, live, blocks = _casimir_blocks(m, n)
+    vals, vecs = np.linalg.eigh(blocks)
+    gammas = 2 * np.arange(m + n + 1) - m - n
     out = {}
     for k in range(m - n, m + n + 1, 2):
-        sel = np.abs(vals - k * (k + 2.0)) < 1.0
-        if int(sel.sum()) != k + 1:
+        hits = np.abs(vals - k * (k + 2.0)) < 1.0
+        want = np.abs(gammas) <= k
+        if not np.array_equal(hits.sum(axis=1), want):
             raise RuntimeError(
                 f"Casimir eigenvalue k(k+2) for k={k} has multiplicity "
-                f"{int(sel.sum())}, expected {k + 1}"
+                f"{int(hits.sum())}, expected {k + 1}, once per weight |gamma| <= {k}"
             )
-        V = vecs[:, sel]
-        out[k] = V @ V.T
+        s = np.flatnonzero(want)
+        v = vecs[s, :, hits[s].argmax(axis=1)]      # block s's eigenvector, (len(s), n+1)
+        out[k] = _scatter_blocks(dim, rows[s], live[s], v[:, :, None] * v[:, None, :])
     return out
 
 

@@ -5,6 +5,8 @@ so that no gate is fitted to fewer than two points or passes on no samples."""
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 
@@ -18,8 +20,11 @@ def check_fit_xs(x):
 
 
 def check_count(name: str, count):
-    """Return a scan's sample count; ValueError when it is below 1, where a
-    gate over no samples would pass on nothing."""
+    """Return a scan's sample count; ValueError when it is not a real number
+    (a string, None or a list) or is below 1, where a gate over no samples
+    would pass on nothing."""
+    if not isinstance(count, numbers.Real):
+        raise ValueError(f"{name} must be a number; got {count!r}")
     if not count >= 1:
         raise ValueError(f"{name} must be >= 1; got {count}")
     return count

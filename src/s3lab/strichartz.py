@@ -52,6 +52,7 @@ span of the occupied xi2 rows.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -697,9 +698,12 @@ def _worst_warnings(warnings) -> tuple:
 
 
 def check_delta(delta):
-    """Return delta; ValueError unless 0 < delta < 1/8, the range of the
-    exponent in the quotient's (M/N)^delta factor.  The elliptic quotient
-    and scan call it before any work."""
+    """Return delta; ValueError unless it is a real number with
+    0 < delta < 1/8, the range of the exponent in the quotient's
+    (M/N)^delta factor.  The elliptic quotient and scan call it before any
+    work."""
+    if not isinstance(delta, numbers.Real):
+        raise ValueError(f"delta must be a number; got {delta!r}")
     if not 0.0 < delta < 0.125:
         raise ValueError(f"delta must lie in (0, 1/8); got {delta}")
     return delta

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as stn
 
+from s3lab import bilinear
 from s3lab.su2 import GroupElement, haar_quadrature, haar_samples
 from s3lab.clebsch import cg_table
 from s3lab.bilinear import (
@@ -65,6 +66,28 @@ def test_grid_evaluation_matches_pointwise():
     for it, ip1, ip2 in [(0, 0, 0), (3, 5, 2), (7, 7, 7)]:
         g = from_angles(q.theta[it], q.phi1()[ip1], q.phi2()[ip2])
         assert vals[it, ip1, ip2] == pytest.approx(evaluate(f, g), abs=1e-12)
+
+
+@pytest.mark.parametrize("m,levels,chunk", [
+    (3, (4, 7, 7), None),      # n1 = n2 = 2m+1: the rows p = j+j'-m wrap
+    (2, (3, 5, 9), None),      # the minimum phi1 level, n1 != n2
+    (3, (5, 11, 8), None),     # n1 > n2
+    (2, (5, 7, 5), 70),        # two slices per chunk: a chunk boundary and a short last chunk
+    (1, (3, 3, 4), 5),         # a chunk budget below one slice: one slice per chunk
+])
+def test_grid_evaluation_matches_evaluate_at_every_node(monkeypatch, m, levels, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(bilinear, "_FFT_CHUNK", chunk)
+    f = random_eigenfunction(m, [11, m])
+    q = haar_quadrature(levels)
+    want = np.array([evaluate(f, g) for g in q.nodes()]).reshape(levels)
+    assert np.max(np.abs(evaluate_on_grid(f, q) - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("levels", [(4, 6, 7), (4, 7, 6)])
+def test_grid_evaluation_refuses_phi_levels_below_the_degree(levels):
+    with pytest.raises(ValueError, match="cannot hold degree-3 modes"):
+        evaluate_on_grid(random_eigenfunction(3, 0), haar_quadrature(levels))
 
 
 def test_product_decompose_triangle_and_pointwise():

@@ -97,7 +97,41 @@ def test_casimir_dimension_guard():
         casimir_matrix(80, 80)
 
 
-@pytest.mark.parametrize("mn", [(1, 1), (5, 3), (9, 7), (15, 15)])
+def literal_casimir(m, n):
+    """H^2 + 2EF + 2FE on the dense Kronecker products of the ladder matrices."""
+    Hm, Em, Fm = clebsch._ladder_matrices(m)
+    Hn, En, Fn = clebsch._ladder_matrices(n)
+    Im, In = np.eye(m + 1), np.eye(n + 1)
+    H = np.kron(Hm, In) + np.kron(Im, Hn)
+    E = np.kron(Em, In) + np.kron(Im, En)
+    F = np.kron(Fm, In) + np.kron(Im, Fn)
+    return H @ H + 2.0 * (E @ F) + 2.0 * (F @ E)
+
+
+@pytest.mark.parametrize("mn", [(0, 0), (1, 0), (3, 3), (6, 4), (20, 2)])
+def test_casimir_matrix_matches_the_literal_operator(mn):
+    m, n = mn
+    literal = literal_casimir(m, n)
+    # Omega keeps the weight: every entry between two weights is exactly 0
+    i, j = np.divmod(np.arange((m + 1) * (n + 1)), n + 1)
+    assert np.all(literal[(i + j)[:, None] != (i + j)[None, :]] == 0.0)
+    assert np.max(np.abs(casimir_matrix(m, n) - literal)) <= 1e-12
+
+
+def test_casimir_projectors_refuse_a_shifted_eigenvalue(monkeypatch):
+    eigh = np.linalg.eigh
+
+    def shifted(a):
+        vals, vecs = eigh(a)
+        vals[3, -1] += 4.0      # the block gamma = 1 of (3, 2): its k = 5 value 35 moves to 39
+        return vals, vecs
+
+    monkeypatch.setattr(clebsch.np.linalg, "eigh", shifted)
+    with pytest.raises(RuntimeError, match="k=5 has multiplicity 5, expected 6"):
+        casimir_projectors(3, 2)
+
+
+@pytest.mark.parametrize("mn", [(1, 1), (5, 3), (9, 7), (15, 15), (255, 0), (127, 1), (84, 2)])
 def test_projectors_match_casimir_oracle(mn):
     t = cg_decompose(*mn)
     P_cg = chain_projectors(t)

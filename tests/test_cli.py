@@ -388,6 +388,33 @@ def test_strichartz_refuses_delta_outside_its_range(tmp_path, monkeypatch, capsy
     assert f"bad delta {delta!r}: delta must lie in (0, 1/8); got {delta}" in err
 
 
+@pytest.mark.parametrize("mode,config,key,value", [
+    ("elliptic", {"Ns": [2, 4], "trials": 1, "delta": "0.1", "window": [-10, 10, 64]},
+     "delta", "0.1"),
+    ("hyperbolic", {"Ns": [2, 4], "trials": "1", "window": [-10, 10, 64]}, "trials", "1"),
+    ("elliptic", {"Ns": [2, 4], "trials": 1, "delta": None, "window": [-10, 10, 64]},
+     "delta", None),
+    ("slab", {"slab": _SLAB, "trials": [1], "window": [-10, 10, 64]}, "trials", [1]),
+])
+def test_strichartz_refuses_a_non_numeric_value(tmp_path, monkeypatch, capsys, mode, config,
+                                                 key, value):
+    # a string, None or a list: exit 2 naming the key and value, not a TypeError
+    err = _refuses_before_any_work(tmp_path, monkeypatch, capsys, mode, config)
+    assert f"bad {key} {value!r}: {key} must be a number; got {value!r}" in err
+
+
+def test_checks_accept_numpy_scalars_and_refuse_non_numbers():
+    assert strichartz.check_delta(np.float64(0.1)) == 0.1
+    assert strichartz.check_delta(np.float32(0.1)) == np.float32(0.1)
+    assert strichartz.check_count("trials", np.int64(3)) == 3
+    assert strichartz.check_count("trials", 2.0) == 2.0
+    for bad in ("0.1", None, [0.1]):
+        with pytest.raises(ValueError, match="delta must be a number"):
+            strichartz.check_delta(bad)
+        with pytest.raises(ValueError, match="trials must be a number"):
+            strichartz.check_count("trials", bad)
+
+
 def test_strichartz_hyperbolic_refuses_n_above_the_cap(tmp_path, monkeypatch, capsys):
     # N = 2 would run before N = 128 hit the cap
     err = _refuses_before_any_work(tmp_path, monkeypatch, capsys, "hyperbolic",
