@@ -15,7 +15,11 @@ k = m+n, m+n-2, ..., m-n with component coefficients
                   a_{alpha,alpha'} b_{beta,beta'} C^{k,M} C^{k,M'},
 
 and ||fg||^2 = (n+1) sum_{k,M,M'} (m+1)/(k+1) |S(k,M,M')|^2.  That S-sum
-is the Clebsch-Gordan oracle (``product_l2_exact``, ``product_decompose``).
+is the Clebsch-Gordan oracle: ``product_decompose`` contracts the dense
+change of basis of ``clebsch.change_of_basis`` into every S(k, ., .), and
+the exact norm ``product_l2_exact`` is the total norm of that
+decomposition.  The change of basis holds ((m+1)(n+1))^2 floats, so both
+refuse (m+1)(n+1) > 4225 = 65^2 before any work.
 
 The scans use a sampling-theorem engine instead (``product_norm2_batch``),
 which depends on (m, n) only, never on a Clebsch-Gordan table.  Haar
@@ -47,7 +51,7 @@ import numpy as np
 import scipy.fft
 
 from .clebsch import CGTable, cg_table, change_of_basis
-from .fitting import fit_slope  # noqa: F401  (re-exported: the scans' slope fit)
+from .fitting import check_count, fit_slope  # noqa: F401  (fit_slope: re-exported)
 from .su2 import GroupElement, HaarQuadrature, from_angles, haar_samples, irrep_matrix, wigner_d
 
 
@@ -177,6 +181,11 @@ class ProductDecomposition:
         return sum(evaluate(comp, g) for comp in self.components.values())
 
 
+# Largest tensor dimension (m+1)(n+1) of ``product_decompose``: 65^2, the
+# (64, 64) cell, the largest that the scans run and the oracle is checked at.
+_DECOMPOSE_DIM_MAX = 4225
+
+
 def _check_degree_order(f: Eigenfunction, g: Eigenfunction) -> None:
     if f.m < g.m:
         raise ValueError(f"need deg(f) >= deg(g); got ({f.m}, {g.m}); swap the arguments")
@@ -190,10 +199,15 @@ def product_decompose(f: Eigenfunction, g: Eigenfunction, table: CGTable | None 
     reshaped to the chain tensor U_k[alpha, beta, gamma], give every S-sum
     of that degree at once: S_k = U_k^T (a x b) U_k, contracted one factor
     at a time.  The change of basis is dense, ((m+1)(n+1))^2 floats: this is
-    the oracle at small degrees, not a scan path.
+    the oracle, not a scan path, and (m+1)(n+1) above ``_DECOMPOSE_DIM_MAX``
+    raises ValueError before the table or the change of basis is built.
     """
     _check_degree_order(f, g)
     m, n = f.m, g.m
+    dim = (m + 1) * (n + 1)
+    if dim > _DECOMPOSE_DIM_MAX:
+        raise ValueError(f"tensor dimension (m+1)(n+1) = {dim} exceeds the "
+                         f"{_DECOMPOSE_DIM_MAX} cap of the dense change of basis")
     table = table if table is not None else cg_table(m, n)
     a, b = f.coeffs, g.coeffs
     U = change_of_basis(table)
@@ -259,35 +273,6 @@ def sampling_plan(m: int, n: int) -> SamplingPlan:
     return SamplingPlan(m, n, *arrays, fft_len=scipy.fft.next_fast_len(m + n + 1))
 
 
-class _FastTable:
-    """Per-table arrays for the batched S-sum norm: per weight gamma the
-    coefficient block (K, d) plus concatenated index maps into a and b."""
-
-    def __init__(self, table: CGTable):
-        m, n = table.m, table.n
-        self.K = len(table.kvals)
-        self.wk = (m + 1.0) / (np.asarray(table.kvals, dtype=float) + 1.0)
-        self.blocks = table.blocks
-        self.block_cat = np.concatenate(table.blocks, axis=1)
-        self.alpha_rows = [(sup + m) // 2 for sup in table.alphas]
-        self.beta_rows = [
-            (gamma - sup + n) // 2 for gamma, sup in zip(table.gammas, table.alphas)
-        ]
-        self.a_cols = np.concatenate(self.alpha_rows)
-        self.b_cols = np.concatenate(self.beta_rows)
-        seg_len = np.array([len(s) for s in table.alphas])
-        self.seg_starts = np.concatenate([[0], np.cumsum(seg_len)[:-1]])
-        self.width = self.a_cols.shape[0]
-
-
-def _fast(table: CGTable) -> _FastTable:
-    ft = table._cache.get("fast")
-    if ft is None:
-        ft = _FastTable(table)
-        table._cache["fast"] = ft
-    return ft
-
-
 def _check_batch(m: int, n: int, abatch: np.ndarray, bbatch: np.ndarray):
     abatch = np.asarray(abatch, dtype=complex)
     bbatch = np.asarray(bbatch, dtype=complex)
@@ -298,41 +283,6 @@ def _check_batch(m: int, n: int, abatch: np.ndarray, bbatch: np.ndarray):
             f"(m, n) = ({m}, {n}): need (B, {m + 1}, {m + 1}) and (B, {n + 1}, {n + 1})"
         )
     return abatch, bbatch
-
-
-def _product_norm2_ssum(table: CGTable, abatch: np.ndarray, bbatch: np.ndarray) -> np.ndarray:
-    """||f_i g_i||^2 through the Clebsch-Gordan S-sums, in float64.
-
-    Cost O(K T^2) per pair with T = (m+1)(n+1); the independent oracle for
-    ``product_norm2_batch``.
-    """
-    abatch, bbatch = _check_batch(table.m, table.n, abatch, bbatch)
-    ft = _fast(table)
-    nbatch = abatch.shape[0]
-    T = ft.width
-    a2r = np.ascontiguousarray(abatch.real.transpose(1, 2, 0))
-    a2i = np.ascontiguousarray(abatch.imag.transpose(1, 2, 0))
-    b2r = np.ascontiguousarray(bbatch.real.transpose(1, 2, 0))
-    b2i = np.ascontiguousarray(bbatch.imag.transpose(1, 2, 0))
-    # column gathers are shared by every gamma; do them once
-    a3r, a3i = a2r[:, ft.a_cols, :], a2i[:, ft.a_cols, :]
-    b3r, b3i = b2r[:, ft.b_cols, :], b2i[:, ft.b_cols, :]
-    acc = np.zeros(nbatch, dtype=np.float64)
-    for t in range(len(ft.alpha_rows)):
-        ar, br = ft.alpha_rows[t], ft.beta_rows[t]
-        d = len(ar)
-        Ar, Ai = a3r[ar], a3i[ar]
-        Br, Bi = b3r[br], b3i[br]
-        Xr = (Ar * Br - Ai * Bi).reshape(d, T * nbatch)
-        Xi = (Ar * Bi + Ai * Br).reshape(d, T * nbatch)
-        Wr = (ft.blocks[t] @ Xr).reshape(ft.K, T, nbatch)
-        Wi = (ft.blocks[t] @ Xi).reshape(ft.K, T, nbatch)
-        Wr *= ft.block_cat[:, :, None]
-        Wi *= ft.block_cat[:, :, None]
-        Sr = np.add.reduceat(Wr, ft.seg_starts, axis=1)
-        Si = np.add.reduceat(Wi, ft.seg_starts, axis=1)
-        acc += np.einsum("k,kgb->b", ft.wk, Sr * Sr + Si * Si)
-    return (table.n + 1.0) * acc
 
 
 def product_norm2_batch(plan: SamplingPlan, abatch: np.ndarray, bbatch: np.ndarray) -> np.ndarray:
@@ -348,7 +298,8 @@ def product_norm2_batch(plan: SamplingPlan, abatch: np.ndarray, bbatch: np.ndarr
     sum |fft2(F, L) fft2(G, L)|^2 / L^2 with L = plan.fft_len >= m+n+1 so
     the circular convolution is the linear one.  All in float64: the result
     matches the S-sum oracle to rounding (~1e-15 relative).  Cost per pair is
-    ~(m+n) 2-D FFTs of size L, against O(K T^2) for the S-sum.
+    ~(m+n) 2-D FFTs of size L, against a dense T x T change of basis,
+    T = (m+1)(n+1), for the S-sums.
     """
     abatch, bbatch = _check_batch(plan.m, plan.n, abatch, bbatch)
     w, dm, dn, L = plan.weights, plan.dm, plan.dn, plan.fft_len
@@ -370,11 +321,8 @@ def product_norm2_batch(plan: SamplingPlan, abatch: np.ndarray, bbatch: np.ndarr
 
 
 def product_l2_exact(f: Eigenfunction, g: Eigenfunction, table: CGTable | None = None) -> float:
-    """Exact ||fg||_{L2} through the Clebsch-Gordan S-sum (the oracle)."""
-    _check_degree_order(f, g)
-    table = table if table is not None else cg_table(f.m, g.m)
-    val = _product_norm2_ssum(table, f.coeffs[None], g.coeffs[None])[0]
-    return float(np.sqrt(val))
+    """Exact ||fg||_{L2}: the total norm of ``product_decompose`` (the oracle)."""
+    return product_decompose(f, g, table).total_norm()
 
 
 def bilinear_ratio(f: Eigenfunction, g: Eigenfunction, table: CGTable | None = None) -> float:
@@ -445,7 +393,9 @@ def bilinear_ratio_scan(m: int, n: int, n_pairs: int, seed, batch: int = 16) -> 
 
     Pairs go through ``product_norm2_batch`` (the sampling engine, float64)
     in batches of ``batch``; the ratios are exact to rounding at every cell.
+    An n_pairs below 1 raises ValueError before any work.
     """
+    check_count("n_pairs", n_pairs)
     plan = sampling_plan(m, n)
     rng = np.random.default_rng(seed)
     out = np.empty(n_pairs)

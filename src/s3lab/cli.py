@@ -87,6 +87,12 @@ def _run_cg_table(params: dict, out_dir: Path) -> int:
 def _run_bilinear_verify(params: dict, out_dir: Path) -> int:
     m_max, n_max = params["m_max"], params["n_max"]
     seeds, seed = params["seeds"], params["seed"]
+    # a gate over the zonal witnesses alone would pass on no random pair
+    try:
+        check_count("--seeds", seeds)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     m_values = [m for m in (8, 16, 32, 64) if m <= m_max] or [m_max]
     cells = [(m, n) for m in m_values
              for n in [0] + [n for n in (4, 8, 16, 32, 64) if n <= min(m, n_max)]]
@@ -246,7 +252,8 @@ _SLAB_FIELDS = ("xi0", "a", "c", "M", "N")
 
 def _slab_spec(record) -> strichartz.SlabSpec:
     """The SlabSpec of a config's slab record; ValueError naming a missing
-    record, a missing or unknown key, or a value SlabSpec refuses."""
+    record, a missing or unknown key, a value SlabSpec refuses, or an N
+    above the cap of ``strichartz.check_ns``."""
     fields = f"a slab record has the keys {', '.join(_SLAB_FIELDS)}"
     if not isinstance(record, dict):
         raise ValueError(fields)
@@ -255,10 +262,12 @@ def _slab_spec(record) -> strichartz.SlabSpec:
     if problems:
         raise ValueError(f"{', '.join(problems)}; {fields}")
     try:
-        return strichartz.SlabSpec(xi0=tuple(record["xi0"]), a=tuple(record["a"]),
+        spec = strichartz.SlabSpec(xi0=tuple(record["xi0"]), a=tuple(record["a"]),
                                    c=record["c"], M=record["M"], N=record["N"])
     except (TypeError, IndexError) as exc:
         raise ValueError(str(exc)) from None
+    strichartz.check_ns([spec.N])
+    return spec
 
 
 def _lattice_h(h):
@@ -321,11 +330,8 @@ def _box_scaling(a, seed):
 
 
 _TRIALS = partial(check_count, "trials")
-_SCAN_CHECKS = {"Ns": check_fit_xs, "trials": _TRIALS, "window": strichartz.check_window}
-
-
-def _hyperbolic_ns(Ns):
-    return strichartz._check_hyperbolic_ns(check_fit_xs(Ns))
+_SCAN_CHECKS = {"Ns": lambda Ns: strichartz.check_ns(check_fit_xs(Ns)), "trials": _TRIALS,
+                "window": strichartz.check_window}
 
 
 _MODES = {
@@ -340,15 +346,14 @@ _MODES = {
                     "window": strichartz.check_window}),
     "hyperbolic": _Entry({"Ns": (4, 8, 16, 32, 64), "trials": 3, "h": 0.5,
                           "window": (-60.0, 60.0, 4096)},
-                         ["trial", "N", "quotient"], _hyperbolic,
-                         {**_SCAN_CHECKS, "Ns": _hyperbolic_ns}),
+                         ["trial", "N", "quotient"], _hyperbolic, _SCAN_CHECKS),
     "quadrilinear": _Entry({}, ["trial", "frequency_side", "time_side", "relative_mismatch"],
                            _quadrilinear),
     "kernel-split": _Entry({"k_shift": 0},
                            ["gamma_total", "K1_part", "K2_part", "tuples", "cover_ok"],
                            _kernel_split),
     "box-scaling": _Entry({"Ns": (4, 8, 16, 32), "h": 0.25}, ["N", "n_t", "norm", "ratio"],
-                          _box_scaling, {"h": _lattice_h}),
+                          _box_scaling, {"Ns": strichartz.check_ns, "h": _lattice_h}),
 }
 
 

@@ -709,6 +709,22 @@ def check_delta(delta):
     return delta
 
 
+# Largest N of every quotient, scan and probe.  The grids grow like N^2 /
+# h^2: the hyperbolic data fill [-N, N]^2, and an elliptic slab at N = 4096
+# and h = 0.125 would need 8195 x 65539 masks, 4.3 GB per float64 array.
+_N_MAX = 64
+
+
+def check_ns(Ns):
+    """Return Ns; ValueError naming the first N above ``_N_MAX`` (a NaN
+    included).  Every quotient, scan and the box probe call it before any
+    work."""
+    for N in Ns:
+        if not N <= _N_MAX:
+            raise ValueError(f"N is capped at {_N_MAX}; got {N}")
+    return Ns
+
+
 def strichartz_quotient(
     slab: SlabSpec,
     delta: float,
@@ -721,9 +737,10 @@ def strichartz_quotient(
 
         evolve_l4_norm / ((M/N)^delta N^{1/4} ||phi||_{L2}).
 
-    A delta outside (0, 1/8) or fewer than one trial raises ValueError
-    before any work.
+    A delta outside (0, 1/8), fewer than one trial or an N above 64 raises
+    ValueError before any work.
     """
+    check_ns([slab.N])
     check_delta(delta)
     check_count("trials", trials)
     rng = np.random.default_rng(seed)
@@ -777,9 +794,9 @@ def scan_strichartz_quotients(
     directions, offsets and centers; every third trial pins the direction
     to the Case 1 / Case 2 boundary |a2| = (M/N)^(1-4 delta).  The
     summary's flags keep the worst value per warning flag.  Fewer than two
-    distinct N, one trial or a delta outside (0, 1/8) raise ValueError
-    before any work."""
-    check_fit_xs(Ns)
+    distinct N, an N above 64, one trial or a delta outside (0, 1/8) raise
+    ValueError before any work."""
+    check_ns(check_fit_xs(Ns))
     check_count("trials", trials)
     check_delta(delta)
     rows = []
@@ -820,7 +837,8 @@ def box_scaling_probe(Ns: list, h: float = 0.25) -> tuple[list, dict]:
     by the periodic-exact time rule (the Fejer weight periodized by Poisson
     summation): with q = 1/h^2 the box's Lambda spread is 2 N^2, so it uses
     q (4 N^2 + 1) nodes, the rows' ``n_t``.  An h with 1/h^2 not an integer
-    raises ValueError before any work."""
+    or an N above 64 raises ValueError before any work."""
+    check_ns(Ns)
     lattice_q(h)
     rows = []
     ratios = []
@@ -832,19 +850,6 @@ def box_scaling_probe(Ns: list, h: float = 0.25) -> tuple[list, dict]:
     summary = {"Ns": list(Ns), "ratios": ratios,
                "spread_factor": float(max(ratios) / min(ratios))}
     return rows, summary
-
-
-# Largest N of the hyperbolic quotient, whose random data fill [-N, N]^2.
-_HYPERBOLIC_N_MAX = 64
-
-
-def _check_hyperbolic_ns(Ns):
-    """Return Ns; ValueError naming the first N above ``_HYPERBOLIC_N_MAX``.
-    The hyperbolic quotient and scan call it before any work."""
-    for N in Ns:
-        if not N <= _HYPERBOLIC_N_MAX:
-            raise ValueError(f"N is capped at {_HYPERBOLIC_N_MAX}; got {N}")
-    return Ns
 
 
 def hyperbolic_l4_quotient(
@@ -859,7 +864,7 @@ def hyperbolic_l4_quotient(
     weighted quartic evaluator under the hyperbolic Lambda = xi1^2 - xi2^2,
     with x2 integrated over the torus.  An N above 64 or fewer than one
     trial raises ValueError before any work."""
-    _check_hyperbolic_ns([N])
+    check_ns([N])
     check_count("trials", trials)
     rng = np.random.default_rng(seed)
     grid = FrequencyGrid(h=h, xi1_extent=float(N), xi2_min=-N, xi2_max=N)
@@ -895,7 +900,7 @@ def scan_hyperbolic_quotients(
     """Hyperbolic quotient scan over N in Ns; the summary's flags keep the
     worst value per warning flag.  Fewer than two distinct N, an N above 64
     or one trial raise ValueError before any work."""
-    _check_hyperbolic_ns(check_fit_xs(Ns))
+    check_ns(check_fit_xs(Ns))
     check_count("trials", trials)
     rows = []
     per_n = {}

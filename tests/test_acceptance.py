@@ -17,14 +17,14 @@ import time
 import numpy as np
 import pytest
 
-from s3lab.su2 import haar_quadrature, haar_samples, irrep_matrix
+from s3lab.su2 import haar_quadrature, haar_samples
 from s3lab import bilinear, lattice, strichartz
 from s3lab.clebsch import (
+    block_diagonalization_defect,
     casimir_projectors,
     cg_decompose,
     cg_table,
     chain_projectors,
-    change_of_basis,
     verify_orthogonality,
 )
 from s3lab.gates import (
@@ -89,30 +89,13 @@ def test_criterion_2_cg_oracle_equivalence():
         for k in P_cg:
             worst = max(worst, float(np.max(np.abs(P_cg[k] - P_or[k]))))
     assert worst <= 1e-8
-    # block diagonalization into D^k blocks, 20 seeded elements stacked into
-    # one product per table; the runtime budget pins this to the m + n <= 20
-    # equivariance grid
+    # block diagonalization into D^k blocks over 20 seeded elements, one
+    # stacked product per table; the runtime budget pins this to the
+    # m + n <= 20 equivariance grid
     gs = haar_samples(20, 2024)
-    dstack = {m: np.stack([irrep_matrix(m, g) for g in gs]) for m in range(21)}
-    worst_bd = 0.0
-    for s in range(0, 21):
-        for n in range(0, s // 2 + 1):
-            m = s - n
-            table = cg_table(m, n)
-            U = change_of_basis(table)
-            dim = (m + 1) * (n + 1)
-            kron = (dstack[m][:, :, None, :, None] * dstack[n][:, None, :, None, :]).reshape(
-                len(gs), dim, dim)
-            big = U.T @ kron @ U
-            off = 0
-            for k in table.kvals:
-                size = int(k) + 1
-                blk = big[:, off:off + size, off:off + size]
-                # np.maximum and np.max propagate a NaN; the builtin max may drop it
-                worst_bd = np.maximum(worst_bd, np.max(np.abs(blk - dstack[int(k)])))
-                blk[...] = 0.0
-                off += size
-            worst_bd = np.maximum(worst_bd, np.max(np.abs(big)))
+    # np.max propagates a NaN; the builtin max may drop it
+    worst_bd = np.max([block_diagonalization_defect(cg_table(s - n, n), gs)
+                       for s in range(0, 21) for n in range(0, s // 2 + 1)])
     assert worst_bd <= 1e-8
     _report(2, f"{len(pairs)} projector pairs ({worst:.2e}), blockdiag defect {worst_bd:.2e}", t0, 120)
 

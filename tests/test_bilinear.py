@@ -101,10 +101,25 @@ def test_product_decompose_triangle_and_pointwise():
 
 
 def test_product_decompose_parseval_split():
+    # the component norms split ||fg||, here measured by Haar quadrature
     f, g = random_eigenfunction(5, 1), random_eigenfunction(5, 2)
     dec = product_decompose(f, g)
-    total = product_l2_exact(f, g)
+    total = product_l2_quadrature(f, g, haar_quadrature(recommended_levels(10)))
     assert dec.total_norm() == pytest.approx(total, rel=1e-9)
+
+
+def test_exact_norm_refuses_a_cell_beyond_the_dense_cap(monkeypatch):
+    # (65, 64): (m+1)(n+1) = 4290 > 4225; refused before a table or U is built
+    calls = []
+    monkeypatch.setattr("s3lab.bilinear.cg_table", lambda *a: calls.append(a))
+    monkeypatch.setattr("s3lab.bilinear.change_of_basis", lambda *a: calls.append(a))
+    f, g = zonal(65), zonal(64)
+    for oracle in (product_decompose, product_l2_exact):
+        with pytest.raises(ValueError, match="4290"):
+            oracle(f, g)
+        with pytest.raises(ValueError, match="4290"):
+            oracle(f, g, object())
+    assert calls == []
 
 
 def test_degree_order_enforced():
@@ -281,6 +296,15 @@ def test_ratio_scan_deterministic():
     r2 = bilinear_ratio_scan(8, 4, 12, seed=3)
     assert np.array_equal(r1, r2)
     assert (r1 > 0).all()
+
+
+@pytest.mark.parametrize("n_pairs", [0, -3])
+def test_ratio_scan_refuses_no_pairs(monkeypatch, n_pairs):
+    calls = []
+    monkeypatch.setattr("s3lab.bilinear.sampling_plan", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match=f"n_pairs must be >= 1; got {n_pairs}"):
+        bilinear_ratio_scan(8, 4, n_pairs, 0)
+    assert calls == []
 
 
 def test_sup_norm_constant_and_zonal():

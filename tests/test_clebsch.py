@@ -143,15 +143,29 @@ def test_projectors_match_casimir_oracle(mn):
 
 @pytest.mark.parametrize("mn", [(3, 2), (6, 6), (10, 4)])
 def test_equivariance_block_diagonalization(mn):
-    for s in range(5):
-        assert block_diagonalization_defect(cg_decompose(*mn), haar_sample(s)) <= 1e-8
+    t = cg_decompose(*mn)
+    gs = [haar_sample(s) for s in range(5)]
+    stacked = block_diagonalization_defect(t, gs)
+    assert stacked <= 1e-8
+    # the stack pairs D^m(g) with D^n(g) of the same element
+    single = max(block_diagonalization_defect(t, [g]) for g in gs)
+    assert stacked == pytest.approx(single, rel=0.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("m", [0, 1, 4, 9])
 def test_block_diagonalization_with_trivial_factor(m):
-    # (m, 0) tables have one block and no off-block entries: leakage is 0
-    for s in range(3):
-        assert block_diagonalization_defect(cg_decompose(m, 0), haar_sample(s)) <= 1e-12
+    # (m, 0) tables have one block and no off-block entries: the change of
+    # basis is the identity, the block is D^m itself and the leakage is 0
+    assert block_diagonalization_defect(cg_decompose(m, 0), [haar_sample(s) for s in range(3)]) == 0.0
+
+
+def test_block_diagonalization_propagates_nan():
+    t = cg_decompose(4, 2)
+    blocks = [b.copy() for b in t.blocks]
+    blocks[3][0, 0] = np.nan
+    bad = clebsch.CGTable(m=t.m, n=t.n, gammas=t.gammas, kvals=t.kvals,
+                          alphas=t.alphas, blocks=blocks)
+    assert np.isnan(block_diagonalization_defect(bad, [haar_sample(0), haar_sample(1)]))
 
 
 def test_base_change_inversion():

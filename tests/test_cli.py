@@ -125,6 +125,19 @@ def test_bilinear_verify_refuses_a_one_point_fit(tmp_path, m_max, n_max):
     assert not (tmp_path / "bilinear_verify.summary.json").exists()
 
 
+@pytest.mark.parametrize("seeds", [0, -3])
+def test_bilinear_verify_refuses_seeds_below_one(tmp_path, monkeypatch, capsys, seeds):
+    # with no random pairs the gate would rest on the zonal witnesses alone
+    calls = []
+    monkeypatch.setattr(bilinear, "sampling_plan", lambda *a: calls.append(a))
+    out = tmp_path / "out"
+    code = cli.main(["bilinear-verify", "--m-max", "8", "--n-max", "8", "--seeds", str(seeds),
+                     "--out", str(out)])
+    assert code == 2 and calls == []
+    assert f"--seeds must be >= 1; got {seeds}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bilinear_verify_fails_closed_on_nan_witness(tmp_path, monkeypatch):
     # a NaN witness must reach C* and the slope, whatever the argument order
     monkeypatch.setattr(bilinear, "zonal_pair_ratio", lambda m, n: float("nan"))
@@ -420,6 +433,17 @@ def test_strichartz_hyperbolic_refuses_n_above_the_cap(tmp_path, monkeypatch, ca
     err = _refuses_before_any_work(tmp_path, monkeypatch, capsys, "hyperbolic",
                                    {"Ns": [2, 128], "trials": 1, "window": [-10, 10, 64]})
     assert "bad Ns [2, 128]: N is capped at 64; got 128" in err
+
+
+@pytest.mark.parametrize("mode,config,bad", [
+    ("elliptic", {"Ns": [2, 128], "trials": 1, "window": [-10, 10, 64]}, "bad Ns [2, 128]"),
+    ("slab", {"slab": {**_SLAB, "N": 128}, "trials": 1}, "bad slab"),
+    ("box-scaling", {"Ns": [2, 128], "h": 0.5}, "bad Ns [2, 128]"),
+])
+def test_strichartz_modes_refuse_n_above_the_cap(tmp_path, monkeypatch, capsys, mode, config, bad):
+    # the cap of the hyperbolic mode holds for every mode that reads an N
+    err = _refuses_before_any_work(tmp_path, monkeypatch, capsys, mode, config)
+    assert bad in err and "N is capped at 64; got 128" in err
 
 
 def test_strichartz_box_scaling_refuses_h_off_the_lattice(tmp_path, monkeypatch, capsys):

@@ -642,8 +642,13 @@ def test_quotients_refuse_no_trials_before_any_work(monkeypatch, scan, trials):
     (lambda: st.scan_strichartz_quotients([2, 4], 0.0, 1, 0, h=0.5), r"delta .* got 0.0"),
     (lambda: st.hyperbolic_l4_quotient(128, 1, 0), "N is capped at 64; got 128"),
     (lambda: st.scan_hyperbolic_quotients([2, 128], 1, 0), "N is capped at 64; got 128"),
+    (lambda: st.strichartz_quotient(st.SlabSpec(xi0=(0.0, 0), a=(1.0, 0.0), c=0.0, M=2.0, N=128.0),
+                                    0.1, 1, 0, h=0.5), "N is capped at 64; got 128.0"),
+    (lambda: st.scan_strichartz_quotients([2, 128], 0.1, 1, 0, h=0.5), "N is capped at 64; got 128"),
+    (lambda: st.box_scaling_probe([2, 128], h=0.5), "N is capped at 64; got 128"),
 ], ids=["strichartz_quotient", "scan_strichartz_quotients", "scan_strichartz_quotients_zero",
-        "hyperbolic_l4_quotient", "scan_hyperbolic_quotients"])
+        "hyperbolic_l4_quotient", "scan_hyperbolic_quotients", "strichartz_quotient_large_n",
+        "scan_strichartz_quotients_large_n", "box_scaling_probe_large_n"])
 def test_quotients_refuse_bad_delta_and_large_n_before_any_work(monkeypatch, scan, message):
     # the scans check every argument before their first N, not when they reach it
     calls = []
