@@ -20,7 +20,7 @@ order is fixed here once and used by every downstream module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -301,18 +301,15 @@ class HaarQuadrature:
     Parameterization a = cos(theta) e^{i phi1}, b = sin(theta) e^{i phi2},
     theta in [0, pi/2], phi_i in [0, 2 pi), density cos(theta) sin(theta) / (2 pi^2):
     Gauss-Legendre in theta, uniform (trapezoid on the circle) in phi1, phi2.
-    Weights are normalized to sum to exactly 1.
+    Weights are normalized to sum to exactly 1.  Only the theta weights are
+    stored; ``weights``, the flat per-node array of ``node_count`` entries,
+    is computed on request.
     """
 
     theta: np.ndarray
     theta_weight: np.ndarray  # sums to 1; per-node weight is theta_weight/(nphi1*nphi2)
     nphi1: int
     nphi2: int
-    _weights: np.ndarray = field(init=False, repr=False, default=None)
-
-    def __post_init__(self):
-        w = np.repeat(self.theta_weight / (self.nphi1 * self.nphi2), self.nphi1 * self.nphi2)
-        object.__setattr__(self, "_weights", w)
 
     @property
     def levels(self) -> tuple[int, int, int]:
@@ -320,7 +317,7 @@ class HaarQuadrature:
 
     @property
     def weights(self) -> np.ndarray:
-        return self._weights
+        return np.repeat(self.theta_weight / (self.nphi1 * self.nphi2), self.nphi1 * self.nphi2)
 
     @property
     def node_count(self) -> int:
@@ -350,6 +347,9 @@ class HaarQuadrature:
 
 
 def haar_quadrature(levels: tuple[int, int, int]) -> HaarQuadrature:
+    """Quadrature at (ntheta, nphi1, nphi2); each level an integer >= 2, else ValueError."""
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in levels):
+        raise ValueError(f"quadrature levels must be integers, got {levels!r}")
     ntheta, nphi1, nphi2 = levels
     if min(ntheta, nphi1, nphi2) < 2:
         raise ValueError("all quadrature levels must be >= 2")

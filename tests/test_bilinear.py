@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as stn
@@ -169,6 +171,55 @@ def test_quadrature_warns_when_under_resolved():
     f, g = random_eigenfunction(8, 0), random_eigenfunction(8, 1)
     with pytest.warns(UnderResolvedQuadratureWarning):
         product_l2_quadrature(f, g, haar_quadrature((17, 17, 17)))
+
+
+def _full_grid_l2(fs, quad):
+    # the full-grid reference: every factor's whole (theta, phi1, phi2) grid at once
+    vals = evaluate_on_grid(fs[0], quad)
+    for f in fs[1:]:
+        vals = vals * evaluate_on_grid(f, quad)
+    return float(np.sqrt(quad.integrate(np.abs(vals) ** 2).real))
+
+
+@pytest.mark.parametrize("degrees,L", [
+    ((3, 2), 32),          # one chunk holds every theta slice
+    ((6, 6), 56),          # 20 slices per chunk: a short last chunk
+    ((8, 8), 72),          # 12 slices per chunk, 6 full chunks
+    ((4, 3), 41),          # 38 slices per chunk: one full chunk and a 3-slice tail
+    ((8, 8, 8), 104),      # a triple, 6 slices per chunk and a 2-slice tail
+])
+def test_streamed_quadrature_matches_full_grid(degrees, L):
+    q = haar_quadrature((L, L, L))
+    for s in range(3):
+        fs = [random_eigenfunction(m, [17, L, s, k]) for k, m in enumerate(degrees)]
+        want = _full_grid_l2(fs, q)
+        got = (product_l2_quadrature(*fs, q) if len(fs) == 2
+               else multilinear_l2_quadrature(fs, q))
+        assert abs(got - want) <= 1e-14 * want
+
+
+def test_product_quadrature_holds_less_than_one_grid():
+    import tracemalloc
+
+    L = 104
+    q = haar_quadrature((L, L, L))
+    f, g = random_eigenfunction(12, 1), random_eigenfunction(12, 2)
+    product_l2_quadrature(f, g, q)                   # fill su2's cached tables first
+    tracemalloc.start()
+    try:
+        product_l2_quadrature(f, g, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < L**3 * 16                          # one complex grid, about 18 MB
+
+
+def test_multilinear_quadrature_refuses_no_factors(monkeypatch):
+    monkeypatch.setattr(bilinear, "_grid_chunks", lambda *a: pytest.fail("work started"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="at least one factor"):
+            multilinear_l2_quadrature([], haar_quadrature((8, 8, 8)))
 
 
 def test_batch_matches_single():

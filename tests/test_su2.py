@@ -181,6 +181,21 @@ def test_quadrature_rejects_low_levels():
         haar_quadrature((1, 8, 8))
 
 
+@pytest.mark.parametrize("levels", [(8, 8.5, 8), (8.0, 8, 8), (8, 8, 8.0), (True, 8, 8),
+                                    (8, np.float64(8), 8), (8, 8, "8")])
+def test_quadrature_rejects_non_integer_levels(levels):
+    with pytest.raises(ValueError, match="must be integers"):
+        haar_quadrature(levels)
+
+
+def test_quadrature_weights_on_request():
+    q = haar_quadrature((4, 3, np.int64(5)))
+    assert q.levels == (4, 3, 5)
+    assert q.weights.shape == (q.node_count,)
+    np.testing.assert_allclose(q.weights.reshape(q.levels).sum(axis=(1, 2)), q.theta_weight,
+                               rtol=1e-14)
+
+
 def test_quadrature_schur_relations():
     # both Schur statements at levels (32, 32, 32), m, m' <= 6
     q = haar_quadrature((32, 32, 32))
