@@ -15,11 +15,12 @@ k = m+n, m+n-2, ..., m-n with component coefficients
                   a_{alpha,alpha'} b_{beta,beta'} C^{k,M} C^{k,M'},
 
 and ||fg||^2 = (n+1) sum_{k,M,M'} (m+1)/(k+1) |S(k,M,M')|^2.  That S-sum
-is the Clebsch-Gordan oracle: ``product_decompose`` contracts the dense
-change of basis of ``clebsch.change_of_basis`` into every S(k, ., .), and
-the exact norm ``product_l2_exact`` is the total norm of that
-decomposition.  The change of basis holds ((m+1)(n+1))^2 floats, so both
-refuse (m+1)(n+1) > 4225 = 65^2 before any work.
+is the Clebsch-Gordan oracle: ``product_decompose`` contracts the change
+of basis of ``clebsch.change_of_basis`` into every S(k, ., .), one degree
+block U_k of (m+1)(n+1) x (k+1) columns at a time, so the dense matrix is
+never live, and the exact norm ``product_l2_exact`` is the total norm of
+that decomposition.  Both refuse (m+1)(n+1) > 4225 = 65^2, the (64, 64)
+cell, before any work.
 
 The scans use a sampling-theorem engine instead (``product_norm2_batch``),
 which depends on (m, n) only, never on a Clebsch-Gordan table.  Haar
@@ -34,11 +35,14 @@ and Rockmore, "FFTs on the rotation group" (J. Fourier Anal. Appl. 14,
 2008), and McEwen et al., "A novel sampling theorem on the rotation group"
 (IEEE Signal Process. Lett. 22, 2015).
 
-The zonal witness (``zonal_pair_ratio``) reads the same plan without the
-2-D FFTs.  Its coefficient matrices are diagonal, so at each node the 2-D
-convolution lies on the diagonal and equals the 1-D linear convolution of
-the d-matrix diagonals: O(nodes L log L) per cell instead of
-O(nodes L^2 log L), with the same nodes, weights and exactness.
+The zonal witness (``zonal_pair_ratio``) needs no plan.  Its coefficient
+matrices are diagonal, so at each node the 2-D convolution lies on the
+diagonal and equals the 1-D linear convolution of the d-matrix diagonals.
+It takes the plan's nodes and weights from the same rule (``_cell_nodes``)
+and only the diagonals d^k_jj (``su2.wigner_d_diagonal``), from the same
+eigensystem as ``wigner_d``: O(nodes L log L) time and O(nodes L) memory
+per cell, against O(nodes L^2 log L) and the O(nodes L^2) d-matrix stacks
+of the 2-D path, with the same exactness.
 
 The Haar-quadrature oracles (``product_l2_quadrature``,
 ``multilinear_l2_quadrature``) are independent of both: they evaluate every
@@ -53,14 +57,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.fft
 
-from .clebsch import CGTable, cg_table, change_of_basis
+from .clebsch import CGTable, _degree_blocks, cg_table
 from .fitting import check_count, fit_slope  # noqa: F401  (fit_slope: re-exported)
-from .su2 import GroupElement, HaarQuadrature, from_angles, haar_samples, irrep_matrix, wigner_d
+from .su2 import (GroupElement, HaarQuadrature, from_angles, haar_samples, irrep_matrix,
+                  wigner_d, wigner_d_diagonal)
 
 
 class UnderResolvedQuadratureWarning(UserWarning):
@@ -248,9 +252,11 @@ def product_decompose(f: Eigenfunction, g: Eigenfunction, table: CGTable | None 
     component evaluations.  The degree-k columns of ``change_of_basis``,
     reshaped to the chain tensor U_k[alpha, beta, gamma], give every S-sum
     of that degree at once: S_k = U_k^T (a x b) U_k, contracted one factor
-    at a time.  The change of basis is dense, ((m+1)(n+1))^2 floats: this is
-    the oracle, not a scan path, and (m+1)(n+1) above ``_DECOMPOSE_DIM_MAX``
-    raises ValueError before the table or the change of basis is built.
+    at a time.  The blocks U_k come one degree at a time from
+    ``clebsch._degree_blocks``, so at most one (m+1)(n+1) x (k+1) block is
+    live, never the dense ((m+1)(n+1))^2 matrix.  This is the oracle, not a
+    scan path, and (m+1)(n+1) above ``_DECOMPOSE_DIM_MAX`` raises ValueError
+    before the table or any block is built.
     """
     _check_degree_order(f, g)
     m, n = f.m, g.m
@@ -260,12 +266,9 @@ def product_decompose(f: Eigenfunction, g: Eigenfunction, table: CGTable | None 
                          f"{_DECOMPOSE_DIM_MAX} cap of the dense change of basis")
     table = table if table is not None else cg_table(m, n)
     a, b = f.coeffs, g.coeffs
-    U = change_of_basis(table)
-    components, s_sums, off = {}, {}, 0
-    for k in table.kvals:
-        k = int(k)
-        Uk = U[:, off:off + k + 1].reshape(m + 1, n + 1, k + 1)
-        off += k + 1
+    components, s_sums = {}, {}
+    for k, Uk in _degree_blocks(table):
+        Uk = Uk.reshape(m + 1, n + 1, k + 1)
         X = np.tensordot(a, Uk, axes=(0, 0))          # [alpha', beta, gamma]
         X = np.tensordot(b, X, axes=(0, 1))           # [beta', alpha', gamma]
         S = np.tensordot(X, Uk, axes=([1, 0], [0, 1]))  # [gamma, gamma']
@@ -280,11 +283,6 @@ def product_decompose(f: Eigenfunction, g: Eigenfunction, table: CGTable | None 
 # in chunks of at most this size, whatever the batch or grid size; a chunk
 # holds at least one slice.
 _FFT_CHUNK = 1 << 16
-# Sampling plans kept by ``sampling_plan``.  A scan cell uses its plan twice
-# in a row (random pairs, then the zonal witness) and the zonal sweep never
-# reuses one, so two entries are enough; the largest scanned plan, (120, 60),
-# holds 13 MB.
-_PLAN_CACHE_SIZE = 2
 
 
 @dataclass(frozen=True)
@@ -294,8 +292,8 @@ class SamplingPlan:
     ``weights`` are the Gauss-Legendre weights w/2 at the (m+n)//2 + 1 nodes
     x_i = cos(2 theta_i); ``dm`` and ``dn`` are sqrt(m+1) d^m(theta_i) and
     sqrt(n+1) d^n(theta_i), of shapes (nodes, m+1, m+1) and (nodes, n+1, n+1);
-    ``fft_len`` is next_fast_len(m+n+1).  The arrays are read-only, because
-    plans are shared through a cache.
+    ``fft_len`` is next_fast_len(m+n+1).  The arrays are read-only: a plan
+    is a value that its scan passes to every batch.
     """
 
     m: int
@@ -306,18 +304,23 @@ class SamplingPlan:
     fft_len: int
 
 
-@lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def sampling_plan(m: int, n: int) -> SamplingPlan:
-    """The cached ``SamplingPlan`` of the cell (m, n); needs m, n >= 0."""
-    m, n = int(m), int(n)
+def _cell_nodes(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(theta_i, w_i / 2) at the (m+n)//2 + 1 Gauss-Legendre nodes
+    x_i = cos(2 theta_i) of the cell (m, n); m, n < 0 raise ValueError."""
     if m < 0 or n < 0:
         raise ValueError(f"degrees must be nonnegative; got ({m}, {n})")
     x, w = np.polynomial.legendre.leggauss((m + n) // 2 + 1)
-    theta = 0.5 * np.arccos(x)
+    return 0.5 * np.arccos(x), 0.5 * w
+
+
+def sampling_plan(m: int, n: int) -> SamplingPlan:
+    """The ``SamplingPlan`` of the cell (m, n); needs m, n >= 0."""
+    m, n = int(m), int(n)
+    theta, weights = _cell_nodes(m, n)
     dm, dn = wigner_d(m, theta), wigner_d(n, theta)
     dm *= np.sqrt(m + 1.0)  # in place: no second copy of the largest array
     dn *= np.sqrt(n + 1.0)
-    arrays = (0.5 * w, dm, dn)
+    arrays = (weights, dm, dn)
     for arr in arrays:
         arr.flags.writeable = False
     return SamplingPlan(m, n, *arrays, fft_len=scipy.fft.next_fast_len(m + n + 1))
@@ -462,30 +465,31 @@ def bilinear_ratio_scan(m: int, n: int, n_pairs: int, seed, batch: int = 16) -> 
 
 
 def zonal_pair_ratio(m: int, n: int) -> float:
-    """Ratio of the zonal witness pair at degrees (m, n), on the sampling plan.
+    """Ratio of the zonal witness pair at degrees (m, n), on the cell's nodes.
 
     The character product rule makes chi_m chi_n a sum of n+1 orthonormal
     characters, so this equals 1 at every (m, n): the sharpness witness for
     the bilinear bound template and the flat reference the no-growth fit
     runs against.  Its deviation from 1 is rounding only.
 
-    Both zonal coefficient matrices are diagonal, so at each node of
-    ``sampling_plan(m, n)`` the engine's arrays F and G are the diagonals
-    of d^m(theta_i) and d^n(theta_i), and their 2-D linear convolution is
-    the 1-D linear convolution of those diagonals, placed on the diagonal.
-    The same nodes, weights and d-matrices as ``product_norm2_batch`` then
-    give the value through one batched real FFT of length plan.fft_len per
-    node: O(nodes L log L) against O(nodes L^2 log L) for the 2-D path.
+    Both zonal coefficient matrices are diagonal, so at each node theta_i
+    of the sampling engine the arrays F and G of ``product_norm2_batch``
+    are the diagonals of d^m(theta_i) and d^n(theta_i), and their 2-D
+    linear convolution is the 1-D linear convolution of those diagonals,
+    placed on the diagonal.  The engine's nodes and weights (``_cell_nodes``)
+    and the diagonals alone (``wigner_d_diagonal``, from the eigensystem
+    of ``wigner_d``) then give the value through one batched real FFT of
+    length next_fast_len(m+n+1) per node, with no ``SamplingPlan``:
+    O(nodes L log L) time and O(nodes L) memory.
     """
-    plan = sampling_plan(m, n)
-    L = plan.fft_len
-    # diag(sqrt(m+1) d^m) / sqrt(m+1): the zonal coefficient times d^m
-    dm = np.diagonal(plan.dm, axis1=1, axis2=2) / np.sqrt(m + 1.0)
-    dn = np.diagonal(plan.dn, axis1=1, axis2=2) / np.sqrt(n + 1.0)
+    theta, weights = _cell_nodes(m, n)
+    L = scipy.fft.next_fast_len(m + n + 1)
+    # the zonal coefficient 1/sqrt(k+1) times sqrt(k+1) d^k: the bare diagonal
+    dm, dn = wigner_d_diagonal(m, theta), wigner_d_diagonal(n, theta)
     # L >= m+n+1, so the circular convolution is the linear one
     conv = scipy.fft.irfft(scipy.fft.rfft(dm, n=L, axis=1) * scipy.fft.rfft(dn, n=L, axis=1),
                            n=L, axis=1)
-    val = plan.weights @ np.einsum("ij,ij->i", conv, conv)
+    val = weights @ np.einsum("ij,ij->i", conv, conv)
     return float(np.sqrt(val / (n + 1.0)))
 
 

@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .su2 import irrep_matrix
+from .su2 import _irrep_stacks
 
 _ORTH_TOL = 1e-8
 
@@ -421,14 +421,9 @@ def casimir_matrix(m: int, n: int) -> np.ndarray:
 
 def chain_projectors(table: CGTable) -> dict[int, np.ndarray]:
     """Per-k projectors sum_gamma u_{k,gamma} u_{k,gamma}^T on the tensor
-    space: U_k U_k^T with U_k the degree-k columns of ``change_of_basis``."""
-    U = change_of_basis(table)
-    out, off = {}, 0
-    for k in table.kvals:
-        Uk = U[:, off:off + k + 1]
-        out[int(k)] = Uk @ Uk.T
-        off += k + 1
-    return out
+    space: U_k U_k^T with U_k the degree-k columns of ``change_of_basis``,
+    taken one degree block at a time from ``_degree_blocks``."""
+    return {k: Uk @ Uk.T for k, Uk in _degree_blocks(table)}
 
 
 def casimir_projectors(m: int, n: int) -> dict[int, np.ndarray]:
@@ -464,23 +459,41 @@ def casimir_projectors(m: int, n: int) -> dict[int, np.ndarray]:
     return out
 
 
-def change_of_basis(table: CGTable) -> np.ndarray:
-    """Orthogonal matrix whose columns are the u_{k,gamma} in the Kronecker
-    ordering (row ((alpha+m)/2)(n+1) + (beta+n)/2 for v_{m,alpha} x v_{n,beta});
-    columns grouped by k (descending), gamma ascending within k.  The row
-    and column of every stored coefficient come from one index computation
-    over the concatenated blocks."""
+def _degree_blocks(table: CGTable):
+    """Yield (k, U_k) for k descending, U_k the (m+1)(n+1) x (k+1) degree-k
+    columns of ``change_of_basis``: u_{k,gamma} for gamma ascending, rows in
+    the Kronecker ordering.  The row and column of every stored coefficient
+    come from one index computation over the concatenated blocks; only one
+    U_k is built per step, so a caller that contracts and drops it never
+    holds the dense matrix."""
     m, n, kvals = table.m, table.n, table.kvals
-    starts = np.cumsum(kvals + 1) - (kvals + 1)      # first column of each k
     gamma = np.repeat(table.gammas, [len(sup) for sup in table.alphas])
     alpha = np.concatenate(table.alphas)
     rows = (alpha + m) // 2 * (n + 1) + (gamma - alpha + n) // 2
-    cols = starts[:, None] + (gamma + kvals[:, None]) // 2
+    cols = (gamma + kvals[:, None]) // 2             # the column within U_k
     live = np.abs(gamma) <= kvals[:, None]           # not a structural zero
+    values = np.concatenate(table.blocks, axis=1)
     dim = (m + 1) * (n + 1)
+    for kappa, k in enumerate(kvals.tolist()):
+        Uk = np.zeros((dim, k + 1))
+        sel = live[kappa]
+        Uk[rows[sel], cols[kappa, sel]] = values[kappa, sel]
+        yield k, Uk
+
+
+def change_of_basis(table: CGTable) -> np.ndarray:
+    """Orthogonal matrix whose columns are the u_{k,gamma} in the Kronecker
+    ordering (row ((alpha+m)/2)(n+1) + (beta+n)/2 for v_{m,alpha} x v_{n,beta});
+    columns grouped by k (descending), gamma ascending within k.  It is
+    ((m+1)(n+1))^2 floats, filled from the degree blocks of
+    ``_degree_blocks``; the oracles that only contract it (``chain_projectors``,
+    ``bilinear.product_decompose``) read those blocks instead."""
+    dim = (table.m + 1) * (table.n + 1)
     U = np.zeros((dim, dim))
-    U[np.broadcast_to(rows, cols.shape)[live], cols[live]] = (
-        np.concatenate(table.blocks, axis=1)[live])
+    off = 0
+    for k, Uk in _degree_blocks(table):
+        U[:, off:off + k + 1] = Uk
+        off += k + 1
     return U
 
 
@@ -488,14 +501,16 @@ def block_diagonalization_defect(table: CGTable, gs) -> float:
     """Max deviation of U^T (D^m(g) x D^n(g)) U from blockdiag(D^k(g)), k
     descending, over the group elements ``gs``.
 
-    The Kronecker products of all elements are stacked, so U^T kron U is one
+    Each degree's stack of D^d(g) over all of ``gs`` comes from one
+    ``wigner_d`` call plus phase factors (``su2._irrep_stacks``), and the
+    Kronecker products of all elements are stacked, so U^T kron U is one
     batched product per table.  Each diagonal block is zeroed once compared,
     so what remains is the off-block leakage: exactly 0 when n = 0 (a single
     block).  A NaN anywhere propagates to the result.
     """
     m, n = table.m, table.n
     U = change_of_basis(table)
-    D = {d: np.stack([irrep_matrix(d, g) for g in gs]) for d in {m, n, *table.kvals.tolist()}}
+    D = _irrep_stacks(sorted({m, n, *table.kvals.tolist()}), gs)
     dim = (m + 1) * (n + 1)
     kron = (D[m][:, :, None, :, None] * D[n][:, None, :, None, :]).reshape(-1, dim, dim)
     big = U.T @ kron @ U

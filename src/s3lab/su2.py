@@ -138,6 +138,13 @@ def _binom_rows(m: int) -> tuple:
     )
 
 
+def _raise_coeffs(m: int) -> np.ndarray:
+    """c_+(m, alpha) over alpha = -m, ..., m-2: the superdiagonal of the
+    rotation generator, in the arithmetic of ``ladder_coeff``, entry for entry."""
+    alpha = np.arange(-m, m, 2)
+    return 0.5 * np.sqrt((m + alpha + 2.0) * (m - alpha))
+
+
 @lru_cache(maxsize=None)
 def _rotation_eig(m: int) -> tuple:
     """Eigendecomposition of i (E - F)^T on the weight basis.
@@ -147,7 +154,7 @@ def _rotation_eig(m: int) -> tuple:
     through this Hermitian tridiagonal eigensystem; the result is orthogonal
     to machine precision at every m.
     """
-    sup = np.array([ladder_coeff(m, alpha, "raise") for alpha in range(-m, m, 2)])
+    sup = _raise_coeffs(m)
     H = np.zeros((m + 1, m + 1), dtype=complex)
     idx = np.arange(m)
     H[idx, idx + 1] = 1j * sup
@@ -176,7 +183,7 @@ def _rotation_eig_real(m: int) -> tuple:
     the columns with lambda >= 0 are kept, those with lambda > 0 scaled by
     sqrt(2).  Returns (lambda, W0, W1) over the kept columns.
     """
-    sup = np.array([ladder_coeff(m, alpha, "raise") for alpha in range(-m, m, 2)])
+    sup = _raise_coeffs(m)
     T = np.zeros((m + 1, m + 1))
     idx = np.arange(m)
     T[idx, idx + 1] = T[idx + 1, idx] = -sup
@@ -213,10 +220,29 @@ def irrep_matrix(m: int, g: GroupElement) -> np.ndarray:
         return np.ones((1, 1), dtype=complex)
     theta = np.arctan2(abs(g.b), abs(g.a))
     phi1, phi2 = np.angle(g.a), np.angle(g.b)
-    block = _rotation_block(m, theta)
+    return _rotation_block(m, theta) * _irrep_phases(m, phi1, phi2)
+
+
+def _irrep_phases(m: int, phi1, phi2) -> np.ndarray:
+    """exp(i (j+j'-m) phi1) exp(i (j'-j) phi2) over (j, j'), the phase factor
+    of ``irrep_matrix``; the shape of phi1 and phi2 leads, (m+1, m+1) trails."""
     j = np.arange(m + 1)
-    phase = np.exp(1j * ((j[:, None] + j[None, :] - m) * phi1 + (j[None, :] - j[:, None]) * phi2))
-    return block * phase
+    phi1, phi2 = np.asarray(phi1)[..., None, None], np.asarray(phi2)[..., None, None]
+    return np.exp(1j * ((j[:, None] + j[None, :] - m) * phi1 + (j[None, :] - j[:, None]) * phi2))
+
+
+def _irrep_stacks(degrees, gs) -> dict[int, np.ndarray]:
+    """{d: the (len(gs), d+1, d+1) stack of ``irrep_matrix(d, g)`` over ``gs``}.
+
+    Each degree takes one ``wigner_d`` call for the angles theta of all
+    elements, times ``_irrep_phases``: the factorization of ``irrep_matrix``
+    evaluated for many elements at once.
+    """
+    a = np.array([g.a for g in gs], dtype=complex)
+    b = np.array([g.b for g in gs], dtype=complex)
+    theta = np.arctan2(np.abs(b), np.abs(a))
+    phi1, phi2 = np.angle(a), np.angle(b)
+    return {d: wigner_d(d, theta) * _irrep_phases(d, phi1, phi2) for d in degrees}
 
 
 def irrep_matrix_binomial(m: int, g: GroupElement) -> np.ndarray:
@@ -278,6 +304,26 @@ def wigner_d(m: int, thetas: np.ndarray) -> np.ndarray:
         d[:, 1::2, 1::2] = rows[:, :n1]
         d[:, 0::2, 1::2] = rows[:, n1:]
         d[:, 1::2, 0::2] = -rows[:, n1:].transpose(0, 2, 1)
+    return out
+
+
+def wigner_d_diagonal(m: int, thetas: np.ndarray) -> np.ndarray:
+    """Diagonals d^m[j, j](theta) of ``wigner_d``, shape (len(thetas), m+1).
+
+    From the same real eigensystem (``_rotation_eig_real``): the even
+    diagonal of W0 c W0^T is c @ (W0 * W0)^T and the odd one c @ (W1 * W1)^T,
+    c = cos(theta lambda), one matrix product per parity and
+    O(len(thetas) (m+1)) memory.  Each entry is a Jacobi polynomial in
+    cos(2 theta) (Edmonds, Angular Momentum in Quantum Mechanics, 1957).
+    """
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    thetas = np.asarray(thetas, dtype=float).reshape(-1)
+    evals, w0, w1 = _rotation_eig_real(m)
+    c = np.cos(thetas[:, None] * evals)
+    out = np.empty((len(thetas), m + 1))
+    out[:, 0::2] = c @ (w0 * w0).T
+    out[:, 1::2] = c @ (w1 * w1).T
     return out
 
 

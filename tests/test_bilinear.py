@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as stn
 
 from s3lab import bilinear
 from s3lab.su2 import GroupElement, haar_quadrature, haar_samples
-from s3lab.clebsch import cg_table
+from s3lab.clebsch import cg_table, change_of_basis
 from s3lab.bilinear import (
     Eigenfunction,
     UnderResolvedQuadratureWarning,
@@ -114,7 +115,7 @@ def test_exact_norm_refuses_a_cell_beyond_the_dense_cap(monkeypatch):
     # (65, 64): (m+1)(n+1) = 4290 > 4225; refused before a table or U is built
     calls = []
     monkeypatch.setattr("s3lab.bilinear.cg_table", lambda *a: calls.append(a))
-    monkeypatch.setattr("s3lab.bilinear.change_of_basis", lambda *a: calls.append(a))
+    monkeypatch.setattr("s3lab.bilinear._degree_blocks", lambda *a: calls.append(a))
     f, g = zonal(65), zonal(64)
     for oracle in (product_decompose, product_l2_exact):
         with pytest.raises(ValueError, match="4290"):
@@ -285,7 +286,11 @@ def test_sampling_plan_contents():
     # weights w/2 of the Gauss-Legendre rule on [-1, 1] sum to 1 (Haar mass)
     assert plan.weights.sum() == pytest.approx(1.0, abs=1e-15)
     assert not plan.dm.flags.writeable and not plan.weights.flags.writeable
-    assert sampling_plan(m, n) is plan
+    # no plan cache: a second plan is a fresh, equal one
+    again = sampling_plan(m, n)
+    assert again is not plan and again.fft_len == plan.fft_len
+    for name in ("weights", "dm", "dn"):
+        np.testing.assert_array_equal(getattr(again, name), getattr(plan, name))
     with pytest.raises(ValueError):
         sampling_plan(-1, 0)
 
@@ -310,8 +315,9 @@ def _zonal_engine_ratio(m, n):
 
 @pytest.mark.parametrize("m,n", _SCAN_CELLS + _SWEEP_CELLS)
 def test_zonal_witness_matches_the_engine(m, n):
-    # the diagonal convolution sees the same plan as the 2-D engine, so it
-    # carries the same plan-borne deviation from 1, not just a similar one
+    # the diagonal convolution uses the 2-D engine's nodes, weights and
+    # eigensystem, so it carries the same node-borne deviation from 1, not
+    # just a similar one
     assert abs(zonal_pair_ratio(m, n) - _zonal_engine_ratio(m, n)) <= 1e-13
 
 
@@ -327,6 +333,66 @@ def test_zonal_witness_runs_no_2d_engine(monkeypatch):
     assert zonal_pair_ratio(16, 8) == pytest.approx(1.0, abs=1e-13)
     assert zonal_ratio(5) == pytest.approx(1.0, abs=1e-13)
     assert calls == []
+
+
+def test_zonal_witness_builds_no_plan_and_no_d_stack(monkeypatch):
+    calls = []
+    spy = lambda *a: calls.append(a)  # noqa: E731
+    monkeypatch.setattr("s3lab.bilinear.sampling_plan", spy)
+    monkeypatch.setattr("s3lab.bilinear.wigner_d", spy)
+    monkeypatch.setattr("s3lab.su2.wigner_d", spy)
+    assert zonal_pair_ratio(64, 32) == pytest.approx(1.0, abs=1e-11)
+    assert zonal_ratio(60) == pytest.approx(1.0, abs=1e-11)
+    assert calls == []
+
+
+def test_zonal_witness_memory_is_linear_in_the_degree():
+    # the (120, 60) plan's d-matrix stacks alone hold over 13 MB; the
+    # witness reads diagonals only, O(nodes L) floats
+    tracemalloc.start()
+    try:
+        zonal_ratio(60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def _dense_s_sums(f, g, table):
+    """S_k by slicing the dense change of basis, the route before degree blocks."""
+    m, n = f.m, g.m
+    U = change_of_basis(table)
+    out, off = {}, 0
+    for k in table.kvals.tolist():
+        Uk = U[:, off:off + k + 1].reshape(m + 1, n + 1, k + 1)
+        off += k + 1
+        X = np.tensordot(g.coeffs, np.tensordot(f.coeffs, Uk, axes=(0, 0)), axes=(0, 1))
+        out[k] = np.tensordot(X, Uk, axes=([1, 0], [0, 1]))
+    return out
+
+
+@pytest.mark.parametrize("m,n", [(8, 4), (16, 9), (32, 32)])
+def test_block_route_matches_the_dense_route(m, n):
+    f, g = random_eigenfunction(m, [11, m, n]), random_eigenfunction(n, [12, m, n])
+    table = cg_table(m, n)
+    dec = product_decompose(f, g, table)
+    ref = _dense_s_sums(f, g, table)
+    assert set(dec.s_sums) == set(ref)
+    for k, S in ref.items():
+        assert np.max(np.abs(dec.s_sums[k] - S)) <= 1e-15 * np.max(np.abs(S))
+
+
+def test_exact_norm_never_holds_the_dense_change_of_basis():
+    # at (64, 64) the dense T x T change of basis alone is 143 MB
+    f, g = random_eigenfunction(64, 13), random_eigenfunction(64, 14)
+    cg_table.cache_clear()
+    tracemalloc.start()
+    try:
+        value = product_l2_exact(f, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(value) and peak < 60 * 2**20
 
 
 def test_ratio_one_when_small_degree_is_zero():

@@ -168,6 +168,15 @@ def test_block_diagonalization_propagates_nan():
     assert np.isnan(block_diagonalization_defect(bad, [haar_sample(0), haar_sample(1)]))
 
 
+@pytest.mark.parametrize("mn", [(8, 4), (16, 9), (20, 20)])
+def test_degree_blocks_concatenate_to_the_change_of_basis(mn):
+    t = cg_decompose(*mn)
+    blocks = list(clebsch._degree_blocks(t))
+    assert [k for k, _ in blocks] == t.kvals.tolist()
+    np.testing.assert_array_equal(np.concatenate([Uk for _, Uk in blocks], axis=1),
+                                  change_of_basis(t))
+
+
 def test_base_change_inversion():
     # reconstructing each pure tensor from the table reproduces it
     m, n = 6, 4

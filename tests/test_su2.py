@@ -15,8 +15,9 @@ from s3lab.su2 import (
     ladder_coeff,
     weights,
     wigner_d,
+    wigner_d_diagonal,
 )
-from s3lab.su2 import _rotation_block
+from s3lab.su2 import _irrep_stacks, _raise_coeffs, _rotation_block
 
 SETTINGS = dict(max_examples=30, deadline=None, database=None, derandomize=True)
 
@@ -239,6 +240,46 @@ def test_wigner_d_matches_per_angle_block(m):
         assert np.max(np.abs(d[i] - _rotation_block(m, th))) <= 1e-13
     eye = np.eye(m + 1)
     assert np.max(np.abs(d @ d.transpose(0, 2, 1) - eye)) <= 1e-13
+
+
+def test_raise_coeffs_are_ladder_coeff_bit_for_bit():
+    # the rotation generator's superdiagonal, one array expression per degree
+    for m in range(65):
+        want = [ladder_coeff(m, alpha, "raise") for alpha in range(-m, m, 2)]
+        np.testing.assert_array_equal(_raise_coeffs(m), np.array(want, dtype=float))
+
+
+_DIAGONAL_ANGLES = np.concatenate([[0.0, np.pi / 2], np.linspace(0.013, 3.1, 35)])
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 7, 64, 120, 200])
+def test_wigner_d_diagonal_matches_the_full_stack(m):
+    diag = wigner_d_diagonal(m, _DIAGONAL_ANGLES)
+    assert diag.shape == (37, m + 1)
+    full = np.diagonal(wigner_d(m, _DIAGONAL_ANGLES), axis1=1, axis2=2)
+    assert np.max(np.abs(diag - full)) <= 1e-15
+    # the trace at a = cos(theta), b = sin(theta) is the character, whose
+    # closed form goes through arccos(cos theta): its rounding near theta = 0
+    # is amplified by the slope of sin((m+1) theta) / sin(theta), so the
+    # tolerance scales with the character's size m+1
+    chars = [character(m, from_angles(th, 0.0, 0.0)) for th in _DIAGONAL_ANGLES]
+    assert np.max(np.abs(diag.sum(axis=1) - chars)) <= 1e-12 * (m + 1)
+
+
+def test_wigner_d_diagonal_rejects_negative_degree():
+    with pytest.raises(ValueError):
+        wigner_d_diagonal(-1, [0.0])
+
+
+def test_irrep_stacks_match_irrep_matrix():
+    # the block check's stacks: one wigner_d call per degree plus phases
+    gs = [haar_sample(s) for s in range(6)] + [from_angles(0.0, 0.3, 1.1),
+                                               from_angles(np.pi / 2, -2.0, 0.4)]
+    stacks = _irrep_stacks([0, 1, 5, 12, 20], gs)
+    for d, stack in stacks.items():
+        assert stack.shape == (len(gs), d + 1, d + 1)
+        for i, g in enumerate(gs):
+            assert np.max(np.abs(stack[i] - irrep_matrix(d, g))) <= 1e-13
 
 
 def test_weights_helper():
