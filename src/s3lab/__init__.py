@@ -24,7 +24,6 @@ from .bilinear import (
     product_decompose,
     product_l2_exact,
     product_l2_quadrature,
-    sup_norm_estimate,
     zonal,
 )
 from .lattice import (

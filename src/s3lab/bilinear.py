@@ -63,8 +63,7 @@ import scipy.fft
 
 from .clebsch import CGTable, _degree_blocks, cg_table
 from .fitting import check_count, fit_slope  # noqa: F401  (fit_slope: re-exported)
-from .su2 import (GroupElement, HaarQuadrature, from_angles, haar_samples, irrep_matrix,
-                  wigner_d, wigner_d_diagonal)
+from .su2 import GroupElement, HaarQuadrature, irrep_matrix, wigner_d, wigner_d_diagonal
 
 
 class UnderResolvedQuadratureWarning(UserWarning):
@@ -162,14 +161,28 @@ def recommended_levels(degree_sum: int) -> tuple[int, int, int]:
     return (size, size, size)
 
 
-def _product_l2_on_grid(fs: list[Eigenfunction], quad: HaarQuadrature) -> float:
-    """Quadrature value of ||f_1 ... f_k||_{L2}, one theta chunk at a time.
+def product_l2_quadrature(f: Eigenfunction, g: Eigenfunction, quad: HaarQuadrature) -> float:
+    """Haar-quadrature oracle for ||fg||_{L2}: ``multilinear_l2_quadrature([f, g], quad)``."""
+    return multilinear_l2_quadrature([f, g], quad)
 
-    The factors' chunks are multiplied in place into the first factor's,
-    |.|^2 is taken in place as re^2 + im^2 on the float view and summed per
-    theta slice, and the slice sums get the theta-weight dot of
-    ``HaarQuadrature.integrate``.  Only chunks are live, never a full grid.
+
+def multilinear_l2_quadrature(fs: list[Eigenfunction], quad: HaarQuadrature) -> float:
+    """Quadrature value of || f_1 ... f_k ||_{L2}; an empty list raises ValueError,
+    levels below ``recommended_levels`` of the degree sum warn.
+
+    One theta chunk at a time: the factors' chunks are multiplied in place
+    into the first factor's, |.|^2 is taken in place as re^2 + im^2 on the
+    float view and summed per theta slice, and the slice sums get the
+    theta-weight dot of ``HaarQuadrature.integrate``.  Only chunks are live,
+    never a full grid.
     """
+    if not fs:
+        raise ValueError("multilinear_l2_quadrature needs at least one factor")
+    degrees = tuple(f.m for f in fs)
+    need = recommended_levels(sum(degrees))[0]
+    if min(quad.levels) < need:
+        warnings.warn(f"quadrature levels {quad.levels} below the resolution rule "
+                      f"({need}) for degrees {degrees}", UnderResolvedQuadratureWarning)
     per_slice = np.empty(len(quad.theta))
     for chunks in zip(*(_grid_chunks(f, quad) for f in fs)):
         s, prod = chunks[0]
@@ -183,37 +196,6 @@ def _product_l2_on_grid(fs: list[Eigenfunction], quad: HaarQuadrature) -> float:
     return float(np.sqrt(np.dot(quad.theta_weight, per_phi)))
 
 
-def product_l2_quadrature(f: Eigenfunction, g: Eigenfunction, quad: HaarQuadrature) -> float:
-    """Haar-quadrature oracle for ||fg||_{L2}; warns when under-resolved.
-
-    Works in theta chunks of at most ``_FFT_CHUNK`` grid entries per factor.
-    """
-    need = recommended_levels(f.m + g.m)[0]
-    if min(quad.levels) < need:
-        warnings.warn(
-            f"quadrature levels {quad.levels} below the resolution rule "
-            f"({need}) for degrees ({f.m}, {g.m})",
-            UnderResolvedQuadratureWarning,
-        )
-    return _product_l2_on_grid([f, g], quad)
-
-
-def multilinear_l2_quadrature(fs: list[Eigenfunction], quad: HaarQuadrature) -> float:
-    """Quadrature value of || f_1 ... f_k ||_{L2}; an empty list raises ValueError.
-
-    Works in theta chunks of at most ``_FFT_CHUNK`` grid entries per factor.
-    """
-    if not fs:
-        raise ValueError("multilinear_l2_quadrature needs at least one factor")
-    need = recommended_levels(sum(f.m for f in fs))[0]
-    if min(quad.levels) < need:
-        warnings.warn(
-            f"quadrature levels {quad.levels} below the resolution rule ({need})",
-            UnderResolvedQuadratureWarning,
-        )
-    return _product_l2_on_grid(fs, quad)
-
-
 # -- exact product machinery --------------------------------------------------
 
 @dataclass(frozen=True)
@@ -224,9 +206,6 @@ class ProductDecomposition:
     n: int
     components: dict          # k -> Eigenfunction
     s_sums: dict              # k -> (k+1, k+1) complex matrix over gamma ascending
-
-    def component_norms(self) -> dict:
-        return {k: comp.l2_norm() for k, comp in self.components.items()}
 
     def total_norm(self) -> float:
         return float(np.sqrt(sum(c.l2_norm() ** 2 for c in self.components.values())))
@@ -387,66 +366,19 @@ def bilinear_ratio(f: Eigenfunction, g: Eigenfunction, table: CGTable | None = N
     return product_l2_exact(f, g, table) / (nf * ng * np.sqrt(g.m + 1.0))
 
 
-def sup_norm_estimate(f: Eigenfunction, samples: int, seed) -> float:
-    """Lower bound on sup |f| from Haar Monte-Carlo plus a local refinement.
-
-    Refinement: 20 iterations of coordinate-wise golden-section search in
-    (theta, phi1, phi2) around the best sample.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    best_val = abs(evaluate(f, GroupElement.identity()))
-    best_angles = np.array([0.0, 0.0, 0.0])
-    for g in haar_samples(samples, rng):
-        v = abs(evaluate(f, g))
-        if v > best_val:
-            theta = np.arccos(np.clip(abs(g.a), 0.0, 1.0))
-            best_val = v
-            best_angles = np.array([theta, np.angle(g.a), np.angle(g.b)])
-
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-
-    def val_at(angles):
-        return abs(evaluate(f, from_angles(*angles)))
-
-    widths = [np.pi / 4, np.pi, np.pi]
-    for coord in range(3):
-        lo = best_angles[coord] - widths[coord]
-        hi = best_angles[coord] + widths[coord]
-        if coord == 0:
-            lo, hi = max(lo, 0.0), min(hi, np.pi / 2)
-        x1 = hi - invphi * (hi - lo)
-        x2 = lo + invphi * (hi - lo)
-        p1, p2 = best_angles.copy(), best_angles.copy()
-        p1[coord], p2[coord] = x1, x2
-        f1, f2 = val_at(p1), val_at(p2)
-        for _ in range(20):
-            if f1 < f2:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + invphi * (hi - lo)
-                p2[coord] = x2
-                f2 = val_at(p2)
-            else:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - invphi * (hi - lo)
-                p1[coord] = x1
-                f1 = val_at(p1)
-        pick, pickval = (x1, f1) if f1 >= f2 else (x2, f2)
-        if pickval > best_val:
-            best_val = pickval
-            best_angles[coord] = pick
-    return float(best_val)
-
-
 # -- scans --------------------------------------------------------------------
 
-def bilinear_ratio_scan(m: int, n: int, n_pairs: int, seed, batch: int = 16) -> np.ndarray:
+# Pairs per ``product_norm2_batch`` call of ``bilinear_ratio_scan``; each batch
+# draws its A, then its B, so the ratios of a seed depend on this value too.
+_SCAN_BATCH = 16
+
+
+def bilinear_ratio_scan(m: int, n: int, n_pairs: int, seed) -> np.ndarray:
     """Ratios for n_pairs random unit-norm coefficient pairs at degrees (m, n).
 
     Pairs go through ``product_norm2_batch`` (the sampling engine, float64)
-    in batches of ``batch``; the ratios are exact to rounding at every cell.
-    An n_pairs below 1 raises ValueError before any work.
+    in batches of ``_SCAN_BATCH``; the ratios are exact to rounding at every
+    cell.  An n_pairs below 1 raises ValueError before any work.
     """
     check_count("n_pairs", n_pairs)
     plan = sampling_plan(m, n)
@@ -454,7 +386,7 @@ def bilinear_ratio_scan(m: int, n: int, n_pairs: int, seed, batch: int = 16) -> 
     out = np.empty(n_pairs)
     done = 0
     while done < n_pairs:
-        b = min(batch, n_pairs - done)
+        b = min(_SCAN_BATCH, n_pairs - done)
         A = rng.standard_normal((b, m + 1, m + 1)) + 1j * rng.standard_normal((b, m + 1, m + 1))
         B = rng.standard_normal((b, n + 1, n + 1)) + 1j * rng.standard_normal((b, n + 1, n + 1))
         A /= np.linalg.norm(A, axis=(1, 2))[:, None, None]

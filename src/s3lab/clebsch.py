@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .su2 import _irrep_stacks
+from .su2 import _irrep_stacks, _ladder_coeffs
 
 _ORTH_TOL = 1e-8
 
@@ -140,12 +140,6 @@ class CGTable:
                     yield (self.m, self.n, int(k), int(gamma), alpha,
                            int(gamma - alpha), float(vals[idx]))
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("m,n,k,gamma,alpha,beta,value\n")
-            for rec in self.records():
-                fh.write("%d,%d,%d,%d,%d,%d,%.17g\n" % rec)
-
     def to_json(self, path) -> None:
         rows = [
             {"m": r[0], "n": r[1], "k": r[2], "gamma": r[3],
@@ -234,16 +228,11 @@ def cg_decompose(m: int, n: int) -> CGTable:
     tops = _chain_tops(m, n)
 
     slots_alpha = np.arange(-m, m + 1, 2)            # alpha on the full slot grid
-    cm_lower = 0.5 * np.sqrt(
-        np.maximum((m - slots_alpha + 2.0) * (m + slots_alpha), 0.0)
-    )                                                # c_-(m, alpha) per slot
+    cm_lower = _ladder_coeffs(m)[1]                  # c_-(m, alpha) per slot
     half = (m + n) // 2 + 1                          # the weights gamma >= 0
     beta = gammas[:half, None] - slots_alpha         # beta per (gamma, slot)
-    cn_lower = np.where(
-        (beta >= -n + 2) & (beta <= n),
-        0.5 * np.sqrt(np.maximum((n - beta + 2.0) * (n + beta), 0.0)),
-        0.0,
-    )[:, :, None]                                    # c_-(n, beta) per (gamma, slot)
+    cn_lower = np.where((beta >= -n + 2) & (beta <= n),   # c_-(n, beta) per (gamma, slot)
+                        _ladder_coeffs(n)[1].take((beta + n) // 2, mode="clip"), 0.0)[:, :, None]
     cm_shift = cm_lower[1:, None]                    # c_-(m, alpha+2) per slot alpha
     # the support max(-m, gamma-n) <= alpha <= min(m, gamma+n) as slots lo:hi
     lo = (np.maximum(gammas[:half] - n + m, 0) // 2).tolist()
@@ -337,12 +326,11 @@ def expand_in_product_basis(table: CGTable, k: int, gamma: int) -> TensorVector:
 
 def _ladder_matrices(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense matrices of H, E, F on the degree-m weight basis (column = input):
-    E v_alpha = c_+(m, alpha) v_{alpha+2} and F v_alpha = c_-(m, alpha) v_{alpha-2}."""
-    alphas = np.arange(-m, m + 1, 2)
-    H = np.diag(alphas.astype(float))
-    E = np.diag(0.5 * np.sqrt((m + alphas[:-1] + 2.0) * (m - alphas[:-1])), -1)
-    F = np.diag(0.5 * np.sqrt((m - alphas[1:] + 2.0) * (m + alphas[1:])), 1)
-    return H, E, F
+    E v_alpha = c_+(m, alpha) v_{alpha+2} and F v_alpha = c_-(m, alpha) v_{alpha-2},
+    with the coefficients of ``su2._ladder_coeffs``, the formulas alone."""
+    c_plus, c_minus = _ladder_coeffs(m)
+    H = np.diag(np.arange(-m, m + 1, 2).astype(float))
+    return H, np.diag(c_plus[:-1], -1), np.diag(c_minus[1:], 1)
 
 
 def _casimir_dim(m: int, n: int) -> int:

@@ -29,13 +29,15 @@ from .reporting import build_manifest, default_out_dir, write_run_outputs
 
 
 def _gate(checks) -> int:
-    """1 if any (what, value, bound) check breaks value <= bound, naming each
-    breach with its value and bound on stderr; 0 otherwise."""
+    """1 if any check is breached, naming each breach with its value and
+    bound on stderr; 0 otherwise.  A (what, value, bound) check needs
+    value <= bound, a (what, value, bound, "floor") check value >= bound."""
     code = 0
-    for what, value, bound in checks:
-        # "not <=" makes a NaN value a breach
-        if not value <= bound:
-            print(f"{what} {value:.4g} exceeds {bound:g}", file=sys.stderr)
+    for what, value, bound, *floor in checks:
+        # "not" of the comparison makes a NaN value a breach
+        if not (value >= bound if floor else value <= bound):
+            print(f"{what} {value:.4g} {'is below' if floor else 'exceeds'} {bound:g}",
+                  file=sys.stderr)
             code = 1
     return code
 
@@ -158,8 +160,7 @@ def _run_bilinear_verify(params: dict, out_dir: Path) -> int:
         zr = {n: bilinear.zonal_ratio(n) for n in range(1, params["zonal_n_max"] + 1)}
         summary["zonal_ratios"] = {str(n): v for n, v in zr.items()}
         summary["zonal_min"] = float(np.min(list(zr.values())))
-        # finite: at most the largest float
-        checks.append(("|zonal minimum|", abs(summary["zonal_min"]), sys.float_info.max))
+        checks.append(("zonal minimum", summary["zonal_min"], gates.ZONAL_FLOOR, "floor"))
         witnesses += zr.values()
     # each witness is 1 by the character product rule; np.max propagates a NaN
     summary["witness_dev_max"] = float(np.max(np.abs(np.array(witnesses) - 1.0)))
@@ -317,11 +318,11 @@ def _kernel_split(a, seed):
     rows = [{"gamma_total": rep.gamma_total, "K1_part": rep.K1_part,
              "K2_part": rep.K2_part, "tuples": rep.tuple_count,
              "cover_ok": rep.cover_ok}]
-    summary = {"cover_ok": rep.cover_ok,
-               "K1_plus_K2_ge_gamma": rep.K1_part + rep.K2_part >= rep.gamma_total - 1e-12}
+    summary = {"cover_ok": rep.cover_ok, "K1_plus_K2_ge_gamma":
+               rep.K1_part + rep.K2_part >= rep.gamma_total - gates.GAMMA_MASS_TOL}
     return rows, summary, [("cover failure", int(not rep.cover_ok), 0),
                            ("Gamma mass beyond K1 + K2",
-                            rep.gamma_total - (rep.K1_part + rep.K2_part), 1e-12)]
+                            rep.gamma_total - (rep.K1_part + rep.K2_part), gates.GAMMA_MASS_TOL)]
 
 
 def _box_scaling(a, seed):

@@ -25,5 +25,17 @@ PLANCHEREL_TOL = 0.02
 PLANCHEREL_EXACT_TOL = 1e-12
 # relative gap between exact product norms and the quadrature oracle
 CROSS_CHECK_TOL = 1e-4
+# Casimir-oracle projectors and block-diagonalization leakage (rounding only)
+ORACLE_DEFECT_BOUND = 1e-8
+# |f g - sum of the product components| at Haar samples
+POINTWISE_BOUND = 1e-8
+# a floor: smallest zonal ratio (1 by the character product rule)
+ZONAL_FLOOR = 0.1
+# Plancherel mismatch of the windowed rule at twice the anti-aliasing n_t
+PLANCHEREL_REFINED_TOL = 0.005
+# relative change of the L4 norm under Galilean shifts in xi1 and xi2
+GALILEAN_TOL = 1e-6
+# Gamma mass beyond K1 + K2, which cover Gamma tuple by tuple: rounding only
+GAMMA_MASS_TOL = 1e-12
 # max/min ratio spread of the square-indicator norms against N^(1/4)
 BOX_SPREAD_BOUND = 2.0

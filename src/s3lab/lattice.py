@@ -22,8 +22,8 @@ every scan measures its samples in one kernel call, or one per N.  A
 sample count below 1 is refused before any work.
 
 The "up to a constant" cutoffs in the set definitions are instantiated as
-1 (exposed as a slack parameter), and |m - k| <~ N is instantiated as
-|m - k| <= N.
+1 (only the resonant-set measures expose theirs, as slack), and
+|m - k| <~ N is instantiated as |m - k| <= N.
 """
 
 from __future__ import annotations
@@ -408,7 +408,7 @@ def _lemma53_lvalues(N: int, M: float, delta: float) -> list:
     return out
 
 
-def scan_lemma53(Ns: list, delta: float, per_config: int, seed, slack: float = 1.0) -> tuple[list, dict]:
+def scan_lemma53(Ns: list, delta: float, per_config: int, seed) -> tuple[list, dict]:
     """Worst-case scan of measure / ((M/N)^(4 delta) N) over the grid.
 
     The (k, C) draws are made one query at a time, in grid order, and each
@@ -443,7 +443,7 @@ def scan_lemma53(Ns: list, delta: float, per_config: int, seed, slack: float = 1
                                     case))
             M *= 2.0
         values = setB_measures([q.l for q, _ in queries], [q.k for q, _ in queries],
-                               [q.C for q, _ in queries], N, slack=slack).tolist()
+                               [q.C for q, _ in queries], N).tolist()
         for (q, case), val in zip(queries, values):
             ratio = val / ((q.M / N) ** (4.0 * delta) * N)
             rows.append({"lemma": "5.3", "case": case, "N": N, "M": q.M,
@@ -477,6 +477,5 @@ def scan_constants(lemma: str, seed, **kwargs) -> tuple[list, dict]:
     if lemma == "5.3":
         return scan_lemma53(kwargs.get("Ns", [64, 128, 256, 512, 1024]),
                             kwargs.get("delta", 0.1),
-                            kwargs.get("per_config", 3), seed,
-                            slack=kwargs.get("slack", 1.0))
+                            kwargs.get("per_config", 3), seed)
     raise ValueError(f"unknown lemma {lemma!r}")

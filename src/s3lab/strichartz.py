@@ -583,13 +583,16 @@ class KernelSplitReport:
     clause_counts: tuple
 
 
-def kernel_split_diagnostics(p: WavePacket, k_shift: int = 0, slack: float = 1.0) -> KernelSplitReport:
+_RESONANCE_SLACK = 1.0  # the "up to a constant" resonance cutoff of Gamma
+
+
+def kernel_split_diagnostics(p: WavePacket, k_shift: int = 0) -> KernelSplitReport:
     """Enumerate the ordered resonant quadruples and classify them by the
     four degenerate-row indicator clauses versus the generic remainder.
 
     A quadruple lies in Gamma when xi1^(1) + xi1^(3) = xi1^(2) + xi1^(4)
     (exact on the grid), xi1^(1) >= xi1^(3), xi1^(2) >= xi1^(4), and
-    |<|xi|^2 + k xi2>| <= slack.  The first part counts clause multiplicity
+    |<|xi|^2 + k xi2>| <= ``_RESONANCE_SLACK``.  The first part counts clause multiplicity
     (row collisions and the two +k = 0 collisions); the remainder indicator
     is 1 exactly when all four clauses fail, so the cover
     1_Gamma <= K1 + K2 holds pointwise; the report asserts it on every
@@ -611,7 +614,7 @@ def kernel_split_diagnostics(p: WavePacket, k_shift: int = 0, slack: float = 1.0
     clause_counts = np.zeros(4, dtype=np.int64)
     cover_ok = True
     for lam2, w, jf, js in groups.values():
-        diff = np.abs(lam2[:, None] - lam2[None, :]) <= slack
+        diff = np.abs(lam2[:, None] - lam2[None, :]) <= _RESONANCE_SLACK
         if not diff.any():
             continue
         pos, neg = np.nonzero(diff)

@@ -66,8 +66,9 @@ class GroupElement:
         )
 
     def rotation_angle(self) -> float:
-        """Angle theta in [0, pi] such that the eigenvalues are exp(+-i theta)."""
-        return float(np.arccos(np.clip(self.a.real, -1.0, 1.0)))
+        """Angle theta in [0, pi] such that the eigenvalues are exp(+-i theta), as
+        arctan2(sin, cos): arccos(Re a) would lose digits near 0 and pi."""
+        return float(np.arctan2(np.hypot(self.a.imag, abs(self.b)), self.a.real))
 
 
 def from_angles(theta: float, phi1: float, phi2: float) -> GroupElement:
@@ -110,19 +111,30 @@ def is_valid_weight(m: int, alpha: int) -> bool:
 
 
 def ladder_coeff(m: int, alpha: int, direction: str) -> float:
-    """Ladder coefficients c_+(m, alpha), c_-(m, alpha) of the raising and
-    lowering generators on the orthonormal weight basis:
-
-        c_+(m, alpha) = sqrt((m + alpha + 2) (m - alpha)) / 2
-        c_-(m, alpha) = sqrt((m - alpha + 2) (m + alpha)) / 2
-    """
+    """Ladder coefficient c_+(m, alpha) ("raise") or c_-(m, alpha) ("lower") of
+    the generators on the orthonormal weight basis: the entry of
+    ``_ladder_coeffs(m)`` at slot (alpha + m) / 2."""
     if not is_valid_weight(m, alpha):
         raise ValueError(f"invalid weight (m={m}, alpha={alpha})")
-    if direction == "raise":
-        return 0.5 * np.sqrt((m + alpha + 2.0) * (m - alpha))
-    if direction == "lower":
-        return 0.5 * np.sqrt((m - alpha + 2.0) * (m + alpha))
-    raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")
+    if direction not in ("raise", "lower"):
+        raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")
+    c_plus, c_minus = _ladder_coeffs(m)
+    return (c_minus if direction == "lower" else c_plus)[(alpha + m) // 2]
+
+
+@lru_cache(maxsize=None)
+def _ladder_coeffs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(c_plus, c_minus) over alpha = -m, ..., m, read-only, the one evaluation of
+
+        c_+(m, alpha) = sqrt((m + alpha + 2) (m - alpha)) / 2,
+        c_-(m, alpha) = sqrt((m - alpha + 2) (m + alpha)) / 2
+
+    (Edmonds, Angular Momentum in Quantum Mechanics, 1957); c_+(m, m) = c_-(m, -m) = 0."""
+    alpha = weights(m)
+    c_plus = 0.5 * np.sqrt((m + alpha + 2.0) * (m - alpha))
+    c_minus = 0.5 * np.sqrt((m - alpha + 2.0) * (m + alpha))
+    c_plus.flags.writeable = c_minus.flags.writeable = False
+    return c_plus, c_minus
 
 
 @lru_cache(maxsize=None)
@@ -138,13 +150,6 @@ def _binom_rows(m: int) -> tuple:
     )
 
 
-def _raise_coeffs(m: int) -> np.ndarray:
-    """c_+(m, alpha) over alpha = -m, ..., m-2: the superdiagonal of the
-    rotation generator, in the arithmetic of ``ladder_coeff``, entry for entry."""
-    alpha = np.arange(-m, m, 2)
-    return 0.5 * np.sqrt((m + alpha + 2.0) * (m - alpha))
-
-
 @lru_cache(maxsize=None)
 def _rotation_eig(m: int) -> tuple:
     """Eigendecomposition of i (E - F)^T on the weight basis.
@@ -154,7 +159,7 @@ def _rotation_eig(m: int) -> tuple:
     through this Hermitian tridiagonal eigensystem; the result is orthogonal
     to machine precision at every m.
     """
-    sup = _raise_coeffs(m)
+    sup = _ladder_coeffs(m)[0][:-1]  # c_+ over alpha = -m, ..., m-2
     H = np.zeros((m + 1, m + 1), dtype=complex)
     idx = np.arange(m)
     H[idx, idx + 1] = 1j * sup
@@ -183,7 +188,7 @@ def _rotation_eig_real(m: int) -> tuple:
     the columns with lambda >= 0 are kept, those with lambda > 0 scaled by
     sqrt(2).  Returns (lambda, W0, W1) over the kept columns.
     """
-    sup = _raise_coeffs(m)
+    sup = _ladder_coeffs(m)[0][:-1]  # c_+ over alpha = -m, ..., m-2
     T = np.zeros((m + 1, m + 1))
     idx = np.arange(m)
     T[idx, idx + 1] = T[idx + 1, idx] = -sup

@@ -32,11 +32,18 @@ from s3lab.gates import (
     BOX_SPREAD_BOUND,
     C_STAR_BOUND,
     CG_DEFECT_BOUND,
+    CROSS_CHECK_TOL,
     EXPONENT_BOUND,
+    GALILEAN_TOL,
+    GAMMA_MASS_TOL,
+    ORACLE_DEFECT_BOUND,
+    PLANCHEREL_REFINED_TOL,
     PLANCHEREL_TOL,
+    POINTWISE_BOUND,
     SETB_BOUND,
     SLOPE_BOUND,
     TRILINEAR_BOUND,
+    ZONAL_FLOOR,
 )
 from s3lab.reporting import file_sha256
 
@@ -88,7 +95,7 @@ def test_criterion_2_cg_oracle_equivalence():
         P_or = casimir_projectors(m, n)
         for k in P_cg:
             worst = max(worst, float(np.max(np.abs(P_cg[k] - P_or[k]))))
-    assert worst <= 1e-8
+    assert worst <= ORACLE_DEFECT_BOUND
     # block diagonalization into D^k blocks over 20 seeded elements, one
     # stacked product per table; the runtime budget pins this to the
     # m + n <= 20 equivariance grid
@@ -96,7 +103,7 @@ def test_criterion_2_cg_oracle_equivalence():
     # np.max propagates a NaN; the builtin max may drop it
     worst_bd = np.max([block_diagonalization_defect(cg_table(s - n, n), gs)
                        for s in range(0, 21) for n in range(0, s // 2 + 1)])
-    assert worst_bd <= 1e-8
+    assert worst_bd <= ORACLE_DEFECT_BOUND
     _report(2, f"{len(pairs)} projector pairs ({worst:.2e}), blockdiag defect {worst_bd:.2e}", t0, 120)
 
 
@@ -124,8 +131,8 @@ def test_criterion_3_bilinear_exactness():
             for pt in haar_samples(50, 100 * m + n):
                 lhs = bilinear.evaluate(f, pt) * bilinear.evaluate(g, pt)
                 worst_pt = max(worst_pt, abs(lhs - dec.evaluate(pt)))
-    assert worst_rel <= 1e-4
-    assert worst_pt <= 1e-8
+    assert worst_rel <= CROSS_CHECK_TOL
+    assert worst_pt <= POINTWISE_BOUND
     _report(3, f"45 cells x 50 pairs, quadrature rel {worst_rel:.2e}, pointwise {worst_pt:.2e}", t0, 120)
 
 
@@ -148,7 +155,7 @@ def test_criterion_4_no_log_check():
     slope = bilinear.fit_slope(xs, ys)
     assert -SLOPE_BOUND <= slope <= SLOPE_BOUND
     zonal_min = min(bilinear.zonal_ratio(n) for n in range(1, 61))
-    assert zonal_min >= 0.1
+    assert zonal_min >= ZONAL_FLOOR
     _report(
         4,
         f"C* = {c_star:.6f}, slope {slope:+.4f}, zonal floor {zonal_min:.4f}, "
@@ -237,14 +244,14 @@ def test_criterion_7_strichartz_suite(monkeypatch):
     n_t = 2 * strichartz.anti_alias_nt(p, 0, "elliptic", -240.0, 240.0)
     res = strichartz.evolve_l4_norm(p, 0, "elliptic", (-240.0, 240.0, n_t))
     refined = abs(res.quartic - freq) / freq
-    assert refined <= 0.005
+    assert refined <= PLANCHEREL_REFINED_TOL
 
     # kernel cover, exact on every enumerated tuple
     tuples = 0
     for seed in (3, 4, 5):
         rep = strichartz.kernel_split_diagnostics(_sparse_packet(seed, 20, 6.0, 0.5), 2)
         assert rep.cover_ok
-        assert rep.K1_part + rep.K2_part >= rep.gamma_total - 1e-12
+        assert rep.K1_part + rep.K2_part >= rep.gamma_total - GAMMA_MASS_TOL
         tuples += rep.tuple_count
 
     # quotient scan, no growth in N
@@ -280,7 +287,7 @@ def test_criterion_7_strichartz_suite(monkeypatch):
     ms_per_node = 1e3 * sum(n64) / (len(n64) * 4097)
     assert hyp["fitted_slope"] <= SLOPE_BOUND
 
-    # Galilean invariance at 1e-6
+    # Galilean invariance
     slab = strichartz.SlabSpec(xi0=(0.0, 0), a=(0.6, 0.8), c=0.2, M=2.0, N=6.0)
     grid = strichartz.grid_for_slab(slab, h=0.25)
     pk = strichartz.sample_slab_packet(slab, grid, "gaussian-random", 11)
@@ -289,7 +296,7 @@ def test_criterion_7_strichartz_suite(monkeypatch):
     sh2 = strichartz.evolve_l4_norm(strichartz.shift_packet_xi2(pk, 3), -2, "elliptic", w).value
     sh1 = strichartz.evolve_l4_norm(strichartz.shift_packet_xi1(pk, 6), 4, "elliptic", w).value
     gal = max(abs(sh2 - base), abs(sh1 - base)) / base
-    assert gal <= 1e-6
+    assert gal <= GALILEAN_TOL
 
     rest = time.time() - t0 - t_ell - t_box - t_hyp
     _report(

@@ -24,7 +24,6 @@ from s3lab.bilinear import (
     random_eigenfunction,
     recommended_levels,
     sampling_plan,
-    sup_norm_estimate,
     zonal,
     zonal_pair_ratio,
     zonal_ratio,
@@ -48,6 +47,7 @@ def test_zonal_is_the_character():
     assert z.l2_norm() == pytest.approx(1.0)
     for g in haar_samples(8, 1):
         assert evaluate(z, g) == pytest.approx(character(n, g), abs=1e-12)
+    # the sup bound ||f||_inf <= (n+1) ||f||_2, attained at the identity
     assert evaluate(z, GroupElement.identity()) == pytest.approx(n + 1.0)
 
 
@@ -170,8 +170,10 @@ def test_exact_vs_quadrature_oracle(m, n, seed):
 
 def test_quadrature_warns_when_under_resolved():
     f, g = random_eigenfunction(8, 0), random_eigenfunction(8, 1)
-    with pytest.warns(UnderResolvedQuadratureWarning):
+    with pytest.warns(UnderResolvedQuadratureWarning, match=r"for degrees \(8, 8\)"):
         product_l2_quadrature(f, g, haar_quadrature((17, 17, 17)))
+    with pytest.warns(UnderResolvedQuadratureWarning, match=r"for degrees \(8, 8, 0\)"):
+        multilinear_l2_quadrature([f, g, zonal(0)], haar_quadrature((17, 17, 17)))
 
 
 def _full_grid_l2(fs, quad):
@@ -422,15 +424,6 @@ def test_ratio_scan_refuses_no_pairs(monkeypatch, n_pairs):
     with pytest.raises(ValueError, match=f"n_pairs must be >= 1; got {n_pairs}"):
         bilinear_ratio_scan(8, 4, n_pairs, 0)
     assert calls == []
-
-
-def test_sup_norm_constant_and_zonal():
-    c = Eigenfunction(0, np.array([[3.0 - 4.0j]]))
-    assert sup_norm_estimate(c, 10, 0) == pytest.approx(5.0)
-    n = 6
-    est = sup_norm_estimate(zonal(n), 200, 1)
-    assert est <= n + 1 + 1e-9        # lower bound on the true sup
-    assert est >= 0.9 * (n + 1)       # the refinement finds the identity peak
 
 
 def test_multilinear_quadrature_constants():

@@ -209,10 +209,12 @@ def test_antisymmetric_singlet():
 
 
 def test_serialization_round_trip(tmp_path):
+    from s3lab import cli
+
     t = cg_decompose(3, 1)
-    csv_path = tmp_path / "t.csv"
+    assert cli.main(["cg-table", "3", "1", "--out", str(tmp_path)]) == 0
+    csv_path = tmp_path / "cg_table_m3_n1.csv"
     json_path = tmp_path / "t.json"
-    t.to_csv(csv_path)
     t.to_json(json_path)
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "m,n,k,gamma,alpha,beta,value"

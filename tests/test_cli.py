@@ -168,6 +168,15 @@ def test_bilinear_verify_fails_closed_on_nan_zonal(tmp_path, monkeypatch):
     assert summary["zonal_min"] == "nan" and summary["witness_dev_max"] == "nan"
 
 
+@pytest.mark.parametrize("low", [0.05, float("nan")])
+def test_bilinear_verify_gates_the_zonal_floor(tmp_path, monkeypatch, capsys, low):
+    monkeypatch.setattr(bilinear, "zonal_ratio", lambda n: low if n == 2 else 1.0)
+    code = cli.main(["bilinear-verify", "--m-max", "8", "--n-max", "4", "--seeds", "2",
+                     "--zonal", "--zonal-n-max", "3", "--out", str(tmp_path)])
+    assert code == 1
+    assert f"zonal minimum {low:.4g} is below {gates.ZONAL_FLOOR:g}" in capsys.readouterr().err
+
+
 def test_bilinear_verify_gates_c_star(tmp_path, monkeypatch, capsys):
     # a witness of 1.1 in every cell leaves the slope flat but C* above 1.05
     monkeypatch.setattr(bilinear, "zonal_pair_ratio", lambda m, n: 1.1)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as stn
@@ -17,7 +19,7 @@ from s3lab.su2 import (
     wigner_d,
     wigner_d_diagonal,
 )
-from s3lab.su2 import _irrep_stacks, _raise_coeffs, _rotation_block
+from s3lab.su2 import _irrep_stacks, _ladder_coeffs, _rotation_block
 
 SETTINGS = dict(max_examples=30, deadline=None, database=None, derandomize=True)
 
@@ -155,6 +157,13 @@ def test_character_near_singular_angles():
     assert character(4, gneg) == pytest.approx(5.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("m,theta", [(200, 0.013), (200, np.pi - 0.013), (400, 1e-4)])
+def test_character_is_accurate_near_zero_and_pi(m, theta):
+    # the rotation angle keeps full relative precision where arccos(Re a) does not
+    want = np.sin((m + 1) * theta) / np.sin(theta)
+    assert abs(character(m, from_angles(theta, 0.0, 0.0)) - want) <= 1e-12
+
+
 def test_haar_sample_deterministic_and_normalized():
     g1, g2 = haar_sample(42), haar_sample(42)
     assert g1 == g2
@@ -242,11 +251,16 @@ def test_wigner_d_matches_per_angle_block(m):
     assert np.max(np.abs(d @ d.transpose(0, 2, 1) - eye)) <= 1e-13
 
 
-def test_raise_coeffs_are_ladder_coeff_bit_for_bit():
-    # the rotation generator's superdiagonal, one array expression per degree
+def test_ladder_coeffs_are_the_closed_forms_bit_for_bit():
+    # both arrays against the formulas in Python floats, one weight at a time
     for m in range(65):
-        want = [ladder_coeff(m, alpha, "raise") for alpha in range(-m, m, 2)]
-        np.testing.assert_array_equal(_raise_coeffs(m), np.array(want, dtype=float))
+        c_plus, c_minus = _ladder_coeffs(m)
+        alphas = range(-m, m + 1, 2)
+        want_plus = [0.5 * math.sqrt((m + a + 2.0) * (m - a)) for a in alphas]
+        want_minus = [0.5 * math.sqrt((m - a + 2.0) * (m + a)) for a in alphas]
+        np.testing.assert_array_equal(c_plus, np.array(want_plus))
+        np.testing.assert_array_equal(c_minus, np.array(want_minus))
+        assert c_plus[-1] == 0.0 and c_minus[0] == 0.0
 
 
 _DIAGONAL_ANGLES = np.concatenate([[0.0, np.pi / 2], np.linspace(0.013, 3.1, 35)])
@@ -258,9 +272,7 @@ def test_wigner_d_diagonal_matches_the_full_stack(m):
     assert diag.shape == (37, m + 1)
     full = np.diagonal(wigner_d(m, _DIAGONAL_ANGLES), axis1=1, axis2=2)
     assert np.max(np.abs(diag - full)) <= 1e-15
-    # the trace at a = cos(theta), b = sin(theta) is the character, whose
-    # closed form goes through arccos(cos theta): its rounding near theta = 0
-    # is amplified by the slope of sin((m+1) theta) / sin(theta), so the
+    # the trace at a = cos(theta), b = sin(theta) is the character; the
     # tolerance scales with the character's size m+1
     chars = [character(m, from_angles(th, 0.0, 0.0)) for th in _DIAGONAL_ANGLES]
     assert np.max(np.abs(diag.sum(axis=1) - chars)) <= 1e-12 * (m + 1)
