@@ -193,10 +193,11 @@ def _run_entry(subcommand: str, entry: _Entry, params: dict, out_dir: Path, name
     return _finish(subcommand, params, seed, out_dir, name, entry.header, entry.run(args, seed))
 
 
-def _scan(lemma: str, gate: Callable) -> Callable:
-    """The runner of one lattice lemma: its scan, then gate(summary)."""
+def _scan(name: str, gate: Callable, **fixed) -> Callable:
+    """The runner of one lattice lemma: lattice.<name>, looked up when the
+    row runs, called with the row's keys and fixed, then gate(summary)."""
     def run(args, seed):
-        rows, summary = lattice.scan_constants(lemma, seed, **args)
+        rows, summary = getattr(lattice, name)(seed=seed, **args, **fixed)
         return rows, summary, gate(summary)
     return run
 
@@ -211,20 +212,21 @@ def _lemma53_gate(summary):
 def _lemma52(variant: str) -> _Entry:
     return _Entry({"Ns": (64, 128, 256, 512), "per_n": 500},
                   ["lemma", "N", "k", "C", "value", "normalized_ratio"],
-                  _scan(variant, lambda s: [("fitted exponent", s["fitted_exponent"],
-                                             gates.EXPONENT_BOUND)]),
+                  _scan("scan_lemma52", lambda s: [("fitted exponent", s["fitted_exponent"],
+                                                    gates.EXPONENT_BOUND)], variant=variant),
                   {"per_n": partial(check_count, "per_n"), "Ns": check_fit_xs})
 
 
 _LEMMAS = {
     "5.1": _Entry({"n_queries": 10000}, ["lemma", "C", "K", "xi2_center", "value", "normalized_ratio"],
-                  _scan("5.1", lambda s: [("measure/K ratio", s["max_ratio"], gates.ANNULUS_BOUND)]),
+                  _scan("scan_lemma51",
+                        lambda s: [("measure/K ratio", s["max_ratio"], gates.ANNULUS_BOUND)]),
                   {"n_queries": partial(check_count, "n_queries")}),
-    "5.2a": _lemma52("5.2a"),
-    "5.2b": _lemma52("5.2b"),
+    "5.2a": _lemma52("quadric"),
+    "5.2b": _lemma52("hyperbola"),
     "5.3": _Entry({"Ns": (64, 128, 256, 512, 1024), "delta": 0.1, "per_config": 3},
                   ["lemma", "case", "N", "M", "l", "k", "C", "value", "normalized_ratio"],
-                  _scan("5.3", _lemma53_gate),
+                  _scan("scan_lemma53", _lemma53_gate),
                   {"per_config": partial(check_count, "per_config"), "Ns": check_fit_xs}),
 }
 
@@ -233,19 +235,6 @@ def _run_lattice_scan(params: dict, out_dir: Path) -> int:
     lemma = params["lemma"]
     return _run_entry("lattice-scan", _LEMMAS[lemma], params, out_dir,
                       f"lattice_{lemma.replace('.', '_')}")
-
-
-def _small_random_packet(seed, n_nodes: int = 24, N: float = 6.0, h: float = 0.5):
-    slab = strichartz.SlabSpec(xi0=(0.0, 0), a=(1.0, 0.0), c=0.0, M=N, N=N)
-    grid = strichartz.grid_for_slab(slab, h=h)
-    rng = np.random.default_rng(seed)
-    mask = strichartz.slab_mask(slab, grid)
-    idx = np.argwhere(mask)
-    pick = idx[rng.choice(len(idx), size=min(n_nodes, len(idx)), replace=False)]
-    vals = np.zeros(mask.shape, dtype=complex)
-    vals[pick[:, 0], pick[:, 1]] = rng.standard_normal(len(pick)) + 1j * rng.standard_normal(len(pick))
-    vals /= np.sqrt(grid.h) * np.linalg.norm(vals)
-    return strichartz.WavePacket(grid=grid, values=vals)
 
 
 _SLAB_FIELDS = ("xi0", "a", "c", "M", "N")
@@ -301,7 +290,7 @@ def _hyperbolic(a, seed):
 
 
 def _quadrilinear(a, seed):
-    pkt = _small_random_packet(seed)
+    pkt = strichartz.sparse_packet(seed, 24, 6.0, 0.5)
     freq = strichartz.quadrilinear_form_frequency(pkt, 0)
     res = strichartz.evolve_l4_norm_exact(pkt, 0, "elliptic")
     mismatch = abs(res.quartic - freq) / freq
@@ -313,7 +302,7 @@ def _quadrilinear(a, seed):
 
 
 def _kernel_split(a, seed):
-    pkt = _small_random_packet(seed, n_nodes=16)
+    pkt = strichartz.sparse_packet(seed, 16, 6.0, 0.5)
     rep = strichartz.kernel_split_diagnostics(pkt, a["k_shift"])
     rows = [{"gamma_total": rep.gamma_total, "K1_part": rep.K1_part,
              "K2_part": rep.K2_part, "tuples": rep.tuple_count,
@@ -414,10 +403,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lattice-scan", help="measure/counting lemma scans")
     p.add_argument("--lemma", choices=list(_LEMMAS), required=True)
     p.add_argument("--seed", type=int, default=11)
-    p.add_argument("--n-queries", type=int, default=10000)
-    p.add_argument("--per-n", type=int, default=500)
-    p.add_argument("--per-config", type=int, default=3)
-    p.add_argument("--delta", type=float, default=0.1)
+    p.add_argument("--n-queries", type=int, default=_LEMMAS["5.1"].keys["n_queries"])
+    p.add_argument("--per-n", type=int, default=_LEMMAS["5.2a"].keys["per_n"])
+    p.add_argument("--per-config", type=int, default=_LEMMAS["5.3"].keys["per_config"])
+    p.add_argument("--delta", type=float, default=_LEMMAS["5.3"].keys["delta"])
     p.add_argument("--N", type=int, action="append", dest="Ns")
     p.add_argument("--out", default=None)
 

@@ -1,6 +1,7 @@
 """Exact verification of the measure and counting estimates on R x Z and
 Z^2: annulus measures, quadric and hyperbola lattice counts, the
-resonant-set measure, and worst-case constant scans.
+resonant-set measure, and one worst-case constant scan per lemma
+(scan_lemma51, scan_lemma52, scan_lemma53).
 
 The measure on R x Z is one-dimensional Lebesgue in the first coordinate
 times counting measure in the second.  Every kernel works on arrays, in
@@ -330,11 +331,19 @@ def scan_lemma51(n_queries: int, seed) -> tuple[list, dict]:
              "value": val, "normalized_ratio": ratio}
             for C, K, xi2c, val, ratio in zip(Cs.tolist(), Ks.tolist(), xi2cs.tolist(),
                                               values.tolist(), ratios.tolist())]
+    # np.argmax takes the first NaN, and "not <=" reports it
     i = int(np.argmax(ratios))
-    worst = (float(ratios[i]), i) if ratios[i] > 0.0 else (0.0, None)
+    worst = (float(ratios[i]), i) if not ratios[i] <= 0.0 else (0.0, None)
     summary = {"lemma": "5.1", "queries": n_queries,
                "max_ratio": worst[0], "argmax_index": worst[1]}
     return rows, summary
+
+
+def _top_decile_mean(values, floor: float) -> float:
+    """Mean of the largest tenth (at least one) of values, floored at floor;
+    a NaN sorts last, so it reaches the mean."""
+    vals = np.sort(values)
+    return float(max(vals[-max(1, len(vals) // 10):].mean(), floor))
 
 
 def _lemma52_samples(N: int, per_n: int, variant: str, rng) -> list:
@@ -381,9 +390,8 @@ def scan_lemma52(Ns: list, per_n: int, seed, variant: str = "quadric") -> tuple[
             rows.append({"lemma": "5.2" + ("a" if variant == "quadric" else "b"),
                          "N": N, "k": k, "C": C, "value": cnt,
                          "normalized_ratio": cnt / max(N, 1) ** 0.3})
-        counts = np.sort(counts)
-        max_per_n.append(int(max(counts.max(), 1)))
-        decile_per_n.append(float(max(counts[-max(1, per_n // 10):].mean(), 1.0)))
+        max_per_n.append(max(max(counts), 1))
+        decile_per_n.append(_top_decile_mean(counts, 1.0))
     exponent = fit_slope(np.log(np.asarray(Ns, dtype=float)), np.log(np.asarray(decile_per_n)))
     summary = {"lemma": "5.2" + ("a" if variant == "quadric" else "b"),
                "Ns": list(Ns), "max_counts": max_per_n,
@@ -424,7 +432,7 @@ def scan_lemma53(Ns: list, delta: float, per_config: int, seed) -> tuple[list, d
     rng = np.random.default_rng(seed)
     rows = []
     per_n_ratios = {N: [] for N in Ns}
-    case_max = {"a": 0.0, "b": 0.0, "c": 0.0}
+    case_ratios = {"a": [], "b": [], "c": []}
     for N in Ns:
         queries = []
         M = 1.0
@@ -450,32 +458,14 @@ def scan_lemma53(Ns: list, delta: float, per_config: int, seed) -> tuple[list, d
                          "l": q.l, "k": q.k, "C": q.C, "value": val,
                          "normalized_ratio": ratio})
             per_n_ratios[N].append(ratio)
-            case_max[case] = max(case_max[case], ratio)
-    max_per_n = {N: max(v) for N, v in per_n_ratios.items()}
-    decile = []
-    for N in Ns:
-        vals = np.sort(per_n_ratios[N])
-        decile.append(max(vals[-max(1, len(vals) // 10):].mean(), 1e-12))
+            case_ratios[case].append(ratio)
+    # np.max propagates a NaN; the builtin max may drop it
+    max_per_n = {N: float(np.max(v)) for N, v in per_n_ratios.items()}
+    case_max = {case: float(np.max(v, initial=0.0)) for case, v in case_ratios.items()}
+    decile = [_top_decile_mean(per_n_ratios[N], 1e-12) for N in Ns]
     slope = fit_slope(np.log(np.asarray(Ns, dtype=float)), np.log(np.asarray(decile)))
     summary = {"lemma": "5.3", "Ns": list(Ns), "delta": delta,
                "max_ratio_per_N": {str(N): max_per_n[N] for N in Ns},
                "top_decile_means": decile,
                "case_max": case_max, "fitted_slope": slope}
     return rows, summary
-
-
-def scan_constants(lemma: str, seed, **kwargs) -> tuple[list, dict]:
-    """Deterministic scan dispatcher; lemma is one of 5.1, 5.2a, 5.2b, 5.3."""
-    if lemma == "5.1":
-        return scan_lemma51(kwargs.get("n_queries", 10000), seed)
-    if lemma == "5.2a":
-        return scan_lemma52(kwargs.get("Ns", [64, 128, 256, 512]),
-                            kwargs.get("per_n", 200), seed, variant="quadric")
-    if lemma == "5.2b":
-        return scan_lemma52(kwargs.get("Ns", [64, 128, 256, 512]),
-                            kwargs.get("per_n", 200), seed, variant="hyperbola")
-    if lemma == "5.3":
-        return scan_lemma53(kwargs.get("Ns", [64, 128, 256, 512, 1024]),
-                            kwargs.get("delta", 0.1),
-                            kwargs.get("per_config", 3), seed)
-    raise ValueError(f"unknown lemma {lemma!r}")

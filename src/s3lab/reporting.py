@@ -53,24 +53,11 @@ def _round_floats(obj):
     return obj
 
 
-# the %-conversion that writes a cell of each type exactly as _fmt does
-_CELL_FORMATS = {str: "%s", bool: "%d", int: "%d", float: "%.17g"}
-
-
-def _row_format(types: tuple):
-    """One %-format string for a row of cells of these exact types, or None
-    when a type has no entry in _CELL_FORMATS."""
-    try:
-        return ",".join(_CELL_FORMATS[t] for t in types) + "\n"
-    except KeyError:
-        return None
-
-
 def write_csv(path: Path, header: list, rows: list) -> None:
     """Write rows (dicts; a missing key writes an empty cell) under header.
-    Each row is formatted by one %-format string, built once per tuple of
-    cell types; a row with a cell of any other type goes through _fmt cell
-    by cell.  Either way the bytes are those of _fmt."""
+    Each row goes through one %-format string, built once per tuple of cell
+    types, that writes each cell as _fmt does: an int (a bool too) as %d, a
+    float (numpy's float64 too) as %.17g, anything else as %s."""
     formats = {}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
@@ -78,12 +65,10 @@ def write_csv(path: Path, header: list, rows: list) -> None:
             cells = tuple([row.get(col, "") for col in header])
             types = tuple(map(type, cells))
             if types not in formats:
-                formats[types] = _row_format(types)
-            fmt = formats[types]
-            if fmt is None:
-                fh.write(",".join(map(_fmt, cells)) + "\n")
-            else:
-                fh.write(fmt % cells)
+                formats[types] = ",".join(
+                    "%d" if issubclass(t, int) else "%.17g" if issubclass(t, float) else "%s"
+                    for t in types) + "\n"
+            fh.write(formats[types] % cells)
 
 
 def write_run_outputs(out_dir: Path, name: str, header: list, rows: list,

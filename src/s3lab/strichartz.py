@@ -234,6 +234,22 @@ def sample_slab_packet(slab: SlabSpec, grid: FrequencyGrid, mode: str, seed=None
     return WavePacket(grid=grid, values=vals)
 
 
+def sparse_packet(seed, n_nodes: int, N: float, h: float) -> WavePacket:
+    """Unit-norm packet on min(n_nodes, disk nodes) nodes of the disk
+    |xi| <= N, drawn without replacement, with i.i.d. complex standard
+    Gaussian values."""
+    slab = SlabSpec(xi0=(0.0, 0), a=(1.0, 0.0), c=0.0, M=N, N=N)
+    grid = grid_for_slab(slab, h=h)
+    rng = np.random.default_rng(seed)
+    mask = slab_mask(slab, grid)
+    idx = np.argwhere(mask)
+    pick = idx[rng.choice(len(idx), size=min(n_nodes, len(idx)), replace=False)]
+    vals = np.zeros(mask.shape, dtype=complex)
+    vals[pick[:, 0], pick[:, 1]] = rng.standard_normal(len(pick)) + 1j * rng.standard_normal(len(pick))
+    vals /= np.sqrt(grid.h) * np.linalg.norm(vals)
+    return WavePacket(grid=grid, values=vals)
+
+
 def box_packet(N: int, h: float = 0.25) -> WavePacket:
     """Unit-norm indicator of the square [-N, N]^2 (the sharpness example)."""
     grid = FrequencyGrid(h=h, xi1_extent=float(N), xi2_min=-N, xi2_max=N)
@@ -523,7 +539,13 @@ def _pair_groups(p: WavePacket, k_shift: int, ordered: bool):
 
     Returns dict s -> (lambda_sum, weight, j_first, j_second); ``ordered``
     restricts to xi1_first >= xi1_second (the Gamma ordering constraints).
+    A support above ``_MAX_QUADRILINEAR_NODES`` nodes raises ValueError
+    before any work: the enumerations built on the groups are cubic in the
+    support size.
     """
+    if p.support_count() > _MAX_QUADRILINEAR_NODES:
+        raise ValueError(f"support has {p.support_count()} nodes, exceeding the "
+                         f"{_MAX_QUADRILINEAR_NODES}-node enumeration cap")
     cols, rows, vals = p.support()
     n = len(cols)
     lam = _support_lambda(p, k_shift, "elliptic")
@@ -554,12 +576,6 @@ def quadrilinear_form_frequency(p: WavePacket, k_shift: int = 0) -> float:
 
     The support is capped at 64 nodes (the constrained enumeration is cubic
     in the support size)."""
-    count = p.support_count()
-    if count > _MAX_QUADRILINEAR_NODES:
-        raise ValueError(
-            f"support has {count} nodes, exceeding the "
-            f"{_MAX_QUADRILINEAR_NODES}-node enumeration cap"
-        )
     groups = _pair_groups(p, k_shift, ordered=False)
     total = 0.0 + 0.0j
     for lam2, w, _, _ in groups.values():
@@ -598,12 +614,6 @@ def kernel_split_diagnostics(p: WavePacket, k_shift: int = 0) -> KernelSplitRepo
     1_Gamma <= K1 + K2 holds pointwise; the report asserts it on every
     enumerated tuple and returns the |v1 v3 v2 v4|-weighted masses.
     """
-    count = p.support_count()
-    if count > _MAX_QUADRILINEAR_NODES:
-        raise ValueError(
-            f"support has {count} nodes, exceeding the "
-            f"{_MAX_QUADRILINEAR_NODES}-node enumeration cap"
-        )
     groups = _pair_groups(p, k_shift, ordered=True)
     gamma_total = 0.0
     k1_part = 0.0
@@ -700,6 +710,28 @@ def _worst_warnings(warnings) -> tuple:
     return tuple(worst[flag][1] for flag in sorted(worst))
 
 
+def _best_of(trials: int, draw) -> QuotientReport:
+    """Report draw(trial) -> (row, warnings) over the trials: the rows, the
+    worst value per warning flag, and the largest quotient with its trial
+    (0.0 and None when none is positive).  np.argmax takes the first NaN,
+    so a NaN quotient is the maximum and a gate on it fails closed."""
+    drawn = [draw(trial) for trial in range(trials)]
+    qs = [row["quotient"] for row, _ in drawn]
+    i = int(np.argmax(qs))
+    best = (qs[i], i) if not qs[i] <= 0.0 else (0.0, None)
+    return QuotientReport(rows=tuple(row for row, _ in drawn), max_quotient=best[0],
+                          argmax={"trial": best[1]},
+                          warnings=_worst_warnings(w for _, ws in drawn for w in ws))
+
+
+def _trend(Ns, per_n: dict, warn) -> dict:
+    """The summary of a quotient scan: the maximum per N, the slope fitted
+    to those maxima against log N, and the worst value per warning flag."""
+    slope = fit_slope(np.log(np.asarray(Ns, dtype=float)), [per_n[N] for N in Ns])
+    return {"Ns": list(Ns), "max_per_N": {str(N): per_n[N] for N in Ns},
+            "fitted_slope": slope, "flags": list(_worst_warnings(warn))}
+
+
 def check_delta(delta):
     """Return delta; ValueError unless it is a real number with
     0 < delta < 1/8, the range of the exponent in the quotient's
@@ -749,23 +781,13 @@ def strichartz_quotient(
     rng = np.random.default_rng(seed)
     grid = grid_for_slab(slab, h)
     scale = (slab.M / slab.N) ** delta * slab.N**0.25
-    rows = []
-    warn = []
-    best = (0.0, None)
-    for trial in range(trials):
+
+    def draw(trial):
         pkt = sample_slab_packet(slab, grid, "gaussian-random", rng)
         res = evolve_l4_norm(pkt, 0, "elliptic", t_window)
-        q = res.value / (scale * pkt.l2_norm())
-        rows.append({"trial": trial, "quotient": q})
-        warn.extend(res.warnings)
-        if q > best[0]:
-            best = (q, trial)
-    return QuotientReport(
-        rows=tuple(rows),
-        max_quotient=best[0],
-        argmax={"trial": best[1]},
-        warnings=_worst_warnings(warn),
-    )
+        return {"trial": trial, "quotient": res.value / (scale * pkt.l2_norm())}, res.warnings
+
+    return _best_of(trials, draw)
 
 
 def _random_slab(N: float, M: float, delta: float, rng, h: float, boundary: bool) -> SlabSpec:
@@ -806,7 +828,7 @@ def scan_strichartz_quotients(
     per_n_max = {}
     warn = []
     for ni, N in enumerate(Ns):
-        best = 0.0
+        quotients = []
         for mi, mkind in enumerate(("1", "sqrt", "N")):
             M = {"1": 1.0, "sqrt": math.sqrt(N), "N": float(N)}[mkind]
             for trial in range(trials):
@@ -825,13 +847,10 @@ def scan_strichartz_quotients(
                 warn.extend(rep.warnings)
                 rows.append({"N": N, "M_kind": mkind, "M": M, "trial": trial,
                              "a2": slab.a[1], "quotient": q})
-                best = max(best, q)
-        per_n_max[N] = best
-    slope = fit_slope(np.log(np.asarray(Ns, dtype=float)), [per_n_max[N] for N in Ns])
-    summary = {"Ns": list(Ns), "delta": delta,
-               "max_per_N": {str(N): per_n_max[N] for N in Ns},
-               "fitted_slope": slope, "flags": list(_worst_warnings(warn))}
-    return rows, summary
+                quotients.append(q)
+        # np.max propagates a NaN; the builtin max may drop it
+        per_n_max[N] = float(np.max(quotients, initial=0.0))
+    return rows, {**_trend(Ns, per_n_max, warn), "delta": delta}
 
 
 def box_scaling_probe(Ns: list, h: float = 0.25) -> tuple[list, dict]:
@@ -871,26 +890,16 @@ def hyperbolic_l4_quotient(
     check_count("trials", trials)
     rng = np.random.default_rng(seed)
     grid = FrequencyGrid(h=h, xi1_extent=float(N), xi2_min=-N, xi2_max=N)
-    rows = []
-    warn = []
-    best = (0.0, None)
     shape = (2 * N + 1, 2 * grid.imax + 1)
-    for trial in range(trials):
+
+    def draw(trial):
         vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         vals /= np.sqrt(h) * np.linalg.norm(vals)
         pkt = WavePacket(grid=grid, values=vals)
         res = _weighted_quartic(pkt, 0, "hyperbolic", t_window, x2_torus=True)
-        q = res.value / pkt.l2_norm()
-        rows.append({"trial": trial, "N": N, "quotient": q})
-        warn.extend(res.warnings)
-        if q > best[0]:
-            best = (q, trial)
-    return QuotientReport(
-        rows=tuple(rows),
-        max_quotient=best[0],
-        argmax={"trial": best[1]},
-        warnings=_worst_warnings(warn),
-    )
+        return {"trial": trial, "N": N, "quotient": res.value / pkt.l2_norm()}, res.warnings
+
+    return _best_of(trials, draw)
 
 
 def scan_hyperbolic_quotients(
@@ -913,7 +922,4 @@ def scan_hyperbolic_quotients(
         rows.extend(dict(r) for r in rep.rows)
         per_n[N] = rep.max_quotient
         warn.extend(rep.warnings)
-    slope = fit_slope(np.log(np.asarray(Ns, dtype=float)), [per_n[N] for N in Ns])
-    summary = {"Ns": list(Ns), "max_per_N": {str(N): per_n[N] for N in Ns},
-               "fitted_slope": slope, "flags": list(_worst_warnings(warn))}
-    return rows, summary
+    return rows, _trend(Ns, per_n, warn)

@@ -334,15 +334,19 @@ def wigner_d_diagonal(m: int, thetas: np.ndarray) -> np.ndarray:
 
 def character(m: int, g: GroupElement) -> float:
     """Trace of the degree-m representation: sin((m+1) theta) / sin(theta)
-    with exp(+-i theta) the eigenvalues of g; the theta -> 0 (and pi)
-    singularity is replaced by its limit."""
+    with exp(+-i theta) the eigenvalues of g.
+
+    Where Re a < 0 it is taken as (-1)^m chi_m(-g), so the angle delta of
+    g or -g lies in [0, pi/2] and sin((m+1) delta) / sin(delta) keeps full
+    relative precision near theta = 0 and pi; only delta = 0 exactly is
+    replaced by the limit m + 1."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    theta = g.rotation_angle()
-    s = np.sin(theta)
-    if abs(s) < 1e-8:
-        return float((m + 1) * np.cos((m + 1) * theta) / np.cos(theta))
-    return float(np.sin((m + 1) * theta) / s)
+    sign = -1.0 if g.a.real < 0.0 and m % 2 else 1.0
+    delta = np.arctan2(np.hypot(g.a.imag, abs(g.b)), abs(g.a.real))
+    if delta == 0.0:
+        return sign * (m + 1)
+    return float(sign * np.sin((m + 1) * delta) / np.sin(delta))
 
 
 @dataclass(frozen=True)

@@ -190,19 +190,22 @@ def test_criterion_6_lattice_lemma_scans():
     t0 = time.time()
     scan_s = {}
 
-    def timed_scan(lemma, **kwargs):
+    def timed_scan(lemma, scan, **kwargs):
         start = time.time()
-        _, summary = lattice.scan_constants(lemma, seed=3, **kwargs)
+        _, summary = scan(seed=3, **kwargs)
         scan_s[lemma] = time.time() - start
         return summary
 
-    s51 = timed_scan("5.1", n_queries=10000)
+    s51 = timed_scan("5.1", lattice.scan_lemma51, n_queries=10000)
     assert s51["max_ratio"] <= ANNULUS_BOUND
-    s52a = timed_scan("5.2a", Ns=[64, 128, 256, 512], per_n=1000)
-    s52b = timed_scan("5.2b", Ns=[64, 128, 256, 512], per_n=1000)
+    s52a = timed_scan("5.2a", lattice.scan_lemma52, Ns=[64, 128, 256, 512], per_n=1000,
+                      variant="quadric")
+    s52b = timed_scan("5.2b", lattice.scan_lemma52, Ns=[64, 128, 256, 512], per_n=1000,
+                      variant="hyperbola")
     assert s52a["fitted_exponent"] <= EXPONENT_BOUND
     assert s52b["fitted_exponent"] <= EXPONENT_BOUND
-    s53 = timed_scan("5.3", Ns=[64, 128, 256, 512, 1024], delta=0.1, per_config=4)
+    s53 = timed_scan("5.3", lattice.scan_lemma53, Ns=[64, 128, 256, 512, 1024], delta=0.1,
+                     per_config=4)
     assert s53["fitted_slope"] <= SLOPE_BOUND
     assert max(s53["max_ratio_per_N"].values()) <= SETB_BOUND
     _report(
@@ -215,31 +218,18 @@ def test_criterion_6_lattice_lemma_scans():
     )
 
 
-def _sparse_packet(seed, n_nodes, N, h):
-    slab = strichartz.SlabSpec(xi0=(0.0, 0), a=(1.0, 0.0), c=0.0, M=N, N=N)
-    grid = strichartz.grid_for_slab(slab, h=h)
-    rng = np.random.default_rng(seed)
-    mask = strichartz.slab_mask(slab, grid)
-    idx = np.argwhere(mask)
-    pick = idx[rng.choice(len(idx), size=n_nodes, replace=False)]
-    vals = np.zeros(mask.shape, dtype=complex)
-    vals[pick[:, 0], pick[:, 1]] = rng.standard_normal(n_nodes) + 1j * rng.standard_normal(n_nodes)
-    vals /= np.sqrt(grid.h) * np.linalg.norm(vals)
-    return strichartz.WavePacket(grid=grid, values=vals)
-
-
 def test_criterion_7_strichartz_suite(monkeypatch):
     t0 = time.time()
     # Plancherel identity, <= 32-node packets, within 2%; refinement to 0.5%
     worst_pl = 0.0
     for seed in (7, 8, 9):
-        p = _sparse_packet(seed, 28, 5.0, 0.5)
+        p = strichartz.sparse_packet(seed, 28, 5.0, 0.5)
         freq = strichartz.quadrilinear_form_frequency(p, 0)
         n_t = strichartz.anti_alias_nt(p, 0, "elliptic", -240.0, 240.0)
         res = strichartz.evolve_l4_norm(p, 0, "elliptic", (-240.0, 240.0, n_t))
         worst_pl = max(worst_pl, abs(res.quartic - freq) / freq)
     assert worst_pl <= PLANCHEREL_TOL
-    p = _sparse_packet(7, 28, 5.0, 0.25)
+    p = strichartz.sparse_packet(7, 28, 5.0, 0.25)
     freq = strichartz.quadrilinear_form_frequency(p, 0)
     n_t = 2 * strichartz.anti_alias_nt(p, 0, "elliptic", -240.0, 240.0)
     res = strichartz.evolve_l4_norm(p, 0, "elliptic", (-240.0, 240.0, n_t))
@@ -249,7 +239,7 @@ def test_criterion_7_strichartz_suite(monkeypatch):
     # kernel cover, exact on every enumerated tuple
     tuples = 0
     for seed in (3, 4, 5):
-        rep = strichartz.kernel_split_diagnostics(_sparse_packet(seed, 20, 6.0, 0.5), 2)
+        rep = strichartz.kernel_split_diagnostics(strichartz.sparse_packet(seed, 20, 6.0, 0.5), 2)
         assert rep.cover_ok
         assert rep.K1_part + rep.K2_part >= rep.gamma_total - GAMMA_MASS_TOL
         tuples += rep.tuple_count

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import shlex
@@ -9,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from s3lab import bilinear, clebsch, cli, gates, strichartz
+from s3lab import bilinear, clebsch, cli, gates, lattice, strichartz
 from s3lab.reporting import file_sha256
 
 
@@ -202,6 +203,9 @@ def test_lattice_scan_refuses_a_one_point_fit(tmp_path):
     assert not list(tmp_path.glob("lattice_5_2b.*"))
 
 
+_LATTICE_SCANS = ("scan_lemma51", "scan_lemma52", "scan_lemma53")
+
+
 @pytest.mark.parametrize("args,count", [
     (["--lemma", "5.1", "--n-queries", "0"], "n_queries"),
     (["--lemma", "5.2a", "--per-n", "0"], "per_n"),
@@ -211,10 +215,19 @@ def test_lattice_scan_refuses_a_one_point_fit(tmp_path):
 def test_lattice_scan_refuses_an_empty_sample(tmp_path, monkeypatch, capsys, args, count):
     # a gate over no samples would pass on nothing: exit 2, no outputs
     calls = []
-    monkeypatch.setattr(cli.lattice, "scan_constants", lambda *a, **k: calls.append(a))
+    for scan in _LATTICE_SCANS:
+        monkeypatch.setattr(cli.lattice, scan, lambda **k: calls.append(k))
     assert cli.main(["lattice-scan", *args, "--out", str(tmp_path)]) == 2
     assert f"{count} must be >= 1" in capsys.readouterr().err
     assert calls == [] and not list(tmp_path.iterdir())
+
+
+def test_lattice_scan_refuses_an_unknown_lemma(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["lattice-scan", "--lemma", "9.9", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "invalid choice: '9.9'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_strichartz_hyperbolic_refuses_a_one_point_fit(tmp_path):
@@ -520,7 +533,8 @@ def test_strichartz_gates_fail_closed(tmp_path, monkeypatch, capsys, mode, call,
 
 
 def _lattice_summary(monkeypatch, summary):
-    monkeypatch.setattr(cli.lattice, "scan_constants", lambda lemma, seed, **kw: ([], summary))
+    for scan in _LATTICE_SCANS:
+        monkeypatch.setattr(cli.lattice, scan, lambda **kw: ([], summary))
 
 
 @pytest.mark.parametrize("lemma,summary,code", [
@@ -536,6 +550,56 @@ def test_lattice_scan_gates_from_the_gate_table(tmp_path, monkeypatch, lemma, su
     if lemma == "5.3":
         args += ["--N", "64", "--N", "128"]
     assert cli.main(args) == code
+
+
+def _nan_on_call(target, n, poison):
+    """target, with the result of its n-th call replaced by poison(result)."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        result = target(*args, **kwargs)
+        return poison(result) if len(calls) == n else result
+    return wrapped
+
+
+def _nan_value(result):
+    return dataclasses.replace(result, value=float("nan"))
+
+
+def _nan_middle(values):
+    values[len(values) // 2] = np.nan
+    return values
+
+
+@pytest.mark.parametrize("argv,config,module,call,n,poison,field", [
+    # the second of three packets at N = 8
+    (["strichartz", "--mode", "elliptic"], {"Ns": [8, 16], "trials": 1, "window": [-20, 20, 512]},
+     strichartz, "evolve_l4_norm", 2, _nan_value, ("max_per_N", "8")),
+    # the second of three trials at N = 2
+    (["strichartz", "--mode", "hyperbolic"], {"Ns": [2, 4], "trials": 3, "window": [-10, 10, 64]},
+     strichartz, "_weighted_quartic", 2, _nan_value, ("max_per_N", "2")),
+    # the middle query of the one batch
+    (["lattice-scan", "--lemma", "5.1", "--n-queries", "200"], None,
+     lattice, "annulus_measures", 1, _nan_middle, ("max_ratio",)),
+    # the middle query of the N = 64 batch
+    (["lattice-scan", "--lemma", "5.3", "--N", "64", "--N", "128", "--per-config", "1"], None,
+     lattice, "setB_measures", 1, _nan_middle, ("max_ratio_per_N", "64")),
+], ids=["elliptic", "hyperbolic", "5.1", "5.3"])
+def test_scan_maxima_keep_a_nan(tmp_path, monkeypatch, argv, config, module, call, n, poison,
+                                field):
+    # one NaN sample mid-scan: the maximum reads "nan" and the gate exits 1
+    monkeypatch.setattr(module, call, _nan_on_call(getattr(module, call), n, poison))
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", str(tmp_path / "config.json")]
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    [path] = out.glob("*.summary.json")
+    value = strict_json(path)["summary"]
+    for key in field:
+        value = value[key]
+    assert value == "nan"
 
 
 _ROOT = Path(__file__).resolve().parent.parent

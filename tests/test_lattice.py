@@ -1,6 +1,7 @@
 import decimal
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,13 +17,21 @@ from s3lab.lattice import (
     count_hyperbola_batch,
     count_quadric,
     count_quadric_batch,
-    scan_constants,
+    scan_lemma51,
+    scan_lemma52,
+    scan_lemma53,
     setB_measure,
     setB_measure_monte_carlo,
     setB_measures,
 )
 
 SETTINGS = dict(max_examples=40, deadline=None, database=None, derandomize=True)
+
+# the scan of each lemma label, with the variant and delta the CLI's lemma rows use
+SCANS = {"5.1": scan_lemma51,
+         "5.2a": partial(scan_lemma52, variant="quadric"),
+         "5.2b": partial(scan_lemma52, variant="hyperbola"),
+         "5.3": partial(scan_lemma53, delta=0.1)}
 
 
 def brute_annulus(C, K, xi2c, nx=2_000_001, span=None):
@@ -198,24 +207,19 @@ def test_setB_parameter_validation():
 
 
 def test_scans_deterministic():
-    r1, s1 = scan_constants("5.1", seed=5, n_queries=200)
-    r2, s2 = scan_constants("5.1", seed=5, n_queries=200)
+    r1, s1 = scan_lemma51(seed=5, n_queries=200)
+    r2, s2 = scan_lemma51(seed=5, n_queries=200)
     assert s1 == s2 and r1 == r2
-    r3, s3 = scan_constants("5.2a", seed=5, Ns=[16, 32], per_n=20)
-    r4, s4 = scan_constants("5.2a", seed=5, Ns=[16, 32], per_n=20)
+    r3, s3 = scan_lemma52(seed=5, Ns=[16, 32], per_n=20, variant="quadric")
+    r4, s4 = scan_lemma52(seed=5, Ns=[16, 32], per_n=20, variant="quadric")
     assert s3 == s4 and r3 == r4
 
 
 def test_scan_53_cases_present():
-    rows, summary = scan_constants("5.3", seed=2, Ns=[64, 128], per_config=2)
+    rows, summary = scan_lemma53(seed=2, Ns=[64, 128], delta=0.1, per_config=2)
     cases = {r["case"] for r in rows}
     assert cases == {"a", "b", "c"}
     assert set(summary["case_max"]) == {"a", "b", "c"}
-
-
-def test_scan_unknown_lemma():
-    with pytest.raises(ValueError):
-        scan_constants("9.9", seed=0)
 
 
 # -- array kernels against their oracles ----------------------------------------
@@ -338,7 +342,7 @@ def test_counter_batches_match_scalar_and_brute_force(monkeypatch):
 
 @pytest.mark.parametrize("lemma,brute", [("5.2a", brute_quadric), ("5.2b", brute_hyperbola)])
 def test_lemma52_scan_counts_match_brute_force(lemma, brute):
-    rows, summary = scan_constants(lemma, seed=6, Ns=[6, 10], per_n=25)
+    rows, summary = SCANS[lemma](seed=6, Ns=[6, 10], per_n=25)
     assert len(rows) == 50
     for r in rows:
         assert r["value"] == brute(r["k"], r["C"], r["N"])
@@ -379,7 +383,7 @@ def test_scans_refuse_a_single_N_before_any_work(monkeypatch, lemma, kwargs, ker
     calls = []
     monkeypatch.setattr(lattice, kernel, lambda *a, **k: calls.append(a))
     with pytest.raises(ValueError, match="two distinct"):
-        scan_constants(lemma, seed=3, **kwargs)
+        SCANS[lemma](seed=3, **kwargs)
     assert calls == []
 
 
@@ -394,12 +398,12 @@ def test_scans_refuse_an_empty_sample_before_any_work(monkeypatch, lemma, kwargs
     calls = []
     monkeypatch.setattr(lattice, kernel, lambda *a, **k: calls.append(a))
     with pytest.raises(ValueError, match=f"{count} must be >= 1"):
-        scan_constants(lemma, seed=3, **kwargs)
+        SCANS[lemma](seed=3, **kwargs)
     assert calls == []
 
 
 def test_lemma51_scan_rows_are_the_batch_measures_of_their_draws():
-    rows, summary = scan_constants("5.1", seed=5, n_queries=300)
+    rows, summary = scan_lemma51(seed=5, n_queries=300)
     assert len(rows) == summary["queries"] == 300
     values = annulus_measures([r["C"] for r in rows], [r["K"] for r in rows])
     for r, v in zip(rows, values):
@@ -412,8 +416,8 @@ def test_lemma51_scan_rows_are_the_batch_measures_of_their_draws():
     ratios = [r["normalized_ratio"] for r in rows]
     assert summary["max_ratio"] == max(ratios)
     assert summary["argmax_index"] == ratios.index(max(ratios))
-    assert scan_constants("5.1", seed=5, n_queries=300) == (rows, summary)
-    assert scan_constants("5.1", seed=6, n_queries=300)[0] != rows
+    assert scan_lemma51(seed=5, n_queries=300) == (rows, summary)
+    assert scan_lemma51(seed=6, n_queries=300)[0] != rows
 
 
 @pytest.mark.parametrize("N", [16, 64, 512])

@@ -161,7 +161,7 @@ def _direct_torus_quartic(p, k, dispersion, t_window):
 
 @pytest.mark.parametrize("dispersion", ["elliptic", "hyperbolic"])
 def test_torus_quartic_matches_direct_sum(dispersion):
-    p = _random_packet(4, n_nodes=14, N=3.0)
+    p = st.sparse_packet(4, 14, 3.0, 0.5)
     w = (-10.0, 10.0, 64)
     res = st._weighted_quartic(p, 2, dispersion, w, x2_torus=True)
     assert res.quartic == pytest.approx(_direct_torus_quartic(p, 2, dispersion, w), rel=1e-12)
@@ -210,8 +210,8 @@ def _gapped_packet(seed):
 
 
 _ORACLE_PACKETS = {
-    "centred": lambda: _random_packet(11, n_nodes=20, N=5.0),
-    "off-centre": lambda: st.shift_packet_xi1(st.shift_packet_xi2(_random_packet(12, 14, 4.0), 6), 13),
+    "centred": lambda: st.sparse_packet(11, 20, 5.0, 0.5),
+    "off-centre": lambda: st.shift_packet_xi1(st.shift_packet_xi2(st.sparse_packet(12, 14, 4.0, 0.5), 6), 13),
     "gapped": lambda: _gapped_packet(13),
 }
 
@@ -372,35 +372,38 @@ def test_quadrilinear_random_small_vs_brute():
         )
 
 
-def test_quadrilinear_support_cap():
+def test_quadrilinear_support_cap(monkeypatch):
     grid = st.FrequencyGrid(h=0.5, xi1_extent=8.0, xi2_min=-8, xi2_max=8)
     vals = np.ones((17, 33), dtype=complex)
     p = st.WavePacket(grid=grid, values=vals)
-    with pytest.raises(ValueError, match="nodes"):
-        st.quadrilinear_form_frequency(p, 0)
+    calls = []
+    monkeypatch.setattr(st, "_support_lambda", lambda *a: calls.append(a))
+    for enumeration in (st.quadrilinear_form_frequency, st.kernel_split_diagnostics):
+        with pytest.raises(ValueError, match="561 nodes, exceeding the 64-node enumeration cap"):
+            enumeration(p, 0)
+    assert calls == []
 
 
-def _random_packet(seed, n_nodes=24, N=5.0, h=0.5):
-    slab = st.SlabSpec(xi0=(0.0, 0), a=(1.0, 0.0), c=0.0, M=N, N=N)
-    grid = st.grid_for_slab(slab, h=h)
-    rng = np.random.default_rng(seed)
-    mask = st.slab_mask(slab, grid)
-    idx = np.argwhere(mask)
-    pick = idx[rng.choice(len(idx), size=n_nodes, replace=False)]
-    vals = np.zeros(mask.shape, dtype=complex)
-    vals[pick[:, 0], pick[:, 1]] = rng.standard_normal(n_nodes) + 1j * rng.standard_normal(n_nodes)
-    vals /= np.sqrt(grid.h) * np.linalg.norm(vals)
-    return st.WavePacket(grid=grid, values=vals)
+def test_sparse_packet():
+    for n_nodes, N, h in [(24, 5.0, 0.5), (14, 3.0, 0.5), (1000, 2.0, 0.5)]:
+        p = st.sparse_packet(9, n_nodes, N, h)
+        disk = int(st.slab_mask(st.SlabSpec(xi0=(0.0, 0), a=(1.0, 0.0), c=0.0, M=N, N=N),
+                                p.grid).sum())
+        assert p.support_count() == min(n_nodes, disk)
+        assert p.l2_norm() == pytest.approx(1.0, abs=1e-14)
+        assert np.array_equal(st.sparse_packet(9, n_nodes, N, h).values, p.values)
+    assert not np.array_equal(st.sparse_packet(10, 24, 5.0, 0.5).values,
+                              st.sparse_packet(9, 24, 5.0, 0.5).values)
 
 
 def test_plancherel_identity_and_refinement():
-    p = _random_packet(7, n_nodes=24)
+    p = st.sparse_packet(7, 24, 5.0, 0.5)
     freq = st.quadrilinear_form_frequency(p, 0)
     n_t = st.anti_alias_nt(p, 0, "elliptic", -240.0, 240.0)
     res = st.evolve_l4_norm(p, 0, "elliptic", (-240.0, 240.0, n_t))
     assert abs(res.quartic - freq) / freq <= 0.02
     # doubling n_t and halving h keeps the identity within 0.5%
-    p2 = _random_packet(7, n_nodes=24, h=0.25)
+    p2 = st.sparse_packet(7, 24, 5.0, 0.25)
     freq2 = st.quadrilinear_form_frequency(p2, 0)
     n_t2 = 2 * st.anti_alias_nt(p2, 0, "elliptic", -240.0, 240.0)
     res2 = st.evolve_l4_norm(p2, 0, "elliptic", (-240.0, 240.0, n_t2))
@@ -417,7 +420,7 @@ def test_plancherel_identity_and_refinement():
     (7, 64, 12.0, 0.125, 0),
 ])
 def test_exact_rule_equals_frequency_side(seed, n_nodes, N, h, k):
-    p = _random_packet(seed, n_nodes, N, h)
+    p = st.sparse_packet(seed, n_nodes, N, h)
     res = st.evolve_l4_norm_exact(p, k)
     freq = st.quadrilinear_form_frequency(p, k)
     assert abs(res.quartic - freq) <= 1e-12 * freq
@@ -459,7 +462,7 @@ def _torus_frequency_side(p, k, dispersion):
 @pytest.mark.parametrize("dispersion", ["elliptic", "hyperbolic"])
 @pytest.mark.parametrize("seed,h", [(21, 0.5), (22, 0.5), (23, 0.25)])
 def test_exact_torus_rule_equals_brute_force_frequency_side(seed, h, dispersion):
-    p = _random_packet(seed, n_nodes=12, N=3.0, h=h)
+    p = st.sparse_packet(seed, 12, 3.0, h)
     res = st._weighted_quartic(p, 1, dispersion, None, x2_torus=True)
     ref = _torus_frequency_side(p, 1, dispersion)
     assert abs(res.quartic - ref) <= 1e-12 * ref
@@ -541,7 +544,7 @@ def test_galilean_invariance():
 
 
 def test_kernel_split_cover_and_parts():
-    p = _random_packet(3, n_nodes=16)
+    p = st.sparse_packet(3, 16, 5.0, 0.5)
     rep = st.kernel_split_diagnostics(p, 2)
     assert rep.cover_ok
     assert rep.tuple_count > 0
@@ -560,7 +563,7 @@ def test_kernel_split_single_row_all_k1():
 
 
 def test_kernel_split_large_k_clauses_silent():
-    p = _random_packet(5, n_nodes=12, N=4.0)
+    p = st.sparse_packet(5, 12, 4.0, 0.5)
     rep = st.kernel_split_diagnostics(p, 1000)  # k > 4N
     assert rep.clause_counts[2] == 0 and rep.clause_counts[3] == 0
 

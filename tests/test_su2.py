@@ -157,11 +157,27 @@ def test_character_near_singular_angles():
     assert character(4, gneg) == pytest.approx(5.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("m,theta", [(200, 0.013), (200, np.pi - 0.013), (400, 1e-4)])
+@pytest.mark.parametrize("m,theta", [(200, 0.013), (200, np.pi - 0.013), (400, 1e-4),
+                                     (400, 9e-9), (1000, 3e-9), (400, np.pi - 2e-8)])
 def test_character_is_accurate_near_zero_and_pi(m, theta):
-    # the rotation angle keeps full relative precision where arccos(Re a) does not
-    want = np.sin((m + 1) * theta) / np.sin(theta)
-    assert abs(character(m, from_angles(theta, 0.0, 0.0)) - want) <= 1e-12
+    # the reference takes chi_m at pi - d as (-1)^m chi_m at d, with d = pi - theta
+    # to full precision (np.pi - theta is exact; pi - np.pi = 1.2246467991473532e-16):
+    # the product (m+1) theta rounds by up to (m+1) ulp(pi) / 2 near pi, which
+    # sin((m+1) theta) / sin(theta) turns into an error of 4e-12 at (200, pi - 0.013)
+    near_pi = theta > 1.0
+    delta = (np.pi - theta) + 1.2246467991473532e-16 if near_pi else theta
+    sign = (-1) ** m if near_pi else 1
+    if delta > 1e-6:
+        want = np.sin((m + 1) * delta) / np.sin(delta)
+        assert abs(character(m, from_angles(theta, 0.0, 0.0)) - sign * want) <= 1e-12
+        return
+    # sin((m+1) d) / sin(d) = (m+1) (1 - ((m+1)^2 - 1) d^2 / 6) + O((m+1)^5 d^4); the
+    # reflection (-cos d, sin d) of a small angle d is built exactly
+    series = (m + 1) * (1.0 - ((m + 1) ** 2 - 1) * delta**2 / 6.0)
+    assert abs(character(m, from_angles(theta, 0.0, 0.0)) - sign * series) <= 1e-11
+    if not near_pi:
+        reflection = GroupElement(complex(-np.cos(delta)), complex(np.sin(delta)))
+        assert abs(character(m, reflection) - (-1) ** m * series) <= 1e-11
 
 
 def test_haar_sample_deterministic_and_normalized():
