@@ -34,11 +34,16 @@ Omega = Omega_m x 1 + 1 x Omega_n + 2 H_m x H_n + 4 (E_m x F_n + F_m x E_n);
 diagonalizes all blocks in one batched eigensolver call.  The oracle stays
 independent of the construction: it uses the weight and ladder formulas
 and an eigensolver, never a lowering chain or a stored coefficient.
+Both projector families, ``chain_projectors`` and ``casimir_projectors``,
+are read-only mappings k -> dim x dim projector that build one degree's
+projector on each access and keep nothing dense, so a comparison that
+reads one k at a time holds two projectors, not all 2(n+1).
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -407,33 +412,65 @@ def casimir_matrix(m: int, n: int) -> np.ndarray:
     return _scatter_blocks(dim, *_casimir_blocks(m, n))
 
 
-def chain_projectors(table: CGTable) -> dict[int, np.ndarray]:
+class _Projectors(Mapping):
+    """Read-only mapping k -> projector that builds the projector on each
+    access and keeps nothing dense: ``build(i)`` returns a fresh array for
+    the i-th key.  Membership, ``len`` and iteration read the keys alone."""
+
+    def __init__(self, keys, build):
+        self._index = {k: i for i, k in enumerate(keys)}
+        self._build = build
+
+    def __getitem__(self, k) -> np.ndarray:
+        return self._build(self._index[k])
+
+    def __contains__(self, k) -> bool:
+        return k in self._index
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+
+def chain_projectors(table: CGTable) -> Mapping[int, np.ndarray]:
     """Per-k projectors sum_gamma u_{k,gamma} u_{k,gamma}^T on the tensor
-    space: U_k U_k^T with U_k the degree-k columns of ``change_of_basis``,
-    taken one degree block at a time from ``_degree_blocks``."""
-    return {k: Uk @ Uk.T for k, Uk in _degree_blocks(table)}
+    space, keyed by k descending: U_k U_k^T with U_k the degree-k columns of
+    ``change_of_basis``.  The index arrays of ``_degree_block_builder`` are
+    computed once, here; U_k and its projector are built on each access, so
+    a caller that reads one k at a time holds at most one dense projector."""
+    block = _degree_block_builder(table)
+
+    def projector(kappa):
+        Uk = block(kappa)
+        return Uk @ Uk.T
+    return _Projectors(table.kvals.tolist(), projector)
 
 
-def casimir_projectors(m: int, n: int) -> dict[int, np.ndarray]:
-    """Eigenprojectors of the Casimir oracle, keyed by k with k(k+2) eigenvalue.
+def casimir_projectors(m: int, n: int) -> Mapping[int, np.ndarray]:
+    """Eigenprojectors of the Casimir oracle, keyed by k ascending, with
+    k(k+2) eigenvalue.
 
     Omega is block diagonal over the weight gamma, with blocks of size at
     most n+1 (``_casimir_blocks``), so one batched ``np.linalg.eigh`` of
     the zero-padded block stack gives its spectrum.  Each k(k+2) must
     appear exactly once in every block with |gamma| <= k, and in no other,
-    so k+1 times in all; otherwise RuntimeError, naming k.  The projector
-    onto the k(k+2) eigenspace is the sum of the outer products of those
-    eigenvectors, one per weight block, scattered densely.  The oracle
-    stays independent of the table: it uses only the weight and ladder
-    formulas and an eigensolver, never a Clebsch-Gordan coefficient.
-    Dimensions above 4096 raise ValueError.
+    so k+1 times in all; otherwise RuntimeError, naming k.  The eigensolver
+    and every such check run here, at the call; the mapping keeps only each
+    k's eigenvectors, one per weight block.  The projector onto the k(k+2)
+    eigenspace, the sum of their outer products scattered densely, is built
+    on each access.  The oracle stays independent of the table: it uses
+    only the weight and ladder formulas and an eigensolver, never a
+    Clebsch-Gordan coefficient.  Dimensions above 4096 raise ValueError.
     """
     dim = _casimir_dim(m, n)
     rows, live, blocks = _casimir_blocks(m, n)
     vals, vecs = np.linalg.eigh(blocks)
     gammas = 2 * np.arange(m + n + 1) - m - n
-    out = {}
-    for k in range(m - n, m + n + 1, 2):
+    kvals = list(range(m - n, m + n + 1, 2))
+    picked = []
+    for k in kvals:
         hits = np.abs(vals - k * (k + 2.0)) < 1.0
         want = np.abs(gammas) <= k
         if not np.array_equal(hits.sum(axis=1), want):
@@ -442,18 +479,21 @@ def casimir_projectors(m: int, n: int) -> dict[int, np.ndarray]:
                 f"{int(hits.sum())}, expected {k + 1}, once per weight |gamma| <= {k}"
             )
         s = np.flatnonzero(want)
-        v = vecs[s, :, hits[s].argmax(axis=1)]      # block s's eigenvector, (len(s), n+1)
-        out[k] = _scatter_blocks(dim, rows[s], live[s], v[:, :, None] * v[:, None, :])
-    return out
+        # block s's eigenvector, (len(s), n+1)
+        picked.append((s, vecs[s, :, hits[s].argmax(axis=1)]))
+
+    def projector(i):
+        s, v = picked[i]
+        return _scatter_blocks(dim, rows[s], live[s], v[:, :, None] * v[:, None, :])
+    return _Projectors(kvals, projector)
 
 
-def _degree_blocks(table: CGTable):
-    """Yield (k, U_k) for k descending, U_k the (m+1)(n+1) x (k+1) degree-k
-    columns of ``change_of_basis``: u_{k,gamma} for gamma ascending, rows in
-    the Kronecker ordering.  The row and column of every stored coefficient
-    come from one index computation over the concatenated blocks; only one
-    U_k is built per step, so a caller that contracts and drops it never
-    holds the dense matrix."""
+def _degree_block_builder(table: CGTable):
+    """The function kappa -> U_k, k = kvals[kappa], with U_k the
+    (m+1)(n+1) x (k+1) degree-k columns of ``change_of_basis``: u_{k,gamma}
+    for gamma ascending, rows in the Kronecker ordering.  The row and column
+    of every stored coefficient come from one index computation over the
+    concatenated blocks, made here once; each call builds one fresh U_k."""
     m, n, kvals = table.m, table.n, table.kvals
     gamma = np.repeat(table.gammas, [len(sup) for sup in table.alphas])
     alpha = np.concatenate(table.alphas)
@@ -462,11 +502,22 @@ def _degree_blocks(table: CGTable):
     live = np.abs(gamma) <= kvals[:, None]           # not a structural zero
     values = np.concatenate(table.blocks, axis=1)
     dim = (m + 1) * (n + 1)
-    for kappa, k in enumerate(kvals.tolist()):
-        Uk = np.zeros((dim, k + 1))
+
+    def block(kappa):
+        Uk = np.zeros((dim, int(kvals[kappa]) + 1))
         sel = live[kappa]
         Uk[rows[sel], cols[kappa, sel]] = values[kappa, sel]
-        yield k, Uk
+        return Uk
+    return block
+
+
+def _degree_blocks(table: CGTable):
+    """Yield (k, U_k) for k descending, the blocks of
+    ``_degree_block_builder``; only one U_k is built per step, so a caller
+    that contracts and drops it never holds the dense matrix."""
+    block = _degree_block_builder(table)
+    for kappa, k in enumerate(table.kvals.tolist()):
+        yield k, block(kappa)
 
 
 def change_of_basis(table: CGTable) -> np.ndarray:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
 from functools import partial
 from pathlib import Path
@@ -53,7 +54,12 @@ def _finish(subcommand: str, params: dict, seed, out_dir: Path, name: str, heade
 
 
 def _run_cg_table(params: dict, out_dir: Path) -> int:
-    m, n = params["m"], params["n"]
+    m, n = params.get("m"), params.get("n")
+    for key, value in (("m", m), ("n", n)):
+        # a manifest can carry a float, a string or a bool where argparse gives an int
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            print(f"bad {key} {value!r}: need an integer", file=sys.stderr)
+            return 2
     if not (m >= n >= 0) or m + n > 200:
         print("need m >= n >= 0 and m + n <= 200", file=sys.stderr)
         return 2
@@ -178,6 +184,15 @@ class _Entry(NamedTuple):
     checks: dict = {}  # key -> check run before any work; returns the value to run with
 
 
+def _known(value, table: dict, what: str) -> bool:
+    """Whether value is a key of table; if not, one stderr line names it.
+    Manifests and configs are JSON, so value can be None, a number or a list."""
+    if isinstance(value, str) and value in table:
+        return True
+    print(f"unknown {what} {value!r} (allowed: {', '.join(table)})", file=sys.stderr)
+    return False
+
+
 def _run_entry(subcommand: str, entry: _Entry, params: dict, out_dir: Path, name: str) -> int:
     """Read the entry's keys from params, defaults filled in; check them
     before any work (exit 2, naming the key and its value); run, write and
@@ -232,7 +247,9 @@ _LEMMAS = {
 
 
 def _run_lattice_scan(params: dict, out_dir: Path) -> int:
-    lemma = params["lemma"]
+    lemma = params.get("lemma")
+    if not _known(lemma, _LEMMAS, "lemma"):
+        return 2
     return _run_entry("lattice-scan", _LEMMAS[lemma], params, out_dir,
                       f"lattice_{lemma.replace('.', '_')}")
 
@@ -348,9 +365,8 @@ _MODES = {
 
 
 def _run_strichartz(params: dict, out_dir: Path) -> int:
-    mode = params["mode"]
-    if mode not in _MODES:
-        print(f"unknown mode {mode!r}", file=sys.stderr)
+    mode = params.get("mode")
+    if not _known(mode, _MODES, "mode"):
         return 2
     entry = _MODES[mode]
     unknown = sorted(set(params) - {"mode", "seed"} - set(entry.keys))
@@ -371,12 +387,19 @@ _HANDLERS = {
 
 
 def run_manifest(manifest_path, out_dir=None) -> int:
-    """Re-run a saved manifest; outputs are byte-identical to the original."""
+    """Re-run a saved manifest; outputs are byte-identical to the original.
+    A missing or unknown subcommand, or params that are missing or not an
+    object, exit 2 before any work, naming what the manifest holds."""
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    sub = manifest["subcommand"]
+    sub, params = manifest.get("subcommand"), manifest.get("params")
+    if not _known(sub, _HANDLERS, "manifest subcommand"):
+        return 2
+    if not isinstance(params, dict):
+        print(f"manifest params {params!r} is not an object", file=sys.stderr)
+        return 2
     out = Path(out_dir) if out_dir is not None else Path(manifest_path).parent
-    return _HANDLERS[sub](manifest["params"], out)
+    return _HANDLERS[sub](params, out)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from collections.abc import Mapping
 from fractions import Fraction
 
 import numpy as np
@@ -120,6 +122,7 @@ def test_casimir_matrix_matches_the_literal_operator(mn):
 
 def test_casimir_projectors_refuse_a_shifted_eigenvalue(monkeypatch):
     eigh = np.linalg.eigh
+    scattered = []
 
     def shifted(a):
         vals, vecs = eigh(a)
@@ -127,8 +130,59 @@ def test_casimir_projectors_refuse_a_shifted_eigenvalue(monkeypatch):
         return vals, vecs
 
     monkeypatch.setattr(clebsch.np.linalg, "eigh", shifted)
+    monkeypatch.setattr(clebsch, "_scatter_blocks", lambda *a: scattered.append(a))
+    # the multiplicity check runs at the call, before any projector is built
     with pytest.raises(RuntimeError, match="k=5 has multiplicity 5, expected 6"):
         casimir_projectors(3, 2)
+    assert scattered == []
+
+
+def test_projector_mappings_keys_order_and_misses():
+    t = cg_decompose(5, 3)
+    chain, oracle = chain_projectors(t), casimir_projectors(5, 3)
+    for proj, order in ((chain, [8, 6, 4, 2]), (oracle, [2, 4, 6, 8])):
+        assert isinstance(proj, Mapping)
+        assert list(proj) == list(proj.keys()) == order and len(proj) == 4
+        # outside the triangle (10, 0) or of the wrong parity (5)
+        for k in (10, 0, 5):
+            assert k not in proj
+            with pytest.raises(KeyError):
+                proj[k]
+        assert [k for k, _ in proj.items()] == order
+
+
+def test_projector_mappings_return_fresh_arrays():
+    t = cg_decompose(6, 4)
+    for proj in (chain_projectors(t), casimir_projectors(6, 4)):
+        first = proj[6]
+        kept = first.copy()
+        first[...] = 0.0
+        np.testing.assert_array_equal(proj[6], kept)
+        assert proj[6] is not proj[6]
+
+
+def test_chain_projectors_are_the_degree_block_products():
+    t = cg_decompose(9, 7)
+    chain = chain_projectors(t)
+    for k, Uk in clebsch._degree_blocks(t):
+        np.testing.assert_array_equal(chain[k], Uk @ Uk.T)
+
+
+def test_projector_oracles_hold_one_degree_at_a_time():
+    # all 16 dense 256 x 256 projectors of (15, 15) at once, per oracle,
+    # would be 8 MiB; read one k at a time, a comparison holds at most
+    # four of them (2 MiB) plus the index arrays and eigenvectors
+    t = cg_decompose(15, 15)
+    casimir_projectors(15, 15)                       # fill su2's cached tables first
+    tracemalloc.start()
+    try:
+        chain, oracle = chain_projectors(t), casimir_projectors(15, 15)
+        worst = max(float(np.max(np.abs(chain[k] - oracle[k]))) for k in chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert worst <= 1e-8
+    assert peak < 4 * 256**2 * 8 + 2**18
 
 
 @pytest.mark.parametrize("mn", [(1, 1), (5, 3), (9, 7), (15, 15), (255, 0), (127, 1), (84, 2)])

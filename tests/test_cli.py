@@ -302,6 +302,58 @@ def test_manifest_rerun_reproduces_outputs(tmp_path, args, name):
         assert file_sha256(first / f"{name}{suffix}") == file_sha256(second / f"{name}{suffix}")
 
 
+_MANIFEST_51 = {"subcommand": "lattice-scan",
+                "params": {"lemma": "5.1", "seed": 9, "n_queries": 300}, "seed": 9}
+
+
+def _rerun_refused(tmp_path, monkeypatch, capsys, manifest):
+    """Rerun an edited manifest with every handler's work stubbed out:
+    the exit code, the stderr lines, the stubbed calls and the outputs."""
+    calls = []
+    for scan in _LATTICE_SCANS:
+        monkeypatch.setattr(cli.lattice, scan, lambda **k: calls.append(k))
+    monkeypatch.setattr(cli, "cg_decompose", lambda *a: calls.append(a))
+    path = tmp_path / "edited.manifest.json"
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    out.mkdir()
+    code = cli.main(["rerun", str(path), "--out", str(out)])
+    return code, capsys.readouterr().err.strip().splitlines(), calls, list(out.iterdir())
+
+
+@pytest.mark.parametrize("edit,named", [
+    ({"params": {"lemma": "9.9", "seed": 9, "n_queries": 300}}, "unknown lemma '9.9'"),
+    ({"params": {"seed": 9, "n_queries": 300}}, "unknown lemma None"),
+    ({"subcommand": "bogus"}, "unknown manifest subcommand 'bogus'"),
+    ({"subcommand": None}, "unknown manifest subcommand None"),
+    ({"params": None}, "manifest params None is not an object"),
+    ({"params": [9]}, "manifest params [9] is not an object"),
+])
+def test_rerun_refuses_a_bad_manifest(tmp_path, monkeypatch, capsys, edit, named):
+    # None drops the key; each case exits 2 before any work with one line
+    manifest = {k: v for k, v in {**_MANIFEST_51, **edit}.items() if v is not None}
+    code, err, calls, outputs = _rerun_refused(tmp_path, monkeypatch, capsys, manifest)
+    assert code == 2
+    assert len(err) == 1 and named in err[0]
+    assert calls == [] and outputs == []
+
+
+@pytest.mark.parametrize("degrees,named", [
+    ({"m": 6.5, "n": 4}, "bad m 6.5"),
+    ({"m": "6", "n": 4}, "bad m '6'"),
+    ({"m": True, "n": 0}, "bad m True"),
+    ({"m": 6, "n": 4.0}, "bad n 4.0"),
+    ({"n": 4}, "bad m None"),
+])
+def test_rerun_refuses_cg_table_degrees_that_are_not_integers(tmp_path, monkeypatch, capsys,
+                                                              degrees, named):
+    manifest = {"subcommand": "cg-table", "params": {**degrees, "format": "csv"}, "seed": None}
+    code, err, calls, outputs = _rerun_refused(tmp_path, monkeypatch, capsys, manifest)
+    assert code == 2
+    assert len(err) == 1 and named in err[0]
+    assert calls == [] and outputs == []
+
+
 def test_strichartz_refuses_unknown_config_keys(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"Nz": [4], "trails": 1}))
