@@ -22,9 +22,9 @@ the weighted quartic satisfies the exact on-grid identity
 where <.> is the four-term alternating sum and the x1 Riemann sum is
 exact once the FFT length exceeds twice the span of the occupied xi1
 indices (|u|^4 has no x1 frequency beyond it).  The weight is the
-Fejer-type window
-phi_w(t) = 2 (sin(t/2)/(t/2))^2 with triangular transform supported in
-[-1, 1].
+Fejer-type window phi_w(t) = 2 (sin(t/2)/(t/2))^2, whose transform is the
+triangle 2 (1_[-1/2,1/2] * 1_[-1/2,1/2]) on [-1, 1]; so the frequency side
+is a sum of squares, 2 int |S|^2 per xi1 sum with S a step function.
 
 Two time rules evaluate the t integral.  The windowed rule is composite
 Simpson on a finite window, which misses the Fejer tail outside it.  The
@@ -531,41 +531,38 @@ def evolve_l4_norm_exact(p: WavePacket, k_shift: int = 0, dispersion: str = "ell
 
 # -- frequency-side quartic ----------------------------------------------------
 
-_MAX_QUADRILINEAR_NODES = 64
+# Largest supports.  The kernel split enumerates resonant tuples (cubic in
+# n).  The frequency side's time grows like n^2 (8000 nodes: 4 s on one
+# Xeon core) and its memory like its largest xi1-sum group, at most n times
+# the most nodes in one xi1 column (322 MiB at the group cap).
+_KERNEL_SPLIT_MAX_NODES = 64
+_FREQUENCY_MAX_NODES = 8192
+_FREQUENCY_MAX_GROUP = 2**21
 
 
-def _pair_groups(p: WavePacket, k_shift: int, ordered: bool):
-    """Two-node sums grouped by the xi1 index sum.
-
-    Returns dict s -> (lambda_sum, weight, j_first, j_second); ``ordered``
-    restricts to xi1_first >= xi1_second (the Gamma ordering constraints).
-    A support above ``_MAX_QUADRILINEAR_NODES`` nodes raises ValueError
-    before any work: the enumerations built on the groups are cubic in the
-    support size.
-    """
-    if p.support_count() > _MAX_QUADRILINEAR_NODES:
-        raise ValueError(f"support has {p.support_count()} nodes, exceeding the "
-                         f"{_MAX_QUADRILINEAR_NODES}-node enumeration cap")
+def _pair_groups(p: WavePacket, k_shift: int):
+    """Ordered node pairs (a, b) with xi1_a >= xi1_b, one xi1 index sum at a
+    time, ascending: yields (lambda_a + lambda_b, v_a v_b, xi2_a, xi2_b,
+    xi1_a > xi1_b), pairs in (a, b) order of ``p.support()``.  Groups are
+    read off per-column buckets, so memory is that of the largest group."""
     cols, rows, vals = p.support()
-    n = len(cols)
+    if len(cols) == 0:
+        return
     lam = _support_lambda(p, k_shift, "elliptic")
-    pi, qi = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    pi, qi = pi.ravel(), qi.ravel()
-    if ordered:
-        keep = cols[pi] >= cols[qi]
-        pi, qi = pi[keep], qi[keep]
-    s = cols[pi] + cols[qi]
-    groups = {}
-    for sval in np.unique(s):
-        sel = s == sval
-        a, b = pi[sel], qi[sel]
-        groups[int(sval)] = (
-            lam[a] + lam[b],
-            vals[a] * vals[b],
-            rows[a],
-            rows[b],
-        )
-    return groups
+    c = cols - cols.min()
+    order = np.argsort(c, kind="stable")
+    count = np.bincount(c)
+    start = np.cumsum(count) - count
+    for s in range(2 * len(count) - 1):
+        a = np.flatnonzero((2 * c >= s) & (c <= s))
+        nb = count[s - c[a]]
+        a, nb = a[nb > 0], nb[nb > 0]
+        if len(a) == 0:
+            continue
+        # a's partners are the bucket of column s - c[a], in node order
+        b = order[np.repeat(start[s - c[a]] - np.cumsum(nb) + nb, nb) + np.arange(nb.sum())]
+        a = np.repeat(a, nb)
+        yield lam[a] + lam[b], vals[a] * vals[b], rows[a], rows[b], c[a] > c[b]
 
 
 def quadrilinear_form_frequency(p: WavePacket, k_shift: int = 0) -> float:
@@ -574,17 +571,25 @@ def quadrilinear_form_frequency(p: WavePacket, k_shift: int = 0) -> float:
         (2 pi)^2 h^3 sum over on-grid quadruples with xi1^(1) + xi1^(3) =
         xi1^(2) + xi1^(4) of phi_w_hat(<Lambda>) v1 v3 conj(v2 v4).
 
-    The support is capped at 64 nodes (the constrained enumeration is cubic
-    in the support size)."""
-    groups = _pair_groups(p, k_shift, ordered=False)
-    total = 0.0 + 0.0j
-    for lam2, w, _, _ in groups.values():
-        diff = lam2[:, None] - lam2[None, :]
-        total += w @ fejer_hat(diff) @ np.conj(w)
-    total *= (2.0 * np.pi) ** 2 * p.grid.h**3
-    if abs(total.imag) > 1e-10 * (abs(total.real) + 1.0):
-        raise AssertionError(f"imaginary residue {total.imag} exceeds tolerance")
-    return float(total.real)
+    As phi_w_hat = 2 (1_[-1/2, 1/2] * 1_[-1/2, 1/2]), each xi1-sum group
+    gives 2 int |S|^2 with S(sigma) the sum of v_a v_b over its pairs with
+    |lambda_a + lambda_b - sigma| <= 1/2 (a pair with xi1_a > xi1_b stands
+    for its mirror too): one sort of the interval ends and one cumsum, real
+    and nonnegative by construction.  A support above 8192 nodes, or with
+    n x (most nodes in one xi1 column) above 2^21, raises ValueError before
+    any work."""
+    n, column = p.support_count(), int(np.count_nonzero(p.values, axis=0).max())
+    if n > _FREQUENCY_MAX_NODES or n * column > _FREQUENCY_MAX_GROUP:
+        raise ValueError(f"support has {n} nodes, {column} in one xi1 column, exceeding the "
+                         f"{_FREQUENCY_MAX_NODES}-node or {_FREQUENCY_MAX_GROUP}-pair frequency-side cap")
+    total = 0.0
+    for lam2, w, _, _, mirrored in _pair_groups(p, k_shift):
+        w = w * (1 + mirrored)
+        ends = np.concatenate((lam2 - 0.5, lam2 + 0.5))
+        at = np.argsort(ends)
+        S = np.cumsum(np.concatenate((w, -w))[at])[:-1]
+        total += float((S.real**2 + S.imag**2) @ np.diff(ends[at]))
+    return 2.0 * (2.0 * np.pi) ** 2 * p.grid.h**3 * total
 
 
 @dataclass(frozen=True)
@@ -612,9 +617,12 @@ def kernel_split_diagnostics(p: WavePacket, k_shift: int = 0) -> KernelSplitRepo
     (row collisions and the two +k = 0 collisions); the remainder indicator
     is 1 exactly when all four clauses fail, so the cover
     1_Gamma <= K1 + K2 holds pointwise; the report asserts it on every
-    enumerated tuple and returns the |v1 v3 v2 v4|-weighted masses.
+    enumerated tuple and returns the |v1 v3 v2 v4|-weighted masses.  A
+    support above 64 nodes raises ValueError before any work.
     """
-    groups = _pair_groups(p, k_shift, ordered=True)
+    if p.support_count() > _KERNEL_SPLIT_MAX_NODES:
+        raise ValueError(f"support has {p.support_count()} nodes, exceeding the "
+                         f"{_KERNEL_SPLIT_MAX_NODES}-node enumeration cap")
     gamma_total = 0.0
     k1_part = 0.0
     k2_part = 0.0
@@ -623,11 +631,8 @@ def kernel_split_diagnostics(p: WavePacket, k_shift: int = 0) -> KernelSplitRepo
     k2_tuples = 0
     clause_counts = np.zeros(4, dtype=np.int64)
     cover_ok = True
-    for lam2, w, jf, js in groups.values():
-        diff = np.abs(lam2[:, None] - lam2[None, :]) <= _RESONANCE_SLACK
-        if not diff.any():
-            continue
-        pos, neg = np.nonzero(diff)
+    for lam2, w, jf, js, _ in _pair_groups(p, k_shift):
+        pos, neg = np.nonzero(np.abs(lam2[:, None] - lam2[None, :]) <= _RESONANCE_SLACK)
         j1, j3 = jf[pos], js[pos]
         j2, j4 = jf[neg], js[neg]
         c1 = j1 == j4
@@ -833,15 +838,8 @@ def scan_strichartz_quotients(
             M = {"1": 1.0, "sqrt": math.sqrt(N), "N": float(N)}[mkind]
             for trial in range(trials):
                 rng = np.random.default_rng([seed, ni, mi, trial])
-                slab = None
-                for _ in range(20):
-                    cand = _random_slab(float(N), M, delta, rng, h, boundary=(trial % 3 == 2))
-                    grid = grid_for_slab(cand, h)
-                    if slab_mask(cand, grid).any():
-                        slab = cand
-                        break
-                if slab is None:
-                    continue
+                # never empty: the center xi0 is a grid node inside the band
+                slab = _random_slab(float(N), M, delta, rng, h, boundary=(trial % 3 == 2))
                 rep = strichartz_quotient(slab, delta, 1, rng, h=h, t_window=t_window)
                 q = rep.max_quotient
                 warn.extend(rep.warnings)
@@ -849,7 +847,7 @@ def scan_strichartz_quotients(
                              "a2": slab.a[1], "quotient": q})
                 quotients.append(q)
         # np.max propagates a NaN; the builtin max may drop it
-        per_n_max[N] = float(np.max(quotients, initial=0.0))
+        per_n_max[N] = float(np.max(quotients))
     return rows, {**_trend(Ns, per_n_max, warn), "delta": delta}
 
 

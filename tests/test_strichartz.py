@@ -350,6 +350,13 @@ def brute_quadrilinear(p, k):
     return float(((2 * np.pi) ** 2 * p.grid.h**3 * total).real)
 
 
+def test_empty_packet_has_no_pairs():
+    grid = st.FrequencyGrid(h=0.5, xi1_extent=3.0, xi2_min=-2, xi2_max=2)
+    p = st.WavePacket(grid=grid, values=np.zeros((5, 13)))
+    assert st.quadrilinear_form_frequency(p, 0) == 0.0
+    assert st.kernel_split_diagnostics(p, 0) == st.KernelSplitReport(0.0, 0.0, 0.0, 0, 0, 0, True, (0, 0, 0, 0))
+
+
 def test_quadrilinear_two_node_hand_check():
     grid = st.FrequencyGrid(h=0.5, xi1_extent=3.0, xi2_min=-2, xi2_max=2)
     vals = np.zeros((5, 13), dtype=complex)
@@ -376,11 +383,20 @@ def test_quadrilinear_support_cap(monkeypatch):
     grid = st.FrequencyGrid(h=0.5, xi1_extent=8.0, xi2_min=-8, xi2_max=8)
     vals = np.ones((17, 33), dtype=complex)
     p = st.WavePacket(grid=grid, values=vals)
+    # the frequency side evaluates the 561-node box; the kernel split refuses it
+    freq = st.quadrilinear_form_frequency(p, 0)
+    assert abs(st.evolve_l4_norm_exact(p, 0).quartic - freq) <= 1e-12 * freq
+    big = st.box_packet(64, h=0.5)
+    assert big.support_count() == 33153
+    one_column = st.WavePacket(grid=st.FrequencyGrid(h=0.5, xi1_extent=0.0, xi2_min=0, xi2_max=1448),
+                               values=np.ones((1449, 1)))
     calls = []
     monkeypatch.setattr(st, "_support_lambda", lambda *a: calls.append(a))
-    for enumeration in (st.quadrilinear_form_frequency, st.kernel_split_diagnostics):
-        with pytest.raises(ValueError, match="561 nodes, exceeding the 64-node enumeration cap"):
-            enumeration(p, 0)
+    with pytest.raises(ValueError, match="561 nodes, exceeding the 64-node enumeration cap"):
+        st.kernel_split_diagnostics(p, 0)
+    for refused in (big, one_column):
+        with pytest.raises(ValueError, match="8192-node or 2097152-pair frequency-side cap"):
+            st.quadrilinear_form_frequency(refused, 0)
     assert calls == []
 
 
@@ -418,6 +434,8 @@ def test_plancherel_identity_and_refinement():
     (1, 64, 6.0, 0.5, 0), (2, 64, 6.0, 0.5, 3), (3, 64, 6.0, 0.25, -2),
     # q = 64: a period of 402 and a Lambda spread of 141 (18 112 nodes)
     (7, 64, 12.0, 0.125, 0),
+    # a support at the size of the elliptic scan's packets
+    (3, 2000, 24.0, 0.5, 0),
 ])
 def test_exact_rule_equals_frequency_side(seed, n_nodes, N, h, k):
     p = st.sparse_packet(seed, n_nodes, N, h)
@@ -550,6 +568,44 @@ def test_kernel_split_cover_and_parts():
     assert rep.tuple_count > 0
     assert rep.k1_tuples + rep.k2_tuples >= rep.tuple_count
     assert rep.K1_part + rep.K2_part >= rep.gamma_total - 1e-12
+
+
+def _brute_kernel_split(p, k):
+    """Oracle: Gamma's tuples, clause counts and masses by a loop over the
+    ordered pairs (1, 3) and (2, 4) with equal xi1 sums."""
+    cols, rows, vals = p.support()
+    lam = (p.grid.h * cols) ** 2 + rows.astype(float) ** 2 + k * rows
+    n = len(cols)
+    pairs = [(i, j) for i in range(n) for j in range(n) if cols[i] >= cols[j]]
+    tuples, clauses, gamma, k1_part, k2_part = 0, [0, 0, 0, 0], 0.0, 0.0, 0.0
+    for i1, i3 in pairs:
+        for i2, i4 in pairs:
+            if cols[i1] + cols[i3] != cols[i2] + cols[i4]:
+                continue
+            if abs(lam[i1] + lam[i3] - lam[i2] - lam[i4]) > 1.0:
+                continue
+            hit = [rows[i1] == rows[i4], rows[i3] == rows[i2],
+                   rows[i1] + rows[i4] + k == 0, rows[i3] + rows[i2] + k == 0]
+            mass = abs(vals[i1] * vals[i3]) * abs(vals[i2] * vals[i4])
+            tuples += 1
+            clauses = [c + int(x) for c, x in zip(clauses, hit)]
+            gamma += mass
+            k1_part += sum(hit) * mass
+            k2_part += (not any(hit)) * mass
+    return tuples, tuple(clauses), gamma, k1_part, k2_part
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("k", [0, 2])
+def test_kernel_split_matches_a_brute_force_count(seed, k):
+    # small rows (|xi2| <= 2) so every clause occurs
+    p = st.sparse_packet(seed, 12, 2.5, 0.5)
+    rep = st.kernel_split_diagnostics(p, k)
+    tuples, clauses, gamma, k1_part, k2_part = _brute_kernel_split(p, k)
+    assert rep.tuple_count == tuples and rep.clause_counts == clauses
+    assert rep.gamma_total == pytest.approx(gamma, rel=1e-12)
+    assert rep.K1_part == pytest.approx(k1_part, rel=1e-12)
+    assert rep.K2_part == pytest.approx(k2_part, rel=1e-12)
 
 
 def test_kernel_split_single_row_all_k1():
