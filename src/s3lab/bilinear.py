@@ -380,7 +380,7 @@ def bilinear_ratio_scan(m: int, n: int, n_pairs: int, seed) -> np.ndarray:
     in batches of ``_SCAN_BATCH``; the ratios are exact to rounding at every
     cell.  An n_pairs below 1 raises ValueError before any work.
     """
-    check_count("n_pairs", n_pairs)
+    n_pairs = check_count("n_pairs", n_pairs)
     plan = sampling_plan(m, n)
     rng = np.random.default_rng(seed)
     out = np.empty(n_pairs)

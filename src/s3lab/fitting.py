@@ -20,14 +20,18 @@ def check_fit_xs(x):
 
 
 def check_count(name: str, count):
-    """Return a scan's sample count; ValueError when it is not a real number
-    (a string, None or a list) or is below 1, where a gate over no samples
-    would pass on nothing."""
+    """Return a scan's sample count as an int; ValueError when it is not a
+    real number (a string, None or a list), is a bool, is not integral
+    (1.5, inf or NaN) or is below 1, where a gate over no samples would
+    pass on nothing."""
     if not isinstance(count, numbers.Real):
         raise ValueError(f"{name} must be a number; got {count!r}")
+    if isinstance(count, bool) or not (isinstance(count, numbers.Integral)
+                                       or float(count).is_integer()):
+        raise ValueError(f"{name} must be an integer; got {count!r}")
     if not count >= 1:
         raise ValueError(f"{name} must be >= 1; got {count}")
-    return count
+    return int(count)
 
 
 def fit_slope(x: np.ndarray, y: np.ndarray) -> float:

@@ -320,7 +320,7 @@ def scan_lemma51(n_queries: int, seed) -> tuple[list, dict]:
     are each drawn as one array, in that order, and measured in one batch;
     the center drops out of the measure and is reported only.
     """
-    check_count("n_queries", n_queries)
+    n_queries = check_count("n_queries", n_queries)
     rng = np.random.default_rng(seed)
     Cs = rng.uniform(-10.0, 1e6, n_queries)
     Ks = rng.uniform(1.0, 1e3, n_queries)
@@ -376,7 +376,7 @@ def scan_lemma52(Ns: list, per_n: int, seed, variant: str = "quadric") -> tuple[
     """
     if variant not in ("quadric", "hyperbola"):
         raise ValueError("variant must be 'quadric' or 'hyperbola'")
-    check_count("per_n", per_n)
+    per_n = check_count("per_n", per_n)
     check_fit_xs(Ns)
     counter = count_quadric_batch if variant == "quadric" else count_hyperbola_batch
     rng = np.random.default_rng(seed)
@@ -427,7 +427,7 @@ def scan_lemma53(Ns: list, delta: float, per_config: int, seed) -> tuple[list, d
     ratios per N; the raw maxima per N and per proof case (a: l ~ 1, b: l up
     to sqrt(N), c: beyond) are reported alongside.
     """
-    check_count("per_config", per_config)
+    per_config = check_count("per_config", per_config)
     check_fit_xs(Ns)
     rng = np.random.default_rng(seed)
     rows = []

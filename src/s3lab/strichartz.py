@@ -544,7 +544,9 @@ def _pair_groups(p: WavePacket, k_shift: int):
     """Ordered node pairs (a, b) with xi1_a >= xi1_b, one xi1 index sum at a
     time, ascending: yields (lambda_a + lambda_b, v_a v_b, xi2_a, xi2_b,
     xi1_a > xi1_b), pairs in (a, b) order of ``p.support()``.  Groups are
-    read off per-column buckets, so memory is that of the largest group."""
+    read off per-column buckets, so memory is that of the largest group;
+    only the sums that occur are visited, read off the self-convolution of
+    the column occupancy."""
     cols, rows, vals = p.support()
     if len(cols) == 0:
         return
@@ -553,7 +555,11 @@ def _pair_groups(p: WavePacket, k_shift: int):
     order = np.argsort(c, kind="stable")
     count = np.bincount(c)
     start = np.cumsum(count) - count
-    for s in range(2 * len(count) - 1):
+    # the convolution counts column pairs, integers at most n: 1/2 separates them
+    span = 2 * len(count) - 1
+    L = sfft.next_fast_len(span, real=True)
+    occupied = sfft.rfft((count > 0).astype(float), L)
+    for s in np.flatnonzero(sfft.irfft(occupied * occupied, L)[:span] > 0.5):
         a = np.flatnonzero((2 * c >= s) & (c <= s))
         nb = count[s - c[a]]
         a, nb = a[nb > 0], nb[nb > 0]
@@ -782,7 +788,7 @@ def strichartz_quotient(
     """
     check_ns([slab.N])
     check_delta(delta)
-    check_count("trials", trials)
+    trials = check_count("trials", trials)
     rng = np.random.default_rng(seed)
     grid = grid_for_slab(slab, h)
     scale = (slab.M / slab.N) ** delta * slab.N**0.25
@@ -827,7 +833,7 @@ def scan_strichartz_quotients(
     distinct N, an N above 64, one trial or a delta outside (0, 1/8) raise
     ValueError before any work."""
     check_ns(check_fit_xs(Ns))
-    check_count("trials", trials)
+    trials = check_count("trials", trials)
     check_delta(delta)
     rows = []
     per_n_max = {}
@@ -885,7 +891,7 @@ def hyperbolic_l4_quotient(
     with x2 integrated over the torus.  An N above 64 or fewer than one
     trial raises ValueError before any work."""
     check_ns([N])
-    check_count("trials", trials)
+    trials = check_count("trials", trials)
     rng = np.random.default_rng(seed)
     grid = FrequencyGrid(h=h, xi1_extent=float(N), xi2_min=-N, xi2_max=N)
     shape = (2 * N + 1, 2 * grid.imax + 1)
@@ -911,7 +917,7 @@ def scan_hyperbolic_quotients(
     worst value per warning flag.  Fewer than two distinct N, an N above 64
     or one trial raise ValueError before any work."""
     check_ns(check_fit_xs(Ns))
-    check_count("trials", trials)
+    trials = check_count("trials", trials)
     rows = []
     per_n = {}
     warn = []

@@ -135,7 +135,7 @@ def test_bilinear_verify_refuses_seeds_below_one(tmp_path, monkeypatch, capsys, 
     code = cli.main(["bilinear-verify", "--m-max", "8", "--n-max", "8", "--seeds", str(seeds),
                      "--out", str(out)])
     assert code == 2 and calls == []
-    assert f"--seeds must be >= 1; got {seeds}" in capsys.readouterr().err
+    assert f"bad seeds {seeds}: seeds must be >= 1; got {seeds}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -288,8 +288,12 @@ def test_strichartz_quadrilinear_gate_is_the_exact_tolerance(tmp_path, monkeypat
 @pytest.mark.parametrize("args,name", [
     (["lattice-scan", "--lemma", "5.1", "--seed", "9", "--n-queries", "300"], "lattice_5_1"),
     (["cg-table", "6", "4"], "cg_table_m6_n4"),
+    (["bilinear-verify", "--m-max", "8", "--n-max", "4", "--seeds", "3"], "bilinear_verify"),
+    (["strichartz", "--mode", "box-scaling", "--config", "box.json"], "strichartz_box_scaling"),
 ])
 def test_manifest_rerun_reproduces_outputs(tmp_path, args, name):
+    # every subcommand round-trips; the box-scaling run reads box.json from its cwd
+    (tmp_path / "box.json").write_text(json.dumps({"Ns": [2, 4]}))
     first = tmp_path / "first"
     second = tmp_path / "second"
     first.mkdir()
@@ -306,13 +310,24 @@ _MANIFEST_51 = {"subcommand": "lattice-scan",
                 "params": {"lemma": "5.1", "seed": 9, "n_queries": 300}, "seed": 9}
 
 
-def _rerun_refused(tmp_path, monkeypatch, capsys, manifest):
-    """Rerun an edited manifest with every handler's work stubbed out:
-    the exit code, the stderr lines, the stubbed calls and the outputs."""
+def _stub_entries(monkeypatch):
+    """Replace the runner of every entry of every table with one that
+    records its resolved keys and returns no rows, no summary and no gate."""
     calls = []
-    for scan in _LATTICE_SCANS:
-        monkeypatch.setattr(cli.lattice, scan, lambda **k: calls.append(k))
-    monkeypatch.setattr(cli, "cg_decompose", lambda *a: calls.append(a))
+
+    def run(args):
+        calls.append(args)
+        return [], {}, []
+    for _, table, _ in cli._SUBCOMMANDS.values():
+        for choice, entry in list(table.items()):
+            monkeypatch.setitem(table, choice, entry._replace(run=run))
+    return calls
+
+
+def _rerun_stubbed(tmp_path, monkeypatch, capsys, manifest):
+    """Rerun a manifest with every entry's work stubbed out: the exit code,
+    the stderr lines, the stubbed calls and the outputs."""
+    calls = _stub_entries(monkeypatch)
     path = tmp_path / "edited.manifest.json"
     path.write_text(json.dumps(manifest))
     out = tmp_path / "out"
@@ -332,7 +347,7 @@ def _rerun_refused(tmp_path, monkeypatch, capsys, manifest):
 def test_rerun_refuses_a_bad_manifest(tmp_path, monkeypatch, capsys, edit, named):
     # None drops the key; each case exits 2 before any work with one line
     manifest = {k: v for k, v in {**_MANIFEST_51, **edit}.items() if v is not None}
-    code, err, calls, outputs = _rerun_refused(tmp_path, monkeypatch, capsys, manifest)
+    code, err, calls, outputs = _rerun_stubbed(tmp_path, monkeypatch, capsys, manifest)
     assert code == 2
     assert len(err) == 1 and named in err[0]
     assert calls == [] and outputs == []
@@ -348,7 +363,7 @@ def test_rerun_refuses_a_bad_manifest(tmp_path, monkeypatch, capsys, edit, named
 def test_rerun_refuses_cg_table_degrees_that_are_not_integers(tmp_path, monkeypatch, capsys,
                                                               degrees, named):
     manifest = {"subcommand": "cg-table", "params": {**degrees, "format": "csv"}, "seed": None}
-    code, err, calls, outputs = _rerun_refused(tmp_path, monkeypatch, capsys, manifest)
+    code, err, calls, outputs = _rerun_stubbed(tmp_path, monkeypatch, capsys, manifest)
     assert code == 2
     assert len(err) == 1 and named in err[0]
     assert calls == [] and outputs == []
@@ -499,6 +514,11 @@ def test_checks_accept_numpy_scalars_and_refuse_non_numbers():
         with pytest.raises(ValueError, match="delta must be a number"):
             strichartz.check_delta(bad)
         with pytest.raises(ValueError, match="trials must be a number"):
+            strichartz.check_count("trials", bad)
+    # a count is a whole number: 2.0 runs as 2, a bool or a fraction is refused
+    assert type(strichartz.check_count("trials", 2.0)) is int
+    for bad in (1.5, True, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="trials must be an integer"):
             strichartz.check_count("trials", bad)
 
 
@@ -654,12 +674,150 @@ def test_scan_maxima_keep_a_nan(tmp_path, monkeypatch, argv, config, module, cal
     assert value == "nan"
 
 
+# every entry of every table, and the values of the keys with no default
+_ENTRIES = [(sub, choice) for sub, (_, table, _) in cli._SUBCOMMANDS.items() for choice in table]
+_REQUIRED = {("cg-table", None): {"m": 2, "n": 1}, ("strichartz", "slab"): {"slab": _SLAB}}
+
+
+def _entry_params(sub, choice, **params):
+    """The required keys of an entry, its selector and params."""
+    selector = cli._SUBCOMMANDS[sub][0]
+    return {**_REQUIRED.get((sub, choice), {}), **({selector: choice} if selector else {}),
+            **params}
+
+
+@pytest.mark.parametrize("sub,choice", _ENTRIES, ids=[f"{s}-{c}" for s, c in _ENTRIES])
+def test_every_entry_refuses_an_unknown_key(tmp_path, monkeypatch, capsys, sub, choice):
+    code, err, calls, outputs = _rerun_stubbed(
+        tmp_path, monkeypatch, capsys,
+        {"subcommand": sub, "params": _entry_params(sub, choice, sedes=3)})
+    assert code == 2
+    assert len(err) == 1 and "unknown keys" in err[0] and "sedes 3" in err[0]
+    assert calls == [] and outputs == []
+
+
+@pytest.mark.parametrize("sub,choice", _ENTRIES, ids=[f"{s}-{c}" for s, c in _ENTRIES])
+def test_every_entry_fills_a_missing_key_from_its_default(tmp_path, monkeypatch, capsys, sub,
+                                                          choice):
+    selector, table, _ = cli._SUBCOMMANDS[sub]
+    keys = table[choice].keys
+    required = _REQUIRED.get((sub, choice), {})
+    assert {key for key, default in keys.items() if default is None} == set(required)
+    code, err, calls, outputs = _rerun_stubbed(
+        tmp_path, monkeypatch, capsys, {"subcommand": sub, "params": _entry_params(sub, choice)})
+    assert code == 0 and err == []
+    [args] = calls
+    assert {key: args[key] for key in keys if key not in required} == {
+        key: default for key, default in keys.items() if key not in required}
+    # the manifest records every key the entry reads, and nothing else
+    [manifest] = [path for path in outputs if path.name.endswith(".manifest.json")]
+    recorded = json.loads(manifest.read_text())
+    assert recorded["params"] == json.loads(json.dumps(_entry_params(sub, choice, **{
+        key: default for key, default in keys.items() if key not in required})))
+    assert recorded["seed"] == keys.get("seed")
+
+
+@pytest.mark.parametrize("sub,params,resolved", [
+    ("bilinear-verify", {"n_max": 8}, {"m_max": 64, "n_max": 8}),
+    ("bilinear-verify", {"zonal": True}, {"zonal": True, "zonal_n_max": 60}),
+    ("lattice-scan", {"lemma": "5.3", "per_config": 2}, {"seed": 11, "per_config": 2}),
+    ("strichartz", {"mode": "kernel-split", "k_shift": 2}, {"seed": 3, "k_shift": 2}),
+    ("strichartz", {"mode": "hyperbolic", "trials": 2.0}, {"trials": 2}),
+])
+def test_rerun_fills_what_a_manifest_leaves_out(tmp_path, monkeypatch, capsys, sub, params,
+                                                resolved):
+    # a missing m_max, zonal_n_max or seed used to be a KeyError
+    code, _, [args], _ = _rerun_stubbed(tmp_path, monkeypatch, capsys,
+                                        {"subcommand": sub, "params": params})
+    assert code == 0
+    assert {key: args[key] for key in resolved} == resolved
+
+
+@pytest.mark.parametrize("sub,params,named", [
+    ("bilinear-verify", {"m_max": "8"}, "bad m_max '8': need an integer"),
+    ("bilinear-verify", {"n_max": 8.0}, "bad n_max 8.0: need an integer"),
+    ("bilinear-verify", {"zonal": True, "zonal_n_max": 0},
+     "bad zonal_n_max 0: zonal_n_max must be >= 1; got 0"),
+    ("bilinear-verify", {"zonal": "false"}, "bad zonal 'false': need one of False, True"),
+    ("bilinear-verify", {"m_max": 8, "n_max": 3},
+     "bad m_max 8, n_max 3: the no-growth fit needs cells at two or more n"),
+    ("bilinear-verify", {"sedes": 3}, "unknown keys for bilinear-verify: sedes 3"),
+    ("lattice-scan", {"lemma": "5.1", "n_quries": 20}, "unknown keys for lemma 5.1: n_quries 20"),
+    ("lattice-scan", {"lemma": "5.1", "per_n": 7, "delta": 0.3},
+     "unknown keys for lemma 5.1: delta 0.3, per_n 7"),
+    ("cg-table", {"m": 6, "n": 4, "format": "xml"}, "bad format 'xml': need one of 'csv', 'json'"),
+    ("cg-table", {"m": 2, "n": 5}, "bad m 2, n 5: need m >= n >= 0 and m + n <= 200"),
+    ("strichartz", {"mode": "hyperbolic", "trials": 1.5},
+     "bad trials 1.5: trials must be an integer; got 1.5"),
+    ("strichartz", {"mode": "hyperbolic", "trials": True},
+     "bad trials True: trials must be an integer; got True"),
+    ("strichartz", {"mode": "hyperbolic", "trials": float("inf")},
+     "bad trials inf: trials must be an integer; got inf"),
+    ("strichartz", {"mode": "kernel-split", "k_shift": 0.5}, "bad k_shift 0.5: need an integer"),
+    ("strichartz", {"mode": "quadrilinear", "k_shift": 1},
+     "unknown keys for mode quadrilinear: k_shift 1 (allowed: seed)"),
+])
+def test_rerun_refuses_before_any_work(tmp_path, monkeypatch, capsys, sub, params, named):
+    # each used to be a TypeError, a silent default or an ignored key
+    code, err, calls, outputs = _rerun_stubbed(tmp_path, monkeypatch, capsys,
+                                               {"subcommand": sub, "params": params})
+    assert code == 2
+    assert len(err) == 1 and named in err[0]
+    assert calls == [] and outputs == []
+
+
+@pytest.mark.parametrize("argv,config,named", [
+    (["lattice-scan", "--lemma", "5.1", "--per-n", "7", "--delta", "0.3"], None,
+     "unknown keys for lemma 5.1: delta 0.3, per_n 7"),
+    (["strichartz", "--mode", "elliptic"], [1, 2], "got [1, 2]"),
+    (["strichartz", "--mode", "elliptic"], {"mode": "box-scaling"},
+     "without a mode key; got {'mode': 'box-scaling'}"),
+])
+def test_main_refuses_before_any_work(tmp_path, monkeypatch, capsys, argv, config, named):
+    # an option the lemma ignores, or a config that is not an object or
+    # switches the mode, used to run or raise a TypeError
+    calls = _stub_entries(monkeypatch)
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", str(tmp_path / "config.json")]
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and named in err[0]
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("argv,params", [
+    (["lattice-scan", "--lemma", "5.1", "--n-queries", "300"],
+     {"lemma": "5.1", "seed": 11, "n_queries": 300}),
+    (["cg-table", "6", "4"], {"m": 6, "n": 4, "format": "csv"}),
+])
+def test_the_manifest_records_the_resolved_keys(tmp_path, monkeypatch, argv, params):
+    # the 5.1 manifest used to record per_n, per_config and delta too
+    _stub_entries(monkeypatch)
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    [manifest] = tmp_path.glob("*.manifest.json")
+    assert json.loads(manifest.read_text())["params"] == params
+
+
+def test_strichartz_runs_an_integral_float_trial_count(tmp_path):
+    # the slab mode is ungated, so the exit code is that of the run alone
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"slab": _SLAB, "trials": 2.0, "window": [-10, 10, 64]}))
+    assert cli.main(["strichartz", "--mode", "slab", "--config", str(config),
+                     "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "strichartz_slab.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["trial", "0", "1"]
+
+
 _ROOT = Path(__file__).resolve().parent.parent
 
 
 def _documented_commands():
     """Every CLI line of scripts/*.sh (shell loops expanded) and every
-    ``s3lab`` line of the README's code blocks, as (where, argv) pairs."""
+    ``s3lab`` line of the README's code blocks, as (where, argv) pairs;
+    and the config that a README block shows in its ``# name.json: {...}``
+    comment lines, by name (one per block)."""
     out = []
     for path in sorted((_ROOT / "scripts").glob("*.sh")):
         text = path.read_text().replace("\\\n", " ")
@@ -676,17 +834,31 @@ def _documented_commands():
     blocks = (_ROOT / "README.md").read_text().split("```")[1::2]
     out += [(f"README.md: {line}", shlex.split(line)[1:])
             for block in blocks for line in block.splitlines() if line.startswith("s3lab ")]
-    return out
+    comments = (" ".join(line.lstrip("# ") for line in block.splitlines() if line.startswith("#"))
+                for block in blocks)
+    return out, {name: json.loads(body) for text in comments
+                 for name, body in re.findall(r"(\S+\.json): (.*)", text)}
 
 
-def test_documented_commands_parse():
-    # a renamed mode, lemma or option breaks a script or a README example
-    commands = _documented_commands()
+def test_documented_commands_parse(tmp_path, monkeypatch, capsys):
+    # a renamed mode, lemma or option breaks a script or a README example,
+    # and so does an option or config key its entry does not read, or a
+    # value its checks refuse
+    commands, configs = _documented_commands()
     assert {where.split(":")[0] for where, _ in commands} >= {
         "README.md", "cg_tables.sh", "lattice_scans.sh", "strichartz_suite.sh"}
     parser = cli._build_parser()
+    calls = _stub_entries(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    for name, config in configs.items():
+        (tmp_path / name).write_text(json.dumps(config))
     for where, argv in commands:
         try:
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"{where} does not parse: {argv}")
+        if argv[0] == "rerun":
+            continue
+        calls.clear()
+        code = cli.main([*argv, "--out", str(tmp_path / "out")])
+        assert code == 0 and len(calls) == 1, f"{where}: {capsys.readouterr().err}"

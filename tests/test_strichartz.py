@@ -608,6 +608,34 @@ def test_kernel_split_matches_a_brute_force_count(seed, k):
     assert rep.K2_part == pytest.approx(k2_part, rel=1e-12)
 
 
+def _wide_packet():
+    """Six nodes over 100 001 xi1 columns (h = 0.5, extent 25 000): three
+    rows at one end, two at the other and one in the middle, so the rows
+    swapped between the ends give resonant tuples that hit every clause."""
+    grid = st.FrequencyGrid(h=0.5, xi1_extent=25000.0, xi2_min=-1, xi2_max=1)
+    rng = np.random.default_rng(5)
+    vals = np.zeros((3, 100001), dtype=complex)
+    for row, col in [(0, 0), (1, 0), (2, 0), (0, 100000), (2, 100000), (1, 50000)]:
+        vals[row, col] = rng.standard_normal() + 1j * rng.standard_normal()
+    return st.WavePacket(grid=grid, values=vals)
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_a_wide_packet_matches_the_brute_force_oracles(k):
+    # the pair groups visit only the xi1 sums that occur, not the 200 001
+    # sums of the column span
+    p = _wide_packet()
+    assert st.quadrilinear_form_frequency(p, k) == pytest.approx(brute_quadrilinear(p, k),
+                                                                 rel=1e-12)
+    rep = st.kernel_split_diagnostics(p, k)
+    tuples, clauses, gamma, k1_part, k2_part = _brute_kernel_split(p, k)
+    assert rep.tuple_count == tuples and rep.clause_counts == clauses
+    assert rep.gamma_total == pytest.approx(gamma, rel=1e-12)
+    assert rep.K1_part == pytest.approx(k1_part, rel=1e-12)
+    assert rep.K2_part == pytest.approx(k2_part, rel=1e-12)
+    assert len(list(st._pair_groups(p, k))) == 5  # column sums 0, 0.5, 1, 1.5 and 2 x 10^5
+
+
 def test_kernel_split_single_row_all_k1():
     grid = st.FrequencyGrid(h=0.5, xi1_extent=4.0, xi2_min=3, xi2_max=3)
     rng = np.random.default_rng(0)
