@@ -8,7 +8,8 @@ reproduces the data outputs byte for byte.
 Every subcommand is a table of ``_Entry`` rows: ``cg-table`` and
 ``bilinear-verify`` one row each, ``lattice-scan`` one per lemma and
 ``strichartz`` one per mode.  A row holds the keys its run reads with their
-defaults, the checks made before any work, the CSV header and the runner.
+defaults, the checks made before any work, the CSV header and the runner;
+``_run`` checks the seed of every row that reads one.
 The parser sets no default.  ``main`` and ``rerun`` share one resolver,
 ``_run``, so a command line, a config and a manifest are read the same way;
 the manifest records the resolved keys.  Every exit code comes from
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import numbers
 import sys
 from functools import partial
@@ -82,6 +84,13 @@ def _integer(value):
     # a manifest can carry a float, a string or a bool where argparse gives an int
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError("need an integer")
+    return value
+
+
+def _seed(value):
+    # np.random.default_rng takes a non-negative integer; a bool is refused
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError("seed must be a non-negative integer")
     return value
 
 
@@ -263,6 +272,12 @@ def _lattice_h(h):
     return h
 
 
+def _grid_step(h):
+    if isinstance(h, bool) or not isinstance(h, numbers.Real) or not (math.isfinite(h) and h > 0):
+        raise ValueError("h must be a finite positive number")
+    return h
+
+
 def _fitted_slope(summary):
     return [("fitted slope", summary["fitted_slope"], gates.SLOPE_BOUND)]
 
@@ -319,7 +334,7 @@ def _box_scaling(a):
 
 _TRIALS = partial(check_count, "trials")
 _SCAN_CHECKS = {"Ns": lambda Ns: strichartz.check_ns(check_fit_xs(Ns)), "trials": _TRIALS,
-                "window": strichartz.check_window}
+                "h": _grid_step, "window": strichartz.check_window}
 
 
 _MODES = {
@@ -331,7 +346,7 @@ _MODES = {
                     "window": (-60.0, 60.0, 8192)},
                    ["trial", "quotient"], _slab,
                    {"slab": _slab_spec, "delta": strichartz.check_delta, "trials": _TRIALS,
-                    "window": strichartz.check_window}),
+                    "h": _grid_step, "window": strichartz.check_window}),
     "hyperbolic": _Entry({"seed": 3, "Ns": (4, 8, 16, 32, 64), "trials": 3, "h": 0.5,
                           "window": (-60.0, 60.0, 4096)},
                          ["trial", "N", "quotient"], _hyperbolic, _SCAN_CHECKS),
@@ -387,7 +402,9 @@ def _run(subcommand: str, params: dict, out_dir: Path) -> int:
         return 2
     raw = {key: params.get(key, default) for key, default in entry.keys.items()}
     args = dict(raw)
-    for key, check in entry.checks.items():
+    # every entry that reads a seed checks it first, the same way
+    checks = {"seed": _seed, **entry.checks} if "seed" in entry.keys else entry.checks
+    for key, check in checks.items():
         keys = key if isinstance(key, tuple) else (key,)
         try:
             value = check(*(args[k] for k in keys))

@@ -202,12 +202,34 @@ class WavePacket:
         )
 
 
+# entries of one block: a time chunk's (node, x2 point, x1 point) buffer
+# in ``_weighted_quartic`` and a row block of ``slab_mask``, 1 MiB as
+# complex.  The phase tables compute their step rows once per evaluation,
+# so a chunk costs only its own base rows of exp and the budget sets memory,
+# not time: on a 2-vCPU Xeon the strichartz-suite benchmark peaked at
+# 78.5 MB RSS with 2^18 entries (4 MiB) and at about 72 MB with 2^16, and a
+# 4e6-entry (64 MiB) buffer fell out of cache on every chunk
+_CHUNK_ENTRIES = 2**16
+
+
 def slab_mask(slab: SlabSpec, grid: FrequencyGrid) -> np.ndarray:
-    x1 = grid.xi1[None, :]
-    x2 = grid.xi2[:, None].astype(float)
-    d2 = (x1 - slab.xi0[0]) ** 2 + (x2 - slab.xi0[1]) ** 2
-    band = np.abs(slab.a[0] * x1 + slab.a[1] * x2 - slab.c)
-    return (d2 <= slab.N**2 + 1e-9) & (band <= slab.M + 1e-9)
+    """The grid nodes of the slab, a bool array of the grid's shape.  The
+    elementwise test runs on blocks of at most ``_CHUNK_ENTRIES`` entries
+    (whole rows, or pieces of one row when a row is longer), so its float
+    temporaries stay that small."""
+    xi1 = grid.xi1
+    xi2 = grid.xi2.astype(float)
+    mask = np.empty((len(xi2), len(xi1)), dtype=bool)
+    rows = max(1, _CHUNK_ENTRIES // len(xi1))
+    cols = min(len(xi1), _CHUNK_ENTRIES)
+    for r0 in range(0, len(xi2), rows):
+        x2 = xi2[r0:r0 + rows, None]
+        for c0 in range(0, len(xi1), cols):
+            x1 = xi1[None, c0:c0 + cols]
+            d2 = (x1 - slab.xi0[0]) ** 2 + (x2 - slab.xi0[1]) ** 2
+            band = np.abs(slab.a[0] * x1 + slab.a[1] * x2 - slab.c)
+            mask[r0:r0 + rows, c0:c0 + cols] = (d2 <= slab.N**2 + 1e-9) & (band <= slab.M + 1e-9)
+    return mask
 
 
 def sample_slab_packet(slab: SlabSpec, grid: FrequencyGrid, mode: str, seed=None) -> WavePacket:
@@ -230,7 +252,8 @@ def sample_slab_packet(slab: SlabSpec, grid: FrequencyGrid, mode: str, seed=None
         vals[mask] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    vals /= np.sqrt(grid.h) * np.linalg.norm(vals)
+    # the norm runs over the whole array; only the drawn nodes are nonzero
+    vals[mask] /= np.sqrt(grid.h) * np.linalg.norm(vals)
     return WavePacket(grid=grid, values=vals)
 
 
@@ -337,46 +360,55 @@ class EvolveResult:
     warnings: tuple = field(default_factory=tuple)
 
 
-def _blocks(base: np.ndarray, step: np.ndarray, n: int) -> np.ndarray:
-    """The products base[b] * step[s] in the order b * len(step) + s, first n."""
-    return (base[:, None, :] * step[None, :, :]).reshape(-1, base.shape[1])[:n]
+def _stepped(base, step: np.ndarray):
+    """The chunk maker table(j0, j1) of a phase table from its step rows:
+    row j = j0 + b S + s (s < S = len(step)) is base(j0 + b S) * step[s], so
+    a chunk of c nodes takes ceil(c / S) base rows, each a row of complex
+    exp, and one complex multiply per entry."""
+    S = len(step)
+
+    def table(j0: int, j1: int) -> np.ndarray:
+        rows = base(np.arange(j0, j1, S))
+        return (rows[:, None, :] * step[None, :, :]).reshape(-1, step.shape[1])[:j1 - j0]
+
+    return table
 
 
-def _phase_table(tc: np.ndarray, dt: float, lam: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """scale * e^{-i t lam} on the equispaced nodes tc (step dt), shape
-    (len(tc), len(lam)), from two tables: base phases at every B-th node and
-    steps e^{-i j dt lam} for j < B, with B = ceil(sqrt(len(tc))).  Each
-    entry then costs one complex multiply instead of one complex exp."""
-    n = len(tc)
-    B = math.isqrt(n - 1) + 1
-    base = scale * np.exp(-1j * tc[::B, None] * lam[None, :])
-    step = np.exp(-1j * (dt * np.arange(B))[:, None] * lam[None, :])
-    return _blocks(base, step, n)
+def _phase_chunks(ts: np.ndarray, dt: float, lam: np.ndarray, S: int, scale: float = 1.0):
+    """table(j0, j1) = scale * e^{-i t lam} on the nodes ts[j0:j1] of the
+    equispaced nodes ts (step dt), shape (j1 - j0, len(lam)).  The S step
+    rows e^{-i s dt lam} are computed here, once; each table(j0, j1)
+    computes its own base rows (``_stepped``)."""
+    step = np.exp(-1j * (dt * np.arange(S))[:, None] * lam[None, :])
+    return _stepped(lambda j: scale * np.exp(-1j * ts[j, None] * lam[None, :]), step)
 
 
-def _dft_phase_table(j0: int, j1: int, n: int, m: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """scale * e^{-2 pi i j m / n} on the nodes j0 <= j < j1 for integer m,
-    shape (j1 - j0, len(m)), from base and step tables as in
-    ``_phase_table``.  Each j m is reduced mod n in integers before the exp,
-    so the angles stay in [0, 2 pi) and the phases are exact at any j m."""
-    count = j1 - j0
-    B = math.isqrt(count - 1) + 1
+def _dft_phase_chunks(n: int, m: np.ndarray, S: int, scale: float = 1.0):
+    """table(j0, j1) = scale * e^{-2 pi i j m / n} on the nodes j0 <= j < j1
+    for integer m, shape (j1 - j0, len(m)), from S step rows computed once
+    and base rows per chunk as in ``_phase_chunks``.  Each j m is reduced mod n
+    in integers before the exp, so the angles stay in [0, 2 pi) and the
+    phases are exact at any j m."""
     m = m % n
-    base = scale * np.exp((-2j * np.pi / n) * ((np.arange(j0, j1, B)[:, None] * m) % n))
-    step = np.exp((-2j * np.pi / n) * ((np.arange(B)[:, None] * m) % n))
-    return _blocks(base, step, count)
+
+    def phase(j):
+        return np.exp((-2j * np.pi / n) * ((j[:, None] * m) % n))
+
+    return _stepped(lambda j: scale * phase(j), phase(np.arange(S)))
 
 
 def _windowed_rule(p: WavePacket, k_shift: int, dispersion: str, t_window: tuple):
     """Composite Simpson on the window: node weights (Simpson times phi_w),
-    the phase-table maker, the truncated Fejer fraction and the warnings."""
+    the phase-table maker phases(lam, S, scale) (``_phase_chunks``: S rows
+    of steps e^{-i s dt lam}, then one base row per S nodes), the truncated
+    Fejer fraction and the warnings."""
     t0, t1, n_t = check_window(t_window)
     n_t += n_t % 2
     ts, sw = _simpson_weights(t0, t1, n_t)
     dt = (t1 - t0) / n_t
 
-    def phases(j0, j1, lam, scale=1.0):
-        return _phase_table(ts[j0:j1], dt, lam, scale)
+    def phases(lam, S, scale=1.0):
+        return _phase_chunks(ts, dt, lam, S, scale)
 
     trunc_rel = (_fejer_upper_tail(t1) + _fejer_upper_tail(-t0)) / FEJER_TOTAL
     warn = []
@@ -407,24 +439,19 @@ def _periodized_fejer(q: int, n: int) -> np.ndarray:
 def _periodic_rule(p: WavePacket, k_shift: int, dispersion: str):
     """The periodic-exact rule on one period T = 2 pi q: n = q (2 spread + 1)
     nodes t_j = j T / n with weights (T/n) W_T(t_j), the phase-table maker
-    (exact: q Lambda is an integer, so t_j Lambda = 2 pi j (q Lambda) / n),
-    zero truncation and no warnings."""
+    phases(lam, S, scale) (``_dft_phase_chunks``, exact: q Lambda is an
+    integer, so t_j Lambda = 2 pi j (q Lambda) / n, reduced mod n in
+    integers; S step rows, then one base row per S nodes), zero truncation
+    and no warnings."""
     q = lattice_q(p.grid.h)
     m = np.rint(q * _support_lambda(p, k_shift, dispersion)).astype(np.int64)
     n = 2 * int(m.max() - m.min()) + q
     weights = (2.0 * np.pi * q / n) * _periodized_fejer(q, n)
 
-    def phases(j0, j1, lam, scale=1.0):
-        return _dft_phase_table(j0, j1, n, np.rint(q * lam).astype(np.int64), scale)
+    def phases(lam, S, scale=1.0):
+        return _dft_phase_chunks(n, np.rint(q * lam).astype(np.int64), S, scale)
 
     return weights, phases, 0.0, ()
-
-
-# entries of one time chunk's (node, x2 point, x1 point) buffer, 4 MiB as
-# complex: a 4e6-entry (64 MiB) buffer fell out of cache on every chunk,
-# while from 2^16 to 2^20 entries the run time moves by a few per cent and
-# peak memory grows with the budget
-_CHUNK_ENTRIES = 2**18
 
 
 def _weighted_quartic(
@@ -452,8 +479,11 @@ def _weighted_quartic(
     Per time chunk of at most ``_CHUNK_ENTRIES`` (node, x2, x1) entries the
     rows fold onto the x2 points with their phases e^{i y_q xi2 - i t mu}
     (a single BLAS product), then one zero-padded FFT of length P in xi1
-    gives u on the x1 grid; the time phases come from the rule's phase
-    tables.
+    gives u on the x1 grid.  The time phases come from the rule's phase
+    tables: S = min(chunk, ceil(sqrt(n_nodes))) step rows per table, built
+    once per evaluation, then ceil(count / S) base rows per chunk of count
+    nodes, so one evaluation takes about S + n_nodes / S rows of complex exp
+    whatever the chunk size.
     """
     V = p.values
     row_live = np.flatnonzero(np.any(V != 0, axis=1))
@@ -483,11 +513,13 @@ def _weighted_quartic(
     quartic = 0.0
     n_nodes = len(weights)
     chunk = max(1, _CHUNK_ENTRIES // (Q * P))
+    S = min(chunk, math.isqrt(n_nodes - 1) + 1)
+    row_phases, col_phases = phases(mu, S), phases(colsq, S, h)
     for j0 in range(0, n_nodes, chunk):
         j1 = min(j0 + chunk, n_nodes)
-        W = (phases(j0, j1, mu)[:, None, :] * yph).reshape(-1, len(mu)) @ V
+        W = (row_phases(j0, j1)[:, None, :] * yph).reshape(-1, len(mu)) @ V
         W = W.reshape(j1 - j0, Q, -1)
-        W *= phases(j0, j1, colsq, h)[:, None, :]
+        W *= col_phases(j0, j1)[:, None, :]
         # u on the (x2, x1) points as float (re, im) pairs; one chunk's
         # buffers live at a time: W before the FFT, u after it
         u = sfft.ifft(W, n=P, axis=2, norm="forward").view(np.float64).reshape(j1 - j0, -1, 2)

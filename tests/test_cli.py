@@ -540,6 +540,18 @@ def test_strichartz_modes_refuse_n_above_the_cap(tmp_path, monkeypatch, capsys, 
     assert bad in err and "N is capped at 64; got 128" in err
 
 
+@pytest.mark.parametrize("h", [0, -0.5, "0.5", float("inf")])
+@pytest.mark.parametrize("mode,config", [
+    ("elliptic", {"Ns": [2, 4], "trials": 1, "window": [-10, 10, 64]}),
+    ("slab", {"slab": _SLAB, "trials": 1, "window": [-10, 10, 64]}),
+    ("hyperbolic", {"Ns": [2, 4], "trials": 1, "window": [-10, 10, 64]}),
+])
+def test_strichartz_refuses_a_bad_grid_step(tmp_path, monkeypatch, capsys, mode, config, h):
+    # h = 0 used to reach FrequencyGrid and die with a ValueError traceback
+    err = _refuses_before_any_work(tmp_path, monkeypatch, capsys, mode, {**config, "h": h})
+    assert err.strip().splitlines() == [f"bad h {h!r}: h must be a finite positive number"]
+
+
 def test_strichartz_box_scaling_refuses_h_off_the_lattice(tmp_path, monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(cli.strichartz, "box_scaling_probe", lambda *a, **k: calls.append(a))
@@ -785,6 +797,38 @@ def test_main_refuses_before_any_work(tmp_path, monkeypatch, capsys, argv, confi
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and named in err[0]
     assert calls == [] and not out.exists()
+
+
+_SEEDED = [(sub, choice) for sub, choice in _ENTRIES
+           if "seed" in cli._SUBCOMMANDS[sub][1][choice].keys]
+
+
+@pytest.mark.parametrize("seed", ["x", -1, True, 1.5, None])
+@pytest.mark.parametrize("sub,choice", _SEEDED, ids=[f"{s}-{c}" for s, c in _SEEDED])
+def test_every_seeded_entry_refuses_a_bad_seed(tmp_path, monkeypatch, capsys, sub, choice, seed):
+    code, err, calls, outputs = _rerun_stubbed(
+        tmp_path, monkeypatch, capsys,
+        {"subcommand": sub, "params": _entry_params(sub, choice, seed=seed)})
+    assert code == 2
+    assert err == [f"bad seed {seed!r}: seed must be a non-negative integer"]
+    assert calls == [] and outputs == []
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["strichartz", "--mode", "quadrilinear"], {"seed": "x"}),
+    (["lattice-scan", "--lemma", "5.1", "--seed", "-1"], None),
+])
+def test_main_refuses_a_bad_seed(tmp_path, capsys, argv, config):
+    # a TypeError traceback from np.random.default_rng and a ValueError
+    # traceback from the 5.1 scan used to exit 1
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", str(tmp_path / "config.json")]
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "seed must be a non-negative integer" in err[0]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv,params", [

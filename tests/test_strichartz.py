@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +89,52 @@ def test_slab_monotone_in_m(M, extra):
     m1 = st.slab_mask(slab1, grid)
     m2 = st.slab_mask(slab2, grid)
     assert not np.any(m1 & ~m2)  # node-set inclusion, exact
+
+
+def _full_grid_mask(slab, grid):
+    """Oracle: the slab test on the whole grid at once."""
+    x1 = grid.xi1[None, :]
+    x2 = grid.xi2[:, None].astype(float)
+    d2 = (x1 - slab.xi0[0]) ** 2 + (x2 - slab.xi0[1]) ** 2
+    band = np.abs(slab.a[0] * x1 + slab.a[1] * x2 - slab.c)
+    return (d2 <= slab.N**2 + 1e-9) & (band <= slab.M + 1e-9)
+
+
+def test_row_blocked_mask_matches_the_full_grid(monkeypatch):
+    # even draws: a budget of a third of a row plus one, so a row spans
+    # three or four blocks, mostly with a short last one; odd draws: three
+    # rows and one entry, so the last row block is mostly short
+    rng = np.random.default_rng(23)
+    split_rows = short_blocks = 0
+    for draw in range(200):
+        N = int(rng.integers(2, 65))
+        h = float(rng.choice([0.125, 0.25, 0.3, 0.5]))
+        M = float(rng.uniform(1.0, N))
+        slab = st._random_slab(float(N), M, 0.1, rng, h, boundary=(draw % 3 == 2))
+        grid = st.grid_for_slab(slab, h)
+        rows, cols = len(grid.xi2), len(grid.xi1)
+        budget = cols // 3 + 1 if draw % 2 == 0 else 3 * cols + 1
+        monkeypatch.setattr(st, "_CHUNK_ENTRIES", budget)
+        split_rows += budget < cols
+        short_blocks += (cols % budget if budget < cols else rows % 3) != 0
+        assert np.array_equal(st.slab_mask(slab, grid), _full_grid_mask(slab, grid))
+    assert split_rows == 100 and short_blocks >= 150
+
+
+@pytest.mark.parametrize("mode", ["indicator", "gaussian-random"])
+def test_slab_packet_values_are_the_full_array_formula(mode):
+    # dividing only the drawn nodes leaves the values bit for bit those of
+    # dividing the whole array by sqrt(h) times its norm
+    slab = st.SlabSpec(xi0=(0.5, 1), a=(0.6, 0.8), c=0.7, M=3.0, N=9.0)
+    grid = st.grid_for_slab(slab, h=0.3)
+    got = st.sample_slab_packet(slab, grid, mode, 31).values
+    mask = _full_grid_mask(slab, grid)
+    vals = np.zeros(mask.shape, dtype=complex)
+    rng = np.random.default_rng(31)
+    count = int(mask.sum())
+    vals[mask] = 1.0 if mode == "indicator" else rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    vals /= np.sqrt(grid.h) * np.linalg.norm(vals)
+    assert got.tobytes() == vals.tobytes()
 
 
 def _single_node_packet(h=0.5, xi1_steps=3, xi2=2, extent=4.0):
@@ -221,7 +269,7 @@ _ORACLE_PACKETS = {
 @pytest.mark.parametrize("name", sorted(_ORACLE_PACKETS))
 def test_quartic_matches_direct_reference(name, dispersion, x2_torus):
     p = _ORACLE_PACKETS[name]()
-    # 1025 and 301 nodes: neither is a multiple of the phase-table block B
+    # 1025 and 301 nodes: neither is a multiple of the phase tables' step count S
     for w in [(-60.0, 60.0, 1024), (-7.0, 31.0, 300)]:
         got = st._weighted_quartic(p, 3, dispersion, w, x2_torus).quartic
         ref = _reference_quartic(p, 3, dispersion, w, x2_torus)
@@ -229,7 +277,8 @@ def test_quartic_matches_direct_reference(name, dispersion, x2_torus):
 
 
 def test_box_quartic_at_anti_alias_nt_matches_reference():
-    # 39192 intervals of the N = 16 box span 40 time chunks of 992 nodes, the last one short
+    # 39192 intervals of the N = 16 box span 159 time chunks of 248 nodes, the
+    # last one short; S = 198 steps, so each full chunk has a partial base block
     p = st.box_packet(16, h=0.25)
     n_t = st.anti_alias_nt(p, 0, "elliptic", -60.0, 60.0)
     got = st.evolve_l4_norm(p, 0, "elliptic", (-60.0, 60.0, n_t)).quartic
@@ -250,6 +299,52 @@ def test_one_node_chunks_match_reference(dispersion):
     w = (-10.0, 10.0, 64)
     got = st._weighted_quartic(p, 1, dispersion, w, x2_torus=True).quartic
     assert abs(got - _reference_quartic(p, 1, dispersion, w, True)) <= 1e-12 * got
+
+
+def _slab_slice_quartic():
+    slab = st.SlabSpec(xi0=(0.0, 0), a=(0.6, 0.8), c=0.2, M=3.0, N=8.0)
+    p = st.sample_slab_packet(slab, st.grid_for_slab(slab, h=0.25), "gaussian-random", 3)
+    return st.evolve_l4_norm(p, 2, "elliptic", (-60.0, 60.0, 2048))
+
+
+_BUDGET_CASES = {
+    # nodes per chunk at budgets 2^10, 2^16 and 2^20: the slice's 2049 in
+    # chunks of 8, 546 or all; the torus's 513 in chunks of 1, 110 or all;
+    # the periodic-exact rule's 4800 in chunks of 5, 346 or all
+    "slice": _slab_slice_quartic,
+    "torus": lambda: st._weighted_quartic(
+        st.box_packet(4, h=0.5), 0, "hyperbolic", (-30.0, 30.0, 512), x2_torus=True),
+    "periodic-exact": lambda: st.evolve_l4_norm_exact(st.sparse_packet(3, 64, 12.0, 0.25), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BUDGET_CASES))
+def test_chunk_budget_does_not_change_the_quartic(monkeypatch, case):
+    quartics = []
+    for budget in (2**10, 2**16, 2**20):
+        monkeypatch.setattr(st, "_CHUNK_ENTRIES", budget)
+        quartics.append(_BUDGET_CASES[case]().quartic)
+    assert max(quartics) - min(quartics) <= 1e-13 * max(quartics)
+
+
+def test_slab_packet_draw_and_evaluation_stay_under_8_mib():
+    # an N = 64, M = N slab at h = 0.125: 129 live rows and FFT length P =
+    # 2000, the size of the elliptic scan's largest packets.  The traced
+    # peak reads about 6.1 MiB with 1 MiB time chunks, 10.1 MiB with 4 MiB
+    slab = st.SlabSpec(xi0=(0.0, 0), a=(1.0, 0.0), c=3.125, M=64.0, N=64.0)
+    grid = st.grid_for_slab(slab, h=0.125)
+    tracemalloc.start()
+    try:
+        p = st.sample_slab_packet(slab, grid, "gaussian-random", 5)
+        res = st.evolve_l4_norm(p, 0, "elliptic", (-60.0, 60.0, 1024))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    live = p.values[np.any(p.values != 0, axis=1)]
+    cols = np.flatnonzero(np.any(live != 0, axis=0))
+    assert len(live) == 129 and sfft.next_fast_len(2 * int(cols[-1] - cols[0]) + 1) == 2000
+    assert res.quartic > 0.0
+    assert peak <= 8 * 2**20
 
 
 @pytest.mark.parametrize("x2_torus", [False, True])
@@ -281,12 +376,17 @@ def test_torus_row_span_away_from_zero(dispersion):
 
 @pytest.mark.parametrize("n", [1, 2, 10, 65, 4097])
 def test_phase_table_matches_exp(n):
-    # ceil(sqrt(n)) divides none of 2, 10, 65, 4097: the last block is partial
+    # S = ceil(sqrt(n)) divides none of 2, 10, 65, 4097: the last block is
+    # partial; chunks of 2 S + 1 nodes start between two base rows
     ts = np.linspace(-60.0, 60.0, 4097)[:n]
     lam = np.array([-4096.0, -3.5, 0.0, 0.25, 17.0, 4160.0])
-    table = st._phase_table(ts, 120.0 / 4096, lam, 0.5)
-    assert table.shape == (n, len(lam))
-    assert np.max(np.abs(table - 0.5 * np.exp(-1j * ts[:, None] * lam))) <= 1e-11
+    S = math.isqrt(n - 1) + 1
+    table = st._phase_chunks(ts, 120.0 / 4096, lam, S, 0.5)
+    ref = 0.5 * np.exp(-1j * ts[:, None] * lam)
+    assert table(0, n).shape == (n, len(lam))
+    assert np.max(np.abs(table(0, n) - ref)) <= 1e-11
+    chunked = np.concatenate([table(j0, min(j0 + 2 * S + 1, n)) for j0 in range(0, n, 2 * S + 1)])
+    assert np.max(np.abs(chunked - ref)) <= 1e-11
 
 
 @pytest.mark.parametrize("window", [
@@ -513,7 +613,7 @@ def test_lattice_q_refuses_steps_off_the_lattice(h):
 def test_exact_rule_refuses_before_any_work(monkeypatch):
     calls = []
     monkeypatch.setattr(st, "_support_lambda", lambda *a: calls.append(a))
-    monkeypatch.setattr(st, "_dft_phase_table", lambda *a: calls.append(a))
+    monkeypatch.setattr(st, "_dft_phase_chunks", lambda *a: calls.append(a))
     off = st.FrequencyGrid(h=0.3, xi1_extent=3.0, xi2_min=-2, xi2_max=2)
     vals = np.zeros((5, 21), dtype=complex)
     vals[2, 10] = 1.0
@@ -538,9 +638,12 @@ def test_evolve_l4_norm_needs_a_window():
 
 @pytest.mark.parametrize("n,j0,j1", [(7, 0, 7), (4100, 0, 65), (4100, 4000, 4100), ((1 << 20) + 7, 999_000, 1_000_001)])
 def test_dft_phase_table_is_exact(n, j0, j1):
-    # the reference reduces j m mod n with Python integers, then takes one exp
+    # the reference reduces j m mod n with Python integers, then takes one
+    # exp; S is the evaluator's min(chunk, ceil(sqrt(n))) with the chunk
+    # j1 - j0, so the last base block is partial in all but (4100, 0, 65)
     m = np.array([0, 1, -3, 17, n - 1, 5 * n + 2, -(1 << 50) - 7], dtype=np.int64)
-    table = st._dft_phase_table(j0, j1, n, m, 0.5)
+    S = min(j1 - j0, math.isqrt(n - 1) + 1)
+    table = st._dft_phase_chunks(n, m, S, 0.5)(j0, j1)
     ref = np.array([[0.5 * np.exp(-2j * np.pi * ((j * int(mm)) % n) / n) for mm in m]
                     for j in range(j0, j1)])
     assert table.shape == (j1 - j0, len(m))
