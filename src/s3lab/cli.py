@@ -333,6 +333,8 @@ def _box_scaling(a):
 
 
 _TRIALS = partial(check_count, "trials")
+# the hyperbolic scan and the box probe build their grids from int(N)
+_whole_ns = partial(strichartz.check_ns, integral=True)
 _SCAN_CHECKS = {"Ns": lambda Ns: strichartz.check_ns(check_fit_xs(Ns)), "trials": _TRIALS,
                 "h": _grid_step, "window": strichartz.check_window}
 
@@ -349,7 +351,8 @@ _MODES = {
                     "h": _grid_step, "window": strichartz.check_window}),
     "hyperbolic": _Entry({"seed": 3, "Ns": (4, 8, 16, 32, 64), "trials": 3, "h": 0.5,
                           "window": (-60.0, 60.0, 4096)},
-                         ["trial", "N", "quotient"], _hyperbolic, _SCAN_CHECKS),
+                         ["trial", "N", "quotient"], _hyperbolic,
+                         {**_SCAN_CHECKS, "Ns": lambda Ns: _whole_ns(check_fit_xs(Ns))}),
     "quadrilinear": _Entry({"seed": 3},
                            ["trial", "frequency_side", "time_side", "relative_mismatch"],
                            _quadrilinear),
@@ -358,7 +361,7 @@ _MODES = {
                            _kernel_split, {"k_shift": _integer}),
     "box-scaling": _Entry({"seed": 3, "Ns": (4, 8, 16, 32), "h": 0.25},
                           ["N", "n_t", "norm", "ratio"],
-                          _box_scaling, {"Ns": strichartz.check_ns, "h": _lattice_h}),
+                          _box_scaling, {"Ns": _whole_ns, "h": _lattice_h}),
 }
 
 

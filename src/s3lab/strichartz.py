@@ -46,7 +46,10 @@ norm of the refined L^inf_{x2} L4_{t,x1} estimate) or over the torus
 carries the factor e^{i x2 xi2} and the identity gains the constraint
 <xi2> = 0 and a factor 2 pi.  One evaluator computes both: the torus is
 sampled at equispaced points, exact once their number exceeds twice the
-span of the occupied xi2 rows.
+span of the occupied xi2 rows.  At the slice the rows are summed (one BLAS
+product per time chunk); on the torus u is a two-dimensional inverse FFT,
+one pass along xi1 and one along xi2, so each time node costs
+O(N^2 log N) for data on [-N, N]^2.
 """
 
 from __future__ import annotations
@@ -203,12 +206,13 @@ class WavePacket:
 
 
 # entries of one block: a time chunk's (node, x2 point, x1 point) buffer
-# in ``_weighted_quartic`` and a row block of ``slab_mask``, 1 MiB as
-# complex.  The phase tables compute their step rows once per evaluation,
-# so a chunk costs only its own base rows of exp and the budget sets memory,
-# not time: on a 2-vCPU Xeon the strichartz-suite benchmark peaked at
-# 78.5 MB RSS with 2^18 entries (4 MiB) and at about 72 MB with 2^16, and a
-# 4e6-entry (64 MiB) buffer fell out of cache on every chunk
+# in ``_weighted_quartic``, its largest (on the torus the xi1 pass before
+# it holds at most half as many), and a row block of ``slab_mask``, 1 MiB
+# as complex.  The phase tables compute their step rows once per
+# evaluation, so a chunk costs only its own base rows of exp and the budget
+# sets memory, not time: on a 2-vCPU Xeon the strichartz-suite benchmark
+# peaked at 78.5 MB RSS with 2^18 entries (4 MiB) and at about 72 MB with
+# 2^16, and a 4e6-entry (64 MiB) buffer fell out of cache on every chunk
 _CHUNK_ENTRIES = 2**16
 
 
@@ -249,11 +253,13 @@ def sample_slab_packet(slab: SlabSpec, grid: FrequencyGrid, mode: str, seed=None
         vals[mask] = 1.0
     elif mode == "gaussian-random":
         rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-        vals[mask] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+        # the real parts are drawn first, as in a + 1j b, and written in place:
+        # no complex temporary of the drawn nodes
+        vals.real[mask] = rng.standard_normal(count)
+        vals.imag[mask] = rng.standard_normal(count)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    # the norm runs over the whole array; only the drawn nodes are nonzero
-    vals[mask] /= np.sqrt(grid.h) * np.linalg.norm(vals)
+    vals /= np.sqrt(grid.h) * np.linalg.norm(vals)
     return WavePacket(grid=grid, values=vals)
 
 
@@ -470,16 +476,22 @@ def _weighted_quartic(
 
     The x2 measure is the point x2 = 0 with weight 1 (the slice) or, with
     ``x2_torus``, Q equispaced points y_q on [0, 2 pi) with weight 2 pi / Q.
-    The live columns are taken as their contiguous run [lo, hi] and shifted
-    to frequency 0, and the live rows likewise by their lowest xi2; both
-    shifts multiply u by a unimodular factor, so |u| is unchanged and |u|^4
-    carries x1 frequencies within +-2 (hi - lo) and x2 frequencies within
-    twice the row span.  The equispaced sums are therefore exact once the
-    FFT length P exceeds twice the column span and Q twice the row span.
-    Per time chunk of at most ``_CHUNK_ENTRIES`` (node, x2, x1) entries the
-    rows fold onto the x2 points with their phases e^{i y_q xi2 - i t mu}
-    (a single BLAS product), then one zero-padded FFT of length P in xi1
-    gives u on the x1 grid.  The time phases come from the rule's phase
+    The live block is a view of the contiguous spans [lo, hi] of live
+    columns and [r0, r1] of live rows (dead rows inside the span stay zero),
+    shifted to frequency 0 in both; the shifts multiply u by a unimodular
+    factor, so |u| is unchanged and |u|^4 carries x1 frequencies within
+    +-2 (hi - lo) and x2 frequencies within +-2 (r1 - r0).  The equispaced
+    sums are therefore exact once the FFT length P exceeds twice the column
+    span and Q twice the row span.  Per time chunk of at most
+    ``_CHUNK_ENTRIES`` (node, x2, x1) entries, the block takes the time
+    phases e^{-i t mu} per row and h e^{-i t xi1^2} per column.  At the
+    slice the rows are summed with their phases (a single BLAS product),
+    then one zero-padded FFT of length P in xi1 gives u on the x1 grid.  On
+    the torus one zero-padded FFT of length P in xi1 per row, then one of
+    length Q in xi2 per x1 point, give u on the (x2, x1) grid: per node
+    R FFTs of length P and P of length Q for R = r1 - r0 + 1 rows, where a
+    product with the Q x R matrix of e^{i y_q xi2} would take Q R (hi - lo
+    + 1) multiply-adds.  The time phases come from the rule's phase
     tables: S = min(chunk, ceil(sqrt(n_nodes))) step rows per table, built
     once per evaluation, then ceil(count / S) base rows per chunk of count
     nodes, so one evaluation takes about S + n_nodes / S rows of complex exp
@@ -497,18 +509,20 @@ def _weighted_quartic(
     mu, colsq = _lambda_rows_cols(p, k_shift, dispersion)
     col_live = np.flatnonzero(np.any(V != 0, axis=0))
     lo, hi = int(col_live[0]), int(col_live[-1])
-    V = np.ascontiguousarray(V[row_live, lo:hi + 1])
-    mu = mu[row_live]
+    r0, r1 = int(row_live[0]), int(row_live[-1])
+    # a view of the live span: its dead rows stay zero, so row r keeps its
+    # x2 frequency r - r0 in the torus FFT
+    V = V[r0:r1 + 1, lo:hi + 1]
+    mu = mu[r0:r1 + 1]
     colsq = colsq[lo:hi + 1]
     P = sfft.next_fast_len(2 * (hi - lo) + 1)
     h = p.grid.h
     dvol = p.grid.period / P
     if x2_torus:
-        Q = sfft.next_fast_len(2 * int(row_live[-1] - row_live[0]) + 1)
+        Q = sfft.next_fast_len(2 * (r1 - r0) + 1)
         dvol *= 2.0 * np.pi / Q
     else:
         Q = 1
-    yph = np.exp(1j * (2.0 * np.pi / Q) * np.arange(Q)[:, None] * (row_live - row_live[0])[None, :])
 
     quartic = 0.0
     n_nodes = len(weights)
@@ -517,13 +531,20 @@ def _weighted_quartic(
     row_phases, col_phases = phases(mu, S), phases(colsq, S, h)
     for j0 in range(0, n_nodes, chunk):
         j1 = min(j0 + chunk, n_nodes)
-        W = (row_phases(j0, j1)[:, None, :] * yph).reshape(-1, len(mu)) @ V
-        W = W.reshape(j1 - j0, Q, -1)
-        W *= col_phases(j0, j1)[:, None, :]
-        # u on the (x2, x1) points as float (re, im) pairs; one chunk's
-        # buffers live at a time: W before the FFT, u after it
-        u = sfft.ifft(W, n=P, axis=2, norm="forward").view(np.float64).reshape(j1 - j0, -1, 2)
-        del W
+        # u on the (x2, x1) points, then as float (re, im) pairs; one
+        # chunk's buffers live at a time: W before the x1 FFT, u after it
+        if x2_torus:
+            W = row_phases(j0, j1)[:, :, None] * V
+            W *= col_phases(j0, j1)[:, None, :]
+            u = sfft.ifft(W, n=P, axis=2, norm="forward")
+            del W
+            u = sfft.ifft(u, n=Q, axis=1, norm="forward", overwrite_x=True)
+        else:
+            W = row_phases(j0, j1) @ V
+            W *= col_phases(j0, j1)
+            u = sfft.ifft(W, n=P, axis=1, norm="forward")
+            del W
+        u = u.view(np.float64).reshape(j1 - j0, -1, 2)
         np.square(u, out=u)
         au2 = u[..., 0]
         au2 += u[..., 1]
@@ -793,13 +814,27 @@ def check_delta(delta):
 _N_MAX = 64
 
 
-def check_ns(Ns):
-    """Return Ns; ValueError naming the first N above ``_N_MAX`` (a NaN
-    included).  Every quotient, scan and the box probe call it before any
-    work."""
-    for N in Ns:
+def check_ns(Ns, integral: bool = False):
+    """Return Ns; ValueError when it holds no N, or naming the first N that
+    is not a real number, lies above ``_N_MAX`` (a NaN or an infinity
+    included) or below 1, or, with ``integral``, is not a whole number (the
+    hyperbolic quotients and the box probe take int(N)).  Every quotient,
+    scan and the box probe call it before any work."""
+    try:
+        given = list(Ns)
+    except TypeError:
+        raise ValueError(f"Ns must be a list of numbers; got {Ns!r}") from None
+    if not given:
+        raise ValueError("need at least one N")
+    for N in given:
+        if isinstance(N, bool) or not isinstance(N, numbers.Real):
+            raise ValueError(f"N must be a number; got {N!r}")
         if not N <= _N_MAX:
             raise ValueError(f"N is capped at {_N_MAX}; got {N}")
+        if not N >= 1:
+            raise ValueError(f"N must be >= 1; got {N}")
+        if integral and not float(N).is_integer():
+            raise ValueError(f"N must be a whole number; got {N}")
     return Ns
 
 
@@ -862,8 +897,8 @@ def scan_strichartz_quotients(
     directions, offsets and centers; every third trial pins the direction
     to the Case 1 / Case 2 boundary |a2| = (M/N)^(1-4 delta).  The
     summary's flags keep the worst value per warning flag.  Fewer than two
-    distinct N, an N above 64, one trial or a delta outside (0, 1/8) raise
-    ValueError before any work."""
+    distinct N, an N outside [1, 64], no trial or a delta outside (0, 1/8)
+    raise ValueError before any work."""
     check_ns(check_fit_xs(Ns))
     trials = check_count("trials", trials)
     check_delta(delta)
@@ -894,9 +929,10 @@ def box_scaling_probe(Ns: list, h: float = 0.25) -> tuple[list, dict]:
     norms should track N^{1/4} within a bounded factor.  Each norm is exact
     by the periodic-exact time rule (the Fejer weight periodized by Poisson
     summation): with q = 1/h^2 the box's Lambda spread is 2 N^2, so it uses
-    q (4 N^2 + 1) nodes, the rows' ``n_t``.  An h with 1/h^2 not an integer
-    or an N above 64 raises ValueError before any work."""
-    check_ns(Ns)
+    q (4 N^2 + 1) nodes, the rows' ``n_t``.  An h with 1/h^2 not an integer,
+    no N, or an N that is not a whole number in [1, 64] raises ValueError
+    before any work."""
+    check_ns(Ns, integral=True)
     lattice_q(h)
     rows = []
     ratios = []
@@ -920,16 +956,19 @@ def hyperbolic_l4_quotient(
     """Max over random unit-norm data on [-N, N]^2 of the windowed
     space-time L4 norm in (t, x1, x2) divided by the data's L2 norm: the
     weighted quartic evaluator under the hyperbolic Lambda = xi1^2 - xi2^2,
-    with x2 integrated over the torus.  An N above 64 or fewer than one
-    trial raises ValueError before any work."""
-    check_ns([N])
+    with x2 integrated over the torus.  An N that is not a whole number in
+    [1, 64] or fewer than one trial raises ValueError before any work."""
+    check_ns([N], integral=True)
     trials = check_count("trials", trials)
+    N = int(N)
     rng = np.random.default_rng(seed)
     grid = FrequencyGrid(h=h, xi1_extent=float(N), xi2_min=-N, xi2_max=N)
     shape = (2 * N + 1, 2 * grid.imax + 1)
 
     def draw(trial):
-        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        vals = np.empty(shape, dtype=complex)
+        vals.real = rng.standard_normal(shape)
+        vals.imag = rng.standard_normal(shape)
         vals /= np.sqrt(h) * np.linalg.norm(vals)
         pkt = WavePacket(grid=grid, values=vals)
         res = _weighted_quartic(pkt, 0, "hyperbolic", t_window, x2_torus=True)
@@ -946,9 +985,10 @@ def scan_hyperbolic_quotients(
     t_window: tuple = (-60.0, 60.0, 4096),
 ) -> tuple[list, dict]:
     """Hyperbolic quotient scan over N in Ns; the summary's flags keep the
-    worst value per warning flag.  Fewer than two distinct N, an N above 64
-    or one trial raise ValueError before any work."""
-    check_ns(check_fit_xs(Ns))
+    worst value per warning flag.  Fewer than two distinct N, an N that is
+    not a whole number in [1, 64] or no trial raise ValueError before any
+    work."""
+    check_ns(check_fit_xs(Ns), integral=True)
     trials = check_count("trials", trials)
     rows = []
     per_n = {}

@@ -540,6 +540,39 @@ def test_strichartz_modes_refuse_n_above_the_cap(tmp_path, monkeypatch, capsys, 
     assert bad in err and "N is capped at 64; got 128" in err
 
 
+_ONE_TRIAL = {"trials": 1, "window": [-10, 10, 64]}
+
+
+@pytest.mark.parametrize("mode,config,named", [
+    ("box-scaling", {"Ns": [0, 4]}, "bad Ns [0, 4]: N must be >= 1; got 0"),
+    ("box-scaling", {"Ns": []}, "bad Ns []: need at least one N"),
+    ("box-scaling", {"Ns": [2.5, 4]}, "bad Ns [2.5, 4]: N must be a whole number; got 2.5"),
+    ("box-scaling", {"Ns": [4, float("nan")]}, "bad Ns [4, nan]: N is capped at 64; got nan"),
+    ("box-scaling", {"Ns": 4}, "bad Ns 4: Ns must be a list of numbers; got 4"),
+    ("hyperbolic", {"Ns": [0, 4], **_ONE_TRIAL}, "bad Ns [0, 4]: N must be >= 1; got 0"),
+    ("hyperbolic", {"Ns": [-1, 4], **_ONE_TRIAL}, "bad Ns [-1, 4]: N must be >= 1; got -1"),
+    ("hyperbolic", {"Ns": [2.5, 4], **_ONE_TRIAL}, "bad Ns [2.5, 4]: N must be a whole number; got 2.5"),
+    ("hyperbolic", {"Ns": ["4", 8], **_ONE_TRIAL}, "bad Ns ['4', 8]: N must be a number; got '4'"),
+    ("elliptic", {"Ns": [0, 8], **_ONE_TRIAL}, "bad Ns [0, 8]: N must be >= 1; got 0"),
+    ("elliptic", {"Ns": [float("-inf"), 8], **_ONE_TRIAL}, "bad Ns [-inf, 8]: N must be >= 1; got -inf"),
+    ("elliptic", {"Ns": [8, float("inf")], **_ONE_TRIAL}, "bad Ns [8, inf]: N is capped at 64; got inf"),
+])
+def test_strichartz_refuses_an_n_its_mode_cannot_run(tmp_path, monkeypatch, capsys, mode, config,
+                                                    named):
+    # these used to die with a ZeroDivisionError, an empty max(), an empty
+    # xi2 range or an M > N traceback, fail on a NaN slope after every
+    # trial, or label a box_packet(2) row as N = 2.5
+    err = _refuses_before_any_work(tmp_path, monkeypatch, capsys, mode, config)
+    assert err.strip().splitlines() == [named]
+
+
+def test_elliptic_slab_radius_may_be_fractional(tmp_path, monkeypatch, capsys):
+    code, err, [args], _ = _rerun_stubbed(
+        tmp_path, monkeypatch, capsys,
+        {"subcommand": "strichartz", "params": {"mode": "elliptic", "Ns": [2.5, 8]}})
+    assert code == 0 and err == [] and args["Ns"] == [2.5, 8]
+
+
 @pytest.mark.parametrize("h", [0, -0.5, "0.5", float("inf")])
 @pytest.mark.parametrize("mode,config", [
     ("elliptic", {"Ns": [2, 4], "trials": 1, "window": [-10, 10, 64]}),
@@ -768,6 +801,11 @@ def test_rerun_fills_what_a_manifest_leaves_out(tmp_path, monkeypatch, capsys, s
     ("strichartz", {"mode": "kernel-split", "k_shift": 0.5}, "bad k_shift 0.5: need an integer"),
     ("strichartz", {"mode": "quadrilinear", "k_shift": 1},
      "unknown keys for mode quadrilinear: k_shift 1 (allowed: seed)"),
+    ("strichartz", {"mode": "box-scaling", "Ns": []}, "bad Ns []: need at least one N"),
+    ("strichartz", {"mode": "box-scaling", "Ns": [0, 4]}, "bad Ns [0, 4]: N must be >= 1; got 0"),
+    ("strichartz", {"mode": "hyperbolic", "Ns": [4, 8.5]},
+     "bad Ns [4, 8.5]: N must be a whole number; got 8.5"),
+    ("strichartz", {"mode": "elliptic", "Ns": [0.5, 8]}, "bad Ns [0.5, 8]: N must be >= 1; got 0.5"),
 ])
 def test_rerun_refuses_before_any_work(tmp_path, monkeypatch, capsys, sub, params, named):
     # each used to be a TypeError, a silent default or an ignored key

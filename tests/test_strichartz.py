@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -137,6 +138,50 @@ def test_slab_packet_values_are_the_full_array_formula(mode):
     assert got.tobytes() == vals.tobytes()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 31, 77])
+def test_gaussian_draws_are_bitwise_the_complex_sum(monkeypatch, seed):
+    # the real and imaginary parts written in place give, bit for bit and
+    # signed zeros included, the values of a + 1j b with a drawn first
+    slab = st.SlabSpec(xi0=(0.5, 1), a=(0.6, 0.8), c=0.7, M=3.0, N=9.0)
+    grid = st.grid_for_slab(slab, h=0.3)
+    mask = _full_grid_mask(slab, grid)
+    rng = np.random.default_rng(seed)
+    count = int(mask.sum())
+    vals = np.zeros(mask.shape, dtype=complex)
+    vals[mask] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    vals /= np.sqrt(grid.h) * np.linalg.norm(vals)
+    got = st.sample_slab_packet(slab, grid, "gaussian-random", seed).values
+    assert np.array_equal(got.view(np.int64), vals.view(np.int64))
+
+    # the hyperbolic quotient's draws on [-3, 3]^2, three trials from one rng
+    drawn = []
+    monkeypatch.setattr(st, "_weighted_quartic",
+                        lambda p, *a, **k: drawn.append(p.values) or st.EvolveResult(1.0, 1.0, 0.0, 1))
+    st.hyperbolic_l4_quotient(3, 3, seed, h=0.5)
+    rng = np.random.default_rng(seed)
+    for values in drawn:
+        ref = rng.standard_normal((7, 13)) + 1j * rng.standard_normal((7, 13))
+        ref /= np.sqrt(0.5) * np.linalg.norm(ref)
+        assert np.array_equal(values.view(np.int64), ref.view(np.int64))
+    assert len(drawn) == 3
+
+
+def test_slab_packet_draw_stays_under_3_5_mib():
+    # the N = 64, M = N slab at h = 0.125 (102 206 nodes, a 2.05 MiB
+    # packet): the draw peaked at 5.43 MiB with a + 1j b, and reads about
+    # 2.96 MiB with the parts written in place
+    slab = st.SlabSpec(xi0=(0.0, 0), a=(1.0, 0.0), c=3.125, M=64.0, N=64.0)
+    grid = st.grid_for_slab(slab, h=0.125)
+    tracemalloc.start()
+    try:
+        p = st.sample_slab_packet(slab, grid, "gaussian-random", 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.support_count() == 102206
+    assert peak <= 3.5 * 2**20
+
+
 def _single_node_packet(h=0.5, xi1_steps=3, xi2=2, extent=4.0):
     grid = st.FrequencyGrid(h=h, xi1_extent=extent, xi2_min=-4, xi2_max=4)
     vals = np.zeros((9, 2 * grid.imax + 1), dtype=complex)
@@ -224,9 +269,20 @@ def _reference_quartic(p, k, dispersion, t_window, x2_torus):
     """Oracle: the direct form of the evaluator, with a complex exp per
     (time node, frequency), FFT lengths P = 4 max|xi1 index| + 2 and
     Q = 4 max|xi2| + 2 about frequency 0, and the columns scattered into a
-    zeroed buffer."""
-    t0, t1, n_t = t_window
-    ts, sw = st._simpson_weights(t0, t1, n_t)
+    zeroed buffer.  ``t_window=None`` takes the periodic-exact rule's
+    q (2 spread + 1) nodes on one period 2 pi q, weighted by the closed
+    form of the periodized Fejer weight."""
+    if t_window is None:
+        q = st.lattice_q(p.grid.h)
+        n = round(q * (2 * st.lambda_spread(p, k, dispersion) + 1))
+        ts = 2 * np.pi * q * np.arange(n) / n
+        with np.errstate(invalid="ignore", divide="ignore"):
+            w_T = 2 * (np.sin(ts / 2) / (q * np.sin(ts / (2 * q)))) ** 2
+        w_T[0] = 2.0
+        weights = (2 * np.pi * q / n) * w_T
+    else:
+        ts, sw = st._simpson_weights(*t_window)
+        weights = sw * st.fejer_weight(ts)
     mu, colsq = st._lambda_rows_cols(p, k, dispersion)
     rows = np.flatnonzero(np.any(p.values != 0, axis=1))
     cols = np.flatnonzero(np.any(p.values != 0, axis=0))
@@ -239,12 +295,12 @@ def _reference_quartic(p, k, dispersion, t_window, x2_torus):
     dvol = p.grid.period / P * (2 * np.pi / Q if x2_torus else 1.0)
     yph = np.exp(1j * (2 * np.pi / Q) * np.arange(Q)[:, None] * xi2[None, :])
     total = 0.0
-    for t, w in zip(ts, sw):
+    for t, w in zip(ts, weights):
         W = (yph * np.exp(-1j * t * mu)) @ V * (p.grid.h * np.exp(-1j * t * colsq))
         buf = np.zeros((Q, P), dtype=complex)
         buf[:, np.mod(cidx, P)] = W
         u = P * np.fft.ifft(buf, axis=1)
-        total += w * st.fejer_weight(t) * dvol * np.sum(np.abs(u) ** 4)
+        total += w * dvol * np.sum(np.abs(u) ** 4)
     return total
 
 
@@ -274,6 +330,43 @@ def test_quartic_matches_direct_reference(name, dispersion, x2_torus):
         got = st._weighted_quartic(p, 3, dispersion, w, x2_torus).quartic
         ref = _reference_quartic(p, 3, dispersion, w, x2_torus)
         assert abs(got - ref) <= 1e-12 * ref
+
+
+def _rows_packet(rows, seed):
+    """Random values on the xi2 rows ``rows`` of a grid with xi2 in [-4, 4]
+    and xi1 in [-3, 3] at h = 0.5, on 9 of its 13 columns."""
+    grid = st.FrequencyGrid(h=0.5, xi1_extent=3.0, xi2_min=-4, xi2_max=4)
+    rng = np.random.default_rng(seed)
+    vals = np.zeros((9, 13), dtype=complex)
+    r = np.asarray(rows) + 4
+    vals[r, 2:11] = rng.standard_normal((len(r), 9)) + 1j * rng.standard_normal((len(r), 9))
+    return st.WavePacket(grid=grid, values=vals)
+
+
+@pytest.mark.parametrize("t_window", [(-20.0, 20.0, 256), None], ids=["windowed", "periodic-exact"])
+@pytest.mark.parametrize("dispersion", ["elliptic", "hyperbolic"])
+@pytest.mark.parametrize("rows", [(-3, 0, 2), (-4, 4), (1,)], ids=["gaps", "two-ends", "one-row"])
+def test_torus_fft_path_matches_reference(rows, dispersion, t_window):
+    # the row span's dead rows stay zero in the xi2 FFT; a single live row
+    # makes the torus FFT length Q = 1
+    p = _rows_packet(rows, 41)
+    got = st._weighted_quartic(p, 2, dispersion, t_window, x2_torus=True).quartic
+    ref = _reference_quartic(p, 2, dispersion, t_window, True)
+    assert abs(got - ref) <= 1e-12 * ref
+
+
+def test_hyperbolic_n64_evaluation_stays_under_6_mib():
+    # one N = 64 draw and torus evaluation: a 129 x 257 block, Q = 270 and
+    # P = 540, so each time chunk holds one node.  The traced peak reads
+    # about 3.7 MiB, and read 4.7 MiB with the x2 sum as a DFT-matrix product
+    tracemalloc.start()
+    try:
+        rep = st.hyperbolic_l4_quotient(64, 1, 9, t_window=(-60.0, 60.0, 64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.max_quotient > 0.0
+    assert peak <= 6 * 2**20
 
 
 def test_box_quartic_at_anti_alias_nt_matches_reference():
@@ -846,6 +939,41 @@ def test_quotients_refuse_bad_delta_and_large_n_before_any_work(monkeypatch, sca
     with pytest.raises(ValueError, match=message):
         scan()
     assert calls == []
+
+
+@pytest.mark.parametrize("scan,message", [
+    (lambda: st.box_scaling_probe([0, 4], h=0.5), "N must be >= 1; got 0"),
+    (lambda: st.box_scaling_probe([], h=0.5), "need at least one N"),
+    (lambda: st.box_scaling_probe([2.5, 4], h=0.5), "N must be a whole number; got 2.5"),
+    (lambda: st.box_scaling_probe([4, float("nan")], h=0.5), "N is capped at 64; got nan"),
+    (lambda: st.box_scaling_probe(4, h=0.5), "Ns must be a list of numbers; got 4"),
+    (lambda: st.hyperbolic_l4_quotient(0, 1, 0), "N must be >= 1; got 0"),
+    (lambda: st.hyperbolic_l4_quotient(2.5, 1, 0), "N must be a whole number; got 2.5"),
+    (lambda: st.hyperbolic_l4_quotient(True, 1, 0), "N must be a number; got True"),
+    (lambda: st.scan_hyperbolic_quotients([0, 4], 1, 0), "N must be >= 1; got 0"),
+    (lambda: st.scan_hyperbolic_quotients([-1, 4], 1, 0), "N must be >= 1; got -1"),
+    (lambda: st.scan_hyperbolic_quotients([4, 8.5], 1, 0), "N must be a whole number; got 8.5"),
+    (lambda: st.scan_strichartz_quotients([0, 8], 0.1, 1, 0), "N must be >= 1; got 0"),
+    (lambda: st.scan_strichartz_quotients([-math.inf, 8], 0.1, 1, 0), "N must be >= 1; got -inf"),
+    (lambda: st.scan_strichartz_quotients([8, math.inf], 0.1, 1, 0), "N is capped at 64; got inf"),
+    (lambda: st.scan_strichartz_quotients(["8", 16], 0.1, 1, 0), "N must be a number; got '8'"),
+])
+def test_quotients_refuse_an_n_they_cannot_run_before_any_work(monkeypatch, scan, message):
+    # N = 0 used to divide by zero in the box probe and fail on a NaN slope
+    # after every hyperbolic trial; N = 2.5 measured box_packet(2)
+    calls = []
+    monkeypatch.setattr(st, "_weighted_quartic", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        scan()
+    assert calls == []
+
+
+def test_whole_ns_may_be_floats_and_the_elliptic_radius_fractional():
+    assert st.check_ns([4.0, np.int64(8)], integral=True) == [4.0, np.int64(8)]
+    assert st.check_ns((2.5, 64.0)) == (2.5, 64.0)
+    a = st.hyperbolic_l4_quotient(4.0, 1, 3, t_window=(-10.0, 10.0, 64))
+    b = st.hyperbolic_l4_quotient(4, 1, 3, t_window=(-10.0, 10.0, 64))
+    assert a.rows == b.rows and a.rows[0]["N"] == 4
 
 
 def test_worst_warnings_keep_the_largest_value_per_flag():
