@@ -94,7 +94,7 @@ def zonal(n: int) -> Eigenfunction:
 
 def random_eigenfunction(m: int, rng) -> Eigenfunction:
     """i.i.d. complex standard Gaussian coefficients, normalized to unit L2."""
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     c = rng.standard_normal((m + 1, m + 1)) + 1j * rng.standard_normal((m + 1, m + 1))
     return Eigenfunction(m, c / np.linalg.norm(c))
 

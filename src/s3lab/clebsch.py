@@ -18,9 +18,8 @@ roundoff of the lowering, and a Gram defect above ``_ORTH_TOL`` before it
 raises ``CGConstructionError``.  Phase convention: the chain-top
 coefficient on the product-basis element with the largest alpha is real and
 strictly positive.  Under this convention every stored coefficient is real.
-The chain columns live in one preallocated array, and the supports come
-from per-table slot ranges, so a weight costs a fixed, small number of
-array operations.
+A table is one (weights, K, n+1) array indexed by beta slot, so a weight
+costs one slice write, and the gamma < 0 half is one reflected copy.
 
 The tables are checked against an independent oracle: the eigenprojectors
 of the Casimir operator Omega = H^2 + 2EF + 2FE under the tensor-product
@@ -76,18 +75,19 @@ class TensorVector:
 class CGTable:
     """All Clebsch-Gordan coefficients for one pair (m, n), m >= n.
 
-    Storage is per weight gamma: ``blocks[t]`` has shape (K, d_t) where
-    K = n + 1 rows follow ``kvals`` (k = m+n, m+n-2, ..., m-n) and the d_t
-    columns follow ``alphas[t]`` (ascending alpha with beta = gamma - alpha).
-    Rows with k < |gamma| are structural zeros.
+    One float array ``blocks`` of shape (len(gammas), K, n+1), K = n + 1:
+    ``blocks[t, kappa, j]`` is the coefficient of k = kvals[kappa] at weight
+    gamma = gammas[t] on beta = 2j - n, alpha = gamma - beta, so ``blocks[t]``
+    is weight t's (K, n+1) block.  Entries with k < |gamma| or |alpha| > m
+    are structural zeros.  Indexed by beta slot, the storage is at most
+    (m+n+1)/(m+1) <= 2 times the support, and gamma -> -gamma maps j to n - j.
     """
 
     m: int
     n: int
     gammas: np.ndarray          # m+n, m+n-2, ..., -(m+n)
     kvals: np.ndarray           # m+n, m+n-2, ..., m-n
-    alphas: list                # per gamma: ascending alpha values
-    blocks: list                # per gamma: (K, d_t) float array
+    blocks: np.ndarray          # (len(gammas), K, n+1), by beta slot
 
     # -- basic lookups ------------------------------------------------------
 
@@ -112,20 +112,20 @@ class CGTable:
             t = self.gamma_index(gamma)
         except KeyError:
             return 0.0
-        if abs(gamma) > k:
+        # gamma has the parity of m + n, so beta has that of n iff alpha has that of m
+        if abs(gamma) > k or abs(alpha) > self.m or abs(beta) > self.n or (beta - self.n) % 2:
             return 0.0
-        idx = np.searchsorted(self.alphas[t], alpha)
-        if idx >= len(self.alphas[t]) or self.alphas[t][idx] != alpha:
-            return 0.0
-        return float(self.blocks[t][kappa, idx])
+        return float(self.blocks[t, kappa, (beta + self.n) // 2])
 
     def chain_vector(self, k: int, gamma: int) -> tuple[np.ndarray, np.ndarray]:
-        """(alphas, coefficients) of u_{k,gamma} on the product basis."""
+        """(alphas, coefficients) of u_{k,gamma} on the product basis, alpha ascending."""
         kappa = self.k_index(k)
         if abs(gamma) > k:
             raise KeyError(f"(k={k}, gamma={gamma}) outside table range")
         t = self.gamma_index(gamma)
-        return self.alphas[t], self.blocks[t][kappa].copy()
+        # the support max(-m, gamma-n) <= alpha <= min(m, gamma+n)
+        alphas = np.arange(max(-self.m, gamma - self.n), min(self.m, gamma + self.n) + 1, 2)
+        return alphas, self.blocks[t, kappa, (gamma - alphas + self.n) // 2]
 
     def dimension_identity(self) -> bool:
         return int(np.sum(self.kvals + 1)) == (self.m + 1) * (self.n + 1)
@@ -135,15 +135,11 @@ class CGTable:
     def records(self):
         """Flat (m, n, k, gamma, alpha, beta, value) stream; k descending,
         gamma descending within k, alpha descending within gamma."""
-        for kappa, k in enumerate(self.kvals):
+        for k in self.kvals.tolist():
             for gamma in range(k, -k - 1, -2):
-                t = self.gamma_index(gamma)
-                alphas = self.alphas[t]
-                vals = self.blocks[t][kappa]
-                for idx in range(len(alphas) - 1, -1, -1):
-                    alpha = int(alphas[idx])
-                    yield (self.m, self.n, int(k), int(gamma), alpha,
-                           int(gamma - alpha), float(vals[idx]))
+                alphas, vals = self.chain_vector(k, gamma)
+                for alpha, v in zip(alphas[::-1].tolist(), vals[::-1].tolist()):
+                    yield (self.m, self.n, k, gamma, alpha, gamma - alpha, v)
 
     def to_json(self, path) -> None:
         rows = [
@@ -222,36 +218,32 @@ def cg_decompose(m: int, n: int) -> CGTable:
     ``_ORTH_TOL``.  The blocks at gamma < 0 follow from the reflection
     symmetry C^{k,-gamma}_{-alpha,-beta} = (-1)^((m+n-k)/2) C^{k,gamma}_{alpha,beta}
     (Varshalovich, Moskalev & Khersonskii 1988, sec. 8.4): the block at
-    -gamma is the block at gamma with its columns reversed and row kappa
-    multiplied by (-1)^kappa.
+    -gamma is the block at gamma with its beta slots reversed and row kappa
+    multiplied by (-1)^kappa, one copy for the whole half.
     """
     if not (m >= n >= 0):
         raise ValueError(f"need m >= n >= 0, got (m={m}, n={n})")
     kvals = np.arange(m + n, m - n - 1, -2)
     gammas = np.arange(m + n, -(m + n) - 1, -2)
-    K = len(kvals)
+    K, G = len(kvals), len(gammas)
     tops = _chain_tops(m, n)
 
-    slots_alpha = np.arange(-m, m + 1, 2)            # alpha on the full slot grid
-    cm_lower = _ladder_coeffs(m)[1]                  # c_-(m, alpha) per slot
+    cm_shift = _ladder_coeffs(m)[1][1:, None]        # c_-(m, alpha+2) per alpha slot
+    # c_-(n, beta) at beta slot j sits at m + j; at weight gammas[t] alpha slot
+    # i has beta slot m+n-t-i, so its column is ladder[m+n-t : 2m+n-t+1] reversed
+    ladder = np.pad(_ladder_coeffs(n)[1], m)
     half = (m + n) // 2 + 1                          # the weights gamma >= 0
-    beta = gammas[:half, None] - slots_alpha         # beta per (gamma, slot)
-    cn_lower = np.where((beta >= -n + 2) & (beta <= n),   # c_-(n, beta) per (gamma, slot)
-                        _ladder_coeffs(n)[1].take((beta + n) // 2, mode="clip"), 0.0)[:, :, None]
-    cm_shift = cm_lower[1:, None]                    # c_-(m, alpha+2) per slot alpha
-    # the support max(-m, gamma-n) <= alpha <= min(m, gamma+n) as slots lo:hi
-    lo = (np.maximum(gammas[:half] - n + m, 0) // 2).tolist()
-    hi = (np.minimum(gammas[:half] + n + m, 2 * m) // 2 + 1).tolist()
     upper = np.tri(K).T - 0.5 * np.eye(K)            # the mask of _gram_schmidt_step
 
-    alphas: list = []
-    blocks: list = []
+    blocks = np.zeros((G, K, n + 1))
     # Column c of ``chains`` is the chain of k = kvals[c] on the full
     # alpha-slot grid; the first min(t+1, K) are live at weight gammas[t],
     # and no chain ends at a weight gamma >= 0.
     chains = np.zeros((m + 1, K))
     for t, gamma in enumerate(gammas[:half].tolist()):
-        a, b = lo[t], hi[t]
+        # the support max(-m, gamma-n) <= alpha <= min(m, gamma+n) as alpha
+        # slots a:b, beta slots m+n-t-b+1 : m+n-t-a+1
+        a, b = max(m - t, 0), min(m + n - t, m) + 1
         live = min(t + 1, K)
         if t < K:
             # the chain of k = gamma starts here, on the support of its top
@@ -260,16 +252,12 @@ def cg_decompose(m: int, n: int) -> CGTable:
         U = _gram_schmidt_step(chains[:, :live], upper[:live, :live], m, n, gamma)
         if t < K and U[b - 1, -1] < 0:
             U[:, -1] = -U[:, -1]
-
-        block = np.zeros((K, b - a))
-        block[:live, :] = U[a:b, :].T
-        alphas.append(slots_alpha[a:b])
-        blocks.append(block)
+        blocks[t, :live, m + n - t - b + 1:m + n - t - a + 1] = U[a:b][::-1].T
 
         if t + 1 == half:
             break
         # lower every chain: V_gamma -> V_{gamma-2}
-        W = cn_lower[t] * U
+        W = ladder[m + n - t:2 * m + n - t + 1][::-1, None] * U
         W[:-1, :] += cm_shift * U[1:, :]
         norms = np.sqrt((W * W).sum(axis=0))         # np.linalg.norm(W, axis=0)
         if norms.min() < 1e-14:
@@ -278,13 +266,10 @@ def cg_decompose(m: int, n: int) -> CGTable:
             )
         np.divide(W, norms, out=chains[:, :live])
 
+    # blocks[G-1-t] from blocks[t]; the source t < G - half lies below half
     sign = (-1.0) ** np.arange(K)
-    for t in range(half, len(gammas)):
-        mirror = len(gammas) - 1 - t                 # gammas[mirror] = -gammas[t]
-        alphas.append(-alphas[mirror][::-1])
-        blocks.append(sign[:, None] * blocks[mirror][:, ::-1])
-
-    return CGTable(m=m, n=n, gammas=gammas, kvals=kvals, alphas=alphas, blocks=blocks)
+    np.multiply(blocks[:G - half][::-1, :, ::-1], sign[:, None], out=blocks[half:])
+    return CGTable(m=m, n=n, gammas=gammas, kvals=kvals, blocks=blocks)
 
 
 @lru_cache(maxsize=512)
@@ -297,33 +282,33 @@ def verify_orthogonality(table: CGTable) -> dict:
     """Defects of the two orthogonality identities.
 
     Weight conservation makes cross-gamma terms vanish exactly, so both
-    identities reduce to per-gamma Gram matrices: with B the (K, d) block at
-    gamma, the row identity is B^T B = I over product-basis pairs and the
-    column identity is B B^T = I over the k values with k >= |gamma|.  The
-    blocks are zero-padded to one (gammas, K, max d) stack, so both Gram
-    matrices of every gamma come from one batched product each, and a NaN
-    anywhere in the table is the reported defect.
+    identities reduce to per-gamma Gram matrices: with B the (K, n+1) block
+    at gamma, the row identity is B^T B = I over the product-basis pairs in
+    the support (0 on the beta slots outside it) and the column identity is
+    B B^T = I over the k values with k >= |gamma| (0 on the structural-zero
+    rows).  Both Gram matrices of every gamma come from one batched product
+    each over ``table.blocks``, and a NaN anywhere in the table is the
+    reported defect.
     """
-    widths = np.array([B.shape[1] for B in table.blocks])
-    dmax = int(widths.max())
-    P = np.zeros((len(widths), len(table.kvals), dmax))
-    for t, B in enumerate(table.blocks):
-        P[t, :, :widths[t]] = B
-    eye_row = np.eye(dmax) * (np.arange(dmax) < widths[:, None])[:, :, None]
+    P, K = table.blocks, len(table.kvals)
+    eye_row = np.eye(P.shape[2]) * _support(table)[:, :, None]
     row = np.abs(P.transpose(0, 2, 1) @ P - eye_row)
     valid = np.abs(table.gammas)[:, None] <= table.kvals[None, :]
-    Pv = np.where(valid[:, :, None], P, 0.0)
-    eye_col = np.eye(len(table.kvals)) * valid[:, :, None]
-    col = np.abs(Pv @ Pv.transpose(0, 2, 1) - eye_col)
+    col = np.abs(P @ P.transpose(0, 2, 1) - np.eye(K) * valid[:, :, None])
     return {"max_row_defect": float(np.max(row)), "max_col_defect": float(np.max(col))}
+
+
+def _support(table: CGTable) -> np.ndarray:
+    """(len(gammas), n+1) mask of the beta slots j with |gamma - (2j - n)| <= m."""
+    beta = 2 * np.arange(table.n + 1) - table.n
+    return np.abs(table.gammas[:, None] - beta) <= table.m
 
 
 def expand_in_product_basis(table: CGTable, k: int, gamma: int) -> TensorVector:
     """u_{k,gamma} as a dense coefficient matrix on the product basis."""
     alphas, coeffs = table.chain_vector(k, gamma)
     entries = np.zeros((table.m + 1, table.n + 1))
-    for alpha, c in zip(alphas, coeffs):
-        entries[(alpha + table.m) // 2, (gamma - alpha + table.n) // 2] = c
+    entries[(alphas + table.m) // 2, (gamma - alphas + table.n) // 2] = coeffs
     return TensorVector(m=table.m, n=table.n, entries=entries)
 
 
@@ -493,20 +478,19 @@ def _degree_block_builder(table: CGTable):
     (m+1)(n+1) x (k+1) degree-k columns of ``change_of_basis``: u_{k,gamma}
     for gamma ascending, rows in the Kronecker ordering.  The row and column
     of every stored coefficient come from one index computation over the
-    concatenated blocks, made here once; each call builds one fresh U_k."""
+    support, made here once; each call builds one fresh U_k."""
     m, n, kvals = table.m, table.n, table.kvals
-    gamma = np.repeat(table.gammas, [len(sup) for sup in table.alphas])
-    alpha = np.concatenate(table.alphas)
-    rows = (alpha + m) // 2 * (n + 1) + (gamma - alpha + n) // 2
+    t, j = np.nonzero(_support(table))
+    gamma = table.gammas[t]
+    rows = (gamma - 2 * j + n + m) // 2 * (n + 1) + j    # alpha = gamma - (2j - n)
     cols = (gamma + kvals[:, None]) // 2             # the column within U_k
     live = np.abs(gamma) <= kvals[:, None]           # not a structural zero
-    values = np.concatenate(table.blocks, axis=1)
     dim = (m + 1) * (n + 1)
 
     def block(kappa):
         Uk = np.zeros((dim, int(kvals[kappa]) + 1))
         sel = live[kappa]
-        Uk[rows[sel], cols[kappa, sel]] = values[kappa, sel]
+        Uk[rows[sel], cols[kappa, sel]] = table.blocks[t[sel], kappa, j[sel]]
         return Uk
     return block
 

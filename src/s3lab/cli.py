@@ -31,7 +31,7 @@ import numpy as np
 
 from . import bilinear, gates, lattice, strichartz
 from .clebsch import CGConstructionError, cg_decompose, cg_table, verify_orthogonality
-from .fitting import check_count, check_fit_xs
+from .fitting import check_count, check_fit_xs, check_ns
 from .reporting import build_manifest, default_out_dir, write_run_outputs
 
 
@@ -221,12 +221,16 @@ def _lemma53_gate(summary):
             ("largest normalized ratio", worst, gates.SETB_BOUND)]
 
 
+def _lattice_ns(Ns):  # the counts and measures take whole N >= 1, with no cap
+    return check_ns(check_fit_xs(Ns), integral=True)
+
+
 def _lemma52(variant: str) -> _Entry:
     return _Entry({"seed": 11, "Ns": (64, 128, 256, 512), "per_n": 500},
                   ["lemma", "N", "k", "C", "value", "normalized_ratio"],
                   _scan("scan_lemma52", lambda s: [("fitted exponent", s["fitted_exponent"],
                                                     gates.EXPONENT_BOUND)], variant=variant),
-                  {"per_n": partial(check_count, "per_n"), "Ns": check_fit_xs})
+                  {"per_n": partial(check_count, "per_n"), "Ns": _lattice_ns})
 
 
 _LEMMAS = {
@@ -240,7 +244,7 @@ _LEMMAS = {
     "5.3": _Entry({"seed": 11, "Ns": (64, 128, 256, 512, 1024), "delta": 0.1, "per_config": 3},
                   ["lemma", "case", "N", "M", "l", "k", "C", "value", "normalized_ratio"],
                   _scan("scan_lemma53", _lemma53_gate),
-                  {"per_config": partial(check_count, "per_config"), "Ns": check_fit_xs}),
+                  {"per_config": partial(check_count, "per_config"), "Ns": _lattice_ns}),
 }
 
 
@@ -359,7 +363,7 @@ _MODES = {
     "kernel-split": _Entry({"seed": 3, "k_shift": 0},
                            ["gamma_total", "K1_part", "K2_part", "tuples", "cover_ok"],
                            _kernel_split, {"k_shift": _integer}),
-    "box-scaling": _Entry({"seed": 3, "Ns": (4, 8, 16, 32), "h": 0.25},
+    "box-scaling": _Entry({"Ns": (4, 8, 16, 32), "h": 0.25},
                           ["N", "n_t", "norm", "ratio"],
                           _box_scaling, {"Ns": _whole_ns, "h": _lattice_h}),
 }

@@ -19,6 +19,31 @@ def check_fit_xs(x):
     return x
 
 
+def check_ns(Ns, integral: bool = False, cap=None):
+    """Return Ns; ValueError when it holds no N, or naming the first N that
+    is not a real number, lies above ``cap`` unless it is None (a NaN or an
+    infinity included) or below 1, or, with ``integral``, is not a whole
+    number (the hyperbolic quotients and the box probe take int(N)).
+    ``strichartz.check_ns`` is this check with its cap; the CLI's lattice
+    scans take whole N with no cap."""
+    try:
+        given = list(Ns)
+    except TypeError:
+        raise ValueError(f"Ns must be a list of numbers; got {Ns!r}") from None
+    if not given:
+        raise ValueError("need at least one N")
+    for N in given:
+        if isinstance(N, bool) or not isinstance(N, numbers.Real):
+            raise ValueError(f"N must be a number; got {N!r}")
+        if cap is not None and not N <= cap:
+            raise ValueError(f"N is capped at {cap}; got {N}")
+        if not N >= 1:
+            raise ValueError(f"N must be >= 1; got {N}")
+        if integral and not float(N).is_integer():
+            raise ValueError(f"N must be a whole number; got {N}")
+    return Ns
+
+
 def check_count(name: str, count):
     """Return a scan's sample count as an int; ValueError when it is not a
     real number (a string, None or a list), is a bool, is not integral

@@ -57,11 +57,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.fft as sfft
 from scipy.special import sici
 
+from . import fitting
 from .fitting import check_count, check_fit_xs, fit_slope
 
 FEJER_TOTAL = 4.0 * np.pi  # integral of the weight over R
@@ -252,7 +254,7 @@ def sample_slab_packet(slab: SlabSpec, grid: FrequencyGrid, mode: str, seed=None
     if mode == "indicator":
         vals[mask] = 1.0
     elif mode == "gaussian-random":
-        rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+        rng = np.random.default_rng(seed)
         # the real parts are drawn first, as in a + 1j b, and written in place:
         # no complex temporary of the drawn nodes
         vals.real[mask] = rng.standard_normal(count)
@@ -814,28 +816,8 @@ def check_delta(delta):
 _N_MAX = 64
 
 
-def check_ns(Ns, integral: bool = False):
-    """Return Ns; ValueError when it holds no N, or naming the first N that
-    is not a real number, lies above ``_N_MAX`` (a NaN or an infinity
-    included) or below 1, or, with ``integral``, is not a whole number (the
-    hyperbolic quotients and the box probe take int(N)).  Every quotient,
-    scan and the box probe call it before any work."""
-    try:
-        given = list(Ns)
-    except TypeError:
-        raise ValueError(f"Ns must be a list of numbers; got {Ns!r}") from None
-    if not given:
-        raise ValueError("need at least one N")
-    for N in given:
-        if isinstance(N, bool) or not isinstance(N, numbers.Real):
-            raise ValueError(f"N must be a number; got {N!r}")
-        if not N <= _N_MAX:
-            raise ValueError(f"N is capped at {_N_MAX}; got {N}")
-        if not N >= 1:
-            raise ValueError(f"N must be >= 1; got {N}")
-        if integral and not float(N).is_integer():
-            raise ValueError(f"N must be a whole number; got {N}")
-    return Ns
+# the check every quotient, scan and the box probe make on their N first
+check_ns = partial(fitting.check_ns, cap=_N_MAX)
 
 
 def strichartz_quotient(

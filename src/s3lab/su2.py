@@ -90,13 +90,13 @@ def haar_sample(seed) -> GroupElement:
 
     ``seed`` may be an integer seed or a ``numpy.random.Generator``.
     """
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     x = rng.standard_normal(4)
     return GroupElement(complex(x[0], x[1]), complex(x[2], x[3]))
 
 
 def haar_samples(count: int, seed) -> list[GroupElement]:
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     x = rng.standard_normal((count, 4))
     return [GroupElement(complex(r[0], r[1]), complex(r[2], r[3])) for r in x]
 

@@ -57,6 +57,51 @@ def test_weight_conservation_and_triangle_lookups():
     assert t.coefficient(4, 2, 2, -2) == 0.0  # alpha + beta != gamma
     assert t.coefficient(8, 0, 2, -2) == 0.0  # k outside the triangle range
     assert t.coefficient(2, 4, 4, 0) == 0.0  # gamma beyond k
+    assert t.coefficient(4, 2, 1, 1) == 0.0  # alpha and beta of the wrong parity
+    assert t.coefficient(6, 4, 6, -2) == 0.0  # |alpha| > m
+    assert t.coefficient(6, 2, -2, 4) == 0.0  # |beta| > n
+    assert t.coefficient(6, -6, -4, -2) == pytest.approx(1.0)  # the corner, on the support
+
+
+@pytest.mark.parametrize("mn", [(4, 2), (7, 4), (9, 0), (5, 5)])
+def test_table_is_one_array_by_beta_slot(mn):
+    m, n = mn
+    t = cg_decompose(m, n)
+    assert not hasattr(t, "alphas")
+    assert isinstance(t.blocks, np.ndarray) and t.blocks.shape == (m + n + 1, n + 1, n + 1)
+    for tt, gamma in enumerate(t.gammas.tolist()):
+        for kappa, k in enumerate(t.kvals.tolist()):
+            for j in range(n + 1):
+                alpha, beta = gamma - (2 * j - n), 2 * j - n
+                want = t.coefficient(k, gamma, alpha, beta)
+                assert t.blocks[tt, kappa, j] == want
+                if abs(gamma) > k or abs(alpha) > m:
+                    assert want == 0.0
+
+
+@pytest.mark.parametrize("mn", [(12, 6), (9, 4), (3, 0), (8, 8)])
+def test_reflected_half_is_exact_on_the_array(mn):
+    # blocks[G-1-t, kappa, n-j] == (-1)^kappa blocks[t, kappa, j]; at m + n
+    # even the middle weight gamma = 0 is lowered, not reflected
+    m, n = mn
+    B = cg_decompose(m, n).blocks
+    G = len(B)
+    sign = (-1.0) ** np.arange(n + 1)[:, None]
+    for t in range(G):
+        if t != G - 1 - t:
+            np.testing.assert_array_equal(B[G - 1 - t][:, ::-1], sign * B[t])
+
+
+def test_cg_decompose_peak_stays_small():
+    # one (m+n+1, n+1, n+1) table plus per-weight columns: 64 KB at
+    # (2000, 1); a (weights x alpha slots) grid is 16 MB at this size
+    tracemalloc.start()
+    try:
+        cg_decompose(2000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_invalid_order_rejected():
@@ -215,10 +260,9 @@ def test_block_diagonalization_with_trivial_factor(m):
 
 def test_block_diagonalization_propagates_nan():
     t = cg_decompose(4, 2)
-    blocks = [b.copy() for b in t.blocks]
-    blocks[3][0, 0] = np.nan
-    bad = clebsch.CGTable(m=t.m, n=t.n, gammas=t.gammas, kvals=t.kvals,
-                          alphas=t.alphas, blocks=blocks)
+    blocks = t.blocks.copy()
+    blocks[3, 0, 2] = np.nan  # k = 6, gamma = 0, beta = 2, alpha = -2: on the support
+    bad = clebsch.CGTable(m=t.m, n=t.n, gammas=t.gammas, kvals=t.kvals, blocks=blocks)
     assert np.isnan(block_diagonalization_defect(bad, [haar_sample(0), haar_sample(1)]))
 
 

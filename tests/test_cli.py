@@ -566,6 +566,13 @@ def test_strichartz_refuses_an_n_its_mode_cannot_run(tmp_path, monkeypatch, caps
     assert err.strip().splitlines() == [named]
 
 
+def test_lattice_scan_ns_have_no_cap(tmp_path, monkeypatch, capsys):
+    code, err, [args], _ = _rerun_stubbed(
+        tmp_path, monkeypatch, capsys,
+        {"subcommand": "lattice-scan", "params": {"lemma": "5.3", "Ns": [64, 4096.0]}})
+    assert code == 0 and err == [] and args["Ns"] == [64, 4096.0]
+
+
 def test_elliptic_slab_radius_may_be_fractional(tmp_path, monkeypatch, capsys):
     code, err, [args], _ = _rerun_stubbed(
         tmp_path, monkeypatch, capsys,
@@ -806,6 +813,15 @@ def test_rerun_fills_what_a_manifest_leaves_out(tmp_path, monkeypatch, capsys, s
     ("strichartz", {"mode": "hyperbolic", "Ns": [4, 8.5]},
      "bad Ns [4, 8.5]: N must be a whole number; got 8.5"),
     ("strichartz", {"mode": "elliptic", "Ns": [0.5, 8]}, "bad Ns [0.5, 8]: N must be >= 1; got 0.5"),
+    # '64' and 0 used to die with a TypeError or a ValueError traceback, and
+    # 64.5 and true ran to the gate
+    ("lattice-scan", {"lemma": "5.2a", "Ns": ["64", 128]},
+     "bad Ns ['64', 128]: N must be a number; got '64'"),
+    ("lattice-scan", {"lemma": "5.2b", "Ns": [0, 64]}, "bad Ns [0, 64]: N must be >= 1; got 0"),
+    ("lattice-scan", {"lemma": "5.3", "Ns": [64.5, 128]},
+     "bad Ns [64.5, 128]: N must be a whole number; got 64.5"),
+    ("lattice-scan", {"lemma": "5.3", "Ns": [True, 128]},
+     "bad Ns [True, 128]: N must be a number; got True"),
 ])
 def test_rerun_refuses_before_any_work(tmp_path, monkeypatch, capsys, sub, params, named):
     # each used to be a TypeError, a silent default or an ignored key
@@ -822,6 +838,11 @@ def test_rerun_refuses_before_any_work(tmp_path, monkeypatch, capsys, sub, param
     (["strichartz", "--mode", "elliptic"], [1, 2], "got [1, 2]"),
     (["strichartz", "--mode", "elliptic"], {"mode": "box-scaling"},
      "without a mode key; got {'mode': 'box-scaling'}"),
+    # the box probe draws nothing
+    (["strichartz", "--mode", "box-scaling", "--seed", "3"], None,
+     "unknown keys for mode box-scaling: seed 3 (allowed: Ns, h)"),
+    (["lattice-scan", "--lemma", "5.2a", "--N", "0", "--N", "64"], None,
+     "bad Ns [0, 64]: N must be >= 1; got 0"),
 ])
 def test_main_refuses_before_any_work(tmp_path, monkeypatch, capsys, argv, config, named):
     # an option the lemma ignores, or a config that is not an object or
