@@ -269,12 +269,16 @@ def cg_decompose(m: int, n: int) -> CGTable:
     # blocks[G-1-t] from blocks[t]; the source t < G - half lies below half
     sign = (-1.0) ** np.arange(K)
     np.multiply(blocks[:G - half][::-1, :, ::-1], sign[:, None], out=blocks[half:])
+    # cg_table hands one table to every caller: a write into it raises
+    for arr in (gammas, kvals, blocks):
+        arr.flags.writeable = False
     return CGTable(m=m, n=n, gammas=gammas, kvals=kvals, blocks=blocks)
 
 
 @lru_cache(maxsize=512)
 def cg_table(m: int, n: int) -> CGTable:
-    """Cached table constructor; scans share tables read-only."""
+    """Cached table constructor; every caller shares one table, whose
+    arrays ``cg_decompose`` made read-only."""
     return cg_decompose(m, n)
 
 

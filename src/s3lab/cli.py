@@ -9,7 +9,10 @@ Every subcommand is a table of ``_Entry`` rows: ``cg-table`` and
 ``bilinear-verify`` one row each, ``lattice-scan`` one per lemma and
 ``strichartz`` one per mode.  A row holds the keys its run reads with their
 defaults, the checks made before any work, the CSV header and the runner;
-``_run`` checks the seed of every row that reads one.
+``_run`` checks the seed of every row that reads one.  Every lemma and the
+``elliptic``, ``slab``, ``hyperbolic`` and ``box-scaling`` modes run a
+library scan through ``_scan``: the scan's (rows, summary) are the CSV rows
+and the summary as they are, so a new row or summary key needs no code here.
 The parser sets no default.  ``main`` and ``rerun`` share one resolver,
 ``_run``, so a command line, a config and a manifest are read the same way;
 the manifest records the resolved keys.  Every exit code comes from
@@ -31,7 +34,7 @@ import numpy as np
 
 from . import bilinear, gates, lattice, strichartz
 from .clebsch import CGConstructionError, cg_decompose, cg_table, verify_orthogonality
-from .fitting import check_count, check_fit_xs, check_ns
+from .fitting import check_count, check_delta, check_fit_xs
 from .reporting import build_manifest, default_out_dir, write_run_outputs
 
 
@@ -205,11 +208,13 @@ def _bilinear_verify(a):
     return _Result(rows, summary, checks, f"  (C* = {c_star:.6g}, slope = {slope:.4f})")
 
 
-def _scan(name: str, gate: Callable, **fixed) -> Callable:
-    """The runner of one lattice lemma: lattice.<name>, looked up when the
-    row runs, called with the row's keys and fixed, then gate(summary)."""
+def _scan(module, name: str, gate: Callable, **fixed) -> Callable:
+    """The runner of one library scan: module.<name>, looked up when the row
+    runs, called with the row's keys and fixed, then gate(summary).  The
+    row's key ``window`` is the library's ``t_window``."""
     def run(args):
-        rows, summary = getattr(lattice, name)(**args, **fixed)
+        kwargs = {"t_window" if key == "window" else key: value for key, value in args.items()}
+        rows, summary = getattr(module, name)(**kwargs, **fixed)
         return rows, summary, gate(summary)
     return run
 
@@ -221,30 +226,28 @@ def _lemma53_gate(summary):
             ("largest normalized ratio", worst, gates.SETB_BOUND)]
 
 
-def _lattice_ns(Ns):  # the counts and measures take whole N >= 1, with no cap
-    return check_ns(check_fit_xs(Ns), integral=True)
-
-
 def _lemma52(variant: str) -> _Entry:
     return _Entry({"seed": 11, "Ns": (64, 128, 256, 512), "per_n": 500},
                   ["lemma", "N", "k", "C", "value", "normalized_ratio"],
-                  _scan("scan_lemma52", lambda s: [("fitted exponent", s["fitted_exponent"],
-                                                    gates.EXPONENT_BOUND)], variant=variant),
-                  {"per_n": partial(check_count, "per_n"), "Ns": _lattice_ns})
+                  _scan(lattice, "scan_lemma52",
+                        lambda s: [("fitted exponent", s["fitted_exponent"], gates.EXPONENT_BOUND)],
+                        variant=variant),
+                  {"per_n": partial(check_count, "per_n"), "Ns": lattice.check_ns})
 
 
 _LEMMAS = {
     "5.1": _Entry({"seed": 11, "n_queries": 10000},
                   ["lemma", "C", "K", "xi2_center", "value", "normalized_ratio"],
-                  _scan("scan_lemma51",
+                  _scan(lattice, "scan_lemma51",
                         lambda s: [("measure/K ratio", s["max_ratio"], gates.ANNULUS_BOUND)]),
                   {"n_queries": partial(check_count, "n_queries")}),
     "5.2a": _lemma52("quadric"),
     "5.2b": _lemma52("hyperbola"),
     "5.3": _Entry({"seed": 11, "Ns": (64, 128, 256, 512, 1024), "delta": 0.1, "per_config": 3},
                   ["lemma", "case", "N", "M", "l", "k", "C", "value", "normalized_ratio"],
-                  _scan("scan_lemma53", _lemma53_gate),
-                  {"per_config": partial(check_count, "per_config"), "Ns": _lattice_ns}),
+                  _scan(lattice, "scan_lemma53", _lemma53_gate),
+                  {"per_config": partial(check_count, "per_config"), "Ns": lattice.check_ns,
+                   "delta": check_delta}),
 }
 
 
@@ -286,26 +289,6 @@ def _fitted_slope(summary):
     return [("fitted slope", summary["fitted_slope"], gates.SLOPE_BOUND)]
 
 
-def _elliptic(a):
-    rows, summary = strichartz.scan_strichartz_quotients(
-        a["Ns"], a["delta"], a["trials"], a["seed"], h=a["h"], t_window=a["window"])
-    return rows, summary, _fitted_slope(summary)
-
-
-def _slab(a):
-    rep = strichartz.strichartz_quotient(a["slab"], a["delta"], a["trials"], a["seed"],
-                                         h=a["h"], t_window=a["window"])
-    summary = {"max_quotient": rep.max_quotient, "argmax": rep.argmax,
-               "flags": list(rep.warnings)}
-    return [dict(r) for r in rep.rows], summary, []
-
-
-def _hyperbolic(a):
-    rows, summary = strichartz.scan_hyperbolic_quotients(
-        a["Ns"], a["trials"], a["seed"], h=a["h"], t_window=a["window"])
-    return rows, summary, _fitted_slope(summary)
-
-
 def _quadrilinear(a):
     pkt = strichartz.sparse_packet(a["seed"], 24, 6.0, 0.5)
     freq = strichartz.quadrilinear_form_frequency(pkt, 0)
@@ -331,11 +314,6 @@ def _kernel_split(a):
                             rep.gamma_total - (rep.K1_part + rep.K2_part), gates.GAMMA_MASS_TOL)]
 
 
-def _box_scaling(a):
-    rows, summary = strichartz.box_scaling_probe(a["Ns"], h=a["h"])
-    return rows, summary, [("spread factor", summary["spread_factor"], gates.BOX_SPREAD_BOUND)]
-
-
 _TRIALS = partial(check_count, "trials")
 # the hyperbolic scan and the box probe build their grids from int(N)
 _whole_ns = partial(strichartz.check_ns, integral=True)
@@ -346,16 +324,18 @@ _SCAN_CHECKS = {"Ns": lambda Ns: strichartz.check_ns(check_fit_xs(Ns)), "trials"
 _MODES = {
     "elliptic": _Entry({"seed": 3, "Ns": (8, 16, 32, 64), "delta": 0.1, "trials": 6, "h": 0.125,
                         "window": (-60.0, 60.0, 8192)},
-                       ["N", "M_kind", "M", "trial", "a2", "quotient"], _elliptic,
-                       {**_SCAN_CHECKS, "delta": strichartz.check_delta}),
+                       ["N", "M_kind", "M", "trial", "a2", "quotient"],
+                       _scan(strichartz, "scan_strichartz_quotients", _fitted_slope),
+                       {**_SCAN_CHECKS, "delta": check_delta}),
     "slab": _Entry({"seed": 3, "slab": None, "delta": 0.1, "trials": 8, "h": 0.125,
                     "window": (-60.0, 60.0, 8192)},
-                   ["trial", "quotient"], _slab,
-                   {"slab": _slab_spec, "delta": strichartz.check_delta, "trials": _TRIALS,
+                   ["trial", "quotient"], _scan(strichartz, "strichartz_quotient", lambda s: []),
+                   {"slab": _slab_spec, "delta": check_delta, "trials": _TRIALS,
                     "h": _grid_step, "window": strichartz.check_window}),
     "hyperbolic": _Entry({"seed": 3, "Ns": (4, 8, 16, 32, 64), "trials": 3, "h": 0.5,
                           "window": (-60.0, 60.0, 4096)},
-                         ["trial", "N", "quotient"], _hyperbolic,
+                         ["trial", "N", "quotient"],
+                         _scan(strichartz, "scan_hyperbolic_quotients", _fitted_slope),
                          {**_SCAN_CHECKS, "Ns": lambda Ns: _whole_ns(check_fit_xs(Ns))}),
     "quadrilinear": _Entry({"seed": 3},
                            ["trial", "frequency_side", "time_side", "relative_mismatch"],
@@ -365,7 +345,10 @@ _MODES = {
                            _kernel_split, {"k_shift": _integer}),
     "box-scaling": _Entry({"Ns": (4, 8, 16, 32), "h": 0.25},
                           ["N", "n_t", "norm", "ratio"],
-                          _box_scaling, {"Ns": _whole_ns, "h": _lattice_h}),
+                          _scan(strichartz, "box_scaling_probe",
+                                lambda s: [("spread factor", s["spread_factor"],
+                                            gates.BOX_SPREAD_BOUND)]),
+                          {"Ns": _whole_ns, "h": _lattice_h}),
 }
 
 

@@ -1,7 +1,8 @@
 """The one least-squares slope fit behind every scan's trend statistic: the
 bilinear no-growth fit, the lattice growth exponents and the Strichartz
-quotient slopes; and the checks a scan makes on its input before any work,
-so that no gate is fitted to fewer than two points or passes on no samples."""
+quotient slopes; the one rule for a scan's largest value and its index; and
+the checks a scan makes on its input before any work, so that no gate is
+fitted to fewer than two points or passes on no samples."""
 
 from __future__ import annotations
 
@@ -24,8 +25,8 @@ def check_ns(Ns, integral: bool = False, cap=None):
     is not a real number, lies above ``cap`` unless it is None (a NaN or an
     infinity included) or below 1, or, with ``integral``, is not a whole
     number (the hyperbolic quotients and the box probe take int(N)).
-    ``strichartz.check_ns`` is this check with its cap; the CLI's lattice
-    scans take whole N with no cap."""
+    ``strichartz.check_ns`` is this check with its cap; ``lattice.check_ns``
+    takes whole N with no cap."""
     try:
         given = list(Ns)
     except TypeError:
@@ -57,6 +58,25 @@ def check_count(name: str, count):
     if not count >= 1:
         raise ValueError(f"{name} must be >= 1; got {count}")
     return int(count)
+
+
+def check_delta(delta):
+    """Return delta; ValueError unless it is a real number, not a bool, with
+    0 < delta < 1/8: the range of the exponent in the elliptic quotient's
+    (M/N)^delta factor and in lemma 5.3's cap M^(1-4 delta) N^(4 delta)."""
+    if isinstance(delta, bool) or not isinstance(delta, numbers.Real):
+        raise ValueError(f"delta must be a number; got {delta!r}")
+    if not 0.0 < delta < 0.125:
+        raise ValueError(f"delta must lie in (0, 1/8); got {delta}")
+    return delta
+
+
+def largest(values) -> tuple:
+    """(the largest of values, its index); (0.0, None) when none is
+    positive.  np.argmax takes the first NaN, and "not <=" reports it, so a
+    NaN is the largest and a gate on it fails closed."""
+    i = int(np.argmax(values))
+    return (float(values[i]), i) if not values[i] <= 0.0 else (0.0, None)
 
 
 def fit_slope(x: np.ndarray, y: np.ndarray) -> float:

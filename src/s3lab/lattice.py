@@ -20,7 +20,8 @@ is the one-element call of its kernel:
 The scans draw their samples from one seeded generator: lemma 5.1 draws
 each parameter as one array, lemmas 5.2 and 5.3 one query at a time, and
 every scan measures its samples in one kernel call, or one per N.  A
-sample count below 1 is refused before any work.
+sample count below 1, an N list that ``check_ns`` refuses and a delta
+outside (0, 1/8) are refused before any work.
 
 The "up to a constant" cutoffs in the set definitions are instantiated as
 1 (only the resonant-set measures expose theirs, as slack), and
@@ -35,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import check_count, check_fit_xs, fit_slope
+from . import fitting
+from .fitting import check_count, check_delta, check_fit_xs, fit_slope, largest
 
 # most entries in any temporary array of a kernel (128 KiB of float64); on
 # lattice-cli, 2^16 measured 5% more peak RSS and no less time
@@ -313,6 +315,14 @@ def setB_measure_monte_carlo(q: SetBQuery, slack: float, n_samples: int, seed) -
 
 # -- scans --------------------------------------------------------------------
 
+def check_ns(Ns):
+    """Return Ns; ValueError unless it holds two or more distinct N, each a
+    whole number >= 1: the counters and measures take int(N), with no cap.
+    The scans of lemmas 5.2 and 5.3 and their command-line rows check their
+    N with it before any work."""
+    return fitting.check_ns(check_fit_xs(Ns), integral=True)
+
+
 def scan_lemma51(n_queries: int, seed) -> tuple[list, dict]:
     """Worst-case ratio measure / K over random annulus queries.
 
@@ -331,11 +341,8 @@ def scan_lemma51(n_queries: int, seed) -> tuple[list, dict]:
              "value": val, "normalized_ratio": ratio}
             for C, K, xi2c, val, ratio in zip(Cs.tolist(), Ks.tolist(), xi2cs.tolist(),
                                               values.tolist(), ratios.tolist())]
-    # np.argmax takes the first NaN, and "not <=" reports it
-    i = int(np.argmax(ratios))
-    worst = (float(ratios[i]), i) if not ratios[i] <= 0.0 else (0.0, None)
-    summary = {"lemma": "5.1", "queries": n_queries,
-               "max_ratio": worst[0], "argmax_index": worst[1]}
+    worst, index = largest(ratios)
+    summary = {"lemma": "5.1", "queries": n_queries, "max_ratio": worst, "argmax_index": index}
     return rows, summary
 
 
@@ -377,7 +384,7 @@ def scan_lemma52(Ns: list, per_n: int, seed, variant: str = "quadric") -> tuple[
     if variant not in ("quadric", "hyperbola"):
         raise ValueError("variant must be 'quadric' or 'hyperbola'")
     per_n = check_count("per_n", per_n)
-    check_fit_xs(Ns)
+    check_ns(Ns)
     counter = count_quadric_batch if variant == "quadric" else count_hyperbola_batch
     rng = np.random.default_rng(seed)
     rows = []
@@ -428,7 +435,8 @@ def scan_lemma53(Ns: list, delta: float, per_config: int, seed) -> tuple[list, d
     to sqrt(N), c: beyond) are reported alongside.
     """
     per_config = check_count("per_config", per_config)
-    check_fit_xs(Ns)
+    check_ns(Ns)
+    check_delta(delta)
     rng = np.random.default_rng(seed)
     rows = []
     per_n_ratios = {N: [] for N in Ns}

@@ -1,7 +1,9 @@
 """Discretized linear Schrodinger evolution on R x T for slab-supported
 spectral data: weighted L4 space-time norms via FFT, the exact
 frequency-side quadrilinear form, kernel-decomposition diagnostics, the
-hyperbolic variant, and sharpness probes.
+hyperbolic variant, and sharpness probes.  Every quotient, scan and probe
+returns one shape, (rows, summary): the rows are the CSV rows of its trials
+or N, the summary a dict of the values its gates read.
 
 Discretization conventions
 --------------------------
@@ -55,7 +57,6 @@ O(N^2 log N) for data on [-N, N]^2.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -64,7 +65,7 @@ import scipy.fft as sfft
 from scipy.special import sici
 
 from . import fitting
-from .fitting import check_count, check_fit_xs, fit_slope
+from .fitting import check_count, check_delta, check_fit_xs, fit_slope, largest
 
 FEJER_TOTAL = 4.0 * np.pi  # integral of the weight over R
 
@@ -238,6 +239,25 @@ def slab_mask(slab: SlabSpec, grid: FrequencyGrid) -> np.ndarray:
     return mask
 
 
+def _unit_packet(grid: FrequencyGrid, vals: np.ndarray) -> WavePacket:
+    """The packet of vals, a complex array of the grid's shape, divided in
+    place by its L2 norm sqrt(h) ||vals||."""
+    vals /= np.sqrt(grid.h) * np.linalg.norm(vals)
+    return WavePacket(grid=grid, values=vals)
+
+
+def _gaussian_packet(grid: FrequencyGrid, nodes, count: int, rng) -> WavePacket:
+    """Unit-norm packet with i.i.d. complex standard Gaussian values at
+    ``nodes``, a bool mask of the grid's shape or an index tuple, count
+    nodes either way, and zero elsewhere.  The real parts are drawn first,
+    as in a + 1j b, and both are written in place: no complex temporary of
+    the drawn nodes."""
+    vals = np.zeros((grid.xi2_max - grid.xi2_min + 1, 2 * grid.imax + 1), dtype=complex)
+    vals.real[nodes] = rng.standard_normal(count)
+    vals.imag[nodes] = rng.standard_normal(count)
+    return _unit_packet(grid, vals)
+
+
 def sample_slab_packet(slab: SlabSpec, grid: FrequencyGrid, mode: str, seed=None) -> WavePacket:
     """Unit-norm packet supported on the slab's grid nodes.
 
@@ -250,19 +270,11 @@ def sample_slab_packet(slab: SlabSpec, grid: FrequencyGrid, mode: str, seed=None
     count = int(mask.sum())
     if count == 0:
         raise ValueError("slab contains no grid nodes")
-    vals = np.zeros(mask.shape, dtype=complex)
     if mode == "indicator":
-        vals[mask] = 1.0
-    elif mode == "gaussian-random":
-        rng = np.random.default_rng(seed)
-        # the real parts are drawn first, as in a + 1j b, and written in place:
-        # no complex temporary of the drawn nodes
-        vals.real[mask] = rng.standard_normal(count)
-        vals.imag[mask] = rng.standard_normal(count)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    vals /= np.sqrt(grid.h) * np.linalg.norm(vals)
-    return WavePacket(grid=grid, values=vals)
+        return _unit_packet(grid, mask.astype(complex))
+    if mode == "gaussian-random":
+        return _gaussian_packet(grid, mask, count, np.random.default_rng(seed))
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def sparse_packet(seed, n_nodes: int, N: float, h: float) -> WavePacket:
@@ -272,21 +284,15 @@ def sparse_packet(seed, n_nodes: int, N: float, h: float) -> WavePacket:
     slab = SlabSpec(xi0=(0.0, 0), a=(1.0, 0.0), c=0.0, M=N, N=N)
     grid = grid_for_slab(slab, h=h)
     rng = np.random.default_rng(seed)
-    mask = slab_mask(slab, grid)
-    idx = np.argwhere(mask)
+    idx = np.argwhere(slab_mask(slab, grid))
     pick = idx[rng.choice(len(idx), size=min(n_nodes, len(idx)), replace=False)]
-    vals = np.zeros(mask.shape, dtype=complex)
-    vals[pick[:, 0], pick[:, 1]] = rng.standard_normal(len(pick)) + 1j * rng.standard_normal(len(pick))
-    vals /= np.sqrt(grid.h) * np.linalg.norm(vals)
-    return WavePacket(grid=grid, values=vals)
+    return _gaussian_packet(grid, tuple(pick.T), len(pick), rng)
 
 
 def box_packet(N: int, h: float = 0.25) -> WavePacket:
     """Unit-norm indicator of the square [-N, N]^2 (the sharpness example)."""
     grid = FrequencyGrid(h=h, xi1_extent=float(N), xi2_min=-N, xi2_max=N)
-    vals = np.ones((2 * N + 1, 2 * grid.imax + 1), dtype=complex)
-    vals /= np.sqrt(grid.h) * np.linalg.norm(vals)
-    return WavePacket(grid=grid, values=vals)
+    return _unit_packet(grid, np.ones((2 * N + 1, 2 * grid.imax + 1), dtype=complex))
 
 
 def _lambda_rows_cols(p: WavePacket, k_shift: int, dispersion: str):
@@ -755,14 +761,6 @@ def shift_packet_xi1(p: WavePacket, steps: int) -> WavePacket:
 
 # -- quotient scans -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuotientReport:
-    rows: tuple
-    max_quotient: float
-    argmax: dict
-    warnings: tuple
-
-
 def _worst_warnings(warnings) -> tuple:
     """Merge warnings of the form "flag:value" or "flag:name=value", keeping
     per flag the one with the largest value (the largest truncation
@@ -776,18 +774,16 @@ def _worst_warnings(warnings) -> tuple:
     return tuple(worst[flag][1] for flag in sorted(worst))
 
 
-def _best_of(trials: int, draw) -> QuotientReport:
-    """Report draw(trial) -> (row, warnings) over the trials: the rows, the
-    worst value per warning flag, and the largest quotient with its trial
-    (0.0 and None when none is positive).  np.argmax takes the first NaN,
-    so a NaN quotient is the maximum and a gate on it fails closed."""
+def _best_of(trials: int, draw) -> tuple[list, dict]:
+    """The rows of draw(trial) -> (row, warnings) over the trials and their
+    summary: the largest quotient and its trial (``fitting.largest``: 0.0
+    and None when none is positive, a NaN when one is NaN), and the worst
+    value per warning flag."""
     drawn = [draw(trial) for trial in range(trials)]
-    qs = [row["quotient"] for row, _ in drawn]
-    i = int(np.argmax(qs))
-    best = (qs[i], i) if not qs[i] <= 0.0 else (0.0, None)
-    return QuotientReport(rows=tuple(row for row, _ in drawn), max_quotient=best[0],
-                          argmax={"trial": best[1]},
-                          warnings=_worst_warnings(w for _, ws in drawn for w in ws))
+    rows = [row for row, _ in drawn]
+    best, trial = largest([row["quotient"] for row in rows])
+    return rows, {"max_quotient": best, "argmax": {"trial": trial},
+                  "flags": list(_worst_warnings(w for _, ws in drawn for w in ws))}
 
 
 def _trend(Ns, per_n: dict, warn) -> dict:
@@ -796,18 +792,6 @@ def _trend(Ns, per_n: dict, warn) -> dict:
     slope = fit_slope(np.log(np.asarray(Ns, dtype=float)), [per_n[N] for N in Ns])
     return {"Ns": list(Ns), "max_per_N": {str(N): per_n[N] for N in Ns},
             "fitted_slope": slope, "flags": list(_worst_warnings(warn))}
-
-
-def check_delta(delta):
-    """Return delta; ValueError unless it is a real number with
-    0 < delta < 1/8, the range of the exponent in the quotient's
-    (M/N)^delta factor.  The elliptic quotient and scan call it before any
-    work."""
-    if not isinstance(delta, numbers.Real):
-        raise ValueError(f"delta must be a number; got {delta!r}")
-    if not 0.0 < delta < 0.125:
-        raise ValueError(f"delta must lie in (0, 1/8); got {delta}")
-    return delta
 
 
 # Largest N of every quotient, scan and probe.  The grids grow like N^2 /
@@ -827,13 +811,14 @@ def strichartz_quotient(
     seed,
     h: float = 0.125,
     t_window: tuple = (-60.0, 60.0, 8192),
-) -> QuotientReport:
+) -> tuple[list, dict]:
     """Max over random slab packets of
 
-        evolve_l4_norm / ((M/N)^delta N^{1/4} ||phi||_{L2}).
+        evolve_l4_norm / ((M/N)^delta N^{1/4} ||phi||_{L2}):
 
-    A delta outside (0, 1/8), fewer than one trial or an N above 64 raises
-    ValueError before any work.
+    one row per trial, and the summary of ``_best_of``.  A delta outside
+    (0, 1/8), fewer than one trial or an N above 64 raises ValueError
+    before any work.
     """
     check_ns([slab.N])
     check_delta(delta)
@@ -895,9 +880,9 @@ def scan_strichartz_quotients(
                 rng = np.random.default_rng([seed, ni, mi, trial])
                 # never empty: the center xi0 is a grid node inside the band
                 slab = _random_slab(float(N), M, delta, rng, h, boundary=(trial % 3 == 2))
-                rep = strichartz_quotient(slab, delta, 1, rng, h=h, t_window=t_window)
-                q = rep.max_quotient
-                warn.extend(rep.warnings)
+                _, best = strichartz_quotient(slab, delta, 1, rng, h=h, t_window=t_window)
+                q = best["max_quotient"]
+                warn.extend(best["flags"])
                 rows.append({"N": N, "M_kind": mkind, "M": M, "trial": trial,
                              "a2": slab.a[1], "quotient": q})
                 quotients.append(q)
@@ -934,25 +919,22 @@ def hyperbolic_l4_quotient(
     seed,
     h: float = 0.5,
     t_window: tuple = (-60.0, 60.0, 4096),
-) -> QuotientReport:
+) -> tuple[list, dict]:
     """Max over random unit-norm data on [-N, N]^2 of the windowed
     space-time L4 norm in (t, x1, x2) divided by the data's L2 norm: the
     weighted quartic evaluator under the hyperbolic Lambda = xi1^2 - xi2^2,
-    with x2 integrated over the torus.  An N that is not a whole number in
-    [1, 64] or fewer than one trial raises ValueError before any work."""
+    with x2 integrated over the torus.  One row per trial, and the summary
+    of ``_best_of``.  An N that is not a whole number in [1, 64] or fewer
+    than one trial raises ValueError before any work."""
     check_ns([N], integral=True)
     trials = check_count("trials", trials)
     N = int(N)
     rng = np.random.default_rng(seed)
     grid = FrequencyGrid(h=h, xi1_extent=float(N), xi2_min=-N, xi2_max=N)
-    shape = (2 * N + 1, 2 * grid.imax + 1)
+    everywhere = np.ones((2 * N + 1, 2 * grid.imax + 1), dtype=bool)
 
     def draw(trial):
-        vals = np.empty(shape, dtype=complex)
-        vals.real = rng.standard_normal(shape)
-        vals.imag = rng.standard_normal(shape)
-        vals /= np.sqrt(h) * np.linalg.norm(vals)
-        pkt = WavePacket(grid=grid, values=vals)
+        pkt = _gaussian_packet(grid, everywhere, everywhere.size, rng)
         res = _weighted_quartic(pkt, 0, "hyperbolic", t_window, x2_torus=True)
         return {"trial": trial, "N": N, "quotient": res.value / pkt.l2_norm()}, res.warnings
 
@@ -976,8 +958,8 @@ def scan_hyperbolic_quotients(
     per_n = {}
     warn = []
     for ni, N in enumerate(Ns):
-        rep = hyperbolic_l4_quotient(int(N), trials, [seed, ni], h=h, t_window=t_window)
-        rows.extend(dict(r) for r in rep.rows)
-        per_n[N] = rep.max_quotient
-        warn.extend(rep.warnings)
+        more, best = hyperbolic_l4_quotient(int(N), trials, [seed, ni], h=h, t_window=t_window)
+        rows += more
+        per_n[N] = best["max_quotient"]
+        warn.extend(best["flags"])
     return rows, _trend(Ns, per_n, warn)

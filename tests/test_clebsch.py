@@ -258,6 +258,22 @@ def test_block_diagonalization_with_trivial_factor(m):
     assert block_diagonalization_defect(cg_decompose(m, 0), [haar_sample(s) for s in range(3)]) == 0.0
 
 
+def test_cached_table_is_read_only():
+    # cg_table hands one table to every caller: a NaN written into its
+    # blocks used to reach every later verify_orthogonality and product norm
+    table = clebsch.cg_table(3, 2)
+    before = [arr.copy() for arr in (table.gammas, table.kvals, table.blocks)]
+    for arr, index in ((table.gammas, 0), (table.kvals, 0), (table.blocks, (2, 0, 1))):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[index] = np.nan if arr.dtype.kind == "f" else 99
+    again = clebsch.cg_table(3, 2)
+    assert again is table
+    for arr, ref in zip((again.gammas, again.kvals, again.blocks), before):
+        assert np.array_equal(arr, ref)
+    rep = verify_orthogonality(again)
+    assert rep["max_row_defect"] <= 1e-13 and rep["max_col_defect"] <= 1e-13
+
+
 def test_block_diagonalization_propagates_nan():
     t = cg_decompose(4, 2)
     blocks = t.blocks.copy()
@@ -421,9 +437,9 @@ def test_construction_error_on_a_top_off_the_complement(monkeypatch):
 
 def test_nan_table_reads_nan_defects():
     t = cg_decompose(9, 5)
-    for block in t.blocks:
-        block[:] = np.nan
-    rep = verify_orthogonality(t)
+    nan = clebsch.CGTable(m=t.m, n=t.n, gammas=t.gammas, kvals=t.kvals,
+                          blocks=np.full_like(t.blocks, np.nan))
+    rep = verify_orthogonality(nan)
     assert np.isnan(rep["max_row_defect"]) and np.isnan(rep["max_col_defect"])
 
 

@@ -79,8 +79,9 @@ def test_cg_table_fails_closed_on_a_construction_error(tmp_path, monkeypatch, ca
 def test_cg_table_fails_closed_on_a_nan_table(tmp_path, monkeypatch, capsys):
     def nan_table(m, n):
         table = clebsch.cg_decompose(m, n)
-        table.blocks[1][0, 0] = np.nan
-        return table
+        blocks = table.blocks.copy()
+        blocks[1][0, 0] = np.nan
+        return clebsch.CGTable(m=m, n=n, gammas=table.gammas, kvals=table.kvals, blocks=blocks)
 
     monkeypatch.setattr(cli, "cg_decompose", nan_table)
     assert cli.main(["cg-table", "6", "4", "--out", str(tmp_path)]) == 1
@@ -290,10 +291,17 @@ def test_strichartz_quadrilinear_gate_is_the_exact_tolerance(tmp_path, monkeypat
     (["cg-table", "6", "4"], "cg_table_m6_n4"),
     (["bilinear-verify", "--m-max", "8", "--n-max", "4", "--seeds", "3"], "bilinear_verify"),
     (["strichartz", "--mode", "box-scaling", "--config", "box.json"], "strichartz_box_scaling"),
+    (["strichartz", "--mode", "slab", "--config", "slab.json"], "strichartz_slab"),
+    (["strichartz", "--mode", "elliptic", "--config", "scan.json"], "strichartz_elliptic"),
+    (["strichartz", "--mode", "hyperbolic", "--config", "scan.json"], "strichartz_hyperbolic"),
 ])
 def test_manifest_rerun_reproduces_outputs(tmp_path, args, name):
-    # every subcommand round-trips; the box-scaling run reads box.json from its cwd
-    (tmp_path / "box.json").write_text(json.dumps({"Ns": [2, 4]}))
+    # every subcommand and every _scan row round-trips; the strichartz runs
+    # read their toy-size configs from the cwd
+    toy = {"trials": 1, "window": [-10, 10, 64]}
+    for config, params in (("box.json", {"Ns": [2, 4]}), ("slab.json", {"slab": _SLAB, **toy}),
+                           ("scan.json", {"Ns": [4, 8], **toy})):
+        (tmp_path / config).write_text(json.dumps(params))
     first = tmp_path / "first"
     second = tmp_path / "second"
     first.mkdir()
@@ -441,7 +449,7 @@ def test_slab_mode_fills_defaults(tmp_path, monkeypatch, given, window):
 
     def fake_quotient(slab, delta, trials, seed, h, t_window):
         seen.append((slab, delta, trials, seed, h, t_window))
-        return strichartz.QuotientReport(rows=(), max_quotient=1.0, argmax={}, warnings=())
+        return [], {"max_quotient": 1.0, "argmax": {}, "flags": []}
 
     monkeypatch.setattr(cli.strichartz, "strichartz_quotient", fake_quotient)
     config = tmp_path / "config.json"
@@ -822,6 +830,16 @@ def test_rerun_fills_what_a_manifest_leaves_out(tmp_path, monkeypatch, capsys, s
      "bad Ns [64.5, 128]: N must be a whole number; got 64.5"),
     ("lattice-scan", {"lemma": "5.3", "Ns": [True, 128]},
      "bad Ns [True, 128]: N must be a number; got True"),
+    # lemma 5.3's delta was checked nowhere: '0.1' died with a TypeError,
+    # true ran as delta = 1 and NaN ran to NaN gates
+    ("lattice-scan", {"lemma": "5.3", "delta": "0.1"},
+     "bad delta '0.1': delta must be a number; got '0.1'"),
+    ("lattice-scan", {"lemma": "5.3", "delta": True},
+     "bad delta True: delta must be a number; got True"),
+    ("lattice-scan", {"lemma": "5.3", "delta": float("nan")},
+     "bad delta nan: delta must lie in (0, 1/8); got nan"),
+    ("strichartz", {"mode": "elliptic", "delta": True},
+     "bad delta True: delta must be a number; got True"),
 ])
 def test_rerun_refuses_before_any_work(tmp_path, monkeypatch, capsys, sub, params, named):
     # each used to be a TypeError, a silent default or an ignored key
@@ -843,6 +861,8 @@ def test_rerun_refuses_before_any_work(tmp_path, monkeypatch, capsys, sub, param
      "unknown keys for mode box-scaling: seed 3 (allowed: Ns, h)"),
     (["lattice-scan", "--lemma", "5.2a", "--N", "0", "--N", "64"], None,
      "bad Ns [0, 64]: N must be >= 1; got 0"),
+    (["lattice-scan", "--lemma", "5.3", "--delta", "nan"], None,
+     "bad delta nan: delta must lie in (0, 1/8); got nan"),
 ])
 def test_main_refuses_before_any_work(tmp_path, monkeypatch, capsys, argv, config, named):
     # an option the lemma ignores, or a config that is not an object or

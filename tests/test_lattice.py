@@ -1,5 +1,6 @@
 import decimal
 import math
+import re
 from fractions import Fraction
 from functools import partial
 
@@ -399,6 +400,39 @@ def test_scans_refuse_an_empty_sample_before_any_work(monkeypatch, lemma, kwargs
     monkeypatch.setattr(lattice, kernel, lambda *a, **k: calls.append(a))
     with pytest.raises(ValueError, match=f"{count} must be >= 1"):
         SCANS[lemma](seed=3, **kwargs)
+    assert calls == []
+
+
+@pytest.mark.parametrize("lemma,kwargs,message", [
+    # 64.5 ran and fitted an exponent, 0.5 died in numpy on an empty
+    # maximum, and 0 was refused only by the counter, after its draws
+    ("5.2a", dict(Ns=[64.5, 128], per_n=5), "N must be a whole number; got 64.5"),
+    ("5.3", dict(Ns=[0.5, 64], per_config=1), "N must be >= 1; got 0.5"),
+    ("5.2a", dict(Ns=[0, 64], per_n=5), "N must be >= 1; got 0"),
+])
+def test_scans_refuse_an_n_they_cannot_run_before_any_work(monkeypatch, lemma, kwargs, message):
+    calls = []
+    for name in ("_lemma52_samples", "count_quadric_batch", "_lemma53_lvalues", "setB_measures"):
+        monkeypatch.setattr(lattice, name, lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SCANS[lemma](seed=1, **kwargs)
+    assert calls == []
+
+
+@pytest.mark.parametrize("delta,message", [
+    ("0.1", "delta must be a number; got '0.1'"),
+    (True, "delta must be a number; got True"),
+    (float("nan"), "delta must lie in (0, 1/8); got nan"),
+    (0.125, "delta must lie in (0, 1/8); got 0.125"),
+])
+def test_lemma53_refuses_a_bad_delta_before_any_work(monkeypatch, delta, message):
+    # "0.1" used to end in a TypeError, true ran as delta = 1 and NaN ran
+    # the whole scan to NaN gates
+    calls = []
+    for name in ("_lemma53_lvalues", "setB_measures"):
+        monkeypatch.setattr(lattice, name, lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        scan_lemma53(Ns=[16, 32], delta=delta, per_config=1, seed=1)
     assert calls == []
 
 

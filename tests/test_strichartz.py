@@ -361,11 +361,11 @@ def test_hyperbolic_n64_evaluation_stays_under_6_mib():
     # about 3.7 MiB, and read 4.7 MiB with the x2 sum as a DFT-matrix product
     tracemalloc.start()
     try:
-        rep = st.hyperbolic_l4_quotient(64, 1, 9, t_window=(-60.0, 60.0, 64))
+        _, best = st.hyperbolic_l4_quotient(64, 1, 9, t_window=(-60.0, 60.0, 64))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.max_quotient > 0.0
+    assert best["max_quotient"] > 0.0
     assert peak <= 6 * 2**20
 
 
@@ -862,10 +862,10 @@ def test_strichartz_quotient_basics():
     slab = st.SlabSpec(xi0=(0.0, 0), a=(1.0, 0.0), c=0.0, M=4.0, N=4.0)
     with pytest.raises(ValueError):
         st.strichartz_quotient(slab, 0.2, 1, 0)
-    rep = st.strichartz_quotient(slab, 0.1, 2, 0, h=0.5, t_window=(-60.0, 60.0, 1024))
-    assert rep.max_quotient > 0
-    rep2 = st.strichartz_quotient(slab, 0.1, 2, 0, h=0.5, t_window=(-60.0, 60.0, 1024))
-    assert rep.max_quotient == rep2.max_quotient  # determinism
+    _, best = st.strichartz_quotient(slab, 0.1, 2, 0, h=0.5, t_window=(-60.0, 60.0, 1024))
+    assert best["max_quotient"] > 0
+    _, best2 = st.strichartz_quotient(slab, 0.1, 2, 0, h=0.5, t_window=(-60.0, 60.0, 1024))
+    assert best["max_quotient"] == best2["max_quotient"]  # determinism
 
 
 def test_quotient_invariant_under_center_translation():
@@ -894,10 +894,10 @@ def test_box_packet_and_probe():
 def test_hyperbolic_quotient_cap_and_determinism():
     with pytest.raises(ValueError):
         st.hyperbolic_l4_quotient(128, 1, 0)
-    r1 = st.hyperbolic_l4_quotient(4, 1, 3, h=0.5, t_window=(-30.0, 30.0, 512))
-    r2 = st.hyperbolic_l4_quotient(4, 1, 3, h=0.5, t_window=(-30.0, 30.0, 512))
-    assert r1.max_quotient == r2.max_quotient
-    assert r1.max_quotient > 0
+    _, r1 = st.hyperbolic_l4_quotient(4, 1, 3, h=0.5, t_window=(-30.0, 30.0, 512))
+    _, r2 = st.hyperbolic_l4_quotient(4, 1, 3, h=0.5, t_window=(-30.0, 30.0, 512))
+    assert r1["max_quotient"] == r2["max_quotient"]
+    assert r1["max_quotient"] > 0
 
 
 @pytest.mark.parametrize("trials", [0, -1])
@@ -971,9 +971,9 @@ def test_quotients_refuse_an_n_they_cannot_run_before_any_work(monkeypatch, scan
 def test_whole_ns_may_be_floats_and_the_elliptic_radius_fractional():
     assert st.check_ns([4.0, np.int64(8)], integral=True) == [4.0, np.int64(8)]
     assert st.check_ns((2.5, 64.0)) == (2.5, 64.0)
-    a = st.hyperbolic_l4_quotient(4.0, 1, 3, t_window=(-10.0, 10.0, 64))
-    b = st.hyperbolic_l4_quotient(4, 1, 3, t_window=(-10.0, 10.0, 64))
-    assert a.rows == b.rows and a.rows[0]["N"] == 4
+    a, _ = st.hyperbolic_l4_quotient(4.0, 1, 3, t_window=(-10.0, 10.0, 64))
+    b, _ = st.hyperbolic_l4_quotient(4, 1, 3, t_window=(-10.0, 10.0, 64))
+    assert a == b and a[0]["N"] == 4
 
 
 def test_worst_warnings_keep_the_largest_value_per_flag():
@@ -1004,11 +1004,11 @@ def test_quotient_reports_keep_warning_values(monkeypatch):
     worst = ("time-aliasing-risk:need_nt=900", "window-truncation:0.0500")
     slab = st.SlabSpec(xi0=(0.0, 0), a=(1.0, 0.0), c=0.0, M=4.0, N=4.0)
     _varying_warnings(monkeypatch, "evolve_l4_norm", per_trial)
-    rep = st.strichartz_quotient(slab, 0.1, 3, 0, h=0.5, t_window=(-10.0, 10.0, 64))
-    assert rep.warnings == worst
+    _, summary = st.strichartz_quotient(slab, 0.1, 3, 0, h=0.5, t_window=(-10.0, 10.0, 64))
+    assert summary["flags"] == list(worst)
     _varying_warnings(monkeypatch, "_weighted_quartic", per_trial)
-    rep = st.hyperbolic_l4_quotient(2, 3, 0, h=0.5, t_window=(-10.0, 10.0, 64))
-    assert rep.warnings == worst
+    _, summary = st.hyperbolic_l4_quotient(2, 3, 0, h=0.5, t_window=(-10.0, 10.0, 64))
+    assert summary["flags"] == list(worst)
 
 
 def test_elliptic_scan_flags_keep_worst_values(monkeypatch):
