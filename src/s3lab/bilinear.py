@@ -61,9 +61,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .clebsch import CGTable, _degree_blocks, cg_table
-from .fitting import check_count, fit_slope  # noqa: F401  (fit_slope: re-exported)
-from .su2 import GroupElement, HaarQuadrature, irrep_matrix, wigner_d, wigner_d_diagonal
+from . import gates
+from .clebsch import CGTable, _degree_blocks, cg_table, verify_orthogonality
+from .fitting import check_count, fit_slope, largest
+from .su2 import (GroupElement, HaarQuadrature, haar_quadrature, irrep_matrix, wigner_d,
+                  wigner_d_diagonal)
 
 
 class UnderResolvedQuadratureWarning(UserWarning):
@@ -429,3 +431,65 @@ def zonal_ratio(n: int) -> float:
     """Saturation ratio of the zonal pair (m, n) = (2n, n)."""
     return zonal_pair_ratio(2 * n, n)
 
+
+def scan_grid(m_max: int, n_max: int) -> list:
+    """The (m, n) cells of ``scan_cells``: m in 8, 16, 32, 64 up to m_max
+    (m_max alone below 8), n = 0 and n in 4, ..., 64 up to min(m, n_max);
+    ValueError when they lie at one n, where the no-growth fit has no slope."""
+    m_values = [m for m in (8, 16, 32, 64) if m <= m_max] or [m_max]
+    cells = [(m, n) for m in m_values
+             for n in [0] + [n for n in (4, 8, 16, 32, 64) if n <= min(m, n_max)]]
+    fit_ns = sorted({n for (_, n) in cells})
+    if len(fit_ns) < 2:
+        raise ValueError(f"the no-growth fit needs cells at two or more n; "
+                         f"--m-max {m_max} --n-max {n_max} gives n = {fit_ns}")
+    return cells
+
+
+def scan_cells(m_max: int, n_max: int, seeds: int, seed, zonal: bool = False,
+               zonal_n_max: int = 60, cross_check: bool = False) -> tuple[list, dict]:
+    """The ratio scan over ``scan_grid``: per cell, the rows of seeds random
+    pairs (``bilinear_ratio_scan``, seed [seed, m, n]) and of the zonal
+    witness, which saturates the bound while random maxima decay like
+    (n+1)^(-1/2); C*, ``argmax_cell`` (``fitting.largest``) and the
+    no-growth slope against log(n+1) read the witness-included cell maxima.
+    ``cross_check`` checks exact norms against Haar quadrature at m <= 8;
+    ``zonal`` adds ``zonal_ratio`` at n = 1 .. zonal_n_max.  Seeds below 1,
+    a grid at one n, or with ``zonal`` a zonal_n_max below 1 raise ValueError
+    before any work.  np.max and np.min keep a NaN; the builtins may not."""
+    seeds = check_count("seeds", seeds)
+    cells = scan_grid(m_max, n_max)
+    if zonal:
+        zonal_n_max = check_count("zonal_n_max", zonal_n_max)
+    rows, maxima, witnesses = [], [], []
+    for m, n in cells:
+        ratios = bilinear_ratio_scan(m, n, seeds, [seed, m, n])
+        rows += [{"m": m, "n": n, "seed": i, "ratio": float(r)} for i, r in enumerate(ratios)]
+        witnesses.append(zonal_pair_ratio(m, n))
+        rows.append({"m": m, "n": n, "seed": "zonal", "ratio": witnesses[-1]})
+        maxima.append(float(np.max([*ratios, witnesses[-1]])))
+    c_star, index = largest(maxima)
+    summary = {"C_star": c_star, "argmax_cell": None if index is None else str(cells[index]),
+               "fitted_slope": fit_slope([np.log(n + 1.0) for (_, n) in cells], maxima),
+               "cell_max": {f"{m},{n}": v for (m, n), v in zip(cells, maxima)}}
+    if cross_check:
+        rels, defects = [0.0], [0.0]
+        for m, n in [(m, n) for (m, n) in cells if m <= 8]:
+            report = verify_orthogonality(cg_table(m, n))
+            defects += [report["max_row_defect"], report["max_col_defect"]]
+            quad = haar_quadrature(recommended_levels(m + n))
+            for s in range(3):
+                f = random_eigenfunction(m, [seed, m, n, s, 0])
+                g = random_eigenfunction(n, [seed, m, n, s, 1])
+                exact = product_l2_exact(f, g)
+                rels.append(abs(exact - product_l2_quadrature(f, g, quad)) / max(exact, 1e-300))
+        summary["quadrature_cross_check_rel"] = worst = float(np.max(rels))
+        summary["quadrature_cross_check_ok"] = bool(worst <= gates.CROSS_CHECK_TOL)
+        summary["cg_defect_max"] = float(np.max(defects))
+    if zonal:
+        zr = [zonal_ratio(n) for n in range(1, zonal_n_max + 1)]
+        summary.update(zonal_ratios={str(n): v for n, v in enumerate(zr, 1)},
+                       zonal_min=float(np.min(zr)))
+        witnesses += zr
+    summary["witness_dev_max"] = float(np.max(np.abs(np.array(witnesses) - 1.0)))
+    return rows, summary

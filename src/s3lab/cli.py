@@ -9,10 +9,10 @@ Every subcommand is a table of ``_Entry`` rows: ``cg-table`` and
 ``bilinear-verify`` one row each, ``lattice-scan`` one per lemma and
 ``strichartz`` one per mode.  A row holds the keys its run reads with their
 defaults, the checks made before any work, the CSV header and the runner;
-``_run`` checks the seed of every row that reads one.  Every lemma and the
-``elliptic``, ``slab``, ``hyperbolic`` and ``box-scaling`` modes run a
-library scan through ``_scan``: the scan's (rows, summary) are the CSV rows
-and the summary as they are, so a new row or summary key needs no code here.
+``_run`` checks the seed of every row that reads one.  Every row but
+``cg-table`` (which alone writes a note and a sidecar) runs a library scan
+through ``_scan``: its (rows, summary) are the CSV rows and the summary as
+they are, gated off the summary, so a new row or summary key needs no code.
 The parser sets no default.  ``main`` and ``rerun`` share one resolver,
 ``_run``, so a command line, a config and a manifest are read the same way;
 the manifest records the resolved keys.  Every exit code comes from
@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bilinear, gates, lattice, strichartz
-from .clebsch import CGConstructionError, cg_decompose, cg_table, verify_orthogonality
+from .clebsch import CGConstructionError, cg_decompose, verify_orthogonality
 from .fitting import check_count, check_delta, check_fit_xs
 from .reporting import build_manifest, default_out_dir, write_run_outputs
 
@@ -57,7 +57,7 @@ class _Entry(NamedTuple):
 
     keys: dict  # every key the run reads, with its default
     header: list  # CSV header
-    run: Callable  # args -> _Result, or its first three fields
+    run: Callable  # args -> _Result, or its first three fields from a _scan runner
     # key -> check run before any work, returning the value to run with; a
     # tuple of keys -> a check across their values, converting nothing
     checks: dict = {}
@@ -65,7 +65,7 @@ class _Entry(NamedTuple):
 
 class _Result(NamedTuple):
     """A runner's CSV rows, summary and gate checks [(what, value, bound)];
-    a note for the "wrote" line and extra files {suffix: writer(path)}."""
+    cg-table's note for the "wrote" line and extra files {suffix: writer(path)}."""
 
     rows: list
     summary: dict
@@ -132,80 +132,15 @@ def _cg_table(a):
                    {".table.json": table.to_json} if a["format"] == "json" else {})
 
 
-def _bilinear_cells(m_max, n_max):
-    m_values = [m for m in (8, 16, 32, 64) if m <= m_max] or [m_max]
-    return [(m, n) for m in m_values
-            for n in [0] + [n for n in (4, 8, 16, 32, 64) if n <= min(m, n_max)]]
-
-
-def _two_fit_ns(m_max, n_max):
-    # the no-growth fit runs over every cell, n = 0 included, and needs two
-    # distinct n; refuse before any work rather than report a made-up slope
-    fit_ns = sorted({n for (_, n) in _bilinear_cells(m_max, n_max)})
-    if len(fit_ns) < 2:
-        raise ValueError(f"the no-growth fit needs cells at two or more n; "
-                         f"--m-max {m_max} --n-max {n_max} gives n = {fit_ns}")
-
-
-def _bilinear_verify(a):
-    seed = a["seed"]
-    rows = []
-    cell_max = {}
-    witnesses = []
-    for m, n in _bilinear_cells(a["m_max"], a["n_max"]):
-        ratios = bilinear.bilinear_ratio_scan(m, n, a["seeds"], [seed, m, n])
-        for i, r in enumerate(ratios):
-            rows.append({"m": m, "n": n, "seed": i, "ratio": float(r)})
-        # the zonal witness pair saturates the bound; random maxima decay
-        # like (n+1)^(-1/2), so the flatness fit runs on witness-included
-        # cell maxima
-        witness = bilinear.zonal_pair_ratio(m, n)
-        rows.append({"m": m, "n": n, "seed": "zonal", "ratio": witness})
-        witnesses.append(witness)
-        # np.max propagates a NaN; the builtin max may drop it
-        cell_max[(m, n)] = float(np.max([*ratios, witness]))
-    maxima = np.array(list(cell_max.values()))
-    slope = bilinear.fit_slope([np.log(n + 1.0) for (_, n) in cell_max], maxima)
-    c_star = float(np.max(maxima))
-    summary = {
-        "C_star": c_star,
-        "argmax_cell": str(list(cell_max)[int(np.argmax(maxima))]),
-        "fitted_slope": slope,
-        "cell_max": {f"{m},{n}": v for (m, n), v in cell_max.items()},
-    }
-    checks = [("C*", c_star, gates.C_STAR_BOUND), ("|slope|", abs(slope), gates.SLOPE_BOUND)]
-    if a["cross_check"]:
-        from .su2 import haar_quadrature
-
-        rels, defects = [0.0], [0.0]
-        for (m, n) in cell_max:
-            if m > 8:
-                continue
-            report = verify_orthogonality(cg_table(m, n))
-            defects += [report["max_row_defect"], report["max_col_defect"]]
-            quad = haar_quadrature(bilinear.recommended_levels(m + n))
-            for s in range(3):
-                f = bilinear.random_eigenfunction(m, [seed, m, n, s, 0])
-                g = bilinear.random_eigenfunction(n, [seed, m, n, s, 1])
-                exact = bilinear.product_l2_exact(f, g)
-                approx = bilinear.product_l2_quadrature(f, g, quad)
-                rels.append(abs(exact - approx) / max(exact, 1e-300))
-        # np.max and np.min propagate a NaN; the builtins may drop it
-        worst = float(np.max(rels))
-        summary["quadrature_cross_check_rel"] = worst
-        summary["quadrature_cross_check_ok"] = bool(worst <= gates.CROSS_CHECK_TOL)
-        # the worst orthogonality defect of the CG tables behind the exact norms
-        summary["cg_defect_max"] = float(np.max(defects))
-        checks.append(("quadrature cross-check gap", worst, gates.CROSS_CHECK_TOL))
-    if a["zonal"]:
-        zr = {n: bilinear.zonal_ratio(n) for n in range(1, a["zonal_n_max"] + 1)}
-        summary["zonal_ratios"] = {str(n): v for n, v in zr.items()}
-        summary["zonal_min"] = float(np.min(list(zr.values())))
+def _bilinear_gate(summary):
+    checks = [("C*", summary["C_star"], gates.C_STAR_BOUND),
+              ("|slope|", abs(summary["fitted_slope"]), gates.SLOPE_BOUND)]
+    if "quadrature_cross_check_rel" in summary:
+        checks.append(("quadrature cross-check gap", summary["quadrature_cross_check_rel"],
+                       gates.CROSS_CHECK_TOL))
+    if "zonal_min" in summary:
         checks.append(("zonal minimum", summary["zonal_min"], gates.ZONAL_FLOOR, "floor"))
-        witnesses += zr.values()
-    # each witness is 1 by the character product rule; np.max propagates a NaN
-    summary["witness_dev_max"] = float(np.max(np.abs(np.array(witnesses) - 1.0)))
-    return _Result(rows, summary, checks, f"  (C* = {c_star:.6g}, slope = {slope:.4f})")
+    return checks
 
 
 def _scan(module, name: str, gate: Callable, **fixed) -> Callable:
@@ -232,7 +167,8 @@ def _lemma52(variant: str) -> _Entry:
                   _scan(lattice, "scan_lemma52",
                         lambda s: [("fitted exponent", s["fitted_exponent"], gates.EXPONENT_BOUND)],
                         variant=variant),
-                  {"per_n": partial(check_count, "per_n"), "Ns": lattice.check_ns})
+                  {"per_n": partial(check_count, "per_n"), "Ns": lattice.check_ns,
+                   ("Ns", "per_n"): lattice.check_lemma52_work})
 
 
 _LEMMAS = {
@@ -247,7 +183,8 @@ _LEMMAS = {
                   ["lemma", "case", "N", "M", "l", "k", "C", "value", "normalized_ratio"],
                   _scan(lattice, "scan_lemma53", _lemma53_gate),
                   {"per_config": partial(check_count, "per_config"), "Ns": lattice.check_ns,
-                   "delta": check_delta}),
+                   "delta": check_delta,
+                   ("Ns", "delta", "per_config"): lattice.check_lemma53_work}),
 }
 
 
@@ -289,31 +226,6 @@ def _fitted_slope(summary):
     return [("fitted slope", summary["fitted_slope"], gates.SLOPE_BOUND)]
 
 
-def _quadrilinear(a):
-    pkt = strichartz.sparse_packet(a["seed"], 24, 6.0, 0.5)
-    freq = strichartz.quadrilinear_form_frequency(pkt, 0)
-    res = strichartz.evolve_l4_norm_exact(pkt, 0, "elliptic")
-    mismatch = abs(res.quartic - freq) / freq
-    rows = [{"trial": 0, "frequency_side": freq, "time_side": res.quartic,
-             "relative_mismatch": mismatch}]
-    summary = {"relative_mismatch": mismatch, "time_rule": "periodic-exact",
-               "n_nodes": res.n_nodes, "flags": list(res.warnings)}
-    return rows, summary, [("Plancherel mismatch", mismatch, gates.PLANCHEREL_EXACT_TOL)]
-
-
-def _kernel_split(a):
-    pkt = strichartz.sparse_packet(a["seed"], 16, 6.0, 0.5)
-    rep = strichartz.kernel_split_diagnostics(pkt, a["k_shift"])
-    rows = [{"gamma_total": rep.gamma_total, "K1_part": rep.K1_part,
-             "K2_part": rep.K2_part, "tuples": rep.tuple_count,
-             "cover_ok": rep.cover_ok}]
-    summary = {"cover_ok": rep.cover_ok, "K1_plus_K2_ge_gamma":
-               rep.K1_part + rep.K2_part >= rep.gamma_total - gates.GAMMA_MASS_TOL}
-    return rows, summary, [("cover failure", int(not rep.cover_ok), 0),
-                           ("Gamma mass beyond K1 + K2",
-                            rep.gamma_total - (rep.K1_part + rep.K2_part), gates.GAMMA_MASS_TOL)]
-
-
 _TRIALS = partial(check_count, "trials")
 # the hyperbolic scan and the box probe build their grids from int(N)
 _whole_ns = partial(strichartz.check_ns, integral=True)
@@ -339,10 +251,16 @@ _MODES = {
                          {**_SCAN_CHECKS, "Ns": lambda Ns: _whole_ns(check_fit_xs(Ns))}),
     "quadrilinear": _Entry({"seed": 3},
                            ["trial", "frequency_side", "time_side", "relative_mismatch"],
-                           _quadrilinear),
+                           _scan(strichartz, "quadrilinear_check",
+                                 lambda s: [("Plancherel mismatch", s["relative_mismatch"],
+                                             gates.PLANCHEREL_EXACT_TOL)])),
     "kernel-split": _Entry({"seed": 3, "k_shift": 0},
                            ["gamma_total", "K1_part", "K2_part", "tuples", "cover_ok"],
-                           _kernel_split, {"k_shift": _integer}),
+                           _scan(strichartz, "kernel_split_check",
+                                 lambda s: [("cover failure", int(not s["cover_ok"]), 0),
+                                            ("Gamma mass beyond K1 + K2",
+                                             s["gamma_mass_excess"], gates.GAMMA_MASS_TOL)]),
+                           {"k_shift": _integer}),
     "box-scaling": _Entry({"Ns": (4, 8, 16, 32), "h": 0.25},
                           ["N", "n_t", "norm", "ratio"],
                           _scan(strichartz, "box_scaling_probe",
@@ -361,9 +279,9 @@ _SUBCOMMANDS = {  # subcommand -> (selector key, {its value: entry}, output name
     "bilinear-verify": (None, {None: _Entry(
         {"m_max": 64, "n_max": 64, "seeds": 500, "seed": 7, "zonal": False,
          "zonal_n_max": 60, "cross_check": False},
-        ["m", "n", "seed", "ratio"], _bilinear_verify,
+        ["m", "n", "seed", "ratio"], _scan(bilinear, "scan_cells", _bilinear_gate),
         # a gate over the zonal witnesses alone would pass on no random pair
-        {"m_max": _integer, "n_max": _integer, ("m_max", "n_max"): _two_fit_ns,
+        {"m_max": _integer, "n_max": _integer, ("m_max", "n_max"): bilinear.scan_grid,
          "seeds": partial(check_count, "seeds"), "zonal": _one_of(False, True),
          "cross_check": _one_of(False, True),
          "zonal_n_max": lambda n: check_count("zonal_n_max", _integer(n))})},

@@ -20,8 +20,9 @@ is the one-element call of its kernel:
 The scans draw their samples from one seeded generator: lemma 5.1 draws
 each parameter as one array, lemmas 5.2 and 5.3 one query at a time, and
 every scan measures its samples in one kernel call, or one per N.  A
-sample count below 1, an N list that ``check_ns`` refuses and a delta
-outside (0, 1/8) are refused before any work.
+sample count below 1, an N list that ``check_ns`` refuses, a delta
+outside (0, 1/8) and a 5.2 or 5.3 scan whose estimated kernel work is over
+``_WORK_BUDGET`` are refused before any work.
 
 The "up to a constant" cutoffs in the set definitions are instantiated as
 1 (only the resonant-set measures expose theirs, as slack), and
@@ -44,6 +45,11 @@ from .fitting import check_count, check_delta, check_fit_xs, fit_slope, largest
 _BLOCK = 1 << 14
 # int64 arithmetic in the counters stays exact below this bound
 _INT64_SAFE = 1 << 62
+# Most O(N) kernel entries (2N + 1 per query) a 5.2 or 5.3 scan may ask for.
+# On one Xeon core setB_measures ran about 1e7 entries/s and the counters
+# 8e7-1.4e8, so this bounds a scan's kernel time at about 100 s; criterion
+# 6's 5.2 scans, the largest the repository runs, ask for 1.9e6.
+_WORK_BUDGET = 10**9
 
 
 def _tiles(n_rows: int, n_cols: int):
@@ -385,6 +391,7 @@ def scan_lemma52(Ns: list, per_n: int, seed, variant: str = "quadric") -> tuple[
         raise ValueError("variant must be 'quadric' or 'hyperbola'")
     per_n = check_count("per_n", per_n)
     check_ns(Ns)
+    check_lemma52_work(Ns, per_n)
     counter = count_quadric_batch if variant == "quadric" else count_hyperbola_batch
     rng = np.random.default_rng(seed)
     rows = []
@@ -406,21 +413,46 @@ def scan_lemma52(Ns: list, per_n: int, seed, variant: str = "quadric") -> tuple[
     return rows, summary
 
 
-def _lemma53_lvalues(N: int, M: float, delta: float) -> list:
-    """l values tagged by the three proof regimes: a) l ~ 1,
+def _lemma53_configs(N, delta: float) -> list:
+    """The (M, l, case) grid at N in scan order: M = 1, 2, 4, ... up to N,
+    and at each M the l values of the three proof regimes: a) l ~ 1,
     b) 1 << l <~ sqrt(N), c) sqrt(N) << l <~ M^(1-4d) N^(4d)."""
-    cap = M ** (1.0 - 4.0 * delta) * N ** (4.0 * delta)
-    out = [(1.0, "a")]
+    out = []
     root = math.sqrt(N)
-    l = 4.0
-    while l <= min(root, cap):
-        out.append((l, "b"))
-        l *= 4.0
-    l = 2.0 * root
-    while l <= cap:
-        out.append((l, "c"))
-        l *= 4.0
+    M = 1.0
+    while M <= N:
+        cap = M ** (1.0 - 4.0 * delta) * N ** (4.0 * delta)
+        out.append((M, 1.0, "a"))
+        l = 4.0
+        while l <= min(root, cap):
+            out.append((M, l, "b"))
+            l *= 4.0
+        l = 2.0 * root
+        while l <= cap:
+            out.append((M, l, "c"))
+            l *= 4.0
+        M *= 2.0
     return out
+
+
+def check_lemma52_work(Ns, per_n: int) -> int:
+    """The estimated kernel work of a 5.2 scan, per_n (2N + 1) summed over
+    N; ValueError naming it when it is over ``_WORK_BUDGET``."""
+    return _check_work(sum(per_n * (2 * int(N) + 1) for N in Ns))
+
+
+def check_lemma53_work(Ns, delta: float, per_config: int) -> int:
+    """The same for a 5.3 scan: per_config queries per (M, l) of
+    ``_lemma53_configs``, each of 2N + 1 entries."""
+    return _check_work(sum(per_config * len(_lemma53_configs(N, delta)) * (2 * int(N) + 1)
+                           for N in Ns))
+
+
+def _check_work(work: int) -> int:
+    if work > _WORK_BUDGET:
+        raise ValueError(f"the estimated kernel work of {work:.3g} entries is over the "
+                         f"budget of {_WORK_BUDGET:.3g}")
+    return work
 
 
 def scan_lemma53(Ns: list, delta: float, per_config: int, seed) -> tuple[list, dict]:
@@ -437,27 +469,24 @@ def scan_lemma53(Ns: list, delta: float, per_config: int, seed) -> tuple[list, d
     per_config = check_count("per_config", per_config)
     check_ns(Ns)
     check_delta(delta)
+    check_lemma53_work(Ns, delta, per_config)
     rng = np.random.default_rng(seed)
     rows = []
     per_n_ratios = {N: [] for N in Ns}
     case_ratios = {"a": [], "b": [], "c": []}
     for N in Ns:
         queries = []
-        M = 1.0
-        while M <= N:
-            for l, case in _lemma53_lvalues(N, M, delta):
-                for _ in range(per_config):
-                    k = int(rng.integers(0, 2 * N + 1))
-                    if rng.random() < 0.5:
-                        C = float(rng.uniform(-float(N) ** 2, float(N) ** 2))
-                    else:
-                        m0 = int(rng.integers(max(k - int(N), 1), k + int(N) + 1))
-                        n0 = int(rng.integers(1, int(N) + 1))
-                        x0 = float(rng.uniform(-2 * l, 2 * l))
-                        C = -(l * x0 + m0 * n0) + float(rng.uniform(-0.5, 0.5))
-                    queries.append((SetBQuery(l=l, k=k, C=C, M=M, N=float(N), delta=delta),
-                                    case))
-            M *= 2.0
+        for M, l, case in _lemma53_configs(N, delta):
+            for _ in range(per_config):
+                k = int(rng.integers(0, 2 * N + 1))
+                if rng.random() < 0.5:
+                    C = float(rng.uniform(-float(N) ** 2, float(N) ** 2))
+                else:
+                    m0 = int(rng.integers(max(k - int(N), 1), k + int(N) + 1))
+                    n0 = int(rng.integers(1, int(N) + 1))
+                    x0 = float(rng.uniform(-2 * l, 2 * l))
+                    C = -(l * x0 + m0 * n0) + float(rng.uniform(-0.5, 0.5))
+                queries.append((SetBQuery(l=l, k=k, C=C, M=M, N=float(N), delta=delta), case))
         values = setB_measures([q.l for q, _ in queries], [q.k for q, _ in queries],
                                [q.C for q, _ in queries], N).tolist()
         for (q, case), val in zip(queries, values):

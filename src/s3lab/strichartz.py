@@ -64,7 +64,7 @@ import numpy as np
 import scipy.fft as sfft
 from scipy.special import sici
 
-from . import fitting
+from . import fitting, gates
 from .fitting import check_count, check_delta, check_fit_xs, fit_slope, largest
 
 FEJER_TOTAL = 4.0 * np.pi  # integral of the weight over R
@@ -727,6 +727,36 @@ def kernel_split_diagnostics(p: WavePacket, k_shift: int = 0) -> KernelSplitRepo
         cover_ok=cover_ok,
         clause_counts=tuple(int(c) for c in clause_counts),
     )
+
+
+# Sparse packets of the Plancherel check and of the kernel split: nodes on
+# xi1 in [-6, 6] at h = 0.5, within the frequency side's and the split's caps.
+_PLANCHEREL_NODES, _SPLIT_NODES = 24, 16
+
+
+def quadrilinear_check(seed) -> tuple[list, dict]:
+    """The Plancherel identity on one sparse packet, the frequency-side form
+    against the periodic-exact time side: one row and its summary."""
+    pkt = sparse_packet(seed, _PLANCHEREL_NODES, 6.0, 0.5)
+    freq = quadrilinear_form_frequency(pkt, 0)
+    res = evolve_l4_norm_exact(pkt, 0, "elliptic")
+    mismatch = abs(res.quartic - freq) / freq
+    return ([{"trial": 0, "frequency_side": freq, "time_side": res.quartic,
+              "relative_mismatch": mismatch}],
+            {"relative_mismatch": mismatch, "time_rule": "periodic-exact",
+             "n_nodes": res.n_nodes, "flags": list(res.warnings)})
+
+
+def kernel_split_check(seed, k_shift) -> tuple[list, dict]:
+    """``kernel_split_diagnostics`` on one sparse packet: one row of masses,
+    and the cover and the Gamma mass beyond K1 + K2 (rounding only)."""
+    rep = kernel_split_diagnostics(sparse_packet(seed, _SPLIT_NODES, 6.0, 0.5), k_shift)
+    k12 = rep.K1_part + rep.K2_part
+    return ([{"gamma_total": rep.gamma_total, "K1_part": rep.K1_part, "K2_part": rep.K2_part,
+              "tuples": rep.tuple_count, "cover_ok": rep.cover_ok}],
+            {"cover_ok": rep.cover_ok,
+             "K1_plus_K2_ge_gamma": k12 >= rep.gamma_total - gates.GAMMA_MASS_TOL,
+             "gamma_mass_excess": rep.gamma_total - k12})
 
 
 # -- Galilean translations -----------------------------------------------------

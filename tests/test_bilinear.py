@@ -24,6 +24,7 @@ from s3lab.bilinear import (
     random_eigenfunction,
     recommended_levels,
     sampling_plan,
+    scan_cells,
     zonal,
     zonal_pair_ratio,
     zonal_ratio,
@@ -301,7 +302,33 @@ def test_scans_build_no_cg_table():
     cg_table.cache_clear()
     bilinear_ratio_scan(64, 32, 2, 0)
     zonal_pair_ratio(64, 32)
+    scan_cells(8, 4, 2, 0, zonal=True, zonal_n_max=2)
     assert cg_table.cache_info().misses == 0
+
+
+@pytest.mark.parametrize("m_max,n_max,seeds,message", [
+    (8, 8, 0, "seeds must be >= 1; got 0"),
+    (8, 8, -3, "seeds must be >= 1; got -3"),
+    (8, 3, 5, "the no-growth fit needs cells at two or more n"),
+    (2, 64, 5, "the no-growth fit needs cells at two or more n"),
+])
+def test_scan_cells_refuses_before_any_work(monkeypatch, m_max, n_max, seeds, message):
+    # no random pair, or cells at n = 0 only, would leave a gate on nothing
+    calls = []
+    monkeypatch.setattr(bilinear, "sampling_plan", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match=message):
+        scan_cells(m_max, n_max, seeds, 1)
+    assert calls == []
+
+
+def test_scan_cells_fails_closed_on_a_nan_witness(monkeypatch):
+    # the builtin max may drop a NaN; C*, the slope and the argmax keep it
+    monkeypatch.setattr(bilinear, "zonal_pair_ratio",
+                        lambda m, n: float("nan") if n == 4 else 1.0)
+    _, summary = scan_cells(16, 4, 2, 1)
+    assert np.isnan(summary["C_star"]) and np.isnan(summary["fitted_slope"])
+    assert summary["argmax_cell"] == "(8, 4)"
+    assert np.isnan(summary["cell_max"]["16,4"])
 
 
 # Criterion 4's scan cells and the (2n, n) cells of the zonal sweep.

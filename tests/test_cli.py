@@ -574,7 +574,7 @@ def test_strichartz_refuses_an_n_its_mode_cannot_run(tmp_path, monkeypatch, caps
     assert err.strip().splitlines() == [named]
 
 
-def test_lattice_scan_ns_have_no_cap(tmp_path, monkeypatch, capsys):
+def test_lattice_scan_runs_n_4096_within_the_work_budget(tmp_path, monkeypatch, capsys):
     code, err, [args], _ = _rerun_stubbed(
         tmp_path, monkeypatch, capsys,
         {"subcommand": "lattice-scan", "params": {"lemma": "5.3", "Ns": [64, 4096.0]}})
@@ -863,6 +863,13 @@ def test_rerun_refuses_before_any_work(tmp_path, monkeypatch, capsys, sub, param
      "bad Ns [0, 64]: N must be >= 1; got 0"),
     (["lattice-scan", "--lemma", "5.3", "--delta", "nan"], None,
      "bad delta nan: delta must lie in (0, 1/8); got nan"),
+    # about 3 h of counting at the default per_n
+    (["lattice-scan", "--lemma", "5.2a", "--N", "64", "--N", "1000000000"], None,
+     "bad Ns [64, 1000000000], per_n 500: the estimated kernel work of 1e+12 entries is "
+     "over the budget of 1e+09"),
+    (["lattice-scan", "--lemma", "5.3", "--N", "64", "--N", "1000000000"], None,
+     "bad Ns [64, 1000000000], delta 0.1, per_config 3: the estimated kernel work of "
+     "1.96e+12 entries is over the budget of 1e+09"),
 ])
 def test_main_refuses_before_any_work(tmp_path, monkeypatch, capsys, argv, config, named):
     # an option the lemma ignores, or a config that is not an object or

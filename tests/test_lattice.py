@@ -412,7 +412,7 @@ def test_scans_refuse_an_empty_sample_before_any_work(monkeypatch, lemma, kwargs
 ])
 def test_scans_refuse_an_n_they_cannot_run_before_any_work(monkeypatch, lemma, kwargs, message):
     calls = []
-    for name in ("_lemma52_samples", "count_quadric_batch", "_lemma53_lvalues", "setB_measures"):
+    for name in ("_lemma52_samples", "count_quadric_batch", "_lemma53_configs", "setB_measures"):
         monkeypatch.setattr(lattice, name, lambda *a, **k: calls.append(a))
     with pytest.raises(ValueError, match=re.escape(message)):
         SCANS[lemma](seed=1, **kwargs)
@@ -429,11 +429,39 @@ def test_lemma53_refuses_a_bad_delta_before_any_work(monkeypatch, delta, message
     # "0.1" used to end in a TypeError, true ran as delta = 1 and NaN ran
     # the whole scan to NaN gates
     calls = []
-    for name in ("_lemma53_lvalues", "setB_measures"):
+    for name in ("_lemma53_configs", "setB_measures"):
         monkeypatch.setattr(lattice, name, lambda *a, **k: calls.append(a))
     with pytest.raises(ValueError, match=re.escape(message)):
         scan_lemma53(Ns=[16, 32], delta=delta, per_config=1, seed=1)
     assert calls == []
+
+
+@pytest.mark.parametrize("lemma,kwargs,work", [
+    ("5.2a", dict(Ns=[64, 10**9], per_n=500), "1e+12"),
+    ("5.2b", dict(Ns=[64, 10**9], per_n=1), "2e+09"),
+    ("5.3", dict(Ns=[64, 10**9], per_config=3), "1.96e+12"),
+])
+def test_scans_refuse_work_over_the_budget_before_any_draw(monkeypatch, lemma, kwargs, work):
+    # N = 10^9 at the default per_n is about 3 h of counting
+    calls = []
+    for name in ("_lemma52_samples", "count_quadric_batch", "count_hyperbola_batch",
+                 "setB_measures"):
+        monkeypatch.setattr(lattice, name, lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match=re.escape(
+            f"the estimated kernel work of {work} entries is over the budget of 1e+09")):
+        SCANS[lemma](seed=1, **kwargs)
+    assert calls == []
+
+
+@pytest.mark.parametrize("lemma,kwargs,check", [
+    ("5.2a", dict(Ns=[16, 33], per_n=7), lambda: lattice.check_lemma52_work([16, 33], 7)),
+    ("5.3", dict(Ns=[16, 33], per_config=2),
+     lambda: lattice.check_lemma53_work([16, 33], 0.1, 2)),
+])
+def test_work_estimate_is_the_kernel_work_of_the_scan(lemma, kwargs, check):
+    # one O(N) row of 2N + 1 entries per query, the queries being the rows
+    rows, _ = SCANS[lemma](seed=2, **kwargs)
+    assert check() == sum(2 * row["N"] + 1 for row in rows)
 
 
 def test_lemma51_scan_rows_are_the_batch_measures_of_their_draws():
