@@ -3,9 +3,11 @@
 # committed tree is exported with `git archive` into a temporary directory
 # and runs its own run_all.sh against its own src/, with S3LAB_OUT set to
 # that copy's output directory.  Every .csv and .summary.json is then
-# compared with cmp (the manifests carry a timestamp, so they are not).
-# Exits 1 naming each file that differs or exists on one side only, 0 when
-# all are byte-identical, 2 on a usage error or a failed run.
+# compared with cmp (the manifests carry a timestamp, so they are not), and
+# each .summary.json that differs is also shown with diff -u (a CSV can be
+# large, so it is only named).  Exits 1 naming each file that differs or
+# exists on one side only, 0 when all are byte-identical, 2 on a usage error
+# or a failed run.
 # Usage: scripts/same_outputs.sh REV
 set -e
 if [ $# -ne 1 ]; then
@@ -37,6 +39,9 @@ status=0
 for f in $( (ls "$base"; ls "$head") | grep -E '\.(csv|summary\.json)$' | sort -u); do
     if ! cmp -s "$base/$f" "$head/$f"; then
         echo "differs: $f"
+        case $f in
+            *.summary.json) diff -u "$base/$f" "$head/$f" || true ;;
+        esac
         status=1
     fi
 done

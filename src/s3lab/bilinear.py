@@ -446,12 +446,13 @@ def scan_grid(m_max: int, n_max: int) -> list:
     return cells
 
 
-def scan_cells(m_max: int, n_max: int, seeds: int, seed, zonal: bool = False,
+def scan_cells(m_max: int = 64, n_max: int = 64, seeds: int = 500, seed=7, zonal: bool = False,
                zonal_n_max: int = 60, cross_check: bool = False) -> tuple[list, dict]:
-    """The ratio scan over ``scan_grid``: per cell, the rows of seeds random
-    pairs (``bilinear_ratio_scan``, seed [seed, m, n]) and of the zonal
-    witness, which saturates the bound while random maxima decay like
-    (n+1)^(-1/2); C*, ``argmax_cell`` (``fitting.largest``) and the
+    """The ratio scan of ``s3lab bilinear-verify``, with its defaults, over
+    ``scan_grid``: per cell, the rows of seeds random pairs
+    (``bilinear_ratio_scan``, seed [seed, m, n]) and of the zonal witness,
+    which saturates the bound while random maxima decay like (n+1)^(-1/2);
+    C*, ``argmax_cell`` (``largest``; a "m,n" key of ``cell_max``) and the
     no-growth slope against log(n+1) read the witness-included cell maxima.
     ``cross_check`` checks exact norms against Haar quadrature at m <= 8;
     ``zonal`` adds ``zonal_ratio`` at n = 1 .. zonal_n_max.  Seeds below 1,
@@ -469,9 +470,10 @@ def scan_cells(m_max: int, n_max: int, seeds: int, seed, zonal: bool = False,
         rows.append({"m": m, "n": n, "seed": "zonal", "ratio": witnesses[-1]})
         maxima.append(float(np.max([*ratios, witnesses[-1]])))
     c_star, index = largest(maxima)
-    summary = {"C_star": c_star, "argmax_cell": None if index is None else str(cells[index]),
+    names = [f"{m},{n}" for m, n in cells]
+    summary = {"C_star": c_star, "argmax_cell": None if index is None else names[index],
                "fitted_slope": fit_slope([np.log(n + 1.0) for (_, n) in cells], maxima),
-               "cell_max": {f"{m},{n}": v for (m, n), v in zip(cells, maxima)}}
+               "cell_max": dict(zip(names, maxima))}
     if cross_check:
         rels, defects = [0.0], [0.0]
         for m, n in [(m, n) for (m, n) in cells if m <= 8]:

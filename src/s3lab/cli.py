@@ -7,13 +7,14 @@ reproduces the data outputs byte for byte.
 
 Every subcommand is a table of ``_Entry`` rows: ``cg-table`` and
 ``bilinear-verify`` one row each, ``lattice-scan`` one per lemma and
-``strichartz`` one per mode.  A row holds the keys its run reads with their
-defaults, the checks made before any work, the CSV header and the runner;
-``_run`` checks the seed of every row that reads one.  Every row but
-``cg-table`` (which alone writes a note and a sidecar) runs a library scan
-through ``_scan``: its (rows, summary) are the CSV rows and the summary as
-they are, gated off the summary, so a new row or summary key needs no code.
-The parser sets no default.  ``main`` and ``rerun`` share one resolver,
+``strichartz`` one per mode.  A row holds its runner, the checks made before
+any work and the keys its run reads with their defaults: its runner's
+parameters (``_keys``).  ``_run`` checks the seed of every row that reads
+one.  Every row but ``cg-table`` (which alone writes a note and a sidecar)
+runs a library scan through ``_scan``: its (rows, summary) are the CSV rows,
+whose first row's keys are the columns, and the summary, gated off the
+summary, so a new parameter, row or summary key needs no CLI code.  The
+parser sets no default.  ``main`` and ``rerun`` share one resolver,
 ``_run``, so a command line, a config and a manifest are read the same way;
 the manifest records the resolved keys.  Every exit code comes from
 ``_gate``.
@@ -22,6 +23,7 @@ the manifest records the resolved keys.  Every exit code comes from
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import numbers
@@ -53,10 +55,10 @@ def _gate(checks) -> int:
 
 
 class _Entry(NamedTuple):
-    """One subcommand, strichartz mode or lattice lemma."""
+    """One subcommand, strichartz mode or lattice lemma.  Its keys are its
+    runner's parameters (``_keys``); its CSV columns are its rows' keys."""
 
-    keys: dict  # every key the run reads, with its default
-    header: list  # CSV header
+    keys: dict  # every key the run reads, with its default (None: a required key)
     run: Callable  # args -> _Result, or its first three fields from a _scan runner
     # key -> check run before any work, returning the value to run with; a
     # tuple of keys -> a check across their values, converting nothing
@@ -111,14 +113,19 @@ def _cg_degrees(m, n):
         raise ValueError("need m >= n >= 0 and m + n <= 200")
 
 
-def _cg_table(a):
-    table = cg_decompose(a["m"], a["n"])
+def _keys(function, fixed=()) -> dict:
+    """The parameters of function but fixed, ``t_window`` as ``window``,
+    with their defaults; None for a required one."""
+    return {"window" if p.name == "t_window" else p.name: None if p.default is p.empty
+            else p.default for p in inspect.signature(function).parameters.values()
+            if p.name not in fixed}
+
+
+def _cg_table(m, n, format="csv"):
+    table = cg_decompose(m, n)
     report = verify_orthogonality(table)
-    rows = [
-        {"m": r[0], "n": r[1], "k": r[2], "gamma": r[3], "alpha": r[4],
-         "beta": r[5], "value": r[6]}
-        for r in table.records()
-    ]
+    rows = [dict(zip(("m", "n", "k", "gamma", "alpha", "beta", "value"), r))
+            for r in table.records()]
     summary = {
         "rows": len(rows),
         "dimension_identity": table.dimension_identity(),
@@ -129,7 +136,7 @@ def _cg_table(a):
     return _Result(rows, summary, [("orthogonality defect", worst, gates.CG_DEFECT_BOUND)],
                    f"  (defects: row {report['max_row_defect']:.3g}, "
                    f"col {report['max_col_defect']:.3g})",
-                   {".table.json": table.to_json} if a["format"] == "json" else {})
+                   {".table.json": table.to_json} if format == "json" else {})
 
 
 def _bilinear_gate(summary):
@@ -143,15 +150,16 @@ def _bilinear_gate(summary):
     return checks
 
 
-def _scan(module, name: str, gate: Callable, **fixed) -> Callable:
-    """The runner of one library scan: module.<name>, looked up when the row
-    runs, called with the row's keys and fixed, then gate(summary).  The
-    row's key ``window`` is the library's ``t_window``."""
+def _scan(module, name: str, gate: Callable, checks: dict = {}, **fixed) -> _Entry:
+    """The row of library scan module.<name>, its keys read once by ``_keys``.
+    Its runner looks the scan up when it runs (so a stub changes no key),
+    calls it with the row's keys (``window`` as ``t_window``) and fixed,
+    then gate(summary)."""
     def run(args):
         kwargs = {"t_window" if key == "window" else key: value for key, value in args.items()}
         rows, summary = getattr(module, name)(**kwargs, **fixed)
         return rows, summary, gate(summary)
-    return run
+    return _Entry(_keys(getattr(module, name), fixed), run, checks)
 
 
 def _lemma53_gate(summary):
@@ -162,29 +170,22 @@ def _lemma53_gate(summary):
 
 
 def _lemma52(variant: str) -> _Entry:
-    return _Entry({"seed": 11, "Ns": (64, 128, 256, 512), "per_n": 500},
-                  ["lemma", "N", "k", "C", "value", "normalized_ratio"],
-                  _scan(lattice, "scan_lemma52",
-                        lambda s: [("fitted exponent", s["fitted_exponent"], gates.EXPONENT_BOUND)],
-                        variant=variant),
-                  {"per_n": partial(check_count, "per_n"), "Ns": lattice.check_ns,
-                   ("Ns", "per_n"): lattice.check_lemma52_work})
+    return _scan(lattice, "scan_lemma52",
+                 lambda s: [("fitted exponent", s["fitted_exponent"], gates.EXPONENT_BOUND)],
+                 {"per_n": partial(check_count, "per_n"), "Ns": lattice.check_ns,
+                  ("Ns", "per_n"): lattice.check_lemma52_work}, variant=variant)
 
 
 _LEMMAS = {
-    "5.1": _Entry({"seed": 11, "n_queries": 10000},
-                  ["lemma", "C", "K", "xi2_center", "value", "normalized_ratio"],
-                  _scan(lattice, "scan_lemma51",
-                        lambda s: [("measure/K ratio", s["max_ratio"], gates.ANNULUS_BOUND)]),
-                  {"n_queries": partial(check_count, "n_queries")}),
+    "5.1": _scan(lattice, "scan_lemma51",
+                 lambda s: [("measure/K ratio", s["max_ratio"], gates.ANNULUS_BOUND)],
+                 {"n_queries": partial(check_count, "n_queries")}),
     "5.2a": _lemma52("quadric"),
     "5.2b": _lemma52("hyperbola"),
-    "5.3": _Entry({"seed": 11, "Ns": (64, 128, 256, 512, 1024), "delta": 0.1, "per_config": 3},
-                  ["lemma", "case", "N", "M", "l", "k", "C", "value", "normalized_ratio"],
-                  _scan(lattice, "scan_lemma53", _lemma53_gate),
-                  {"per_config": partial(check_count, "per_config"), "Ns": lattice.check_ns,
-                   "delta": check_delta,
-                   ("Ns", "delta", "per_config"): lattice.check_lemma53_work}),
+    "5.3": _scan(lattice, "scan_lemma53", _lemma53_gate,
+                 {"per_config": partial(check_count, "per_config"), "Ns": lattice.check_ns,
+                  "delta": check_delta,
+                  ("Ns", "delta", "per_config"): lattice.check_lemma53_work}),
 }
 
 
@@ -211,11 +212,6 @@ def _slab_spec(record) -> strichartz.SlabSpec:
     return spec
 
 
-def _lattice_h(h):
-    strichartz.lattice_q(h)
-    return h
-
-
 def _grid_step(h):
     if isinstance(h, bool) or not isinstance(h, numbers.Real) or not (math.isfinite(h) and h > 0):
         raise ValueError("h must be a finite positive number")
@@ -226,60 +222,43 @@ def _fitted_slope(summary):
     return [("fitted slope", summary["fitted_slope"], gates.SLOPE_BOUND)]
 
 
-_TRIALS = partial(check_count, "trials")
 # the hyperbolic scan and the box probe build their grids from int(N)
 _whole_ns = partial(strichartz.check_ns, integral=True)
-_SCAN_CHECKS = {"Ns": lambda Ns: strichartz.check_ns(check_fit_xs(Ns)), "trials": _TRIALS,
-                "h": _grid_step, "window": strichartz.check_window}
+_RUN_CHECKS = {"trials": partial(check_count, "trials"), "h": _grid_step,
+               "window": strichartz.check_window}
 
 
 _MODES = {
-    "elliptic": _Entry({"seed": 3, "Ns": (8, 16, 32, 64), "delta": 0.1, "trials": 6, "h": 0.125,
-                        "window": (-60.0, 60.0, 8192)},
-                       ["N", "M_kind", "M", "trial", "a2", "quotient"],
-                       _scan(strichartz, "scan_strichartz_quotients", _fitted_slope),
-                       {**_SCAN_CHECKS, "delta": check_delta}),
-    "slab": _Entry({"seed": 3, "slab": None, "delta": 0.1, "trials": 8, "h": 0.125,
-                    "window": (-60.0, 60.0, 8192)},
-                   ["trial", "quotient"], _scan(strichartz, "strichartz_quotient", lambda s: []),
-                   {"slab": _slab_spec, "delta": check_delta, "trials": _TRIALS,
-                    "h": _grid_step, "window": strichartz.check_window}),
-    "hyperbolic": _Entry({"seed": 3, "Ns": (4, 8, 16, 32, 64), "trials": 3, "h": 0.5,
-                          "window": (-60.0, 60.0, 4096)},
-                         ["trial", "N", "quotient"],
-                         _scan(strichartz, "scan_hyperbolic_quotients", _fitted_slope),
-                         {**_SCAN_CHECKS, "Ns": lambda Ns: _whole_ns(check_fit_xs(Ns))}),
-    "quadrilinear": _Entry({"seed": 3},
-                           ["trial", "frequency_side", "time_side", "relative_mismatch"],
-                           _scan(strichartz, "quadrilinear_check",
-                                 lambda s: [("Plancherel mismatch", s["relative_mismatch"],
-                                             gates.PLANCHEREL_EXACT_TOL)])),
-    "kernel-split": _Entry({"seed": 3, "k_shift": 0},
-                           ["gamma_total", "K1_part", "K2_part", "tuples", "cover_ok"],
-                           _scan(strichartz, "kernel_split_check",
-                                 lambda s: [("cover failure", int(not s["cover_ok"]), 0),
-                                            ("Gamma mass beyond K1 + K2",
-                                             s["gamma_mass_excess"], gates.GAMMA_MASS_TOL)]),
-                           {"k_shift": _integer}),
-    "box-scaling": _Entry({"Ns": (4, 8, 16, 32), "h": 0.25},
-                          ["N", "n_t", "norm", "ratio"],
-                          _scan(strichartz, "box_scaling_probe",
-                                lambda s: [("spread factor", s["spread_factor"],
-                                            gates.BOX_SPREAD_BOUND)]),
-                          {"Ns": _whole_ns, "h": _lattice_h}),
+    "elliptic": _scan(strichartz, "scan_strichartz_quotients", _fitted_slope,
+                      {"Ns": lambda Ns: strichartz.check_ns(check_fit_xs(Ns)), **_RUN_CHECKS,
+                       "delta": check_delta}),
+    "slab": _scan(strichartz, "strichartz_quotient", lambda s: [],
+                  {"slab": _slab_spec, "delta": check_delta, **_RUN_CHECKS}),
+    "hyperbolic": _scan(strichartz, "scan_hyperbolic_quotients", _fitted_slope,
+                        {"Ns": lambda Ns: _whole_ns(check_fit_xs(Ns)), **_RUN_CHECKS}),
+    "quadrilinear": _scan(strichartz, "quadrilinear_check",
+                          lambda s: [("Plancherel mismatch", s["relative_mismatch"],
+                                      gates.PLANCHEREL_EXACT_TOL)]),
+    "kernel-split": _scan(strichartz, "kernel_split_check",
+                          lambda s: [("cover failure", int(not s["cover_ok"]), 0),
+                                     ("Gamma mass beyond K1 + K2",
+                                      s["gamma_mass_excess"], gates.GAMMA_MASS_TOL)],
+                          {"k_shift": _integer}),
+    # a spread over one N compares nothing; the one-key tuple checks h, converting nothing
+    "box-scaling": _scan(strichartz, "box_scaling_probe",
+                         lambda s: [("spread factor", s["spread_factor"], gates.BOX_SPREAD_BOUND)],
+                         {"Ns": lambda Ns: check_fit_xs(_whole_ns(Ns)),
+                          ("h",): strichartz.lattice_q}),
 }
 
 
 _SUBCOMMANDS = {  # subcommand -> (selector key, {its value: entry}, output name)
     "cg-table": (None, {None: _Entry(
-        {"m": None, "n": None, "format": "csv"},
-        ["m", "n", "k", "gamma", "alpha", "beta", "value"], _cg_table,
+        _keys(_cg_table), lambda a: _cg_table(**a),
         {"m": _integer, "n": _integer, ("m", "n"): _cg_degrees, "format": _one_of("csv", "json")})},
         "cg_table_m{m}_n{n}"),
-    "bilinear-verify": (None, {None: _Entry(
-        {"m_max": 64, "n_max": 64, "seeds": 500, "seed": 7, "zonal": False,
-         "zonal_n_max": 60, "cross_check": False},
-        ["m", "n", "seed", "ratio"], _scan(bilinear, "scan_cells", _bilinear_gate),
+    "bilinear-verify": (None, {None: _scan(
+        bilinear, "scan_cells", _bilinear_gate,
         # a gate over the zonal witnesses alone would pass on no random pair
         {"m_max": _integer, "n_max": _integer, ("m_max", "n_max"): bilinear.scan_grid,
          "seeds": partial(check_count, "seeds"), "zonal": _one_of(False, True),
@@ -329,7 +308,7 @@ def _run(subcommand: str, params: dict, out_dir: Path) -> int:
     except CGConstructionError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return 1
-    paths = write_run_outputs(out_dir, name, entry.header, rows, summary,
+    paths = write_run_outputs(out_dir, name, rows, summary,
                               build_manifest(subcommand, raw, seed=raw.get("seed")))
     print(f"wrote {paths['csv']}{note}")
     for suffix, write in files.items():

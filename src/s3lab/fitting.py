@@ -12,9 +12,12 @@ import numpy as np
 
 
 def check_fit_xs(x):
-    """Return x; ValueError unless it holds at least two distinct values,
-    where a slope is defined.  Scans call it on their N before any work."""
-    distinct = np.unique(np.asarray(x, dtype=float))
+    """Return x; ValueError unless it holds two or more distinct values in
+    float range, where a slope is defined.  Scans call it on N before work."""
+    try:
+        distinct = np.unique(np.asarray(x, dtype=float))
+    except OverflowError:
+        raise ValueError("x values must lie within float range") from None
     if len(distinct) < 2:
         raise ValueError(f"a slope needs at least two distinct x values; got {distinct.tolist()}")
     return x
@@ -23,10 +26,10 @@ def check_fit_xs(x):
 def check_ns(Ns, integral: bool = False, cap=None):
     """Return Ns; ValueError when it holds no N, or naming the first N that
     is not a real number, lies above ``cap`` unless it is None (a NaN or an
-    infinity included) or below 1, or, with ``integral``, is not a whole
-    number (the hyperbolic quotients and the box probe take int(N)).
-    ``strichartz.check_ns`` is this check with its cap; ``lattice.check_ns``
-    takes whole N with no cap."""
+    infinity included) or below 1, lies beyond float range, or, with
+    ``integral``, is not a whole number (the hyperbolic quotients and the box
+    probe take int(N)).  ``strichartz.check_ns`` is this check with its cap;
+    ``lattice.check_ns`` takes whole N with no cap."""
     try:
         given = list(Ns)
     except TypeError:
@@ -40,7 +43,11 @@ def check_ns(Ns, integral: bool = False, cap=None):
             raise ValueError(f"N is capped at {cap}; got {N}")
         if not N >= 1:
             raise ValueError(f"N must be >= 1; got {N}")
-        if integral and not float(N).is_integer():
+        try:
+            whole = float(N).is_integer()
+        except OverflowError:
+            raise ValueError(f"N must lie within float range; got {len(str(N))} digits") from None
+        if integral and not whole:
             raise ValueError(f"N must be a whole number; got {N}")
     return Ns
 

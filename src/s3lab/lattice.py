@@ -329,12 +329,13 @@ def check_ns(Ns):
     return fitting.check_ns(check_fit_xs(Ns), integral=True)
 
 
-def scan_lemma51(n_queries: int, seed) -> tuple[list, dict]:
+def scan_lemma51(n_queries: int = 10000, seed=11) -> tuple[list, dict]:
     """Worst-case ratio measure / K over random annulus queries.
 
     C ~ U(-10, 1e6), K ~ U(1, 1e3) and the integer xi2_center ~ U{-1000..1000}
     are each drawn as one array, in that order, and measured in one batch;
-    the center drops out of the measure and is reported only.
+    the center drops out of the measure and is reported only.  The defaults
+    are those of ``s3lab lattice-scan --lemma 5.1``.
     """
     n_queries = check_count("n_queries", n_queries)
     rng = np.random.default_rng(seed)
@@ -377,7 +378,8 @@ def _lemma52_samples(N: int, per_n: int, variant: str, rng) -> list:
     return out
 
 
-def scan_lemma52(Ns: list, per_n: int, seed, variant: str = "quadric") -> tuple[list, dict]:
+def scan_lemma52(Ns: tuple = (64, 128, 256, 512), per_n: int = 500, seed=11,
+                 variant: str = "quadric") -> tuple[list, dict]:
     """Random-count scan per N with the fitted growth exponent.
 
     The epsilon-loss statement admits no single testable exponent.  Raw
@@ -386,6 +388,7 @@ def scan_lemma52(Ns: list, per_n: int, seed, variant: str = "quadric") -> tuple[
     mean of the top decile of counts per N, a stabilized worst-case trend
     statistic; the per-N maxima are reported alongside.  The acceptance
     suite requires exponent <= 0.3 on the scanned range (desk-scale proxy).
+    The defaults are those of ``s3lab lattice-scan --lemma 5.2a`` and ``5.2b``.
     """
     if variant not in ("quadric", "hyperbola"):
         raise ValueError("variant must be 'quadric' or 'hyperbola'")
@@ -450,12 +453,15 @@ def check_lemma53_work(Ns, delta: float, per_config: int) -> int:
 
 def _check_work(work: int) -> int:
     if work > _WORK_BUDGET:
-        raise ValueError(f"the estimated kernel work of {work:.3g} entries is over the "
+        # a work beyond float range has no %g form; an int compares with 1e308 exactly
+        size = f"{work:.3g}" if work < 1e308 else "over 1e308"
+        raise ValueError(f"the estimated kernel work of {size} entries is over the "
                          f"budget of {_WORK_BUDGET:.3g}")
     return work
 
 
-def scan_lemma53(Ns: list, delta: float, per_config: int, seed) -> tuple[list, dict]:
+def scan_lemma53(Ns: tuple = (64, 128, 256, 512, 1024), delta: float = 0.1, per_config: int = 3,
+                 seed=11) -> tuple[list, dict]:
     """Worst-case scan of measure / ((M/N)^(4 delta) N) over the grid.
 
     The (k, C) draws are made one query at a time, in grid order, and each
@@ -464,7 +470,8 @@ def scan_lemma53(Ns: list, delta: float, per_config: int, seed) -> tuple[list, d
     (a lucky resonance window swings the slope by O(1)), so the reported
     slope is fitted in log space to the top-decile mean of the normalized
     ratios per N; the raw maxima per N and per proof case (a: l ~ 1, b: l up
-    to sqrt(N), c: beyond) are reported alongside.
+    to sqrt(N), c: beyond) are reported alongside.  The defaults are those
+    of ``s3lab lattice-scan --lemma 5.3``.
     """
     per_config = check_count("per_config", per_config)
     check_ns(Ns)

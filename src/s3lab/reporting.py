@@ -1,10 +1,10 @@
 """Reproducible run artifacts: manifests, CSV and JSON emission, hashing.
 
-Every CLI run writes three files: ``<name>.csv`` (data rows),
-``<name>.summary.json`` (summary object embedding the deterministic part of
-the manifest), and ``<name>.manifest.json`` (the manifest plus a wall-clock
-timestamp).  The timestamp lives only in the manifest sidecar so that
-re-running a manifest reproduces the data files byte for byte.  Summaries
+Every CLI run writes three files: ``<name>.csv`` (data rows under the first
+row's keys), ``<name>.summary.json`` (summary object embedding the
+deterministic part of the manifest), and ``<name>.manifest.json`` (the
+manifest plus a wall-clock timestamp).  The timestamp lives only in the
+manifest sidecar so that re-running a manifest reproduces the data files byte for byte.  Summaries
 are strict JSON: a non-finite float is written as the string "nan", "inf"
 or "-inf".
 """
@@ -71,15 +71,15 @@ def write_csv(path: Path, header: list, rows: list) -> None:
             fh.write(formats[types] % cells)
 
 
-def write_run_outputs(out_dir: Path, name: str, header: list, rows: list,
-                      summary: dict, manifest: dict) -> dict:
-    """Write the CSV, summary JSON and timestamped manifest; returns paths."""
+def write_run_outputs(out_dir: Path, name: str, rows: list, summary: dict, manifest: dict) -> dict:
+    """Write the CSV (its columns the first row's keys, in order), summary
+    JSON and timestamped manifest; returns paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{name}.csv"
     summary_path = out_dir / f"{name}.summary.json"
     manifest_path = out_dir / f"{name}.manifest.json"
-    write_csv(csv_path, header, rows)
+    write_csv(csv_path, list(rows[0]) if rows else [], rows)
     with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(_round_floats({"manifest": manifest, "summary": summary}),
                   fh, indent=1, sort_keys=True, allow_nan=False)

@@ -734,9 +734,10 @@ def kernel_split_diagnostics(p: WavePacket, k_shift: int = 0) -> KernelSplitRepo
 _PLANCHEREL_NODES, _SPLIT_NODES = 24, 16
 
 
-def quadrilinear_check(seed) -> tuple[list, dict]:
+def quadrilinear_check(seed=3) -> tuple[list, dict]:
     """The Plancherel identity on one sparse packet, the frequency-side form
-    against the periodic-exact time side: one row and its summary."""
+    against the periodic-exact time side: one row and its summary.  The
+    default is that of ``s3lab strichartz --mode quadrilinear``."""
     pkt = sparse_packet(seed, _PLANCHEREL_NODES, 6.0, 0.5)
     freq = quadrilinear_form_frequency(pkt, 0)
     res = evolve_l4_norm_exact(pkt, 0, "elliptic")
@@ -747,9 +748,10 @@ def quadrilinear_check(seed) -> tuple[list, dict]:
              "n_nodes": res.n_nodes, "flags": list(res.warnings)})
 
 
-def kernel_split_check(seed, k_shift) -> tuple[list, dict]:
+def kernel_split_check(seed=3, k_shift: int = 0) -> tuple[list, dict]:
     """``kernel_split_diagnostics`` on one sparse packet: one row of masses,
-    and the cover and the Gamma mass beyond K1 + K2 (rounding only)."""
+    and the cover and the Gamma mass beyond K1 + K2 (rounding only).  The
+    defaults are those of ``s3lab strichartz --mode kernel-split``."""
     rep = kernel_split_diagnostics(sparse_packet(seed, _SPLIT_NODES, 6.0, 0.5), k_shift)
     k12 = rep.K1_part + rep.K2_part
     return ([{"gamma_total": rep.gamma_total, "K1_part": rep.K1_part, "K2_part": rep.K2_part,
@@ -836,9 +838,9 @@ check_ns = partial(fitting.check_ns, cap=_N_MAX)
 
 def strichartz_quotient(
     slab: SlabSpec,
-    delta: float,
-    trials: int,
-    seed,
+    delta: float = 0.1,
+    trials: int = 8,
+    seed=3,
     h: float = 0.125,
     t_window: tuple = (-60.0, 60.0, 8192),
 ) -> tuple[list, dict]:
@@ -846,9 +848,9 @@ def strichartz_quotient(
 
         evolve_l4_norm / ((M/N)^delta N^{1/4} ||phi||_{L2}):
 
-    one row per trial, and the summary of ``_best_of``.  A delta outside
-    (0, 1/8), fewer than one trial or an N above 64 raises ValueError
-    before any work.
+    one row per trial, and the summary of ``_best_of``, with the defaults of
+    ``s3lab strichartz --mode slab``.  A delta outside (0, 1/8), fewer than
+    one trial or an N above 64 raises ValueError before any work.
     """
     check_ns([slab.N])
     check_delta(delta)
@@ -883,10 +885,10 @@ def _random_slab(N: float, M: float, delta: float, rng, h: float, boundary: bool
 
 
 def scan_strichartz_quotients(
-    Ns: list,
-    delta: float,
-    trials: int,
-    seed,
+    Ns: tuple = (8, 16, 32, 64),
+    delta: float = 0.1,
+    trials: int = 6,
+    seed=3,
     h: float = 0.125,
     t_window: tuple = (-60.0, 60.0, 8192),
 ) -> tuple[list, dict]:
@@ -895,7 +897,8 @@ def scan_strichartz_quotients(
     to the Case 1 / Case 2 boundary |a2| = (M/N)^(1-4 delta).  The
     summary's flags keep the worst value per warning flag.  Fewer than two
     distinct N, an N outside [1, 64], no trial or a delta outside (0, 1/8)
-    raise ValueError before any work."""
+    raise ValueError before any work.  The defaults are those of ``s3lab
+    strichartz --mode elliptic``."""
     check_ns(check_fit_xs(Ns))
     trials = check_count("trials", trials)
     check_delta(delta)
@@ -921,15 +924,16 @@ def scan_strichartz_quotients(
     return rows, {**_trend(Ns, per_n_max, warn), "delta": delta}
 
 
-def box_scaling_probe(Ns: list, h: float = 0.25) -> tuple[list, dict]:
+def box_scaling_probe(Ns: tuple = (4, 8, 16, 32), h: float = 0.25) -> tuple[list, dict]:
     """Weighted L4 norms of the square-indicator example over all t; the
     norms should track N^{1/4} within a bounded factor.  Each norm is exact
     by the periodic-exact time rule (the Fejer weight periodized by Poisson
     summation): with q = 1/h^2 the box's Lambda spread is 2 N^2, so it uses
     q (4 N^2 + 1) nodes, the rows' ``n_t``.  An h with 1/h^2 not an integer,
-    no N, or an N that is not a whole number in [1, 64] raises ValueError
-    before any work."""
-    check_ns(Ns, integral=True)
+    no N, an N that is not a whole number in [1, 64], or fewer than two
+    distinct N raises ValueError before any work.  The defaults are those of
+    ``s3lab strichartz --mode box-scaling``."""
+    check_fit_xs(check_ns(Ns, integral=True))
     lattice_q(h)
     rows = []
     ratios = []
@@ -972,16 +976,16 @@ def hyperbolic_l4_quotient(
 
 
 def scan_hyperbolic_quotients(
-    Ns: list,
-    trials: int,
-    seed,
+    Ns: tuple = (4, 8, 16, 32, 64),
+    trials: int = 3,
+    seed=3,
     h: float = 0.5,
     t_window: tuple = (-60.0, 60.0, 4096),
 ) -> tuple[list, dict]:
     """Hyperbolic quotient scan over N in Ns; the summary's flags keep the
     worst value per warning flag.  Fewer than two distinct N, an N that is
     not a whole number in [1, 64] or no trial raise ValueError before any
-    work."""
+    work.  The defaults are those of ``s3lab strichartz --mode hyperbolic``."""
     check_ns(check_fit_xs(Ns), integral=True)
     trials = check_count("trials", trials)
     rows = []

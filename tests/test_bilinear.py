@@ -327,8 +327,14 @@ def test_scan_cells_fails_closed_on_a_nan_witness(monkeypatch):
                         lambda m, n: float("nan") if n == 4 else 1.0)
     _, summary = scan_cells(16, 4, 2, 1)
     assert np.isnan(summary["C_star"]) and np.isnan(summary["fitted_slope"])
-    assert summary["argmax_cell"] == "(8, 4)"
+    assert summary["argmax_cell"] == "8,4"
     assert np.isnan(summary["cell_max"]["16,4"])
+
+
+def test_scan_cells_argmax_cell_indexes_cell_max():
+    # argmax_cell used to read "(16, 4)" beside the cell_max key "16,4"
+    _, summary = scan_cells(16, 8, 2, 0)
+    assert summary["cell_max"][summary["argmax_cell"]] == summary["C_star"]
 
 
 # Criterion 4's scan cells and the (2n, n) cells of the zonal sweep.

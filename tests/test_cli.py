@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import re
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from s3lab import bilinear, clebsch, cli, gates, lattice, strichartz
-from s3lab.reporting import file_sha256
+from s3lab.reporting import file_sha256, write_run_outputs
 
 
 def strict_json(path):
@@ -449,7 +450,7 @@ def test_slab_mode_fills_defaults(tmp_path, monkeypatch, given, window):
 
     def fake_quotient(slab, delta, trials, seed, h, t_window):
         seen.append((slab, delta, trials, seed, h, t_window))
-        return [], {"max_quotient": 1.0, "argmax": {}, "flags": []}
+        return [{"trial": 0, "quotient": 1.0}], {"max_quotient": 1.0, "argmax": {}, "flags": []}
 
     monkeypatch.setattr(cli.strichartz, "strichartz_quotient", fake_quotient)
     config = tmp_path / "config.json"
@@ -458,7 +459,8 @@ def test_slab_mode_fills_defaults(tmp_path, monkeypatch, given, window):
                      "--out", str(tmp_path / "out")]) == 0
     slab = strichartz.SlabSpec(xi0=(0.0, 0), a=(1.0, 0.0), c=0.0, M=2, N=4)
     assert seen == [(slab, 0.1, 8, 3, 0.125, window)]
-    assert (tmp_path / "out" / "strichartz_slab.csv").read_text() == "trial,quotient\n"
+    # the CSV's columns are the keys of the scan's first row
+    assert (tmp_path / "out" / "strichartz_slab.csv").read_text() == "trial,quotient\n0,1\n"
 
 
 @pytest.mark.parametrize("config,named", [
@@ -557,6 +559,9 @@ _ONE_TRIAL = {"trials": 1, "window": [-10, 10, 64]}
     ("box-scaling", {"Ns": [2.5, 4]}, "bad Ns [2.5, 4]: N must be a whole number; got 2.5"),
     ("box-scaling", {"Ns": [4, float("nan")]}, "bad Ns [4, nan]: N is capped at 64; got nan"),
     ("box-scaling", {"Ns": 4}, "bad Ns 4: Ns must be a list of numbers; got 4"),
+    # a spread factor over one N used to read 1.0 and pass its gate
+    ("box-scaling", {"Ns": [4]},
+     "bad Ns [4]: a slope needs at least two distinct x values; got [4.0]"),
     ("hyperbolic", {"Ns": [0, 4], **_ONE_TRIAL}, "bad Ns [0, 4]: N must be >= 1; got 0"),
     ("hyperbolic", {"Ns": [-1, 4], **_ONE_TRIAL}, "bad Ns [-1, 4]: N must be >= 1; got -1"),
     ("hyperbolic", {"Ns": [2.5, 4], **_ONE_TRIAL}, "bad Ns [2.5, 4]: N must be a whole number; got 2.5"),
@@ -818,6 +823,8 @@ def test_rerun_fills_what_a_manifest_leaves_out(tmp_path, monkeypatch, capsys, s
      "unknown keys for mode quadrilinear: k_shift 1 (allowed: seed)"),
     ("strichartz", {"mode": "box-scaling", "Ns": []}, "bad Ns []: need at least one N"),
     ("strichartz", {"mode": "box-scaling", "Ns": [0, 4]}, "bad Ns [0, 4]: N must be >= 1; got 0"),
+    ("strichartz", {"mode": "box-scaling", "Ns": [8, 8.0]},
+     "bad Ns [8, 8.0]: a slope needs at least two distinct x values; got [8.0]"),
     ("strichartz", {"mode": "hyperbolic", "Ns": [4, 8.5]},
      "bad Ns [4, 8.5]: N must be a whole number; got 8.5"),
     ("strichartz", {"mode": "elliptic", "Ns": [0.5, 8]}, "bad Ns [0.5, 8]: N must be >= 1; got 0.5"),
@@ -870,6 +877,9 @@ def test_rerun_refuses_before_any_work(tmp_path, monkeypatch, capsys, sub, param
     (["lattice-scan", "--lemma", "5.3", "--N", "64", "--N", "1000000000"], None,
      "bad Ns [64, 1000000000], delta 0.1, per_config 3: the estimated kernel work of "
      "1.96e+12 entries is over the budget of 1e+09"),
+    # an OverflowError traceback from converting N to a float
+    (["lattice-scan", "--lemma", "5.2a", "--N", "64", "--N", str(10**400)], None,
+     f"bad Ns [64, {10**400}]: x values must lie within float range"),
 ])
 def test_main_refuses_before_any_work(tmp_path, monkeypatch, capsys, argv, config, named):
     # an option the lemma ignores, or a config that is not an object or
@@ -928,6 +938,66 @@ def test_the_manifest_records_the_resolved_keys(tmp_path, monkeypatch, argv, par
     assert cli.main([*argv, "--out", str(tmp_path)]) == 0
     [manifest] = tmp_path.glob("*.manifest.json")
     assert json.loads(manifest.read_text())["params"] == params
+
+
+def test_a_row_key_a_scan_adds_reaches_the_csv(tmp_path, monkeypatch):
+    # the CSV used to write only the columns of a header list kept in cli.py
+    rows = [{"m": 8, "n": 4, "seed": "zonal", "ratio": 1.0, "zonal_partner_top": 0.5}]
+    monkeypatch.setattr(cli.bilinear, "scan_cells",
+                        lambda **kw: (rows, {"C_star": 1.0, "fitted_slope": 0.0}))
+    assert cli.main(["bilinear-verify", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "bilinear_verify.csv").read_text().splitlines() == [
+        "m,n,seed,ratio,zonal_partner_top", "8,4,zonal,1,0.5"]
+
+
+# a small run of every entry
+_SMALL = {
+    ("cg-table", None): {"m": 2, "n": 1},
+    ("bilinear-verify", None): {"m_max": 8, "n_max": 4, "seeds": 2},
+    ("lattice-scan", "5.1"): {"n_queries": 50},
+    ("lattice-scan", "5.2a"): {"Ns": [16, 32], "per_n": 5},
+    ("lattice-scan", "5.2b"): {"Ns": [16, 32], "per_n": 5},
+    ("lattice-scan", "5.3"): {"Ns": [16, 32], "per_config": 1},
+    ("strichartz", "elliptic"): {"Ns": [4, 8], **_ONE_TRIAL},
+    ("strichartz", "slab"): {"slab": _SLAB, **_ONE_TRIAL},
+    ("strichartz", "hyperbolic"): {"Ns": [2, 4], **_ONE_TRIAL},
+    ("strichartz", "quadrilinear"): {},
+    ("strichartz", "kernel-split"): {},
+    ("strichartz", "box-scaling"): {"Ns": [2, 4], "h": 0.5},
+}
+
+
+@pytest.mark.parametrize("sub,choice", _ENTRIES, ids=[f"{s}-{c}" for s, c in _ENTRIES])
+def test_every_row_carries_the_first_rows_keys(tmp_path, monkeypatch, capsys, sub, choice):
+    # the CSV's columns are the first row's keys, so no later row may add,
+    # drop or reorder one
+    written = []
+
+    def record(out_dir, name, rows, summary, manifest):
+        written.append(rows)
+        return write_run_outputs(out_dir, name, rows, summary, manifest)
+    monkeypatch.setattr(cli, "write_run_outputs", record)
+    selector = cli._SUBCOMMANDS[sub][0]
+    params = {**_SMALL[(sub, choice)], **({selector: choice} if selector else {})}
+    assert cli._run(sub, params, tmp_path) in (0, 1), capsys.readouterr().err
+    [rows] = written
+    assert rows and all(list(row) == list(rows[0]) for row in rows)
+    [path] = tmp_path.glob("*.csv")
+    assert path.read_text().splitlines()[0] == ",".join(rows[0])
+
+
+def test_cg_table_json_sidecar_matches_the_csv_and_reruns(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert cli.main(["cg-table", "5", "3", "--format", "json", "--out", str(first)]) == 0
+    with open(first / "cg_table_m5_n3.csv", newline="") as fh:
+        rows = [{key: float(v) if key == "value" else int(v) for key, v in row.items()}
+                for row in csv.DictReader(fh)]
+    assert json.loads((first / "cg_table_m5_n3.table.json").read_text()) == rows
+    assert cli.main(["rerun", str(first / "cg_table_m5_n3.manifest.json"),
+                     "--out", str(second)]) == 0
+    for suffix in (".csv", ".summary.json", ".table.json"):
+        assert file_sha256(first / f"cg_table_m5_n3{suffix}") == file_sha256(
+            second / f"cg_table_m5_n3{suffix}")
 
 
 def test_strichartz_runs_an_integral_float_trial_count(tmp_path):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as stn
 
-from s3lab import lattice
+from s3lab import fitting, lattice
+from s3lab.fitting import check_fit_xs
 from s3lab.lattice import (
     AnnulusQuery,
     SetBQuery,
@@ -451,6 +452,26 @@ def test_scans_refuse_work_over_the_budget_before_any_draw(monkeypatch, lemma, k
             f"the estimated kernel work of {work} entries is over the budget of 1e+09")):
         SCANS[lemma](seed=1, **kwargs)
     assert calls == []
+
+
+_HUGE = 10**400  # a whole N beyond float range
+
+
+@pytest.mark.parametrize("check,message", [
+    (lambda: check_fit_xs([64, _HUGE]), "x values must lie within float range"),
+    (lambda: fitting.check_ns([64, _HUGE], integral=True),
+     "N must lie within float range; got 401 digits"),
+    (lambda: lattice.check_lemma52_work([64, _HUGE], 500),
+     "the estimated kernel work of over 1e308 entries is over the budget of 1e+09"),
+    (lambda: lattice.check_ns([64, _HUGE]), "x values must lie within float range"),
+    (lambda: scan_lemma52(Ns=[64, _HUGE]), "x values must lie within float range"),
+    (lambda: scan_lemma53(Ns=[64, _HUGE]), "x values must lie within float range"),
+], ids=["check_fit_xs", "fitting.check_ns", "check_lemma52_work", "lattice.check_ns",
+        "scan_lemma52", "scan_lemma53"])
+def test_an_n_beyond_float_range_is_a_value_error(check, message):
+    # each step used to raise an OverflowError, a traceback at the CLI
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check()
 
 
 @pytest.mark.parametrize("lemma,kwargs,check", [

@@ -947,6 +947,9 @@ def test_quotients_refuse_bad_delta_and_large_n_before_any_work(monkeypatch, sca
     (lambda: st.box_scaling_probe([2.5, 4], h=0.5), "N must be a whole number; got 2.5"),
     (lambda: st.box_scaling_probe([4, float("nan")], h=0.5), "N is capped at 64; got nan"),
     (lambda: st.box_scaling_probe(4, h=0.5), "Ns must be a list of numbers; got 4"),
+    # one N used to read spread_factor 1.0 and pass its gate on nothing
+    (lambda: st.box_scaling_probe([4, 4.0], h=0.5),
+     "a slope needs at least two distinct x values; got [4.0]"),
     (lambda: st.hyperbolic_l4_quotient(0, 1, 0), "N must be >= 1; got 0"),
     (lambda: st.hyperbolic_l4_quotient(2.5, 1, 0), "N must be a whole number; got 2.5"),
     (lambda: st.hyperbolic_l4_quotient(True, 1, 0), "N must be a number; got True"),
