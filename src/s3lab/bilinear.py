@@ -57,11 +57,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.fft
 
 from . import gates
+from ._chunks import chunk_map
 from .clebsch import CGTable, _degree_blocks, cg_table, verify_orthogonality
 from .fitting import check_count, fit_slope, largest
 from .su2 import (GroupElement, HaarQuadrature, haar_quadrature, irrep_matrix, wigner_d,
@@ -334,6 +336,15 @@ def product_norm2_batch(plan: SamplingPlan, abatch: np.ndarray, bbatch: np.ndarr
     matches the S-sum oracle to rounding (~1e-15 relative).  Cost per pair is
     ~(m+n) 2-D FFTs of size L, against a dense T x T change of basis,
     T = (m+1)(n+1), for the S-sums.
+
+    The (pair, node) slices go through the FFTs in chunks of at most
+    ``_FFT_CHUNK`` entries per factor (at least one slice), through
+    ``_chunks.chunk_map``: the first half on the calling thread and the
+    second on one pool thread, so at most two chunks are live; when one
+    slice alone is over the budget (L^2 > ``_FFT_CHUNK``) every chunk runs
+    on the calling thread.  Each chunk's per-pair sums are added in chunk
+    order, so the result is bit-identical to the one-thread loop's.  BLAS
+    threading is not changed.
     """
     abatch, bbatch = _check_batch(plan.m, plan.n, abatch, bbatch)
     w, dm, dn, L = plan.weights, plan.dm, plan.dn, plan.fft_len
@@ -341,16 +352,21 @@ def product_norm2_batch(plan: SamplingPlan, abatch: np.ndarray, bbatch: np.ndarr
     pair = np.repeat(np.arange(nbatch), nodes)
     node = np.tile(np.arange(nodes), nbatch)
     step = max(1, _FFT_CHUNK // (L * L))
-    acc = np.zeros(nbatch)
-    for s in range(0, nbatch * nodes, step):
+
+    def chunk_sums(s: int):
         p, q = pair[s:s + step], node[s:s + step]
         # transform the short axis first: only m+1 (n+1) rows are nonzero
         F = scipy.fft.fft(scipy.fft.fft(abatch[p] * dm[q], n=L, axis=2), n=L, axis=1)
         G = scipy.fft.fft(scipy.fft.fft(bbatch[p] * dn[q], n=L, axis=2), n=L, axis=1)
         F *= G
         v = F.view(np.float64).reshape(len(p), -1)
-        acc += np.bincount(p, weights=w[q] * np.einsum("ij,ij->i", v, v),
-                           minlength=nbatch)
+        # the sums of the chunk's pairs p[0], ..., p[-1], a contiguous run
+        return p[0], np.bincount(p - p[0], weights=w[q] * np.einsum("ij,ij->i", v, v))
+
+    acc = np.zeros(nbatch)
+    for p0, sums in chunk_map([partial(chunk_sums, s) for s in range(0, nbatch * nodes, step)],
+                              serial=L * L > _FFT_CHUNK):
+        acc[p0:p0 + len(sums)] += sums
     return acc / (L * L)
 
 

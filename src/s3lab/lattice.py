@@ -393,7 +393,6 @@ def scan_lemma52(Ns: tuple = (64, 128, 256, 512), per_n: int = 500, seed=11,
     if variant not in ("quadric", "hyperbola"):
         raise ValueError("variant must be 'quadric' or 'hyperbola'")
     per_n = check_count("per_n", per_n)
-    check_ns(Ns)
     check_lemma52_work(Ns, per_n)
     counter = count_quadric_batch if variant == "quadric" else count_hyperbola_batch
     rng = np.random.default_rng(seed)
@@ -440,13 +439,17 @@ def _lemma53_configs(N, delta: float) -> list:
 
 def check_lemma52_work(Ns, per_n: int) -> int:
     """The estimated kernel work of a 5.2 scan, per_n (2N + 1) summed over
-    N; ValueError naming it when it is over ``_WORK_BUDGET``."""
+    N; ValueError naming it when it is over ``_WORK_BUDGET``, or from
+    ``check_ns`` first (an infinite N or one beyond float range)."""
+    check_ns(Ns)
     return _check_work(sum(per_n * (2 * int(N) + 1) for N in Ns))
 
 
 def check_lemma53_work(Ns, delta: float, per_config: int) -> int:
     """The same for a 5.3 scan: per_config queries per (M, l) of
-    ``_lemma53_configs``, each of 2N + 1 entries."""
+    ``_lemma53_configs``, each of 2N + 1 entries.  ``check_ns`` runs first:
+    the doubling of M up to an infinite N would never end."""
+    check_ns(Ns)
     return _check_work(sum(per_config * len(_lemma53_configs(N, delta)) * (2 * int(N) + 1)
                            for N in Ns))
 

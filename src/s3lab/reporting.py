@@ -3,8 +3,9 @@
 Every CLI run writes three files: ``<name>.csv`` (data rows under the first
 row's keys), ``<name>.summary.json`` (summary object embedding the
 deterministic part of the manifest), and ``<name>.manifest.json`` (the
-manifest plus a wall-clock timestamp).  The timestamp lives only in the
-manifest sidecar so that re-running a manifest reproduces the data files byte for byte.  Summaries
+manifest plus a wall-clock timestamp and the environment).  The timestamp
+and the environment live only in the manifest sidecar so that re-running a
+manifest reproduces the data files byte for byte.  Summaries
 are strict JSON: a non-finite float is written as the string "nan", "inf"
 or "-inf".
 """
@@ -15,8 +16,14 @@ import hashlib
 import json
 import math
 import os
+import platform
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
+import scipy
+
+from ._chunks import threads
 
 TOOL_VERSION = "0.1.0"
 OUT_ENV_VAR = "S3LAB_OUT"
@@ -33,6 +40,13 @@ def build_manifest(subcommand: str, params: dict, seed) -> dict:
         "seed": seed,
         "tool_version": TOOL_VERSION,
     }
+
+
+def environment() -> dict:
+    """What a run's numbers were computed with: the Python, numpy and scipy
+    versions and the threads of the chunk loops (``_chunks.threads``)."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "chunk_threads": threads()}
 
 
 def _fmt(value) -> str:
@@ -73,7 +87,7 @@ def write_csv(path: Path, header: list, rows: list) -> None:
 
 def write_run_outputs(out_dir: Path, name: str, rows: list, summary: dict, manifest: dict) -> dict:
     """Write the CSV (its columns the first row's keys, in order), summary
-    JSON and timestamped manifest; returns paths."""
+    JSON and manifest sidecar (timestamp and environment); returns paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{name}.csv"
@@ -86,6 +100,7 @@ def write_run_outputs(out_dir: Path, name: str, rows: list, summary: dict, manif
         fh.write("\n")
     stamped = dict(manifest)
     stamped["timestamp"] = datetime.now(timezone.utc).isoformat()
+    stamped["environment"] = environment()
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(stamped, fh, indent=1, sort_keys=True)
         fh.write("\n")

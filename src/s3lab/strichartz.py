@@ -65,6 +65,7 @@ import scipy.fft as sfft
 from scipy.special import sici
 
 from . import fitting, gates
+from ._chunks import chunk_map
 from .fitting import check_count, check_delta, check_fit_xs, fit_slope, largest
 
 FEJER_TOTAL = 4.0 * np.pi  # integral of the weight over R
@@ -504,6 +505,15 @@ def _weighted_quartic(
     once per evaluation, then ceil(count / S) base rows per chunk of count
     nodes, so one evaluation takes about S + n_nodes / S rows of complex exp
     whatever the chunk size.
+
+    The chunks run through ``_chunks.chunk_map``: the first half on the
+    calling thread and the second on one pool thread, so at most two
+    chunks are live; when one node alone is over the budget (Q P >
+    ``_CHUNK_ENTRIES``, the torus at N = 64) every chunk runs on the
+    calling thread.  The chunk quartics are added in chunk order, so the
+    result is bit-identical to the one-thread loop's.  BLAS threading is
+    not changed: with BLAS pinned to one thread, each caller's slice
+    product runs on one thread.
     """
     V = p.values
     row_live = np.flatnonzero(np.any(V != 0, axis=1))
@@ -532,15 +542,14 @@ def _weighted_quartic(
     else:
         Q = 1
 
-    quartic = 0.0
     n_nodes = len(weights)
     chunk = max(1, _CHUNK_ENTRIES // (Q * P))
     S = min(chunk, math.isqrt(n_nodes - 1) + 1)
     row_phases, col_phases = phases(mu, S), phases(colsq, S, h)
-    for j0 in range(0, n_nodes, chunk):
-        j1 = min(j0 + chunk, n_nodes)
-        # u on the (x2, x1) points, then as float (re, im) pairs; one
-        # chunk's buffers live at a time: W before the x1 FFT, u after it
+
+    def chunk_quartic(j0: int, j1: int) -> float:
+        # u on the (x2, x1) points, then as float (re, im) pairs; a chunk's
+        # buffers live one at a time: W before the x1 FFT, u after it
         if x2_torus:
             W = row_phases(j0, j1)[:, :, None] * V
             W *= col_phases(j0, j1)[:, None, :]
@@ -556,8 +565,13 @@ def _weighted_quartic(
         np.square(u, out=u)
         au2 = u[..., 0]
         au2 += u[..., 1]
-        quartic += dvol * float(np.einsum("tx,tx->t", au2, au2) @ weights[j0:j1])
-        del u, au2
+        return dvol * float(np.einsum("tx,tx->t", au2, au2) @ weights[j0:j1])
+
+    quartic = 0.0
+    for part in chunk_map([partial(chunk_quartic, j0, min(j0 + chunk, n_nodes))
+                           for j0 in range(0, n_nodes, chunk)],
+                          serial=Q * P > _CHUNK_ENTRIES):
+        quartic += part
 
     return EvolveResult(
         value=float(max(quartic, 0.0) ** 0.25),

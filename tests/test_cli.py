@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import json
+import os
+import platform
 import re
 import shlex
 import subprocess
@@ -10,6 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy
 
 from s3lab import bilinear, clebsch, cli, gates, lattice, strichartz
 from s3lab.reporting import file_sha256, write_run_outputs
@@ -257,6 +260,12 @@ def test_strichartz_hyperbolic_mode_flags_and_rerun(tmp_path):
     assert r2.returncode == 0, r2.stderr
     for suffix in (".csv", ".summary.json"):
         assert file_sha256(first / f"{name}{suffix}") == file_sha256(second / f"{name}{suffix}")
+    # the environment goes in the sidecar only, next to the timestamp
+    sidecar = json.loads((second / f"{name}.manifest.json").read_text())
+    assert sidecar["environment"] == {
+        "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__,
+        "chunk_threads": min(2, len(os.sched_getaffinity(0)))}
+    assert "environment" not in json.loads((second / f"{name}.summary.json").read_text())["manifest"]
 
 
 def test_strichartz_kernel_split_mode(tmp_path):
@@ -313,6 +322,12 @@ def test_manifest_rerun_reproduces_outputs(tmp_path, args, name):
     assert r2.returncode == 0, r2.stderr
     for suffix in (".csv", ".summary.json"):
         assert file_sha256(first / f"{name}{suffix}") == file_sha256(second / f"{name}{suffix}")
+    # the environment goes in the sidecar only, next to the timestamp
+    sidecar = json.loads((second / f"{name}.manifest.json").read_text())
+    assert sidecar["environment"] == {
+        "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__,
+        "chunk_threads": min(2, len(os.sched_getaffinity(0)))}
+    assert "environment" not in json.loads((second / f"{name}.summary.json").read_text())["manifest"]
 
 
 _MANIFEST_51 = {"subcommand": "lattice-scan",

@@ -1,6 +1,8 @@
+import contextlib
 import decimal
 import math
 import re
+import signal
 from fractions import Fraction
 from functools import partial
 
@@ -461,8 +463,7 @@ _HUGE = 10**400  # a whole N beyond float range
     (lambda: check_fit_xs([64, _HUGE]), "x values must lie within float range"),
     (lambda: fitting.check_ns([64, _HUGE], integral=True),
      "N must lie within float range; got 401 digits"),
-    (lambda: lattice.check_lemma52_work([64, _HUGE], 500),
-     "the estimated kernel work of over 1e308 entries is over the budget of 1e+09"),
+    (lambda: lattice.check_lemma52_work([64, _HUGE], 500), "x values must lie within float range"),
     (lambda: lattice.check_ns([64, _HUGE]), "x values must lie within float range"),
     (lambda: scan_lemma52(Ns=[64, _HUGE]), "x values must lie within float range"),
     (lambda: scan_lemma53(Ns=[64, _HUGE]), "x values must lie within float range"),
@@ -471,6 +472,36 @@ _HUGE = 10**400  # a whole N beyond float range
 def test_an_n_beyond_float_range_is_a_value_error(check, message):
     # each step used to raise an OverflowError, a traceback at the CLI
     with pytest.raises(ValueError, match=re.escape(message)):
+        check()
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the calling (main) thread after ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("check,message", [
+    (lambda: lattice.check_lemma53_work([64, math.inf], 0.1, 3), "N must be a whole number; got inf"),
+    (lambda: lattice.check_lemma53_work([64, _HUGE], 0.1, 3), "x values must lie within float range"),
+    (lambda: lattice.check_lemma52_work([64, math.inf], 3), "N must be a whole number; got inf"),
+    (lambda: lattice.check_lemma52_work([64, 10**308], 500),
+     "the estimated kernel work of over 1e308 entries is over the budget of 1e+09"),
+], ids=["5.3-inf", "5.3-huge", "5.2-inf", "5.2-work-over-1e308"])
+def test_the_work_checks_refuse_an_unbounded_n_at_once(check, message):
+    # the 5.3 check doubled M up to an infinite N forever, and raised an
+    # OverflowError from sqrt(N) beyond float range; the 5.2 check raised
+    # one from int(inf)
+    with _deadline(5), pytest.raises(ValueError, match=re.escape(message)):
         check()
 
 
