@@ -65,7 +65,7 @@ import scipy.fft
 from . import gates
 from ._chunks import chunk_map
 from .clebsch import CGTable, _degree_blocks, cg_table, verify_orthogonality
-from .fitting import check_count, fit_slope, largest
+from .fitting import check_count, check_integer, check_one_of, checked, fit_slope, largest
 from .su2 import (GroupElement, HaarQuadrature, haar_quadrature, irrep_matrix, wigner_d,
                   wigner_d_diagonal)
 
@@ -462,6 +462,11 @@ def scan_grid(m_max: int, n_max: int) -> list:
     return cells
 
 
+# a gate over the zonal witnesses alone would pass on no random pair
+@checked({"m_max": check_integer, "n_max": check_integer, ("m_max", "n_max"): scan_grid,
+          "seeds": partial(check_count, "seeds"), "zonal": check_one_of(False, True),
+          "cross_check": check_one_of(False, True),
+          "zonal_n_max": lambda n: check_count("zonal_n_max", check_integer(n))})
 def scan_cells(m_max: int = 64, n_max: int = 64, seeds: int = 500, seed=7, zonal: bool = False,
                zonal_n_max: int = 60, cross_check: bool = False) -> tuple[list, dict]:
     """The ratio scan of ``s3lab bilinear-verify``, with its defaults, over
@@ -471,13 +476,9 @@ def scan_cells(m_max: int = 64, n_max: int = 64, seeds: int = 500, seed=7, zonal
     C*, ``argmax_cell`` (``largest``; a "m,n" key of ``cell_max``) and the
     no-growth slope against log(n+1) read the witness-included cell maxima.
     ``cross_check`` checks exact norms against Haar quadrature at m <= 8;
-    ``zonal`` adds ``zonal_ratio`` at n = 1 .. zonal_n_max.  Seeds below 1,
-    a grid at one n, or with ``zonal`` a zonal_n_max below 1 raise ValueError
-    before any work.  np.max and np.min keep a NaN; the builtins may not."""
-    seeds = check_count("seeds", seeds)
+    ``zonal`` adds ``zonal_ratio`` at n = 1 .. zonal_n_max.  np.max and
+    np.min keep a NaN; the builtins may not."""
     cells = scan_grid(m_max, n_max)
-    if zonal:
-        zonal_n_max = check_count("zonal_n_max", zonal_n_max)
     rows, maxima, witnesses = [], [], []
     for m, n in cells:
         ratios = bilinear_ratio_scan(m, n, seeds, [seed, m, n])

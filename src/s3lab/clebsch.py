@@ -208,6 +208,13 @@ def _gram_schmidt_step(U: np.ndarray, upper: np.ndarray, m: int, n: int,
     return U - U @ (D * upper)
 
 
+def check_degrees(m: int, n: int) -> None:
+    """ValueError unless m >= n >= 0 and m + n <= 200, the degrees of the
+    tables ``s3lab cg-table`` builds and verifies."""
+    if not (m >= n >= 0) or m + n > 200:
+        raise ValueError("need m >= n >= 0 and m + n <= 200")
+
+
 def cg_decompose(m: int, n: int) -> CGTable:
     """Construct the Clebsch-Gordan table for (m, n) with m >= n >= 0.
 

@@ -7,17 +7,17 @@ reproduces the data outputs byte for byte.
 
 Every subcommand is a table of ``_Entry`` rows: ``cg-table`` and
 ``bilinear-verify`` one row each, ``lattice-scan`` one per lemma and
-``strichartz`` one per mode.  A row holds its runner, the checks made before
-any work and the keys its run reads with their defaults: its runner's
-parameters (``_keys``).  ``_run`` checks the seed of every row that reads
-one.  Every row but ``cg-table`` (which alone writes a note and a sidecar)
-runs a library scan through ``_scan``: its (rows, summary) are the CSV rows,
-whose first row's keys are the columns, and the summary, gated off the
-summary, so a new parameter, row or summary key needs no CLI code.  The
-parser sets no default.  ``main`` and ``rerun`` share one resolver,
-``_run``, so a command line, a config and a manifest are read the same way;
-the manifest records the resolved keys.  Every exit code comes from
-``_gate``.
+``strichartz`` one per mode.  A row holds its runner and the keys its run
+reads with their defaults: its runner's parameters (``_keys``).  Every row
+but ``cg-table`` (which alone writes a note and a sidecar) runs a library
+scan through ``_scan``: its (rows, summary) are the CSV rows, whose first
+row's keys are the columns, and the summary, gated off the summary, so a
+new parameter, row or summary key needs no CLI code.  A value's refusals
+are its runner's own (``fitting.checked``), as for a library caller; the
+CLI checks only the selector, unknown keys and the seed.  ``main`` and
+``rerun`` share one resolver, ``_run``: a command line, a config and a
+manifest are read alike, the manifest records the resolved keys, and every
+exit code comes from ``_gate``.  The parser sets no default.
 """
 
 from __future__ import annotations
@@ -25,18 +25,16 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import math
 import numbers
 import sys
-from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import bilinear, gates, lattice, strichartz
-from .clebsch import CGConstructionError, cg_decompose, verify_orthogonality
-from .fitting import check_count, check_delta, check_fit_xs
+from .clebsch import CGConstructionError, cg_decompose, check_degrees, verify_orthogonality
+from .fitting import InputError, check_integer, check_one_of, checked
 from .reporting import build_manifest, default_out_dir, write_run_outputs
 
 
@@ -60,9 +58,6 @@ class _Entry(NamedTuple):
 
     keys: dict  # every key the run reads, with its default (None: a required key)
     run: Callable  # args -> _Result, or its first three fields from a _scan runner
-    # key -> check run before any work, returning the value to run with; a
-    # tuple of keys -> a check across their values, converting nothing
-    checks: dict = {}
 
 
 class _Result(NamedTuple):
@@ -85,32 +80,10 @@ def _known(value, table: dict, what: str) -> bool:
     return False
 
 
-def _integer(value):
-    # a manifest can carry a float, a string or a bool where argparse gives an int
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError("need an integer")
-    return value
-
-
 def _seed(value):
     # np.random.default_rng takes a non-negative integer; a bool is refused
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise ValueError("seed must be a non-negative integer")
-    return value
-
-
-def _one_of(*allowed):
-    """The check that a value is one of allowed, in type too (1 is not True)."""
-    def check(value):
-        if not any(type(value) is type(a) and value == a for a in allowed):
-            raise ValueError(f"need one of {', '.join(map(repr, allowed))}")
-        return value
-    return check
-
-
-def _cg_degrees(m, n):
-    if not (m >= n >= 0) or m + n > 200:
-        raise ValueError("need m >= n >= 0 and m + n <= 200")
+        raise InputError(("seed",), (value,), "seed must be a non-negative integer")
 
 
 def _keys(function, fixed=()) -> dict:
@@ -121,6 +94,8 @@ def _keys(function, fixed=()) -> dict:
             if p.name not in fixed}
 
 
+@checked({"m": check_integer, "n": check_integer, ("m", "n"): check_degrees,
+          "format": check_one_of("csv", "json")})
 def _cg_table(m, n, format="csv"):
     table = cg_decompose(m, n)
     report = verify_orthogonality(table)
@@ -150,7 +125,7 @@ def _bilinear_gate(summary):
     return checks
 
 
-def _scan(module, name: str, gate: Callable, checks: dict = {}, **fixed) -> _Entry:
+def _scan(module, name: str, gate: Callable, **fixed) -> _Entry:
     """The row of library scan module.<name>, its keys read once by ``_keys``.
     Its runner looks the scan up when it runs (so a stub changes no key),
     calls it with the row's keys (``window`` as ``t_window``) and fixed,
@@ -159,7 +134,7 @@ def _scan(module, name: str, gate: Callable, checks: dict = {}, **fixed) -> _Ent
         kwargs = {"t_window" if key == "window" else key: value for key, value in args.items()}
         rows, summary = getattr(module, name)(**kwargs, **fixed)
         return rows, summary, gate(summary)
-    return _Entry(_keys(getattr(module, name), fixed), run, checks)
+    return _Entry(_keys(getattr(module, name), fixed), run)
 
 
 def _lemma53_gate(summary):
@@ -172,110 +147,54 @@ def _lemma53_gate(summary):
 def _lemma52(variant: str) -> _Entry:
     return _scan(lattice, "scan_lemma52",
                  lambda s: [("fitted exponent", s["fitted_exponent"], gates.EXPONENT_BOUND)],
-                 {"per_n": partial(check_count, "per_n"), "Ns": lattice.check_ns,
-                  ("Ns", "per_n"): lattice.check_lemma52_work}, variant=variant)
+                 variant=variant)
 
 
 _LEMMAS = {
     "5.1": _scan(lattice, "scan_lemma51",
-                 lambda s: [("measure/K ratio", s["max_ratio"], gates.ANNULUS_BOUND)],
-                 {"n_queries": partial(check_count, "n_queries")}),
+                 lambda s: [("measure/K ratio", s["max_ratio"], gates.ANNULUS_BOUND)]),
     "5.2a": _lemma52("quadric"),
     "5.2b": _lemma52("hyperbola"),
-    "5.3": _scan(lattice, "scan_lemma53", _lemma53_gate,
-                 {"per_config": partial(check_count, "per_config"), "Ns": lattice.check_ns,
-                  "delta": check_delta,
-                  ("Ns", "delta", "per_config"): lattice.check_lemma53_work}),
+    "5.3": _scan(lattice, "scan_lemma53", _lemma53_gate),
 }
-
-
-_SLAB_FIELDS = ("xi0", "a", "c", "M", "N")
-
-
-def _slab_spec(record) -> strichartz.SlabSpec:
-    """The SlabSpec of a config's slab record; ValueError naming a missing
-    record, a missing or unknown key, a value SlabSpec refuses, or an N
-    above the cap of ``strichartz.check_ns``."""
-    fields = f"a slab record has the keys {', '.join(_SLAB_FIELDS)}"
-    if not isinstance(record, dict):
-        raise ValueError(fields)
-    problems = ([f"missing {key}" for key in _SLAB_FIELDS if key not in record]
-                + [f"unknown {key}" for key in sorted(set(record) - set(_SLAB_FIELDS))])
-    if problems:
-        raise ValueError(f"{', '.join(problems)}; {fields}")
-    try:
-        spec = strichartz.SlabSpec(xi0=tuple(record["xi0"]), a=tuple(record["a"]),
-                                   c=record["c"], M=record["M"], N=record["N"])
-    except (TypeError, IndexError) as exc:
-        raise ValueError(str(exc)) from None
-    strichartz.check_ns([spec.N])
-    return spec
-
-
-def _grid_step(h):
-    if isinstance(h, bool) or not isinstance(h, numbers.Real) or not (math.isfinite(h) and h > 0):
-        raise ValueError("h must be a finite positive number")
-    return h
 
 
 def _fitted_slope(summary):
     return [("fitted slope", summary["fitted_slope"], gates.SLOPE_BOUND)]
 
 
-# the hyperbolic scan and the box probe build their grids from int(N)
-_whole_ns = partial(strichartz.check_ns, integral=True)
-_RUN_CHECKS = {"trials": partial(check_count, "trials"), "h": _grid_step,
-               "window": strichartz.check_window}
-
-
 _MODES = {
-    "elliptic": _scan(strichartz, "scan_strichartz_quotients", _fitted_slope,
-                      {"Ns": lambda Ns: strichartz.check_ns(check_fit_xs(Ns)), **_RUN_CHECKS,
-                       "delta": check_delta}),
-    "slab": _scan(strichartz, "strichartz_quotient", lambda s: [],
-                  {"slab": _slab_spec, "delta": check_delta, **_RUN_CHECKS}),
-    "hyperbolic": _scan(strichartz, "scan_hyperbolic_quotients", _fitted_slope,
-                        {"Ns": lambda Ns: _whole_ns(check_fit_xs(Ns)), **_RUN_CHECKS}),
+    "elliptic": _scan(strichartz, "scan_strichartz_quotients", _fitted_slope),
+    "slab": _scan(strichartz, "strichartz_quotient", lambda s: []),
+    "hyperbolic": _scan(strichartz, "scan_hyperbolic_quotients", _fitted_slope),
     "quadrilinear": _scan(strichartz, "quadrilinear_check",
                           lambda s: [("Plancherel mismatch", s["relative_mismatch"],
                                       gates.PLANCHEREL_EXACT_TOL)]),
     "kernel-split": _scan(strichartz, "kernel_split_check",
                           lambda s: [("cover failure", int(not s["cover_ok"]), 0),
                                      ("Gamma mass beyond K1 + K2",
-                                      s["gamma_mass_excess"], gates.GAMMA_MASS_TOL)],
-                          {"k_shift": _integer}),
-    # a spread over one N compares nothing; the one-key tuple checks h, converting nothing
+                                      s["gamma_mass_excess"], gates.GAMMA_MASS_TOL)]),
     "box-scaling": _scan(strichartz, "box_scaling_probe",
-                         lambda s: [("spread factor", s["spread_factor"], gates.BOX_SPREAD_BOUND)],
-                         {"Ns": lambda Ns: check_fit_xs(_whole_ns(Ns)),
-                          ("h",): strichartz.lattice_q}),
+                         lambda s: [("spread factor", s["spread_factor"], gates.BOX_SPREAD_BOUND)]),
 }
 
 
 _SUBCOMMANDS = {  # subcommand -> (selector key, {its value: entry}, output name)
-    "cg-table": (None, {None: _Entry(
-        _keys(_cg_table), lambda a: _cg_table(**a),
-        {"m": _integer, "n": _integer, ("m", "n"): _cg_degrees, "format": _one_of("csv", "json")})},
-        "cg_table_m{m}_n{n}"),
-    "bilinear-verify": (None, {None: _scan(
-        bilinear, "scan_cells", _bilinear_gate,
-        # a gate over the zonal witnesses alone would pass on no random pair
-        {"m_max": _integer, "n_max": _integer, ("m_max", "n_max"): bilinear.scan_grid,
-         "seeds": partial(check_count, "seeds"), "zonal": _one_of(False, True),
-         "cross_check": _one_of(False, True),
-         "zonal_n_max": lambda n: check_count("zonal_n_max", _integer(n))})},
-        "bilinear_verify"),
+    "cg-table": (None, {None: _Entry(_keys(_cg_table), lambda a: _cg_table(**a))},
+                 "cg_table_m{m}_n{n}"),
+    "bilinear-verify": (None, {None: _scan(bilinear, "scan_cells", _bilinear_gate)},
+                        "bilinear_verify"),
     "lattice-scan": ("lemma", _LEMMAS, "lattice_{lemma}"),
     "strichartz": ("mode", _MODES, "strichartz_{mode}"),
 }
 
 
 def _run(subcommand: str, params: dict, out_dir: Path) -> int:
-    """The one resolver of ``main`` and ``rerun``, then the run.  Before any
-    work: pick the entry by its selector, refuse a key it does not read,
-    fill each missing key from its default and run its checks (each refusal
-    exits 2 with one stderr line).  Then run it, write the outputs with the
-    resolved keys, as given, in the manifest, and gate."""
+    """The one resolver of ``main`` and ``rerun``, then the run: pick the
+    entry by its selector, refuse a key it does not read, fill each missing
+    key from its default, check the seed and run it (its runner checks the
+    rest first).  Each refusal exits 2 with one stderr line, before any
+    work.  Then write the outputs, the resolved keys in the manifest, and gate."""
     selector, table, name = _SUBCOMMANDS[subcommand]
     choice = params.get(selector)
     if selector and not _known(choice, table, selector):
@@ -287,29 +206,22 @@ def _run(subcommand: str, params: dict, out_dir: Path) -> int:
               f"{', '.join(f'{k} {params[k]!r}' for k in unknown)} "
               f"(allowed: {', '.join(sorted(entry.keys))})", file=sys.stderr)
         return 2
-    raw = {key: params.get(key, default) for key, default in entry.keys.items()}
-    args = dict(raw)
-    # every entry that reads a seed checks it first, the same way
-    checks = {"seed": _seed, **entry.checks} if "seed" in entry.keys else entry.checks
-    for key, check in checks.items():
-        keys = key if isinstance(key, tuple) else (key,)
-        try:
-            value = check(*(args[k] for k in keys))
-        except ValueError as exc:
-            print(f"bad {', '.join(f'{k} {raw[k]!r}' for k in keys)}: {exc}", file=sys.stderr)
-            return 2
-        if key in args:
-            args[key] = value
-    if selector:
-        raw[selector] = choice
-    name = name.format(**raw).replace(".", "_").replace("-", "_")
+    args = {key: params.get(key, default) for key, default in entry.keys.items()}
+    resolved = {**args, selector: choice} if selector else args
+    name = name.format(**resolved).replace(".", "_").replace("-", "_")
     try:
+        if "seed" in args:
+            _seed(args["seed"])
         rows, summary, checks, note, files = _Result(*entry.run(args))
+    except InputError as exc:
+        named = (f"{'window' if k == 't_window' else k} {v!r}" for k, v in zip(exc.keys, exc.values))
+        print(f"bad {', '.join(named)}: {exc}", file=sys.stderr)
+        return 2
     except CGConstructionError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return 1
     paths = write_run_outputs(out_dir, name, rows, summary,
-                              build_manifest(subcommand, raw, seed=raw.get("seed")))
+                              build_manifest(subcommand, resolved, seed=resolved.get("seed")))
     print(f"wrote {paths['csv']}{note}")
     for suffix, write in files.items():
         write(out_dir / f"{name}{suffix}")
@@ -334,44 +246,36 @@ def run_manifest(manifest_path, out_dir=None) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="s3lab")
     sub = ap.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)  # every subcommand's --out
+    out.add_argument("--out")
 
-    p = sub.add_parser("cg-table", help="build and verify one Clebsch-Gordan table")
+    p = sub.add_parser("cg-table", parents=[out], help="build and verify one Clebsch-Gordan table")
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
     p.add_argument("--format", choices=["csv", "json"])
-    p.add_argument("--out")
 
-    p = sub.add_parser("bilinear-verify", help="bilinear ratio scan on the three-sphere")
-    p.add_argument("--m-max", type=int)
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--seeds", type=int)
-    p.add_argument("--seed", type=int)
+    p = sub.add_parser("bilinear-verify", parents=[out],
+                       help="bilinear ratio scan on the three-sphere")
+    for option in ("--m-max", "--n-max", "--seeds", "--seed", "--zonal-n-max"):
+        p.add_argument(option, type=int)
     p.add_argument("--zonal", action="store_true", default=None)
-    p.add_argument("--zonal-n-max", type=int)
     p.add_argument("--cross-check", action="store_true", default=None,
                    help="verify exact norms against the quadrature oracle (m <= 8)")
-    p.add_argument("--out")
 
-    p = sub.add_parser("lattice-scan", help="measure/counting lemma scans; an option the "
-                                            "lemma does not read exits 2")
+    p = sub.add_parser("lattice-scan", parents=[out], help="measure/counting lemma scans; an "
+                                                           "option the lemma does not read exits 2")
     p.add_argument("--lemma", choices=list(_LEMMAS), required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n-queries", type=int)
-    p.add_argument("--per-n", type=int)
-    p.add_argument("--per-config", type=int)
+    for option in ("--seed", "--n-queries", "--per-n", "--per-config"):
+        p.add_argument(option, type=int)
     p.add_argument("--delta", type=float)
     p.add_argument("--N", type=int, action="append", dest="Ns")
-    p.add_argument("--out")
 
-    p = sub.add_parser("strichartz", help="space-time norm experiments on R x T")
+    p = sub.add_parser("strichartz", parents=[out], help="space-time norm experiments on R x T")
     p.add_argument("--mode", required=True, choices=list(_MODES))
     p.add_argument("--config", help="JSON object overriding the mode's defaults")
     p.add_argument("--seed", type=int)
-    p.add_argument("--out")
 
-    p = sub.add_parser("rerun", help="re-run a saved manifest")
-    p.add_argument("manifest")
-    p.add_argument("--out")
+    sub.add_parser("rerun", parents=[out], help="re-run a saved manifest").add_argument("manifest")
     return ap
 
 

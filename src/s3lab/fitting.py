@@ -2,13 +2,73 @@
 bilinear no-growth fit, the lattice growth exponents and the Strichartz
 quotient slopes; the one rule for a scan's largest value and its index; and
 the checks a scan makes on its input before any work, so that no gate is
-fitted to fewer than two points or passes on no samples."""
+fitted to fewer than two points or passes on no samples, declared once
+per scan with ``checked``."""
 
 from __future__ import annotations
 
+import functools
+import inspect
 import numbers
 
 import numpy as np
+
+
+class InputError(ValueError):
+    """A refusal by ``checked``, before any work: the checked parameters
+    ``keys``, their ``values`` as given, and why (the message)."""
+
+    def __init__(self, keys: tuple, values: tuple, why: str):
+        super().__init__(why)
+        self.keys, self.values = keys, values
+
+
+def checked(checks: dict):
+    """Decorator running a scan's checks on its arguments, defaults filled,
+    in order before its body: a parameter -> a check returning the value to
+    run with, or a tuple of parameters -> a check across their values that
+    converts nothing.  A check's ValueError becomes an ``InputError``.  The
+    signature stays the body's (``functools.wraps``): the CLI reads it; the
+    map is the scan's ``checks``."""
+    def decorate(body):
+        signature = inspect.signature(body)
+
+        @functools.wraps(body)
+        def scan(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            given = dict(bound.arguments)
+            for key, check in checks.items():
+                keys = key if isinstance(key, tuple) else (key,)
+                try:
+                    value = check(*(bound.arguments[k] for k in keys))
+                except ValueError as exc:
+                    raise InputError(keys, tuple(given[k] for k in keys), str(exc)) from None
+                if key in given:
+                    bound.arguments[key] = value
+            return body(*bound.args, **bound.kwargs)
+        scan.checks = checks
+        return scan
+    return decorate
+
+
+def check_integer(value, bound=None):
+    """Return value; ValueError unless it is an integer, not a bool, and at
+    most bound in magnitude when a bound is given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError("need an integer")
+    if bound is not None and abs(value) > bound:
+        raise ValueError(f"need an integer of magnitude at most {bound}")
+    return value
+
+
+def check_one_of(*allowed):
+    """The check that a value is one of allowed, in type too (1 is not True)."""
+    def check(value):
+        if not any(type(value) is type(a) and value == a for a in allowed):
+            raise ValueError(f"need one of {', '.join(map(repr, allowed))}")
+        return value
+    return check
 
 
 def check_fit_xs(x):

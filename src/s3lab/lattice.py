@@ -34,11 +34,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import fitting
-from .fitting import check_count, check_delta, check_fit_xs, fit_slope, largest
+from .fitting import (check_count, check_delta, check_fit_xs, check_one_of, checked, fit_slope,
+                      largest)
 
 # most entries in any temporary array of a kernel (128 KiB of float64); on
 # lattice-cli, 2^16 measured 5% more peak RSS and no less time
@@ -324,11 +326,12 @@ def setB_measure_monte_carlo(q: SetBQuery, slack: float, n_samples: int, seed) -
 def check_ns(Ns):
     """Return Ns; ValueError unless it holds two or more distinct N, each a
     whole number >= 1: the counters and measures take int(N), with no cap.
-    The scans of lemmas 5.2 and 5.3 and their command-line rows check their
-    N with it before any work."""
+    The scans of lemmas 5.2 and 5.3 and their work checks check their N
+    with it before any work."""
     return fitting.check_ns(check_fit_xs(Ns), integral=True)
 
 
+@checked({"n_queries": partial(check_count, "n_queries")})
 def scan_lemma51(n_queries: int = 10000, seed=11) -> tuple[list, dict]:
     """Worst-case ratio measure / K over random annulus queries.
 
@@ -337,7 +340,6 @@ def scan_lemma51(n_queries: int = 10000, seed=11) -> tuple[list, dict]:
     the center drops out of the measure and is reported only.  The defaults
     are those of ``s3lab lattice-scan --lemma 5.1``.
     """
-    n_queries = check_count("n_queries", n_queries)
     rng = np.random.default_rng(seed)
     Cs = rng.uniform(-10.0, 1e6, n_queries)
     Ks = rng.uniform(1.0, 1e3, n_queries)
@@ -378,6 +380,25 @@ def _lemma52_samples(N: int, per_n: int, variant: str, rng) -> list:
     return out
 
 
+def check_lemma52_work(Ns, per_n: int) -> int:
+    """The estimated kernel work of a 5.2 scan, per_n (2N + 1) summed over
+    N; ValueError naming it when it is over ``_WORK_BUDGET``, or from
+    ``check_ns`` first (an infinite N or one beyond float range)."""
+    check_ns(Ns)
+    return _check_work(sum(per_n * (2 * int(N) + 1) for N in Ns))
+
+
+def _check_work(work: int) -> int:
+    if work > _WORK_BUDGET:
+        # a work beyond float range has no %g form; an int compares with 1e308 exactly
+        size = f"{work:.3g}" if work < 1e308 else "over 1e308"
+        raise ValueError(f"the estimated kernel work of {size} entries is over the "
+                         f"budget of {_WORK_BUDGET:.3g}")
+    return work
+
+
+@checked({"variant": check_one_of("quadric", "hyperbola"), "per_n": partial(check_count, "per_n"),
+          "Ns": check_ns, ("Ns", "per_n"): check_lemma52_work})
 def scan_lemma52(Ns: tuple = (64, 128, 256, 512), per_n: int = 500, seed=11,
                  variant: str = "quadric") -> tuple[list, dict]:
     """Random-count scan per N with the fitted growth exponent.
@@ -390,11 +411,8 @@ def scan_lemma52(Ns: tuple = (64, 128, 256, 512), per_n: int = 500, seed=11,
     suite requires exponent <= 0.3 on the scanned range (desk-scale proxy).
     The defaults are those of ``s3lab lattice-scan --lemma 5.2a`` and ``5.2b``.
     """
-    if variant not in ("quadric", "hyperbola"):
-        raise ValueError("variant must be 'quadric' or 'hyperbola'")
-    per_n = check_count("per_n", per_n)
-    check_lemma52_work(Ns, per_n)
     counter = count_quadric_batch if variant == "quadric" else count_hyperbola_batch
+    lemma = "5.2" + ("a" if variant == "quadric" else "b")
     rng = np.random.default_rng(seed)
     rows = []
     max_per_n = []
@@ -403,14 +421,12 @@ def scan_lemma52(Ns: tuple = (64, 128, 256, 512), per_n: int = 500, seed=11,
         pairs = _lemma52_samples(N, per_n, variant, rng)
         counts = counter([k for k, _ in pairs], [C for _, C in pairs], N).tolist()
         for (k, C), cnt in zip(pairs, counts):
-            rows.append({"lemma": "5.2" + ("a" if variant == "quadric" else "b"),
-                         "N": N, "k": k, "C": C, "value": cnt,
+            rows.append({"lemma": lemma, "N": N, "k": k, "C": C, "value": cnt,
                          "normalized_ratio": cnt / max(N, 1) ** 0.3})
         max_per_n.append(max(max(counts), 1))
         decile_per_n.append(_top_decile_mean(counts, 1.0))
     exponent = fit_slope(np.log(np.asarray(Ns, dtype=float)), np.log(np.asarray(decile_per_n)))
-    summary = {"lemma": "5.2" + ("a" if variant == "quadric" else "b"),
-               "Ns": list(Ns), "max_counts": max_per_n,
+    summary = {"lemma": lemma, "Ns": list(Ns), "max_counts": max_per_n,
                "top_decile_means": decile_per_n, "fitted_exponent": exponent}
     return rows, summary
 
@@ -437,14 +453,6 @@ def _lemma53_configs(N, delta: float) -> list:
     return out
 
 
-def check_lemma52_work(Ns, per_n: int) -> int:
-    """The estimated kernel work of a 5.2 scan, per_n (2N + 1) summed over
-    N; ValueError naming it when it is over ``_WORK_BUDGET``, or from
-    ``check_ns`` first (an infinite N or one beyond float range)."""
-    check_ns(Ns)
-    return _check_work(sum(per_n * (2 * int(N) + 1) for N in Ns))
-
-
 def check_lemma53_work(Ns, delta: float, per_config: int) -> int:
     """The same for a 5.3 scan: per_config queries per (M, l) of
     ``_lemma53_configs``, each of 2N + 1 entries.  ``check_ns`` runs first:
@@ -454,15 +462,8 @@ def check_lemma53_work(Ns, delta: float, per_config: int) -> int:
                            for N in Ns))
 
 
-def _check_work(work: int) -> int:
-    if work > _WORK_BUDGET:
-        # a work beyond float range has no %g form; an int compares with 1e308 exactly
-        size = f"{work:.3g}" if work < 1e308 else "over 1e308"
-        raise ValueError(f"the estimated kernel work of {size} entries is over the "
-                         f"budget of {_WORK_BUDGET:.3g}")
-    return work
-
-
+@checked({"per_config": partial(check_count, "per_config"), "Ns": check_ns, "delta": check_delta,
+          ("Ns", "delta", "per_config"): check_lemma53_work})
 def scan_lemma53(Ns: tuple = (64, 128, 256, 512, 1024), delta: float = 0.1, per_config: int = 3,
                  seed=11) -> tuple[list, dict]:
     """Worst-case scan of measure / ((M/N)^(4 delta) N) over the grid.
@@ -476,10 +477,6 @@ def scan_lemma53(Ns: tuple = (64, 128, 256, 512, 1024), delta: float = 0.1, per_
     to sqrt(N), c: beyond) are reported alongside.  The defaults are those
     of ``s3lab lattice-scan --lemma 5.3``.
     """
-    per_config = check_count("per_config", per_config)
-    check_ns(Ns)
-    check_delta(delta)
-    check_lemma53_work(Ns, delta, per_config)
     rng = np.random.default_rng(seed)
     rows = []
     per_n_ratios = {N: [] for N in Ns}

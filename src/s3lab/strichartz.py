@@ -57,6 +57,8 @@ O(N^2 log N) for data on [-N, N]^2.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -66,7 +68,8 @@ from scipy.special import sici
 
 from . import fitting, gates
 from ._chunks import chunk_map
-from .fitting import check_count, check_delta, check_fit_xs, fit_slope, largest
+from .fitting import (check_count, check_delta, check_fit_xs, check_integer, checked, fit_slope,
+                      largest)
 
 FEJER_TOTAL = 4.0 * np.pi  # integral of the weight over R
 
@@ -136,8 +139,7 @@ class FrequencyGrid:
     xi2_max: int
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("h must be positive")
+        check_h(self.h)
         if self.xi2_max < self.xi2_min:
             raise ValueError("empty xi2 range")
 
@@ -323,6 +325,13 @@ def lambda_spread(p: WavePacket, k_shift: int, dispersion: str) -> float:
     return float(lam.max() - lam.min())
 
 
+def check_h(h):
+    """Return h; ValueError unless it is a positive real in float range, not a bool."""
+    if isinstance(h, bool) or not isinstance(h, numbers.Real) or not 0.0 < h <= sys.float_info.max:
+        raise ValueError("h must be a finite positive number")
+    return h
+
+
 def lattice_q(h: float) -> int:
     """The integer q = 1/h^2 of a grid step on the lattice of the
     periodic-exact time rule; ValueError when 1/h^2 is not an integer."""
@@ -354,15 +363,20 @@ def _simpson_weights(t0: float, t1: float, n_t: int) -> tuple[np.ndarray, np.nda
 
 def check_window(t_window) -> tuple[float, float, int]:
     """(t_min, t_max, n_t) of a windowed time rule; ValueError unless the
-    window has three entries with t_min < t_max finite and n_t >= 64."""
+    window has three real numbers, none a bool, with t_min < t_max finite
+    and n_t a whole number >= 64 (64.0 runs as 64)."""
     try:
-        t0, t1, n_t = (float(v) for v in t_window)
-    except (TypeError, ValueError):
+        entries = list(t_window)
+        if len(entries) != 3 or any(isinstance(v, bool) or not isinstance(v, numbers.Real)
+                                    for v in entries):
+            raise TypeError
+        t0, t1, n_t = (float(v) for v in entries)
+    except (TypeError, OverflowError):
         raise ValueError(f"time window needs three numbers (t_min, t_max, n_t), got {t_window!r}") from None
     if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
         raise ValueError(f"time window needs finite t_min < t_max, got ({t0}, {t1})")
-    if not (math.isfinite(n_t) and n_t >= 64):
-        raise ValueError(f"need at least 64 time intervals, got n_t = {n_t}")
+    if not (math.isfinite(n_t) and n_t >= 64 and n_t.is_integer()):
+        raise ValueError(f"need a whole number of at least 64 time intervals, got n_t = {n_t}")
     return t0, t1, int(n_t)
 
 
@@ -762,6 +776,8 @@ def quadrilinear_check(seed=3) -> tuple[list, dict]:
              "n_nodes": res.n_nodes, "flags": list(res.warnings)})
 
 
+# the split adds k_shift to int64 sums of two rows: within 2^62 none overflows
+@checked({"k_shift": partial(check_integer, bound=2**62)})
 def kernel_split_check(seed=3, k_shift: int = 0) -> tuple[list, dict]:
     """``kernel_split_diagnostics`` on one sparse packet: one row of masses,
     and the cover and the Gamma mass beyond K1 + K2 (rounding only).  The
@@ -846,10 +862,38 @@ def _trend(Ns, per_n: dict, warn) -> dict:
 _N_MAX = 64
 
 
-# the check every quotient, scan and the box probe make on their N first
+# the check every quotient, scan and the box probe make on their N first;
+# the box probe and the hyperbolic quotients build their grids from int(N)
 check_ns = partial(fitting.check_ns, cap=_N_MAX)
+_whole_ns = partial(check_ns, integral=True)
+
+_SLAB_FIELDS = ("xi0", "a", "c", "M", "N")
 
 
+def check_slab(slab) -> SlabSpec:
+    """slab, a SlabSpec or a config's record of its fields, as a SlabSpec;
+    ValueError naming a missing record, a missing or unknown key, a value
+    SlabSpec refuses, or an N that ``check_ns`` refuses."""
+    if not isinstance(slab, SlabSpec):
+        problems = ([f"missing {key}" for key in _SLAB_FIELDS if key not in slab]
+                    + [f"unknown {key}" for key in sorted(set(slab) - set(_SLAB_FIELDS))]
+                    if isinstance(slab, dict) else ["not a record"])
+        if problems:
+            raise ValueError(f"{', '.join(problems)}; a slab record has the keys "
+                             f"{', '.join(_SLAB_FIELDS)}")
+        try:
+            slab = SlabSpec(**{**slab, "xi0": tuple(slab["xi0"]), "a": tuple(slab["a"])})
+        except (TypeError, IndexError) as exc:
+            raise ValueError(str(exc)) from None
+    check_ns([slab.N])
+    return slab
+
+
+# the checks of every quotient and scan of random trials in a time window
+_TRIAL_CHECKS = {"trials": partial(check_count, "trials"), "h": check_h, "t_window": check_window}
+
+
+@checked({"slab": check_slab, "delta": check_delta, **_TRIAL_CHECKS})
 def strichartz_quotient(
     slab: SlabSpec,
     delta: float = 0.1,
@@ -863,12 +907,8 @@ def strichartz_quotient(
         evolve_l4_norm / ((M/N)^delta N^{1/4} ||phi||_{L2}):
 
     one row per trial, and the summary of ``_best_of``, with the defaults of
-    ``s3lab strichartz --mode slab``.  A delta outside (0, 1/8), fewer than
-    one trial or an N above 64 raises ValueError before any work.
+    ``s3lab strichartz --mode slab``; slab is a SlabSpec or its record.
     """
-    check_ns([slab.N])
-    check_delta(delta)
-    trials = check_count("trials", trials)
     rng = np.random.default_rng(seed)
     grid = grid_for_slab(slab, h)
     scale = (slab.M / slab.N) ** delta * slab.N**0.25
@@ -898,6 +938,7 @@ def _random_slab(N: float, M: float, delta: float, rng, h: float, boundary: bool
     return SlabSpec(xi0=(r, j), a=a, c=c, M=M, N=N)
 
 
+@checked({"Ns": lambda Ns: check_ns(check_fit_xs(Ns)), **_TRIAL_CHECKS, "delta": check_delta})
 def scan_strichartz_quotients(
     Ns: tuple = (8, 16, 32, 64),
     delta: float = 0.1,
@@ -909,13 +950,8 @@ def scan_strichartz_quotients(
     """Quotient scan over N in Ns and M in {1, sqrt(N), N} with random
     directions, offsets and centers; every third trial pins the direction
     to the Case 1 / Case 2 boundary |a2| = (M/N)^(1-4 delta).  The
-    summary's flags keep the worst value per warning flag.  Fewer than two
-    distinct N, an N outside [1, 64], no trial or a delta outside (0, 1/8)
-    raise ValueError before any work.  The defaults are those of ``s3lab
-    strichartz --mode elliptic``."""
-    check_ns(check_fit_xs(Ns))
-    trials = check_count("trials", trials)
-    check_delta(delta)
+    summary's flags keep the worst value per warning flag.  The defaults are
+    those of ``s3lab strichartz --mode elliptic``."""
     rows = []
     per_n_max = {}
     warn = []
@@ -938,17 +974,14 @@ def scan_strichartz_quotients(
     return rows, {**_trend(Ns, per_n_max, warn), "delta": delta}
 
 
+@checked({"Ns": lambda Ns: check_fit_xs(_whole_ns(Ns)), "h": check_h, ("h",): lattice_q})
 def box_scaling_probe(Ns: tuple = (4, 8, 16, 32), h: float = 0.25) -> tuple[list, dict]:
     """Weighted L4 norms of the square-indicator example over all t; the
     norms should track N^{1/4} within a bounded factor.  Each norm is exact
     by the periodic-exact time rule (the Fejer weight periodized by Poisson
     summation): with q = 1/h^2 the box's Lambda spread is 2 N^2, so it uses
-    q (4 N^2 + 1) nodes, the rows' ``n_t``.  An h with 1/h^2 not an integer,
-    no N, an N that is not a whole number in [1, 64], or fewer than two
-    distinct N raises ValueError before any work.  The defaults are those of
+    q (4 N^2 + 1) nodes, the rows' ``n_t``.  The defaults are those of
     ``s3lab strichartz --mode box-scaling``."""
-    check_fit_xs(check_ns(Ns, integral=True))
-    lattice_q(h)
     rows = []
     ratios = []
     for N in Ns:
@@ -961,6 +994,7 @@ def box_scaling_probe(Ns: tuple = (4, 8, 16, 32), h: float = 0.25) -> tuple[list
     return rows, summary
 
 
+@checked({"N": lambda N: _whole_ns([N])[0], **_TRIAL_CHECKS})
 def hyperbolic_l4_quotient(
     N: int,
     trials: int,
@@ -972,10 +1006,7 @@ def hyperbolic_l4_quotient(
     space-time L4 norm in (t, x1, x2) divided by the data's L2 norm: the
     weighted quartic evaluator under the hyperbolic Lambda = xi1^2 - xi2^2,
     with x2 integrated over the torus.  One row per trial, and the summary
-    of ``_best_of``.  An N that is not a whole number in [1, 64] or fewer
-    than one trial raises ValueError before any work."""
-    check_ns([N], integral=True)
-    trials = check_count("trials", trials)
+    of ``_best_of``."""
     N = int(N)
     rng = np.random.default_rng(seed)
     grid = FrequencyGrid(h=h, xi1_extent=float(N), xi2_min=-N, xi2_max=N)
@@ -989,6 +1020,7 @@ def hyperbolic_l4_quotient(
     return _best_of(trials, draw)
 
 
+@checked({"Ns": lambda Ns: _whole_ns(check_fit_xs(Ns)), **_TRIAL_CHECKS})
 def scan_hyperbolic_quotients(
     Ns: tuple = (4, 8, 16, 32, 64),
     trials: int = 3,
@@ -997,11 +1029,8 @@ def scan_hyperbolic_quotients(
     t_window: tuple = (-60.0, 60.0, 4096),
 ) -> tuple[list, dict]:
     """Hyperbolic quotient scan over N in Ns; the summary's flags keep the
-    worst value per warning flag.  Fewer than two distinct N, an N that is
-    not a whole number in [1, 64] or no trial raise ValueError before any
-    work.  The defaults are those of ``s3lab strichartz --mode hyperbolic``."""
-    check_ns(check_fit_xs(Ns), integral=True)
-    trials = check_count("trials", trials)
+    worst value per warning flag.  The defaults are those of ``s3lab
+    strichartz --mode hyperbolic``."""
     rows = []
     per_n = {}
     warn = []

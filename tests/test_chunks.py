@@ -64,6 +64,29 @@ def test_two_threads_give_the_serial_numbers(monkeypatch, pool_runs, name):
     assert pool_runs and min(pool_runs) >= 1
 
 
+# float.hex of two evaluations, pinned: a change to the chunk partition or
+# to the order of the chunk sums, made alike in both paths above, changes
+# these bits (BLAS runs on one thread, see conftest)
+PINNED = {
+    "evolve_l4_norm": "0x1.48fff475a8da8p+5",
+    "product_norm2_batch": [
+        "0x1.1540ccda48147p+26", "0x1.08fc29d4a090ap+26", "0x1.12368279cbd47p+26",
+        "0x1.0f2288d279d3dp+26", "0x1.0e1006a3296d8p+26", "0x1.0935a578e6337p+26",
+        "0x1.15414933fdba3p+26", "0x1.1614dbee214c8p+26", "0x1.00c71e908545dp+26",
+        "0x1.1421655fe66ffp+26", "0x1.163c67efb2519p+26", "0x1.11505a35cd310p+26",
+        "0x1.1625b19147908p+26", "0x1.1031f4b801db5p+26", "0x1.1599df1c79caap+26",
+        "0x1.0f117dc80566ep+26"],
+}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", PINNED)
+def test_chunked_evaluations_keep_their_pinned_bits(monkeypatch, name, n):
+    _threads(monkeypatch, n)
+    value = EVALUATIONS[name]()
+    assert (value.hex() if isinstance(value, float) else [v.hex() for v in value]) == PINNED[name]
+
+
 def test_results_come_back_in_chunk_order(monkeypatch, pool_runs):
     _threads(monkeypatch, 2)
     main = threading.get_ident()

@@ -217,14 +217,11 @@ _LATTICE_SCANS = ("scan_lemma51", "scan_lemma52", "scan_lemma53")
     (["--lemma", "5.2b", "--per-n", "-2"], "per_n"),
     (["--lemma", "5.3", "--per-config", "0"], "per_config"),
 ])
-def test_lattice_scan_refuses_an_empty_sample(tmp_path, monkeypatch, capsys, args, count):
+def test_lattice_scan_refuses_an_empty_sample(tmp_path, work_calls, capsys, args, count):
     # a gate over no samples would pass on nothing: exit 2, no outputs
-    calls = []
-    for scan in _LATTICE_SCANS:
-        monkeypatch.setattr(cli.lattice, scan, lambda **k: calls.append(k))
     assert cli.main(["lattice-scan", *args, "--out", str(tmp_path)]) == 2
     assert f"{count} must be >= 1" in capsys.readouterr().err
-    assert calls == [] and not list(tmp_path.iterdir())
+    assert work_calls == [] and not list(tmp_path.iterdir())
 
 
 def test_lattice_scan_refuses_an_unknown_lemma(tmp_path, capsys):
@@ -334,24 +331,32 @@ _MANIFEST_51 = {"subcommand": "lattice-scan",
                 "params": {"lemma": "5.1", "seed": 9, "n_queries": 300}, "seed": 9}
 
 
-def _stub_entries(monkeypatch):
-    """Replace the runner of every entry of every table with one that
-    records its resolved keys and returns no rows, no summary and no gate."""
+@pytest.fixture
+def entry_calls(monkeypatch, work_calls):
+    """Stop every entry of every table at its first work (``work_calls``):
+    a run that passes its scan's checks records its resolved keys and
+    returns no rows, no summary and no gate; a refused run records none."""
     calls = []
 
-    def run(args):
-        calls.append(args)
-        return [], {}, []
+    def stopped(run):
+        def stop(args):
+            try:
+                run(args)
+            except work_calls.Started:
+                calls.append(args)
+                return [], {}, []
+            raise AssertionError("the run did no work")
+        return stop
     for _, table, _ in cli._SUBCOMMANDS.values():
         for choice, entry in list(table.items()):
-            monkeypatch.setitem(table, choice, entry._replace(run=run))
+            monkeypatch.setitem(table, choice, entry._replace(run=stopped(entry.run)))
     return calls
 
 
-def _rerun_stubbed(tmp_path, monkeypatch, capsys, manifest):
-    """Rerun a manifest with every entry's work stubbed out: the exit code,
-    the stderr lines, the stubbed calls and the outputs."""
-    calls = _stub_entries(monkeypatch)
+def _rerun_stubbed(tmp_path, calls, capsys, manifest):
+    """Rerun a manifest with every entry stopped at its first work
+    (``entry_calls``): the exit code, the stderr lines, the entries' calls
+    and the outputs."""
     path = tmp_path / "edited.manifest.json"
     path.write_text(json.dumps(manifest))
     out = tmp_path / "out"
@@ -368,10 +373,10 @@ def _rerun_stubbed(tmp_path, monkeypatch, capsys, manifest):
     ({"params": None}, "manifest params None is not an object"),
     ({"params": [9]}, "manifest params [9] is not an object"),
 ])
-def test_rerun_refuses_a_bad_manifest(tmp_path, monkeypatch, capsys, edit, named):
+def test_rerun_refuses_a_bad_manifest(tmp_path, entry_calls, capsys, edit, named):
     # None drops the key; each case exits 2 before any work with one line
     manifest = {k: v for k, v in {**_MANIFEST_51, **edit}.items() if v is not None}
-    code, err, calls, outputs = _rerun_stubbed(tmp_path, monkeypatch, capsys, manifest)
+    code, err, calls, outputs = _rerun_stubbed(tmp_path, entry_calls, capsys, manifest)
     assert code == 2
     assert len(err) == 1 and named in err[0]
     assert calls == [] and outputs == []
@@ -384,10 +389,10 @@ def test_rerun_refuses_a_bad_manifest(tmp_path, monkeypatch, capsys, edit, named
     ({"m": 6, "n": 4.0}, "bad n 4.0"),
     ({"n": 4}, "bad m None"),
 ])
-def test_rerun_refuses_cg_table_degrees_that_are_not_integers(tmp_path, monkeypatch, capsys,
+def test_rerun_refuses_cg_table_degrees_that_are_not_integers(tmp_path, entry_calls, capsys,
                                                               degrees, named):
     manifest = {"subcommand": "cg-table", "params": {**degrees, "format": "csv"}, "seed": None}
-    code, err, calls, outputs = _rerun_stubbed(tmp_path, monkeypatch, capsys, manifest)
+    code, err, calls, outputs = _rerun_stubbed(tmp_path, entry_calls, capsys, manifest)
     assert code == 2
     assert len(err) == 1 and named in err[0]
     assert calls == [] and outputs == []
@@ -404,41 +409,39 @@ def test_strichartz_refuses_unknown_config_keys(tmp_path):
     assert not out.exists()
 
 
-def test_strichartz_single_slab_config_keys(tmp_path, monkeypatch):
+def test_strichartz_single_slab_config_keys(tmp_path, work_calls):
     # a single-slab record reads "grid" but not the scan's "Ns"
-    calls = []
-    monkeypatch.setattr(cli.strichartz, "strichartz_quotient", lambda *a, **k: calls.append(a))
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"slab": {"xi0": [0.0, 0], "a": [1.0, 0.0], "c": 0.0,
                                            "M": 2, "N": 4}, "Ns": [4, 8]}))
     code = cli.main(["strichartz", "--mode", "elliptic", "--config", str(config),
                      "--out", str(tmp_path / "out")])
-    assert code == 2 and calls == []
+    assert code == 2 and work_calls == []
     assert not (tmp_path / "out").exists()
 
 
 _BAD_SCAN_WINDOWS = [
     [60, -60, 256], [5, 5, 256], [float("nan"), 60, 256], [-60, float("inf"), 256],
     [-60, 60, 32], [-60, 60], [-60, 60, 256, 1], {"t_min": -60, "t_max": 60, "n_t": 256},
+    # ran as n_t = 100 and as t_min = 1.0
+    [-60, 60, 100.7], [True, 60, 64],
 ]
 
 
-def _refuses_before_any_work(tmp_path, monkeypatch, capsys, mode, config):
-    calls = []
-    monkeypatch.setattr(cli.strichartz, "_weighted_quartic", lambda *a, **k: calls.append(a))
+def _refuses_before_any_work(tmp_path, work_calls, capsys, mode, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
     code = cli.main(["strichartz", "--mode", mode, "--config", str(path), "--out", str(out)])
-    assert code == 2 and calls == []
+    assert code == 2 and work_calls == []
     assert not out.exists()
     return capsys.readouterr().err
 
 
 @pytest.mark.parametrize("window", _BAD_SCAN_WINDOWS)
 @pytest.mark.parametrize("mode", ["elliptic", "hyperbolic"])
-def test_strichartz_scans_refuse_a_bad_window(tmp_path, monkeypatch, capsys, mode, window):
-    err = _refuses_before_any_work(tmp_path, monkeypatch, capsys, mode,
+def test_strichartz_scans_refuse_a_bad_window(tmp_path, work_calls, capsys, mode, window):
+    err = _refuses_before_any_work(tmp_path, work_calls, capsys, mode,
                                    {"Ns": [4, 8], "trials": 1, "window": window})
     assert f"bad window {window!r}" in err
 
@@ -450,17 +453,19 @@ _SLAB = {"xi0": [0.0, 0], "a": [1.0, 0.0], "c": 0.0, "M": 2, "N": 4}
     [60, -60, 8192], [-60, float("nan"), 8192], [-float("inf"), 60, 8192],
     [-60, 60, 32], [70, 60, 8192], [-60, 60], {"t_min": -60, "t_max": 60, "n_t": 256},
 ])
-def test_slab_mode_refuses_a_bad_window(tmp_path, monkeypatch, capsys, window):
-    err = _refuses_before_any_work(tmp_path, monkeypatch, capsys, "slab",
+def test_slab_mode_refuses_a_bad_window(tmp_path, work_calls, capsys, window):
+    err = _refuses_before_any_work(tmp_path, work_calls, capsys, "slab",
                                    {"slab": _SLAB, "trials": 1, "window": window})
     assert f"bad window {window!r}" in err
 
 
 @pytest.mark.parametrize("given,window", [
     ({}, (-60.0, 60.0, 8192)),
-    ({"window": [-30, 60, 128]}, (-30.0, 60.0, 128)),
+    ({"window": [-30, 60, 128]}, [-30, 60, 128]),
 ])
 def test_slab_mode_fills_defaults(tmp_path, monkeypatch, given, window):
+    # the quotient gets the keys as resolved: the slab record and the window
+    # as given, which its own checks convert
     seen = []
 
     def fake_quotient(slab, delta, trials, seed, h, t_window):
@@ -472,8 +477,7 @@ def test_slab_mode_fills_defaults(tmp_path, monkeypatch, given, window):
     config.write_text(json.dumps({"slab": _SLAB, **given}))
     assert cli.main(["strichartz", "--mode", "slab", "--config", str(config),
                      "--out", str(tmp_path / "out")]) == 0
-    slab = strichartz.SlabSpec(xi0=(0.0, 0), a=(1.0, 0.0), c=0.0, M=2, N=4)
-    assert seen == [(slab, 0.1, 8, 3, 0.125, window)]
+    assert seen == [(_SLAB, 0.1, 8, 3, 0.125, window)]
     # the CSV's columns are the keys of the scan's first row
     assert (tmp_path / "out" / "strichartz_slab.csv").read_text() == "trial,quotient\n0,1\n"
 
@@ -486,10 +490,10 @@ def test_slab_mode_fills_defaults(tmp_path, monkeypatch, given, window):
     ({"slab": {**_SLAB, "xi0": 0.0}, "trials": 1}, "bad slab"),
     ({"slab": _SLAB, "grid": {"h": 0.125}}, "grid"),
 ])
-def test_slab_mode_refuses_a_bad_slab_record(tmp_path, monkeypatch, capsys, config, named):
+def test_slab_mode_refuses_a_bad_slab_record(tmp_path, work_calls, capsys, config, named):
     # a missing, malformed or unbuildable record, or the old "grid" key of
     # an elliptic single-slab config: exit 2 before any work, no outputs
-    assert named in _refuses_before_any_work(tmp_path, monkeypatch, capsys, "slab", config)
+    assert named in _refuses_before_any_work(tmp_path, work_calls, capsys, "slab", config)
 
 
 @pytest.mark.parametrize("mode,config", [
@@ -497,9 +501,9 @@ def test_slab_mode_refuses_a_bad_slab_record(tmp_path, monkeypatch, capsys, conf
     ("hyperbolic", {"Ns": [2, 4], "trials": 0}),
     ("slab", {"slab": _SLAB, "trials": 0}),
 ])
-def test_strichartz_refuses_zero_trials(tmp_path, monkeypatch, capsys, mode, config):
+def test_strichartz_refuses_zero_trials(tmp_path, work_calls, capsys, mode, config):
     # a gate over no trials would pass on nothing
-    err = _refuses_before_any_work(tmp_path, monkeypatch, capsys, mode, config)
+    err = _refuses_before_any_work(tmp_path, work_calls, capsys, mode, config)
     assert "trials must be >= 1; got 0" in err
 
 
@@ -508,9 +512,9 @@ def test_strichartz_refuses_zero_trials(tmp_path, monkeypatch, capsys, mode, con
     ("elliptic", {"Ns": [2, 4], "trials": 1, "window": [-10, 10, 64]}),
     ("slab", {"slab": _SLAB, "trials": 1, "window": [-10, 10, 64]}),
 ])
-def test_strichartz_refuses_delta_outside_its_range(tmp_path, monkeypatch, capsys, mode, config,
+def test_strichartz_refuses_delta_outside_its_range(tmp_path, work_calls, capsys, mode, config,
                                                    delta):
-    err = _refuses_before_any_work(tmp_path, monkeypatch, capsys, mode,
+    err = _refuses_before_any_work(tmp_path, work_calls, capsys, mode,
                                    {**config, "delta": delta})
     assert f"bad delta {delta!r}: delta must lie in (0, 1/8); got {delta}" in err
 
@@ -523,10 +527,10 @@ def test_strichartz_refuses_delta_outside_its_range(tmp_path, monkeypatch, capsy
      "delta", None),
     ("slab", {"slab": _SLAB, "trials": [1], "window": [-10, 10, 64]}, "trials", [1]),
 ])
-def test_strichartz_refuses_a_non_numeric_value(tmp_path, monkeypatch, capsys, mode, config,
+def test_strichartz_refuses_a_non_numeric_value(tmp_path, work_calls, capsys, mode, config,
                                                  key, value):
     # a string, None or a list: exit 2 naming the key and value, not a TypeError
-    err = _refuses_before_any_work(tmp_path, monkeypatch, capsys, mode, config)
+    err = _refuses_before_any_work(tmp_path, work_calls, capsys, mode, config)
     assert f"bad {key} {value!r}: {key} must be a number; got {value!r}" in err
 
 
@@ -547,9 +551,9 @@ def test_checks_accept_numpy_scalars_and_refuse_non_numbers():
             strichartz.check_count("trials", bad)
 
 
-def test_strichartz_hyperbolic_refuses_n_above_the_cap(tmp_path, monkeypatch, capsys):
+def test_strichartz_hyperbolic_refuses_n_above_the_cap(tmp_path, work_calls, capsys):
     # N = 2 would run before N = 128 hit the cap
-    err = _refuses_before_any_work(tmp_path, monkeypatch, capsys, "hyperbolic",
+    err = _refuses_before_any_work(tmp_path, work_calls, capsys, "hyperbolic",
                                    {"Ns": [2, 128], "trials": 1, "window": [-10, 10, 64]})
     assert "bad Ns [2, 128]: N is capped at 64; got 128" in err
 
@@ -559,9 +563,9 @@ def test_strichartz_hyperbolic_refuses_n_above_the_cap(tmp_path, monkeypatch, ca
     ("slab", {"slab": {**_SLAB, "N": 128}, "trials": 1}, "bad slab"),
     ("box-scaling", {"Ns": [2, 128], "h": 0.5}, "bad Ns [2, 128]"),
 ])
-def test_strichartz_modes_refuse_n_above_the_cap(tmp_path, monkeypatch, capsys, mode, config, bad):
+def test_strichartz_modes_refuse_n_above_the_cap(tmp_path, work_calls, capsys, mode, config, bad):
     # the cap of the hyperbolic mode holds for every mode that reads an N
-    err = _refuses_before_any_work(tmp_path, monkeypatch, capsys, mode, config)
+    err = _refuses_before_any_work(tmp_path, work_calls, capsys, mode, config)
     assert bad in err and "N is capped at 64; got 128" in err
 
 
@@ -585,52 +589,50 @@ _ONE_TRIAL = {"trials": 1, "window": [-10, 10, 64]}
     ("elliptic", {"Ns": [float("-inf"), 8], **_ONE_TRIAL}, "bad Ns [-inf, 8]: N must be >= 1; got -inf"),
     ("elliptic", {"Ns": [8, float("inf")], **_ONE_TRIAL}, "bad Ns [8, inf]: N is capped at 64; got inf"),
 ])
-def test_strichartz_refuses_an_n_its_mode_cannot_run(tmp_path, monkeypatch, capsys, mode, config,
+def test_strichartz_refuses_an_n_its_mode_cannot_run(tmp_path, work_calls, capsys, mode, config,
                                                     named):
     # these used to die with a ZeroDivisionError, an empty max(), an empty
     # xi2 range or an M > N traceback, fail on a NaN slope after every
     # trial, or label a box_packet(2) row as N = 2.5
-    err = _refuses_before_any_work(tmp_path, monkeypatch, capsys, mode, config)
+    err = _refuses_before_any_work(tmp_path, work_calls, capsys, mode, config)
     assert err.strip().splitlines() == [named]
 
 
-def test_lattice_scan_runs_n_4096_within_the_work_budget(tmp_path, monkeypatch, capsys):
+def test_lattice_scan_runs_n_4096_within_the_work_budget(tmp_path, entry_calls, capsys):
     code, err, [args], _ = _rerun_stubbed(
-        tmp_path, monkeypatch, capsys,
+        tmp_path, entry_calls, capsys,
         {"subcommand": "lattice-scan", "params": {"lemma": "5.3", "Ns": [64, 4096.0]}})
     assert code == 0 and err == [] and args["Ns"] == [64, 4096.0]
 
 
-def test_elliptic_slab_radius_may_be_fractional(tmp_path, monkeypatch, capsys):
+def test_elliptic_slab_radius_may_be_fractional(tmp_path, entry_calls, capsys):
     code, err, [args], _ = _rerun_stubbed(
-        tmp_path, monkeypatch, capsys,
+        tmp_path, entry_calls, capsys,
         {"subcommand": "strichartz", "params": {"mode": "elliptic", "Ns": [2.5, 8]}})
     assert code == 0 and err == [] and args["Ns"] == [2.5, 8]
 
 
-@pytest.mark.parametrize("h", [0, -0.5, "0.5", float("inf")])
+@pytest.mark.parametrize("h", [0, -0.5, "0.5", float("inf"), float("nan"), True,
+                               pytest.param(10**400, id="10**400")])
 @pytest.mark.parametrize("mode,config", [
     ("elliptic", {"Ns": [2, 4], "trials": 1, "window": [-10, 10, 64]}),
     ("slab", {"slab": _SLAB, "trials": 1, "window": [-10, 10, 64]}),
     ("hyperbolic", {"Ns": [2, 4], "trials": 1, "window": [-10, 10, 64]}),
+    ("box-scaling", {"Ns": [2, 4]}),
 ])
-def test_strichartz_refuses_a_bad_grid_step(tmp_path, monkeypatch, capsys, mode, config, h):
-    # h = 0 used to reach FrequencyGrid and die with a ValueError traceback
-    err = _refuses_before_any_work(tmp_path, monkeypatch, capsys, mode, {**config, "h": h})
+def test_strichartz_refuses_a_bad_grid_step(tmp_path, work_calls, capsys, mode, config, h):
+    # h = 0 used to reach FrequencyGrid and die with a ValueError traceback,
+    # NaN with "cannot convert float NaN to integer"; the box probe read
+    # h = True as q = 1 and ran at h = 1
+    err = _refuses_before_any_work(tmp_path, work_calls, capsys, mode, {**config, "h": h})
     assert err.strip().splitlines() == [f"bad h {h!r}: h must be a finite positive number"]
 
 
-def test_strichartz_box_scaling_refuses_h_off_the_lattice(tmp_path, monkeypatch, capsys):
-    calls = []
-    monkeypatch.setattr(cli.strichartz, "box_scaling_probe", lambda *a, **k: calls.append(a))
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"Ns": [2, 4], "h": 0.3}))
-    out = tmp_path / "out"
-    code = cli.main(["strichartz", "--mode", "box-scaling", "--config", str(config),
-                     "--out", str(out)])
-    assert code == 2 and calls == []
-    assert "h = 0.3" in capsys.readouterr().err
-    assert not out.exists()
+def test_strichartz_box_scaling_refuses_h_off_the_lattice(tmp_path, work_calls, capsys):
+    err = _refuses_before_any_work(tmp_path, work_calls, capsys, "box-scaling",
+                                   {"Ns": [2, 4], "h": 0.3})
+    assert err.strip().splitlines() == [
+        "bad h 0.3: the periodic-exact time rule needs h^2 = 1/q for an integer q, got h = 0.3"]
 
 
 def test_strichartz_box_scaling_reports_the_exact_rule_nodes(tmp_path):
@@ -767,9 +769,9 @@ def _entry_params(sub, choice, **params):
 
 
 @pytest.mark.parametrize("sub,choice", _ENTRIES, ids=[f"{s}-{c}" for s, c in _ENTRIES])
-def test_every_entry_refuses_an_unknown_key(tmp_path, monkeypatch, capsys, sub, choice):
+def test_every_entry_refuses_an_unknown_key(tmp_path, entry_calls, capsys, sub, choice):
     code, err, calls, outputs = _rerun_stubbed(
-        tmp_path, monkeypatch, capsys,
+        tmp_path, entry_calls, capsys,
         {"subcommand": sub, "params": _entry_params(sub, choice, sedes=3)})
     assert code == 2
     assert len(err) == 1 and "unknown keys" in err[0] and "sedes 3" in err[0]
@@ -777,14 +779,14 @@ def test_every_entry_refuses_an_unknown_key(tmp_path, monkeypatch, capsys, sub, 
 
 
 @pytest.mark.parametrize("sub,choice", _ENTRIES, ids=[f"{s}-{c}" for s, c in _ENTRIES])
-def test_every_entry_fills_a_missing_key_from_its_default(tmp_path, monkeypatch, capsys, sub,
+def test_every_entry_fills_a_missing_key_from_its_default(tmp_path, entry_calls, capsys, sub,
                                                           choice):
     selector, table, _ = cli._SUBCOMMANDS[sub]
     keys = table[choice].keys
     required = _REQUIRED.get((sub, choice), {})
     assert {key for key, default in keys.items() if default is None} == set(required)
     code, err, calls, outputs = _rerun_stubbed(
-        tmp_path, monkeypatch, capsys, {"subcommand": sub, "params": _entry_params(sub, choice)})
+        tmp_path, entry_calls, capsys, {"subcommand": sub, "params": _entry_params(sub, choice)})
     assert code == 0 and err == []
     [args] = calls
     assert {key: args[key] for key in keys if key not in required} == {
@@ -804,10 +806,10 @@ def test_every_entry_fills_a_missing_key_from_its_default(tmp_path, monkeypatch,
     ("strichartz", {"mode": "kernel-split", "k_shift": 2}, {"seed": 3, "k_shift": 2}),
     ("strichartz", {"mode": "hyperbolic", "trials": 2.0}, {"trials": 2}),
 ])
-def test_rerun_fills_what_a_manifest_leaves_out(tmp_path, monkeypatch, capsys, sub, params,
+def test_rerun_fills_what_a_manifest_leaves_out(tmp_path, entry_calls, capsys, sub, params,
                                                 resolved):
     # a missing m_max, zonal_n_max or seed used to be a KeyError
-    code, _, [args], _ = _rerun_stubbed(tmp_path, monkeypatch, capsys,
+    code, _, [args], _ = _rerun_stubbed(tmp_path, entry_calls, capsys,
                                         {"subcommand": sub, "params": params})
     assert code == 0
     assert {key: args[key] for key in resolved} == resolved
@@ -862,10 +864,13 @@ def test_rerun_fills_what_a_manifest_leaves_out(tmp_path, monkeypatch, capsys, s
      "bad delta nan: delta must lie in (0, 1/8); got nan"),
     ("strichartz", {"mode": "elliptic", "delta": True},
      "bad delta True: delta must be a number; got True"),
+    # an OverflowError traceback after the packet was drawn
+    ("strichartz", {"mode": "kernel-split", "k_shift": 10**30},
+     f"bad k_shift {10**30}: need an integer of magnitude at most {2**62}"),
 ])
-def test_rerun_refuses_before_any_work(tmp_path, monkeypatch, capsys, sub, params, named):
+def test_rerun_refuses_before_any_work(tmp_path, entry_calls, capsys, sub, params, named):
     # each used to be a TypeError, a silent default or an ignored key
-    code, err, calls, outputs = _rerun_stubbed(tmp_path, monkeypatch, capsys,
+    code, err, calls, outputs = _rerun_stubbed(tmp_path, entry_calls, capsys,
                                                {"subcommand": sub, "params": params})
     assert code == 2
     assert len(err) == 1 and named in err[0]
@@ -896,10 +901,9 @@ def test_rerun_refuses_before_any_work(tmp_path, monkeypatch, capsys, sub, param
     (["lattice-scan", "--lemma", "5.2a", "--N", "64", "--N", str(10**400)], None,
      f"bad Ns [64, {10**400}]: x values must lie within float range"),
 ])
-def test_main_refuses_before_any_work(tmp_path, monkeypatch, capsys, argv, config, named):
+def test_main_refuses_before_any_work(tmp_path, entry_calls, capsys, argv, config, named):
     # an option the lemma ignores, or a config that is not an object or
     # switches the mode, used to run or raise a TypeError
-    calls = _stub_entries(monkeypatch)
     if config is not None:
         (tmp_path / "config.json").write_text(json.dumps(config))
         argv = [*argv, "--config", str(tmp_path / "config.json")]
@@ -907,7 +911,7 @@ def test_main_refuses_before_any_work(tmp_path, monkeypatch, capsys, argv, confi
     assert cli.main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and named in err[0]
-    assert calls == [] and not out.exists()
+    assert entry_calls == [] and not out.exists()
 
 
 _SEEDED = [(sub, choice) for sub, choice in _ENTRIES
@@ -916,9 +920,9 @@ _SEEDED = [(sub, choice) for sub, choice in _ENTRIES
 
 @pytest.mark.parametrize("seed", ["x", -1, True, 1.5, None])
 @pytest.mark.parametrize("sub,choice", _SEEDED, ids=[f"{s}-{c}" for s, c in _SEEDED])
-def test_every_seeded_entry_refuses_a_bad_seed(tmp_path, monkeypatch, capsys, sub, choice, seed):
+def test_every_seeded_entry_refuses_a_bad_seed(tmp_path, entry_calls, capsys, sub, choice, seed):
     code, err, calls, outputs = _rerun_stubbed(
-        tmp_path, monkeypatch, capsys,
+        tmp_path, entry_calls, capsys,
         {"subcommand": sub, "params": _entry_params(sub, choice, seed=seed)})
     assert code == 2
     assert err == [f"bad seed {seed!r}: seed must be a non-negative integer"]
@@ -947,9 +951,8 @@ def test_main_refuses_a_bad_seed(tmp_path, capsys, argv, config):
      {"lemma": "5.1", "seed": 11, "n_queries": 300}),
     (["cg-table", "6", "4"], {"m": 6, "n": 4, "format": "csv"}),
 ])
-def test_the_manifest_records_the_resolved_keys(tmp_path, monkeypatch, argv, params):
+def test_the_manifest_records_the_resolved_keys(tmp_path, entry_calls, argv, params):
     # the 5.1 manifest used to record per_n, per_config and delta too
-    _stub_entries(monkeypatch)
     assert cli.main([*argv, "--out", str(tmp_path)]) == 0
     [manifest] = tmp_path.glob("*.manifest.json")
     assert json.loads(manifest.read_text())["params"] == params
@@ -1055,7 +1058,7 @@ def _documented_commands():
                  for name, body in re.findall(r"(\S+\.json): (.*)", text)}
 
 
-def test_documented_commands_parse(tmp_path, monkeypatch, capsys):
+def test_documented_commands_parse(tmp_path, monkeypatch, capsys, entry_calls):
     # a renamed mode, lemma or option breaks a script or a README example,
     # and so does an option or config key its entry does not read, or a
     # value its checks refuse
@@ -1063,7 +1066,7 @@ def test_documented_commands_parse(tmp_path, monkeypatch, capsys):
     assert {where.split(":")[0] for where, _ in commands} >= {
         "README.md", "cg_tables.sh", "lattice_scans.sh", "strichartz_suite.sh"}
     parser = cli._build_parser()
-    calls = _stub_entries(monkeypatch)
+    calls = entry_calls
     monkeypatch.chdir(tmp_path)
     for name, config in configs.items():
         (tmp_path / name).write_text(json.dumps(config))
