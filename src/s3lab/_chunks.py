@@ -9,6 +9,19 @@ plain serial loop with one CPU, fewer than two chunks, ``serial=True`` (a
 caller whose single chunk is already over its memory budget) or when called
 from the pool thread.  Callers add the results in list order, so every sum
 is bit-identical to the serial loop's.  BLAS threading is left as it is.
+
+The callers, each a loop over chunks of a bounded size:
+
+* ``strichartz._weighted_quartic``: time-node chunks of the windowed-L4
+  evaluator, slice and torus, a torus node over the budget included;
+* ``bilinear.product_norm2_batch``: (pair, node) slices of the sampling
+  engine, serial when one slice is over its budget;
+* ``bilinear.evaluate_on_grid`` and ``bilinear.multilinear_l2_quadrature``:
+  theta-slice chunks of the Haar-grid oracle, from ``bilinear._grid_chunks``
+  with one reused buffer per thread;
+* ``lattice.annulus_measures``, ``count_quadric_batch``,
+  ``count_hyperbola_batch`` and ``setB_measures``: query blocks and tiles of
+  the lattice kernels, through ``lattice._sum_into``.
 """
 
 from __future__ import annotations

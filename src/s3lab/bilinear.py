@@ -50,11 +50,13 @@ factor on a (theta, phi1, phi2) tensor grid of ``HaarQuadrature`` by one
 inverse FFT per theta slice.  They work in theta chunks of at most
 ``_FFT_CHUNK`` grid entries per factor, multiplying the factors and summing
 |.|^2 per slice chunk by chunk, so no full L^3 grid is ever held; only
-``evaluate_on_grid`` returns one.
+``evaluate_on_grid`` returns one.  The chunks run through
+``_chunks.chunk_map``, two at a time.
 """
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -65,7 +67,8 @@ import scipy.fft
 from . import gates
 from ._chunks import chunk_map
 from .clebsch import CGTable, _degree_blocks, cg_table, verify_orthogonality
-from .fitting import check_count, check_integer, check_one_of, checked, fit_slope, largest
+from .fitting import (check_count, check_integer, check_one_of, check_seed, checked, fit_slope,
+                      largest)
 from .su2 import (GroupElement, HaarQuadrature, haar_quadrature, irrep_matrix, wigner_d,
                   wigner_d_diagonal)
 
@@ -117,25 +120,32 @@ def evaluate_on_grid(f: Eigenfunction, quad: HaarQuadrature) -> np.ndarray:
     goes first, as in ``product_norm2_batch``: those rows are
     inverse-transformed along phi2, placed, and then every column is
     inverse-transformed along phi1.  Both passes run on chunks of at most
-    ``_FFT_CHUNK`` complex grid entries (at least one slice), which
-    ``_grid_chunks`` yields and this function copies into the output.
-    Levels below 2m+1 in either phi raise ValueError.
+    ``_FFT_CHUNK`` complex grid entries (at least one slice), from
+    ``_grid_chunks``, through ``_chunks.chunk_map``; each chunk copies its
+    slices into the output.  Levels below 2m+1 in either phi raise
+    ValueError.
     """
     out = np.empty(quad.levels, dtype=complex)
-    for s, vals in _grid_chunks(f, quad):
+    starts, values = _grid_chunks(f, quad)
+
+    def fill(s):
+        vals = values(s)
         out[s:s + len(vals)] = vals
+
+    chunk_map([partial(fill, s) for s in starts])
     return out
 
 
 def _grid_chunks(f: Eigenfunction, quad: HaarQuadrature):
-    """Yield (s, values of f on theta slices s, s+1, ...) chunk by chunk.
+    """(starts, values): values(s) is f on the theta slices s, s+1, ... of
+    the chunk that starts at s, for each s of starts.
 
     Each chunk holds at most ``_FFT_CHUNK`` complex grid entries (at least
-    one slice).  Every chunk is a view of one buffer that the next chunk
-    overwrites, so a caller uses or copies it before advancing, and may
-    write to it.  (A fresh array per chunk made the three-factor oracle
-    about 1.45x slower at L = 44-72.)  The phi-level check runs before the
-    first chunk is yielded.
+    one slice).  It is a view of one buffer per thread, which that thread's
+    next chunk overwrites, so a caller uses or copies it before its next
+    call, and may write to it.  (A fresh array per chunk made the
+    three-factor oracle about 1.45x slower at L = 44-72.)  The phi-level
+    check runs here, before any chunk.
     """
     m = f.m
     n1, n2 = quad.nphi1, quad.nphi2
@@ -149,14 +159,19 @@ def _grid_chunks(f: Eigenfunction, quad: HaarQuadrature):
     coeffs = np.sqrt(m + 1.0) * f.coeffs
     nt = len(quad.theta)
     step = max(1, _FFT_CHUNK // (n1 * n2))
-    rows = np.zeros((min(step, nt), 2 * m + 1, n2), dtype=complex)
-    buf = np.empty((min(step, nt), n1, n2), dtype=complex)
-    for s in range(0, nt, step):
-        part, chunk = rows[:nt - s], buf[:nt - s]
+    buffers = threading.local()
+
+    def values(s):
+        if not hasattr(buffers, "rows"):
+            buffers.rows = np.zeros((min(step, nt), 2 * m + 1, n2), dtype=complex)
+            buffers.buf = np.empty((min(step, nt), n1, n2), dtype=complex)
+        part, chunk = buffers.rows[:nt - s], buffers.buf[:nt - s]
         part[:, ridx, qidx] = coeffs * dmats[s:s + step]
         chunk.fill(0)
         chunk[:, prow, :] = scipy.fft.ifft(part, axis=2, norm="forward")
-        yield s, scipy.fft.ifft(chunk, axis=1, norm="forward", overwrite_x=True)
+        return scipy.fft.ifft(chunk, axis=1, norm="forward", overwrite_x=True)
+
+    return range(0, nt, step), values
 
 
 def recommended_levels(degree_sum: int) -> tuple[int, int, int]:
@@ -174,11 +189,12 @@ def multilinear_l2_quadrature(fs: list[Eigenfunction], quad: HaarQuadrature) -> 
     """Quadrature value of || f_1 ... f_k ||_{L2}; an empty list raises ValueError,
     levels below ``recommended_levels`` of the degree sum warn.
 
-    One theta chunk at a time: the factors' chunks are multiplied in place
-    into the first factor's, |.|^2 is taken in place as re^2 + im^2 on the
-    float view and summed per theta slice, and the slice sums get the
-    theta-weight dot of ``HaarQuadrature.integrate``.  Only chunks are live,
-    never a full grid.
+    One theta chunk at a time, through ``_chunks.chunk_map``: the factors'
+    chunks are multiplied in place into the first factor's, |.|^2 is taken
+    in place as re^2 + im^2 on the float view and summed per theta slice,
+    and the slice sums get the theta-weight dot of
+    ``HaarQuadrature.integrate``.  Only chunks are live, never a full grid,
+    and each slice's sum is the one-thread loop's to the bit.
     """
     if not fs:
         raise ValueError("multilinear_l2_quadrature needs at least one factor")
@@ -187,15 +203,19 @@ def multilinear_l2_quadrature(fs: list[Eigenfunction], quad: HaarQuadrature) -> 
     if min(quad.levels) < need:
         warnings.warn(f"quadrature levels {quad.levels} below the resolution rule "
                       f"({need}) for degrees {degrees}", UnderResolvedQuadratureWarning)
-    per_slice = np.empty(len(quad.theta))
-    for chunks in zip(*(_grid_chunks(f, quad) for f in fs)):
-        s, prod = chunks[0]
-        for _, vals in chunks[1:]:
-            prod *= vals
+    grids = [_grid_chunks(f, quad) for f in fs]
+    starts, first = grids[0]
+
+    def slice_sums(s):
+        prod = first(s)
+        for _, values in grids[1:]:
+            prod *= values(s)
         flat = prod.view(np.float64).reshape(len(prod), -1)
         # numpy's pairwise sum; an einsum dot here was off the full-grid
         # value by up to 1.3e-14 relative on criterion 3's pairs
-        per_slice[s:s + len(prod)] = np.square(flat, out=flat).sum(axis=1)
+        return np.square(flat, out=flat).sum(axis=1)
+
+    per_slice = np.concatenate(chunk_map([partial(slice_sums, s) for s in starts]))
     per_phi = per_slice / (quad.nphi1 * quad.nphi2)
     return float(np.sqrt(np.dot(quad.theta_weight, per_phi)))
 
@@ -463,7 +483,8 @@ def scan_grid(m_max: int, n_max: int) -> list:
 
 
 # a gate over the zonal witnesses alone would pass on no random pair
-@checked({"m_max": check_integer, "n_max": check_integer, ("m_max", "n_max"): scan_grid,
+@checked({"seed": check_seed, "m_max": check_integer, "n_max": check_integer,
+          ("m_max", "n_max"): scan_grid,
           "seeds": partial(check_count, "seeds"), "zonal": check_one_of(False, True),
           "cross_check": check_one_of(False, True),
           "zonal_n_max": lambda n: check_count("zonal_n_max", check_integer(n))})

@@ -13,11 +13,12 @@ but ``cg-table`` (which alone writes a note and a sidecar) runs a library
 scan through ``_scan``: its (rows, summary) are the CSV rows, whose first
 row's keys are the columns, and the summary, gated off the summary, so a
 new parameter, row or summary key needs no CLI code.  A value's refusals
-are its runner's own (``fitting.checked``), as for a library caller; the
-CLI checks only the selector, unknown keys and the seed.  ``main`` and
-``rerun`` share one resolver, ``_run``: a command line, a config and a
-manifest are read alike, the manifest records the resolved keys, and every
-exit code comes from ``_gate``.  The parser sets no default.
+are its runner's own (``fitting.checked``), as for a library caller, the
+seed's included (``fitting.check_seed``); the CLI checks only the selector
+and unknown keys.  ``main`` and ``rerun`` share one resolver, ``_run``: a
+command line, a config and a manifest are read alike, the manifest records
+the resolved keys, and every exit code comes from ``_gate``.  The parser
+sets no default.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import numbers
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -78,12 +78,6 @@ def _known(value, table: dict, what: str) -> bool:
         return True
     print(f"unknown {what} {value!r} (allowed: {', '.join(table)})", file=sys.stderr)
     return False
-
-
-def _seed(value):
-    # np.random.default_rng takes a non-negative integer; a bool is refused
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise InputError(("seed",), (value,), "seed must be a non-negative integer")
 
 
 def _keys(function, fixed=()) -> dict:
@@ -192,9 +186,9 @@ _SUBCOMMANDS = {  # subcommand -> (selector key, {its value: entry}, output name
 def _run(subcommand: str, params: dict, out_dir: Path) -> int:
     """The one resolver of ``main`` and ``rerun``, then the run: pick the
     entry by its selector, refuse a key it does not read, fill each missing
-    key from its default, check the seed and run it (its runner checks the
-    rest first).  Each refusal exits 2 with one stderr line, before any
-    work.  Then write the outputs, the resolved keys in the manifest, and gate."""
+    key from its default and run it (its runner checks the values first).
+    Each refusal exits 2 with one stderr line, before any work.  Then write
+    the outputs, the resolved keys in the manifest, and gate."""
     selector, table, name = _SUBCOMMANDS[subcommand]
     choice = params.get(selector)
     if selector and not _known(choice, table, selector):
@@ -210,8 +204,6 @@ def _run(subcommand: str, params: dict, out_dir: Path) -> int:
     resolved = {**args, selector: choice} if selector else args
     name = name.format(**resolved).replace(".", "_").replace("-", "_")
     try:
-        if "seed" in args:
-            _seed(args["seed"])
         rows, summary, checks, note, files = _Result(*entry.run(args))
     except InputError as exc:
         named = (f"{'window' if k == 't_window' else k} {v!r}" for k, v in zip(exc.keys, exc.values))

@@ -62,6 +62,19 @@ def check_integer(value, bound=None):
     return value
 
 
+def check_seed(seed):
+    """Return seed; ValueError unless it is what every scan hands to
+    ``np.random.default_rng``: a non-negative integer, a sequence of them
+    (a scan passes [seed, index] on) or a ``np.random.Generator`` (a scan
+    passes its own); a bool is refused."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    for value in seed if isinstance(seed, (list, tuple)) else [seed]:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+            raise ValueError("seed must be a non-negative integer")
+    return seed
+
+
 def check_one_of(*allowed):
     """The check that a value is one of allowed, in type too (1 is not True)."""
     def check(value):

@@ -6,7 +6,9 @@ resonant-set measure, and one worst-case constant scan per lemma
 The measure on R x Z is one-dimensional Lebesgue in the first coordinate
 times counting measure in the second.  Every kernel works on arrays, in
 blocks of at most ``_BLOCK`` entries per temporary, and each scalar function
-is the one-element call of its kernel:
+is the one-element call of its kernel.  The blocks run through
+``_chunks.chunk_map`` (``_sum_into``): each returns its queries' sums, added
+in block order, so every value is the one-thread loop's to the bit.
 
 * annulus measures are closed-form interval lengths summed over the
   integer rows of a batch of queries;
@@ -39,8 +41,9 @@ from functools import partial
 import numpy as np
 
 from . import fitting
-from .fitting import (check_count, check_delta, check_fit_xs, check_one_of, checked, fit_slope,
-                      largest)
+from ._chunks import chunk_map
+from .fitting import (check_count, check_delta, check_fit_xs, check_one_of, check_seed, checked,
+                      fit_slope, largest)
 
 # most entries in any temporary array of a kernel (128 KiB of float64); on
 # lattice-cli, 2^16 measured 5% more peak RSS and no less time
@@ -62,6 +65,14 @@ def _tiles(n_rows: int, n_cols: int):
     for r0 in range(0, n_rows, rows):
         for c0 in range(0, n_cols, cols):
             yield slice(r0, min(r0 + rows, n_rows)), slice(c0, min(c0 + cols, n_cols))
+
+
+def _sum_into(out: np.ndarray, blocks: list) -> np.ndarray:
+    """out after out[index] += sums() for each (index, sums) of blocks, in
+    list order; the sums functions run through ``chunk_map``."""
+    for (index, _), part in zip(blocks, chunk_map([sums for _, sums in blocks])):
+        out[index] += part
+    return out
 
 
 @dataclass(frozen=True)
@@ -96,15 +107,12 @@ def annulus_measures(C, K) -> np.ndarray:
         raise ValueError("K must be >= 1")
     if not (np.all(np.isfinite(C)) and np.all(np.isfinite(K))):
         raise ValueError("C and K must be finite")
-    out = np.zeros(len(C))
     dmax = np.floor(np.sqrt(np.maximum(C + K, 0.0))).astype(np.int64)
     order = np.argsort(-dmax, kind="stable")
-    i = 0
-    while i < len(order):
-        width = int(dmax[order[i]]) + 1
-        idx = order[i:i + max(1, _BLOCK // width)]
-        i += len(idx)
+
+    def block_sums(idx, width):
         Cb, Kb = C[idx, None], K[idx, None]
+        sums = np.zeros(len(idx))
         for c0 in range(0, width, _BLOCK):
             d = np.arange(c0, min(c0 + _BLOCK, width), dtype=float)
             # two block-sized float arrays at a time: b turns into sqrt(a) + sqrt(b)
@@ -115,8 +123,17 @@ def annulus_measures(C, K) -> np.ndarray:
             b += ra
             rows = np.divide(Kb, b, out=ra, where=inner)
             rows *= np.where(d > 0.0, 4.0, 2.0)
-            out[idx] += rows.sum(axis=1)
-    return out
+            sums += rows.sum(axis=1)
+        return sums
+
+    blocks = []
+    i = 0
+    while i < len(order):
+        width = int(dmax[order[i]]) + 1
+        idx = order[i:i + max(1, _BLOCK // width)]
+        i += len(idx)
+        blocks.append((idx, partial(block_sums, idx, width)))
+    return _sum_into(np.zeros(len(C)), blocks)
 
 
 def annulus_measure(q: AnnulusQuery) -> float:
@@ -158,8 +175,8 @@ def count_quadric_batch(ks, Cs, N: int) -> np.ndarray:
         ks, Cs, N, lambda k, C: k * k + 4 * (N * N + abs(k) * N + abs(C)) >= _INT64_SAFE,
         "k^2 + 4(N^2 + |k|N + |C|) < 2^62")
     m = np.arange(-N, N + 1, dtype=np.int64)
-    counts = np.zeros(len(ks), dtype=np.int64)
-    for rows, cols in _tiles(len(ks), len(m)):
+
+    def tile_counts(rows, cols):
         k, C, mm = ks[rows, None], Cs[rows, None], m[None, cols]
         disc = k * mm
         disc += mm * mm
@@ -171,10 +188,12 @@ def count_quadric_batch(ks, Cs, N: int) -> np.ndarray:
         ok = (disc >= 0) & (r * r == disc)
         # the roots n = (-k +- r)/2 lie in [-N, N] when |r -+ k| <= 2N; a
         # double root (r = 0) counts once
-        counts[rows] += np.count_nonzero(ok & (r >= k - 2 * N) & (r <= k + 2 * N), axis=1)
-        counts[rows] += np.count_nonzero(ok & (r > 0) & (r >= -k - 2 * N) & (r <= 2 * N - k),
-                                         axis=1)
-    return counts
+        return (np.count_nonzero(ok & (r >= k - 2 * N) & (r <= k + 2 * N), axis=1)
+                + np.count_nonzero(ok & (r > 0) & (r >= -k - 2 * N) & (r <= 2 * N - k), axis=1))
+
+    return _sum_into(np.zeros(len(ks), dtype=np.int64),
+                     [(rows, partial(tile_counts, rows, cols))
+                      for rows, cols in _tiles(len(ks), len(m))])
 
 
 def count_quadric(k: int, C: int, N: int) -> int:
@@ -196,15 +215,18 @@ def count_hyperbola_batch(ks, Cs, N: int) -> np.ndarray:
         ks, Cs, N, lambda k, C: max(abs(C), abs(k) + N) > _INT64_SAFE,
         "|C| <= 2^62 and |k| + N <= 2^62")
     j = np.arange(-N, N + 1, dtype=np.int64)
-    counts = np.zeros(len(ks), dtype=np.int64)
-    for rows, cols in _tiles(len(ks), len(j)):
+
+    def tile_counts(rows, cols):
         m, C = ks[rows, None] + j[None, cols], Cs[rows, None]
         row = m != 0
         m[~row] = 1  # a stand-in divisor; row masks it out
         n, rem = np.divmod(C, m)
         hits = row & (rem == 0) & (n != 0) & (n >= -N) & (n <= N)
-        counts[rows] += np.count_nonzero(hits, axis=1)
-    return counts
+        return np.count_nonzero(hits, axis=1)
+
+    return _sum_into(np.zeros(len(ks), dtype=np.int64),
+                     [(rows, partial(tile_counts, rows, cols))
+                      for rows, cols in _tiles(len(ks), len(j))])
 
 
 def count_hyperbola(k: int, C: int, N: int) -> int:
@@ -283,7 +305,8 @@ def setB_measures(ls, ks, Cs, N: int, slack: float = 1.0) -> np.ndarray:
     plateau = 2.0 * np.minimum(slack, 2.0 * ls * ls) / ls
     U1, U2, U3, U4 = top - Cs, gap - Cs, -gap - Cs, -top - Cs
     j = np.arange(-N, N + 1, dtype=np.int64)
-    for rows, cols in _tiles(len(ls), len(j)):
+
+    def tile_sums(rows, cols):
         l, p = ls[rows, None], plateau[rows, None]
         u1, u2, u3, u4 = U1[rows, None], U2[rows, None], U3[rows, None], U4[rows, None]
         m = ks[rows, None] + j[None, cols]
@@ -298,8 +321,10 @@ def setB_measures(ls, ks, Cs, N: int, slack: float = 1.0) -> np.ndarray:
             total += p * flat
             first, cnt = _n_range(m, u4, u3, n_min, n_max)
             total += cnt * (((m * first) - u4) / l) + step * (cnt * (cnt - 1.0) / 2.0)
-        out[rows] += np.sum(total, axis=1, where=row)
-    return out
+        return np.sum(total, axis=1, where=row)
+
+    return _sum_into(out, [(rows, partial(tile_sums, rows, cols))
+                           for rows, cols in _tiles(len(ls), len(j))])
 
 
 def setB_measure(q: SetBQuery, slack: float = 1.0) -> float:
@@ -331,7 +356,7 @@ def check_ns(Ns):
     return fitting.check_ns(check_fit_xs(Ns), integral=True)
 
 
-@checked({"n_queries": partial(check_count, "n_queries")})
+@checked({"seed": check_seed, "n_queries": partial(check_count, "n_queries")})
 def scan_lemma51(n_queries: int = 10000, seed=11) -> tuple[list, dict]:
     """Worst-case ratio measure / K over random annulus queries.
 
@@ -397,8 +422,9 @@ def _check_work(work: int) -> int:
     return work
 
 
-@checked({"variant": check_one_of("quadric", "hyperbola"), "per_n": partial(check_count, "per_n"),
-          "Ns": check_ns, ("Ns", "per_n"): check_lemma52_work})
+@checked({"seed": check_seed, "variant": check_one_of("quadric", "hyperbola"),
+          "per_n": partial(check_count, "per_n"), "Ns": check_ns,
+          ("Ns", "per_n"): check_lemma52_work})
 def scan_lemma52(Ns: tuple = (64, 128, 256, 512), per_n: int = 500, seed=11,
                  variant: str = "quadric") -> tuple[list, dict]:
     """Random-count scan per N with the fitted growth exponent.
@@ -462,8 +488,8 @@ def check_lemma53_work(Ns, delta: float, per_config: int) -> int:
                            for N in Ns))
 
 
-@checked({"per_config": partial(check_count, "per_config"), "Ns": check_ns, "delta": check_delta,
-          ("Ns", "delta", "per_config"): check_lemma53_work})
+@checked({"seed": check_seed, "per_config": partial(check_count, "per_config"), "Ns": check_ns,
+          "delta": check_delta, ("Ns", "delta", "per_config"): check_lemma53_work})
 def scan_lemma53(Ns: tuple = (64, 128, 256, 512, 1024), delta: float = 0.1, per_config: int = 3,
                  seed=11) -> tuple[list, dict]:
     """Worst-case scan of measure / ((M/N)^(4 delta) N) over the grid.

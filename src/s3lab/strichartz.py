@@ -68,8 +68,8 @@ from scipy.special import sici
 
 from . import fitting, gates
 from ._chunks import chunk_map
-from .fitting import (check_count, check_delta, check_fit_xs, check_integer, checked, fit_slope,
-                      largest)
+from .fitting import (check_count, check_delta, check_fit_xs, check_integer, check_seed, checked,
+                      fit_slope, largest)
 
 FEJER_TOTAL = 4.0 * np.pi  # integral of the weight over R
 
@@ -212,13 +212,14 @@ class WavePacket:
 
 
 # entries of one block: a time chunk's (node, x2 point, x1 point) buffer
-# in ``_weighted_quartic``, its largest (on the torus the xi1 pass before
-# it holds at most half as many), and a row block of ``slab_mask``, 1 MiB
-# as complex.  The phase tables compute their step rows once per
-# evaluation, so a chunk costs only its own base rows of exp and the budget
-# sets memory, not time: on a 2-vCPU Xeon the strichartz-suite benchmark
-# peaked at 78.5 MB RSS with 2^18 entries (4 MiB) and at about 72 MB with
-# 2^16, and a 4e6-entry (64 MiB) buffer fell out of cache on every chunk
+# in ``_weighted_quartic``, its largest (on the torus both FFT passes run
+# in it; a chunk holds at least one node, so a node over the budget is a
+# chunk of its own), and a row block of ``slab_mask``, 1 MiB as complex.
+# The phase tables compute their step rows once per evaluation, so a
+# chunk costs only its own base rows of exp and the budget sets memory, not
+# time: on a 2-vCPU Xeon the strichartz-suite benchmark peaked at 78.5 MB
+# RSS with 2^18 entries (4 MiB) and at about 72 MB with 2^16, and a
+# 4e6-entry (64 MiB) buffer fell out of cache on every chunk
 _CHUNK_ENTRIES = 2**16
 
 
@@ -510,24 +511,26 @@ def _weighted_quartic(
     phases e^{-i t mu} per row and h e^{-i t xi1^2} per column.  At the
     slice the rows are summed with their phases (a single BLAS product),
     then one zero-padded FFT of length P in xi1 gives u on the x1 grid.  On
-    the torus one zero-padded FFT of length P in xi1 per row, then one of
-    length Q in xi2 per x1 point, give u on the (x2, x1) grid: per node
-    R FFTs of length P and P of length Q for R = r1 - r0 + 1 rows, where a
-    product with the Q x R matrix of e^{i y_q xi2} would take Q R (hi - lo
-    + 1) multiply-adds.  The time phases come from the rule's phase
-    tables: S = min(chunk, ceil(sqrt(n_nodes))) step rows per table, built
-    once per evaluation, then ceil(count / S) base rows per chunk of count
-    nodes, so one evaluation takes about S + n_nodes / S rows of complex exp
-    whatever the chunk size.
+    the torus the phased block goes into the corner of one zeroed (Q, P)
+    buffer per node, and in place one FFT of length P in xi1 per live row,
+    then one of length Q in xi2 per x1 point, give u on the (x2, x1) grid:
+    per node R FFTs of length P and P of length Q for R = r1 - r0 + 1 rows,
+    where a product with the Q x R matrix of e^{i y_q xi2} would take
+    Q R (hi - lo + 1) multiply-adds, and Q P complex entries live.  The
+    time phases come from the rule's phase tables: S = min(chunk,
+    ceil(sqrt(n_nodes))) step rows per table, built once per evaluation,
+    then ceil(count / S) base rows per chunk of count nodes, so one
+    evaluation takes about S + n_nodes / S rows of complex exp whatever the
+    chunk size.
 
     The chunks run through ``_chunks.chunk_map``: the first half on the
     calling thread and the second on one pool thread, so at most two
-    chunks are live; when one node alone is over the budget (Q P >
-    ``_CHUNK_ENTRIES``, the torus at N = 64) every chunk runs on the
-    calling thread.  The chunk quartics are added in chunk order, so the
-    result is bit-identical to the one-thread loop's.  BLAS threading is
-    not changed: with BLAS pinned to one thread, each caller's slice
-    product runs on one thread.
+    chunks are live, also when one node alone is over the budget (Q P >
+    ``_CHUNK_ENTRIES``, the torus at N = 64: two nodes of Q P entries at a
+    time).  The chunk quartics are added in chunk order, so the result is
+    bit-identical to the one-thread loop's.  BLAS threading is not
+    changed: with BLAS pinned to one thread, each caller's slice product
+    runs on one thread.
     """
     V = p.values
     row_live = np.flatnonzero(np.any(V != 0, axis=1))
@@ -545,6 +548,7 @@ def _weighted_quartic(
     # a view of the live span: its dead rows stay zero, so row r keeps its
     # x2 frequency r - r0 in the torus FFT
     V = V[r0:r1 + 1, lo:hi + 1]
+    R, C = V.shape
     mu = mu[r0:r1 + 1]
     colsq = colsq[lo:hi + 1]
     P = sfft.next_fast_len(2 * (hi - lo) + 1)
@@ -562,15 +566,20 @@ def _weighted_quartic(
     row_phases, col_phases = phases(mu, S), phases(colsq, S, h)
 
     def chunk_quartic(j0: int, j1: int) -> float:
-        # u on the (x2, x1) points, then as float (re, im) pairs; a chunk's
-        # buffers live one at a time: W before the x1 FFT, u after it
+        # u on the (x2, x1) points, then as float (re, im) pairs
         if x2_torus:
-            W = row_phases(j0, j1)[:, :, None] * V
+            # one zeroed (Q, P) buffer per node: the phased block in its
+            # corner, then both transforms in place
+            u = np.zeros((j1 - j0, Q, P), dtype=complex)
+            W = np.multiply(row_phases(j0, j1)[:, :, None], V, out=u[:, :R, :C])
             W *= col_phases(j0, j1)[:, None, :]
-            u = sfft.ifft(W, n=P, axis=2, norm="forward")
-            del W
-            u = sfft.ifft(u, n=Q, axis=1, norm="forward", overwrite_x=True)
+            rows = sfft.ifft(u[:, :R], axis=2, norm="forward", overwrite_x=True)
+            if not np.may_share_memory(rows, u):  # a backend that returned a copy
+                u[:, :R] = rows
+            del rows
+            u = sfft.ifft(u, axis=1, norm="forward", overwrite_x=True)
         else:
+            # a chunk's buffers live one at a time: W before the x1 FFT, u after it
             W = row_phases(j0, j1) @ V
             W *= col_phases(j0, j1)
             u = sfft.ifft(W, n=P, axis=1, norm="forward")
@@ -583,8 +592,7 @@ def _weighted_quartic(
 
     quartic = 0.0
     for part in chunk_map([partial(chunk_quartic, j0, min(j0 + chunk, n_nodes))
-                           for j0 in range(0, n_nodes, chunk)],
-                          serial=Q * P > _CHUNK_ENTRIES):
+                           for j0 in range(0, n_nodes, chunk)]):
         quartic += part
 
     return EvolveResult(
@@ -700,6 +708,8 @@ class KernelSplitReport:
 
 
 _RESONANCE_SLACK = 1.0  # the "up to a constant" resonance cutoff of Gamma
+# the split adds k_shift to int64 sums of two rows: within 2^62 none overflows
+_K_SHIFT_BOUND = 2**62
 
 
 def kernel_split_diagnostics(p: WavePacket, k_shift: int = 0) -> KernelSplitReport:
@@ -713,8 +723,10 @@ def kernel_split_diagnostics(p: WavePacket, k_shift: int = 0) -> KernelSplitRepo
     is 1 exactly when all four clauses fail, so the cover
     1_Gamma <= K1 + K2 holds pointwise; the report asserts it on every
     enumerated tuple and returns the |v1 v3 v2 v4|-weighted masses.  A
-    support above 64 nodes raises ValueError before any work.
+    support above 64 nodes, or a k_shift that is not an integer of
+    magnitude at most 2^62, raises ValueError before any work.
     """
+    check_integer(k_shift, bound=_K_SHIFT_BOUND)
     if p.support_count() > _KERNEL_SPLIT_MAX_NODES:
         raise ValueError(f"support has {p.support_count()} nodes, exceeding the "
                          f"{_KERNEL_SPLIT_MAX_NODES}-node enumeration cap")
@@ -762,6 +774,7 @@ def kernel_split_diagnostics(p: WavePacket, k_shift: int = 0) -> KernelSplitRepo
 _PLANCHEREL_NODES, _SPLIT_NODES = 24, 16
 
 
+@checked({"seed": check_seed})
 def quadrilinear_check(seed=3) -> tuple[list, dict]:
     """The Plancherel identity on one sparse packet, the frequency-side form
     against the periodic-exact time side: one row and its summary.  The
@@ -776,8 +789,7 @@ def quadrilinear_check(seed=3) -> tuple[list, dict]:
              "n_nodes": res.n_nodes, "flags": list(res.warnings)})
 
 
-# the split adds k_shift to int64 sums of two rows: within 2^62 none overflows
-@checked({"k_shift": partial(check_integer, bound=2**62)})
+@checked({"seed": check_seed, "k_shift": partial(check_integer, bound=_K_SHIFT_BOUND)})
 def kernel_split_check(seed=3, k_shift: int = 0) -> tuple[list, dict]:
     """``kernel_split_diagnostics`` on one sparse packet: one row of masses,
     and the cover and the Gamma mass beyond K1 + K2 (rounding only).  The
@@ -893,7 +905,7 @@ def check_slab(slab) -> SlabSpec:
 _TRIAL_CHECKS = {"trials": partial(check_count, "trials"), "h": check_h, "t_window": check_window}
 
 
-@checked({"slab": check_slab, "delta": check_delta, **_TRIAL_CHECKS})
+@checked({"seed": check_seed, "slab": check_slab, "delta": check_delta, **_TRIAL_CHECKS})
 def strichartz_quotient(
     slab: SlabSpec,
     delta: float = 0.1,
@@ -938,7 +950,8 @@ def _random_slab(N: float, M: float, delta: float, rng, h: float, boundary: bool
     return SlabSpec(xi0=(r, j), a=a, c=c, M=M, N=N)
 
 
-@checked({"Ns": lambda Ns: check_ns(check_fit_xs(Ns)), **_TRIAL_CHECKS, "delta": check_delta})
+@checked({"seed": check_seed, "Ns": lambda Ns: check_ns(check_fit_xs(Ns)), **_TRIAL_CHECKS,
+          "delta": check_delta})
 def scan_strichartz_quotients(
     Ns: tuple = (8, 16, 32, 64),
     delta: float = 0.1,
@@ -994,7 +1007,7 @@ def box_scaling_probe(Ns: tuple = (4, 8, 16, 32), h: float = 0.25) -> tuple[list
     return rows, summary
 
 
-@checked({"N": lambda N: _whole_ns([N])[0], **_TRIAL_CHECKS})
+@checked({"seed": check_seed, "N": lambda N: _whole_ns([N])[0], **_TRIAL_CHECKS})
 def hyperbolic_l4_quotient(
     N: int,
     trials: int,
@@ -1020,7 +1033,7 @@ def hyperbolic_l4_quotient(
     return _best_of(trials, draw)
 
 
-@checked({"Ns": lambda Ns: _whole_ns(check_fit_xs(Ns)), **_TRIAL_CHECKS})
+@checked({"seed": check_seed, "Ns": lambda Ns: _whole_ns(check_fit_xs(Ns)), **_TRIAL_CHECKS})
 def scan_hyperbolic_quotients(
     Ns: tuple = (4, 8, 16, 32, 64),
     trials: int = 3,

@@ -1,16 +1,17 @@
 """Every scan checks its own input, before any work: for each entry of each
 scan's ``checked`` map, one bad value raises an ``InputError`` that names
 the checked keys and their values as given, and no work function runs
-(``work_calls``).  ``quadrilinear_check`` reads only a seed, which it hands
-to the generator as it is, so it declares no checks."""
+(``work_calls``).  Every scan that takes a seed checks it with
+``fitting.check_seed``."""
 
 import inspect
 import re
 
+import numpy as np
 import pytest
 
 from s3lab import bilinear, cli, lattice, strichartz
-from s3lab.fitting import InputError
+from s3lab.fitting import InputError, check_seed
 
 _SLAB = {"xi0": [0.0, 0], "a": [1.0, 0.0], "c": 0.0, "M": 2, "N": 4}
 _WINDOW = (-10.0, 10.0, 64)
@@ -25,13 +26,28 @@ GOOD = {
     strichartz.strichartz_quotient: {"slab": _SLAB, "trials": 1, "t_window": _WINDOW},
     strichartz.hyperbolic_l4_quotient: {"N": 2, "trials": 1, "seed": 0, "t_window": _WINDOW},
     strichartz.scan_hyperbolic_quotients: {"Ns": [2, 4], "trials": 1, "t_window": _WINDOW},
+    strichartz.quadrilinear_check: {},
     strichartz.kernel_split_check: {},
     strichartz.box_scaling_probe: {"Ns": [2, 4], "h": 0.5},
     cli._cg_table: {"m": 2, "n": 1},
 }
 
+_SEED = "seed must be a non-negative integer"
+
 # (scan, bad arguments, the key of its checks map they break, the message)
 CASES = [
+    # numpy's "expected non-negative integer" from the first draw
+    (lattice.scan_lemma51, {"seed": -1}, "seed", _SEED),
+    # a TypeError from SeedSequence
+    (strichartz.quadrilinear_check, {"seed": "x"}, "seed", _SEED),
+    (bilinear.scan_cells, {"seed": True}, "seed", _SEED),
+    (lattice.scan_lemma52, {"seed": [11, -2]}, "seed", _SEED),
+    (lattice.scan_lemma53, {"seed": 1.5}, "seed", _SEED),
+    (strichartz.scan_strichartz_quotients, {"seed": None}, "seed", _SEED),
+    (strichartz.strichartz_quotient, {"seed": (3, True)}, "seed", _SEED),
+    (strichartz.hyperbolic_l4_quotient, {"seed": [[3, 0]]}, "seed", _SEED),
+    (strichartz.scan_hyperbolic_quotients, {"seed": "3"}, "seed", _SEED),
+    (strichartz.kernel_split_check, {"seed": -3}, "seed", _SEED),
     (bilinear.scan_cells, {"m_max": "8"}, "m_max", "need an integer"),
     # ran as scan_grid(8.0, 4)
     (bilinear.scan_cells, {"n_max": 4.0}, "n_max", "need an integer"),
@@ -149,3 +165,22 @@ def test_the_slab_record_and_its_slabspec_give_the_same_quotients():
     assert strichartz.check_slab(_SLAB) == spec and strichartz.check_slab(spec) is spec
     assert (strichartz.strichartz_quotient(_SLAB, trials=2, t_window=_WINDOW)
             == strichartz.strichartz_quotient(spec, trials=2, t_window=_WINDOW))
+
+
+@pytest.mark.parametrize("seed", [0, 2**70, np.int64(7), [3, 0], (3, 0, 1), [],
+                                  np.random.default_rng(1)])
+def test_every_seed_a_scan_hands_on_is_accepted(seed):
+    # the scans pass [seed, index] lists and their own generators on
+    assert check_seed(seed) is seed
+    np.random.default_rng(seed)
+
+
+def test_the_kernel_split_refuses_a_shift_beyond_the_bound_before_any_work(monkeypatch):
+    # an OverflowError at the int64 clause sums, after the pair groups
+    monkeypatch.setattr(strichartz, "_pair_groups", lambda *a: pytest.fail("work started"))
+    packet = strichartz.sparse_packet(3, 16, 6.0, 0.5)
+    for k_shift, message in ((10**30, f"magnitude at most {2**62}"),
+                             (-(2**62) - 1, f"magnitude at most {2**62}"),
+                             (0.5, "need an integer")):
+        with pytest.raises(ValueError, match=message):
+            strichartz.kernel_split_diagnostics(packet, k_shift)

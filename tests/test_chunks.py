@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 import textwrap
@@ -8,7 +9,9 @@ import pytest
 
 import s3lab._chunks as chunks
 import s3lab.bilinear as bl
+import s3lab.lattice as lat
 import s3lab.strichartz as st
+from s3lab import su2
 
 
 @pytest.fixture
@@ -34,6 +37,42 @@ def _slab_packet(N):
     return st.sample_slab_packet(slab, st.grid_for_slab(slab, h=0.25), "gaussian-random", 3)
 
 
+def _over_budget_torus_packet():
+    # rows span 40 and columns 1620: Q P = 81 * 3267 exceeds the chunk
+    # budget, so each of the 65 chunks holds one node, over the budget
+    grid = st.FrequencyGrid(h=0.5, xi1_extent=405.0, xi2_min=-20, xi2_max=20)
+    vals = np.zeros((41, 1621), dtype=complex)
+    vals[[0, 20, 40], [0, 810, 1620]] = [1.0, 0.5j, -0.25]
+    return st.WavePacket(grid=grid, values=vals)
+
+
+def _annulus_batch():
+    # 2 000 queries up to 1 000 rows wide: 84 blocks of 16 to 71 queries
+    rng = np.random.default_rng(5)
+    return rng.uniform(-10.0, 1e6, 2000), rng.uniform(1.0, 1e3, 2000)
+
+
+# N = 20 000: each query's 40 001 rows span three column tiles, so six
+# queries make 18 tiles and every sum adds three tiles, in order
+_N = 20000
+
+
+def _quadric_pairs():
+    rng = np.random.default_rng(6)
+    ks, Cs = [], []
+    for _ in range(6):
+        k = int(rng.integers(-_N, _N + 1))
+        m0, n0 = (int(v) for v in rng.integers(-_N, _N + 1, 2))
+        ks.append(k)
+        Cs.append(m0 * m0 + n0 * n0 + k * m0 + k * n0)
+    return ks, Cs
+
+
+def _quadrature_factors():
+    # degrees 5, 4, 3 at levels 64: four theta chunks of 16 slices
+    return [bl.random_eigenfunction(m, [4, m]) for m in (5, 4, 3)]
+
+
 def _engine_batch(m, n, pairs, seed=8):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((pairs, m + 1, m + 1)) + 1j * rng.standard_normal((pairs, m + 1, m + 1))
@@ -49,6 +88,21 @@ EVALUATIONS = {
                                           (-60.0, 60.0, 1024), x2_torus=True).quartic,
     "product_norm2_batch": lambda: bl.product_norm2_batch(bl.sampling_plan(64, 64),
                                                           *_engine_batch(64, 64, 16)).tolist(),
+    "torus_over_budget": lambda: st._weighted_quartic(_over_budget_torus_packet(), 0, "hyperbolic",
+                                                      (-10.0, 10.0, 64), x2_torus=True).quartic,
+    "multilinear_l2_quadrature": lambda: bl.multilinear_l2_quadrature(
+        _quadrature_factors(), su2.haar_quadrature((64, 64, 64))),
+    "evaluate_on_grid": lambda: bl.evaluate_on_grid(
+        _quadrature_factors()[0], su2.haar_quadrature((48, 64, 64))).view(float).ravel().tolist(),
+    "annulus_measures": lambda: lat.annulus_measures(*_annulus_batch()).tolist(),
+    "count_quadric_batch": lambda: lat.count_quadric_batch(*_quadric_pairs(), _N).tolist(),
+    "count_hyperbola_batch": lambda: lat.count_hyperbola_batch(
+        [0, 17, -300, 5000, 9999, -1], [720720, -720720, 5040, 2**20, 255255, 1], _N).tolist(),
+    # queries whose three tile sums add to other bits in another order
+    "setB_measures": lambda: lat.setB_measures(
+        [17.05, 7.24, 5.36, 18.55, 29.07, 29.05], [3, 138, -48, -22, -40, -157],
+        [175597151.5, 67523762.6, -72332297.1, 105870146.3, -170997577.6, -43067852.2],
+        _N).tolist(),
 }
 
 
@@ -64,9 +118,10 @@ def test_two_threads_give_the_serial_numbers(monkeypatch, pool_runs, name):
     assert pool_runs and min(pool_runs) >= 1
 
 
-# float.hex of two evaluations, pinned: a change to the chunk partition or
-# to the order of the chunk sums, made alike in both paths above, changes
-# these bits (BLAS runs on one thread, see conftest)
+# float.hex of the evaluations (the counts as they are), pinned: a change
+# to the chunk partition or to the order of the chunk sums, made alike in
+# both paths above, changes these bits (BLAS runs on one thread, see
+# conftest); a long list is pinned by the sha256 of its float.hex lines
 PINNED = {
     "evolve_l4_norm": "0x1.48fff475a8da8p+5",
     "product_norm2_batch": [
@@ -76,15 +131,33 @@ PINNED = {
         "0x1.1421655fe66ffp+26", "0x1.163c67efb2519p+26", "0x1.11505a35cd310p+26",
         "0x1.1625b19147908p+26", "0x1.1031f4b801db5p+26", "0x1.1599df1c79caap+26",
         "0x1.0f117dc80566ep+26"],
+    "torus": "0x1.dfb2c3c7f98cdp+7",
+    "torus_over_budget": "0x1.14f8c4ed88f22p+7",
+    "multilinear_l2_quadrature": "0x1.0de407e298929p+0",
+    "evaluate_on_grid": "21c5a29b4bcce1a938dcfbe2fc8cf8413ffe361d8b76af61b1480103edc6f314",
+    "annulus_measures": "57bd32d146e3402562e239a31d1fdc253954fe8fd111ed1fac03b67f4ccd4bb9",
+    "count_quadric_batch": [8, 16, 16, 4, 24, 16],
+    "count_hyperbola_batch": [372, 372, 120, 17, 105, 2],
+    "setB_measures": [
+        "0x1.bdf0159f03c0fp+7", "0x1.dd788f781c499p+7", "0x1.fb4626d226357p+6",
+        "0x1.77f0447357a21p+8", "0x1.82e413af0c3dbp+8", "0x1.03ea03594565bp+10"],
 }
+
+
+def _bits(value):
+    if isinstance(value, float):
+        return value.hex()
+    bits = [v.hex() if isinstance(v, float) else v for v in value]
+    if len(bits) > 16:
+        return hashlib.sha256("\n".join(map(str, bits)).encode()).hexdigest()
+    return bits
 
 
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("name", PINNED)
 def test_chunked_evaluations_keep_their_pinned_bits(monkeypatch, name, n):
     _threads(monkeypatch, n)
-    value = EVALUATIONS[name]()
-    assert (value.hex() if isinstance(value, float) else [v.hex() for v in value]) == PINNED[name]
+    assert _bits(EVALUATIONS[name]()) == PINNED[name]
 
 
 def test_results_come_back_in_chunk_order(monkeypatch, pool_runs):
@@ -143,16 +216,21 @@ def test_thread_count_follows_the_affinity_mask(monkeypatch):
     assert chunks.threads() == 2
 
 
-def test_an_over_budget_chunk_stays_on_the_caller(monkeypatch, pool_runs):
-    # rows span 40 and columns 1620: Q P exceeds the chunk budget, so each
-    # of the 64 chunks already holds more than one budget of entries
+def test_an_over_budget_torus_node_reaches_the_pool_thread(monkeypatch, pool_runs):
+    # each of the 65 one-node chunks is over the budget; they run two at a
+    # time, the last 32 on the pool thread
     _threads(monkeypatch, 2)
-    grid = st.FrequencyGrid(h=0.5, xi1_extent=405.0, xi2_min=-20, xi2_max=20)
-    vals = np.zeros((41, 1621), dtype=complex)
-    vals[[0, 20, 40], [0, 810, 1620]] = [1.0, 0.5j, -0.25]
-    p = st.WavePacket(grid=grid, values=vals)
+    p = _over_budget_torus_packet()
     assert st._weighted_quartic(p, 0, "hyperbolic", (-10.0, 10.0, 64), x2_torus=True).quartic > 0
-    assert pool_runs == []
+    assert pool_runs == [32]
+
+
+def test_a_torus_fft_that_returns_a_copy_gives_the_same_bits(monkeypatch):
+    # the torus passes run in place; a backend that returned a copy instead
+    # would leave the buffer untransformed, and the copy is put back
+    ifft = st.sfft.ifft
+    monkeypatch.setattr(st.sfft, "ifft", lambda x, *a, **k: ifft(x, *a, **k).copy())
+    assert _bits(EVALUATIONS["torus"]()) == PINNED["torus"]
 
 
 def test_a_pool_thread_error_reaches_the_caller(monkeypatch):

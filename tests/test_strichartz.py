@@ -357,8 +357,11 @@ def test_torus_fft_path_matches_reference(rows, dispersion, t_window):
 
 def test_hyperbolic_n64_evaluation_stays_under_6_mib():
     # one N = 64 draw and torus evaluation: a 129 x 257 block, Q = 270 and
-    # P = 540, so each time chunk holds one node.  The traced peak reads
-    # about 3.7 MiB, and read 4.7 MiB with the x2 sum as a DFT-matrix product
+    # P = 540, so each time chunk holds one node, in one zeroed Q x P
+    # buffer, two nodes at a time on two CPUs.  The traced peak reads about
+    # 5.5 MiB on two CPUs and 3.1 MiB on one; it read 3.7 MiB with one node
+    # at a time and both passes in fresh arrays, and 4.7 MiB with the x2
+    # sum as a DFT-matrix product
     tracemalloc.start()
     try:
         _, best = st.hyperbolic_l4_quotient(64, 1, 9, t_window=(-60.0, 60.0, 64))
