@@ -65,7 +65,7 @@ import numpy as np
 import scipy.fft
 
 from . import gates
-from ._chunks import chunk_map
+from ._chunks import chunk_map, sum_into
 from .clebsch import CGTable, _degree_blocks, cg_table, verify_orthogonality
 from .fitting import (check_count, check_integer, check_one_of, check_seed, checked, fit_slope,
                       largest)
@@ -243,9 +243,11 @@ class ProductDecomposition:
 _DECOMPOSE_DIM_MAX = 4225
 
 
-def _check_degree_order(f: Eigenfunction, g: Eigenfunction) -> None:
-    if f.m < g.m:
-        raise ValueError(f"need deg(f) >= deg(g); got ({f.m}, {g.m}); swap the arguments")
+def _check_degree_order(m: int, n: int) -> None:
+    """ValueError unless m >= n: every ratio divides by sqrt(n+1), n the
+    smaller degree, so swapped degrees would read low."""
+    if m < n:
+        raise ValueError(f"need deg(f) >= deg(g); got ({m}, {n}); swap the arguments")
 
 
 def product_decompose(f: Eigenfunction, g: Eigenfunction, table: CGTable | None = None) -> ProductDecomposition:
@@ -261,7 +263,7 @@ def product_decompose(f: Eigenfunction, g: Eigenfunction, table: CGTable | None 
     scan path, and (m+1)(n+1) above ``_DECOMPOSE_DIM_MAX`` raises ValueError
     before the table or any block is built.
     """
-    _check_degree_order(f, g)
+    _check_degree_order(f.m, g.m)
     m, n = f.m, g.m
     dim = (m + 1) * (n + 1)
     if dim > _DECOMPOSE_DIM_MAX:
@@ -359,11 +361,11 @@ def product_norm2_batch(plan: SamplingPlan, abatch: np.ndarray, bbatch: np.ndarr
 
     The (pair, node) slices go through the FFTs in chunks of at most
     ``_FFT_CHUNK`` entries per factor (at least one slice), through
-    ``_chunks.chunk_map``: the first half on the calling thread and the
-    second on one pool thread, so at most two chunks are live; when one
-    slice alone is over the budget (L^2 > ``_FFT_CHUNK``) every chunk runs
-    on the calling thread.  Each chunk's per-pair sums are added in chunk
-    order, so the result is bit-identical to the one-thread loop's.  BLAS
+    ``_chunks.sum_into``: the first half on the calling thread and the
+    second on one pool thread, so at most two chunks are live, also when
+    one slice alone is over the budget (L^2 > ``_FFT_CHUNK``).  Each
+    chunk's per-pair sums are added in chunk order, so the result is
+    bit-identical to the one-thread loop's.  BLAS
     threading is not changed.
     """
     abatch, bbatch = _check_batch(plan.m, plan.n, abatch, bbatch)
@@ -372,6 +374,7 @@ def product_norm2_batch(plan: SamplingPlan, abatch: np.ndarray, bbatch: np.ndarr
     pair = np.repeat(np.arange(nbatch), nodes)
     node = np.tile(np.arange(nodes), nbatch)
     step = max(1, _FFT_CHUNK // (L * L))
+    total = nbatch * nodes
 
     def chunk_sums(s: int):
         p, q = pair[s:s + step], node[s:s + step]
@@ -381,13 +384,11 @@ def product_norm2_batch(plan: SamplingPlan, abatch: np.ndarray, bbatch: np.ndarr
         F *= G
         v = F.view(np.float64).reshape(len(p), -1)
         # the sums of the chunk's pairs p[0], ..., p[-1], a contiguous run
-        return p[0], np.bincount(p - p[0], weights=w[q] * np.einsum("ij,ij->i", v, v))
+        return np.bincount(p - p[0], weights=w[q] * np.einsum("ij,ij->i", v, v))
 
-    acc = np.zeros(nbatch)
-    for p0, sums in chunk_map([partial(chunk_sums, s) for s in range(0, nbatch * nodes, step)],
-                              serial=L * L > _FFT_CHUNK):
-        acc[p0:p0 + len(sums)] += sums
-    return acc / (L * L)
+    return sum_into(np.zeros(nbatch),
+                    [(slice(pair[s], pair[min(s + step, total) - 1] + 1), partial(chunk_sums, s))
+                     for s in range(0, total, step)]) / (L * L)
 
 
 def product_l2_exact(f: Eigenfunction, g: Eigenfunction, table: CGTable | None = None) -> float:
@@ -397,7 +398,7 @@ def product_l2_exact(f: Eigenfunction, g: Eigenfunction, table: CGTable | None =
 
 def bilinear_ratio(f: Eigenfunction, g: Eigenfunction, table: CGTable | None = None) -> float:
     """||fg|| / (||f|| ||g|| sqrt(n+1)) with n the smaller degree."""
-    _check_degree_order(f, g)
+    _check_degree_order(f.m, g.m)
     nf, ng = f.l2_norm(), g.l2_norm()
     if nf == 0.0 or ng == 0.0:
         raise ValueError("bilinear ratio undefined for zero eigenfunctions")
@@ -416,9 +417,10 @@ def bilinear_ratio_scan(m: int, n: int, n_pairs: int, seed) -> np.ndarray:
 
     Pairs go through ``product_norm2_batch`` (the sampling engine, float64)
     in batches of ``_SCAN_BATCH``; the ratios are exact to rounding at every
-    cell.  An n_pairs below 1 raises ValueError before any work.
+    cell.  An n_pairs below 1 or m < n raises ValueError before any work.
     """
     n_pairs = check_count("n_pairs", n_pairs)
+    _check_degree_order(m, n)
     plan = sampling_plan(m, n)
     rng = np.random.default_rng(seed)
     out = np.empty(n_pairs)
@@ -450,8 +452,10 @@ def zonal_pair_ratio(m: int, n: int) -> float:
     and the diagonals alone (``wigner_d_diagonal``, from the eigensystem
     of ``wigner_d``) then give the value through one batched real FFT of
     length next_fast_len(m+n+1) per node, with no ``SamplingPlan``:
-    O(nodes L log L) time and O(nodes L) memory.
+    O(nodes L log L) time and O(nodes L) memory.  m < n raises ValueError
+    before any work.
     """
+    _check_degree_order(m, n)
     theta, weights = _cell_nodes(m, n)
     L = scipy.fft.next_fast_len(m + n + 1)
     # the zonal coefficient 1/sqrt(k+1) times sqrt(k+1) d^k: the bare diagonal

@@ -48,6 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .fitting import check_integer, checked
 from .su2 import _irrep_stacks, _ladder_coeffs
 
 _ORTH_TOL = 1e-8
@@ -56,19 +57,6 @@ _ORTH_TOL = 1e-8
 class CGConstructionError(RuntimeError):
     """Raised when the chain columns at a weight are not orthonormal to
     ``_ORTH_TOL``, or a lowering step degenerates."""
-
-
-@dataclass(frozen=True)
-class TensorVector:
-    """Vector in the product basis, stored as an (m+1) x (n+1) matrix of
-    coefficients on v_{m,alpha} x v_{n,beta} (slots alpha = 2i - m, beta = 2j - n)."""
-
-    m: int
-    n: int
-    entries: np.ndarray
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.entries))
 
 
 @dataclass(frozen=True)
@@ -309,18 +297,31 @@ def verify_orthogonality(table: CGTable) -> dict:
     return {"max_row_defect": float(np.max(row)), "max_col_defect": float(np.max(col))}
 
 
+@checked({"m": check_integer, "n": check_integer, ("m", "n"): check_degrees})
+def cg_table_check(m: int, n: int) -> tuple[list, dict]:
+    """The table of ``s3lab cg-table``, built by ``cg_decompose`` (uncached)
+    and verified: one row per ``records`` entry, and the row count, the
+    dimension identity and the ``verify_orthogonality`` defects."""
+    table = cg_decompose(m, n)
+    rows = [dict(zip(("m", "n", "k", "gamma", "alpha", "beta", "value"), r))
+            for r in table.records()]
+    return rows, {"rows": len(rows), "dimension_identity": table.dimension_identity(),
+                  **verify_orthogonality(table)}
+
+
 def _support(table: CGTable) -> np.ndarray:
     """(len(gammas), n+1) mask of the beta slots j with |gamma - (2j - n)| <= m."""
     beta = 2 * np.arange(table.n + 1) - table.n
     return np.abs(table.gammas[:, None] - beta) <= table.m
 
 
-def expand_in_product_basis(table: CGTable, k: int, gamma: int) -> TensorVector:
-    """u_{k,gamma} as a dense coefficient matrix on the product basis."""
+def expand_in_product_basis(table: CGTable, k: int, gamma: int) -> np.ndarray:
+    """u_{k,gamma} as a dense (m+1, n+1) coefficient matrix on the product
+    basis v_{m,alpha} x v_{n,beta}, slots alpha = 2i - m and beta = 2j - n."""
     alphas, coeffs = table.chain_vector(k, gamma)
     entries = np.zeros((table.m + 1, table.n + 1))
     entries[(alphas + table.m) // 2, (gamma - alphas + table.n) // 2] = coeffs
-    return TensorVector(m=table.m, n=table.n, entries=entries)
+    return entries
 
 
 # -- Casimir oracle ---------------------------------------------------------

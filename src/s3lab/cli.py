@@ -9,10 +9,9 @@ Every subcommand is a table of ``_Entry`` rows: ``cg-table`` and
 ``bilinear-verify`` one row each, ``lattice-scan`` one per lemma and
 ``strichartz`` one per mode.  A row holds its runner and the keys its run
 reads with their defaults: its runner's parameters (``_keys``).  Every row
-but ``cg-table`` (which alone writes a note and a sidecar) runs a library
-scan through ``_scan``: its (rows, summary) are the CSV rows, whose first
-row's keys are the columns, and the summary, gated off the summary, so a
-new parameter, row or summary key needs no CLI code.  A value's refusals
+runs a library scan through ``_scan``: its (rows, summary) are the CSV
+rows, whose first row's keys are the columns, and the summary, gated off
+the summary, so a new parameter, row or summary key needs no CLI code.  A value's refusals
 are its runner's own (``fitting.checked``), as for a library caller, the
 seed's included (``fitting.check_seed``); the CLI checks only the selector
 and unknown keys.  ``main`` and ``rerun`` share one resolver, ``_run``: a
@@ -32,9 +31,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import bilinear, gates, lattice, strichartz
-from .clebsch import CGConstructionError, cg_decompose, check_degrees, verify_orthogonality
-from .fitting import InputError, check_integer, check_one_of, checked
+from . import bilinear, clebsch, gates, lattice, strichartz
+from .clebsch import CGConstructionError
+from .fitting import InputError
 from .reporting import build_manifest, default_out_dir, write_run_outputs
 
 
@@ -57,18 +56,7 @@ class _Entry(NamedTuple):
     runner's parameters (``_keys``); its CSV columns are its rows' keys."""
 
     keys: dict  # every key the run reads, with its default (None: a required key)
-    run: Callable  # args -> _Result, or its first three fields from a _scan runner
-
-
-class _Result(NamedTuple):
-    """A runner's CSV rows, summary and gate checks [(what, value, bound)];
-    cg-table's note for the "wrote" line and extra files {suffix: writer(path)}."""
-
-    rows: list
-    summary: dict
-    checks: list
-    note: str = ""
-    files: dict = {}
+    run: Callable  # args -> (CSV rows, summary, gate checks [(what, value, bound)])
 
 
 def _known(value, table: dict, what: str) -> bool:
@@ -88,24 +76,10 @@ def _keys(function, fixed=()) -> dict:
             if p.name not in fixed}
 
 
-@checked({"m": check_integer, "n": check_integer, ("m", "n"): check_degrees,
-          "format": check_one_of("csv", "json")})
-def _cg_table(m, n, format="csv"):
-    table = cg_decompose(m, n)
-    report = verify_orthogonality(table)
-    rows = [dict(zip(("m", "n", "k", "gamma", "alpha", "beta", "value"), r))
-            for r in table.records()]
-    summary = {
-        "rows": len(rows),
-        "dimension_identity": table.dimension_identity(),
-        **report,
-    }
+def _cg_gate(summary):
     # np.max propagates a NaN; the builtin may drop it
-    worst = float(np.max([report["max_row_defect"], report["max_col_defect"]]))
-    return _Result(rows, summary, [("orthogonality defect", worst, gates.CG_DEFECT_BOUND)],
-                   f"  (defects: row {report['max_row_defect']:.3g}, "
-                   f"col {report['max_col_defect']:.3g})",
-                   {".table.json": table.to_json} if format == "json" else {})
+    worst = float(np.max([summary["max_row_defect"], summary["max_col_defect"]]))
+    return [("orthogonality defect", worst, gates.CG_DEFECT_BOUND)]
 
 
 def _bilinear_gate(summary):
@@ -174,8 +148,7 @@ _MODES = {
 
 
 _SUBCOMMANDS = {  # subcommand -> (selector key, {its value: entry}, output name)
-    "cg-table": (None, {None: _Entry(_keys(_cg_table), lambda a: _cg_table(**a))},
-                 "cg_table_m{m}_n{n}"),
+    "cg-table": (None, {None: _scan(clebsch, "cg_table_check", _cg_gate)}, "cg_table_m{m}_n{n}"),
     "bilinear-verify": (None, {None: _scan(bilinear, "scan_cells", _bilinear_gate)},
                         "bilinear_verify"),
     "lattice-scan": ("lemma", _LEMMAS, "lattice_{lemma}"),
@@ -204,7 +177,7 @@ def _run(subcommand: str, params: dict, out_dir: Path) -> int:
     resolved = {**args, selector: choice} if selector else args
     name = name.format(**resolved).replace(".", "_").replace("-", "_")
     try:
-        rows, summary, checks, note, files = _Result(*entry.run(args))
+        rows, summary, checks = entry.run(args)
     except InputError as exc:
         named = (f"{'window' if k == 't_window' else k} {v!r}" for k, v in zip(exc.keys, exc.values))
         print(f"bad {', '.join(named)}: {exc}", file=sys.stderr)
@@ -214,9 +187,7 @@ def _run(subcommand: str, params: dict, out_dir: Path) -> int:
         return 1
     paths = write_run_outputs(out_dir, name, rows, summary,
                               build_manifest(subcommand, resolved, seed=resolved.get("seed")))
-    print(f"wrote {paths['csv']}{note}")
-    for suffix, write in files.items():
-        write(out_dir / f"{name}{suffix}")
+    print(f"wrote {paths['csv']}")
     return _gate(checks)
 
 
@@ -244,7 +215,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cg-table", parents=[out], help="build and verify one Clebsch-Gordan table")
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
-    p.add_argument("--format", choices=["csv", "json"])
 
     p = sub.add_parser("bilinear-verify", parents=[out],
                        help="bilinear ratio scan on the three-sphere")

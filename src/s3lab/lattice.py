@@ -6,8 +6,8 @@ resonant-set measure, and one worst-case constant scan per lemma
 The measure on R x Z is one-dimensional Lebesgue in the first coordinate
 times counting measure in the second.  Every kernel works on arrays, in
 blocks of at most ``_BLOCK`` entries per temporary, and each scalar function
-is the one-element call of its kernel.  The blocks run through
-``_chunks.chunk_map`` (``_sum_into``): each returns its queries' sums, added
+is the one-element call of its kernel.  The blocks are ``_chunks.tiles``
+and run through ``_chunks.sum_into``: each returns its queries' sums, added
 in block order, so every value is the one-thread loop's to the bit.
 
 * annulus measures are closed-form interval lengths summed over the
@@ -41,7 +41,7 @@ from functools import partial
 import numpy as np
 
 from . import fitting
-from ._chunks import chunk_map
+from ._chunks import sum_into, tiles
 from .fitting import (check_count, check_delta, check_fit_xs, check_one_of, check_seed, checked,
                       fit_slope, largest)
 
@@ -55,24 +55,6 @@ _INT64_SAFE = 1 << 62
 # 8e7-1.4e8, so this bounds a scan's kernel time at about 100 s; criterion
 # 6's 5.2 scans, the largest the repository runs, ask for 1.9e6.
 _WORK_BUDGET = 10**9
-
-
-def _tiles(n_rows: int, n_cols: int):
-    """(row slice, column slice) tiles covering an n_rows x n_cols grid,
-    each of at most _BLOCK entries."""
-    cols = max(1, min(n_cols, _BLOCK))
-    rows = max(1, _BLOCK // cols)
-    for r0 in range(0, n_rows, rows):
-        for c0 in range(0, n_cols, cols):
-            yield slice(r0, min(r0 + rows, n_rows)), slice(c0, min(c0 + cols, n_cols))
-
-
-def _sum_into(out: np.ndarray, blocks: list) -> np.ndarray:
-    """out after out[index] += sums() for each (index, sums) of blocks, in
-    list order; the sums functions run through ``chunk_map``."""
-    for (index, _), part in zip(blocks, chunk_map([sums for _, sums in blocks])):
-        out[index] += part
-    return out
 
 
 @dataclass(frozen=True)
@@ -109,22 +91,23 @@ def annulus_measures(C, K) -> np.ndarray:
         raise ValueError("C and K must be finite")
     dmax = np.floor(np.sqrt(np.maximum(C + K, 0.0))).astype(np.int64)
     order = np.argsort(-dmax, kind="stable")
+    # d^2 and the row weights of the rows d < _BLOCK, once per call for every
+    # tile from row 0; a tile further out is one wide query's alone
+    d = np.arange(min(int(dmax.max(initial=0)) + 1, _BLOCK), dtype=float)
+    d2, weight = d * d, np.where(d > 0.0, 4.0, 2.0)
 
-    def block_sums(idx, width):
+    def tile_sums(idx, cols):
         Cb, Kb = C[idx, None], K[idx, None]
-        sums = np.zeros(len(idx))
-        for c0 in range(0, width, _BLOCK):
-            d = np.arange(c0, min(c0 + _BLOCK, width), dtype=float)
-            # two block-sized float arrays at a time: b turns into sqrt(a) + sqrt(b)
-            b = Cb - d * d
-            ra = np.sqrt(np.maximum(b + Kb, 0.0))
-            inner = b > 0.0
-            np.sqrt(np.maximum(b, 0.0, out=b), out=b)
-            b += ra
-            rows = np.divide(Kb, b, out=ra, where=inner)
-            rows *= np.where(d > 0.0, 4.0, 2.0)
-            sums += rows.sum(axis=1)
-        return sums
+        shared = cols.stop <= len(d2)
+        # two tile-sized float arrays at a time: b turns into sqrt(a) + sqrt(b)
+        b = Cb - (d2[cols] if shared else np.arange(cols.start, cols.stop, dtype=float) ** 2)
+        ra = np.sqrt(np.maximum(b + Kb, 0.0))
+        inner = b > 0.0
+        np.sqrt(np.maximum(b, 0.0, out=b), out=b)
+        b += ra
+        rows = np.divide(Kb, b, out=ra, where=inner)
+        rows *= weight[cols] if shared else 4.0  # beyond the shared rows every d > 0
+        return rows.sum(axis=1)
 
     blocks = []
     i = 0
@@ -132,8 +115,9 @@ def annulus_measures(C, K) -> np.ndarray:
         width = int(dmax[order[i]]) + 1
         idx = order[i:i + max(1, _BLOCK // width)]
         i += len(idx)
-        blocks.append((idx, partial(block_sums, idx, width)))
-    return _sum_into(np.zeros(len(C)), blocks)
+        blocks += [(idx[rows], partial(tile_sums, idx[rows], cols))
+                   for rows, cols in tiles(len(idx), width, _BLOCK)]
+    return sum_into(np.zeros(len(C)), blocks)
 
 
 def annulus_measure(q: AnnulusQuery) -> float:
@@ -191,9 +175,9 @@ def count_quadric_batch(ks, Cs, N: int) -> np.ndarray:
         return (np.count_nonzero(ok & (r >= k - 2 * N) & (r <= k + 2 * N), axis=1)
                 + np.count_nonzero(ok & (r > 0) & (r >= -k - 2 * N) & (r <= 2 * N - k), axis=1))
 
-    return _sum_into(np.zeros(len(ks), dtype=np.int64),
-                     [(rows, partial(tile_counts, rows, cols))
-                      for rows, cols in _tiles(len(ks), len(m))])
+    return sum_into(np.zeros(len(ks), dtype=np.int64),
+                    [(rows, partial(tile_counts, rows, cols))
+                     for rows, cols in tiles(len(ks), len(m), _BLOCK)])
 
 
 def count_quadric(k: int, C: int, N: int) -> int:
@@ -224,9 +208,9 @@ def count_hyperbola_batch(ks, Cs, N: int) -> np.ndarray:
         hits = row & (rem == 0) & (n != 0) & (n >= -N) & (n <= N)
         return np.count_nonzero(hits, axis=1)
 
-    return _sum_into(np.zeros(len(ks), dtype=np.int64),
-                     [(rows, partial(tile_counts, rows, cols))
-                      for rows, cols in _tiles(len(ks), len(j))])
+    return sum_into(np.zeros(len(ks), dtype=np.int64),
+                    [(rows, partial(tile_counts, rows, cols))
+                     for rows, cols in tiles(len(ks), len(j), _BLOCK)])
 
 
 def count_hyperbola(k: int, C: int, N: int) -> int:
@@ -323,8 +307,8 @@ def setB_measures(ls, ks, Cs, N: int, slack: float = 1.0) -> np.ndarray:
             total += cnt * (((m * first) - u4) / l) + step * (cnt * (cnt - 1.0) / 2.0)
         return np.sum(total, axis=1, where=row)
 
-    return _sum_into(out, [(rows, partial(tile_sums, rows, cols))
-                           for rows, cols in _tiles(len(ls), len(j))])
+    return sum_into(out, [(rows, partial(tile_sums, rows, cols))
+                          for rows, cols in tiles(len(ls), len(j), _BLOCK)])
 
 
 def setB_measure(q: SetBQuery, slack: float = 1.0) -> float:

@@ -67,7 +67,7 @@ import scipy.fft as sfft
 from scipy.special import sici
 
 from . import fitting, gates
-from ._chunks import chunk_map
+from ._chunks import sum_into, tiles
 from .fitting import (check_count, check_delta, check_fit_xs, check_integer, check_seed, checked,
                       fit_slope, largest)
 
@@ -225,21 +225,16 @@ _CHUNK_ENTRIES = 2**16
 
 def slab_mask(slab: SlabSpec, grid: FrequencyGrid) -> np.ndarray:
     """The grid nodes of the slab, a bool array of the grid's shape.  The
-    elementwise test runs on blocks of at most ``_CHUNK_ENTRIES`` entries
-    (whole rows, or pieces of one row when a row is longer), so its float
-    temporaries stay that small."""
+    elementwise test runs on the ``_chunks.tiles`` of at most
+    ``_CHUNK_ENTRIES`` entries, so its float temporaries stay that small."""
     xi1 = grid.xi1
     xi2 = grid.xi2.astype(float)
     mask = np.empty((len(xi2), len(xi1)), dtype=bool)
-    rows = max(1, _CHUNK_ENTRIES // len(xi1))
-    cols = min(len(xi1), _CHUNK_ENTRIES)
-    for r0 in range(0, len(xi2), rows):
-        x2 = xi2[r0:r0 + rows, None]
-        for c0 in range(0, len(xi1), cols):
-            x1 = xi1[None, c0:c0 + cols]
-            d2 = (x1 - slab.xi0[0]) ** 2 + (x2 - slab.xi0[1]) ** 2
-            band = np.abs(slab.a[0] * x1 + slab.a[1] * x2 - slab.c)
-            mask[r0:r0 + rows, c0:c0 + cols] = (d2 <= slab.N**2 + 1e-9) & (band <= slab.M + 1e-9)
+    for rows, cols in tiles(len(xi2), len(xi1), _CHUNK_ENTRIES):
+        x1, x2 = xi1[None, cols], xi2[rows, None]
+        d2 = (x1 - slab.xi0[0]) ** 2 + (x2 - slab.xi0[1]) ** 2
+        band = np.abs(slab.a[0] * x1 + slab.a[1] * x2 - slab.c)
+        mask[rows, cols] = (d2 <= slab.N**2 + 1e-9) & (band <= slab.M + 1e-9)
     return mask
 
 
@@ -362,10 +357,26 @@ def _simpson_weights(t0: float, t1: float, n_t: int) -> tuple[np.ndarray, np.nda
     return ts, w
 
 
+# Most time nodes of one evaluation, by either rule, checked before any
+# node array is built.  The largest count a test, script, acceptance
+# criterion or benchmark workload uses is 65 552 (the box probe at N = 32,
+# h = 1/4); 2^21 is 32 times that.
+_TIME_NODE_BUDGET = 2**21
+
+
+def check_time_nodes(n: int) -> int:
+    """Return n; ValueError naming it when n time nodes are over
+    ``_TIME_NODE_BUDGET``."""
+    if n > _TIME_NODE_BUDGET:
+        raise ValueError(f"{n} time nodes are over the budget of {_TIME_NODE_BUDGET}")
+    return n
+
+
 def check_window(t_window) -> tuple[float, float, int]:
     """(t_min, t_max, n_t) of a windowed time rule; ValueError unless the
     window has three real numbers, none a bool, with t_min < t_max finite
-    and n_t a whole number >= 64 (64.0 runs as 64)."""
+    and n_t a whole number >= 64 (64.0 runs as 64) whose n_t + 1 nodes (an
+    odd n_t runs as n_t + 1) are within ``_TIME_NODE_BUDGET``."""
     try:
         entries = list(t_window)
         if len(entries) != 3 or any(isinstance(v, bool) or not isinstance(v, numbers.Real)
@@ -378,7 +389,9 @@ def check_window(t_window) -> tuple[float, float, int]:
         raise ValueError(f"time window needs finite t_min < t_max, got ({t0}, {t1})")
     if not (math.isfinite(n_t) and n_t >= 64 and n_t.is_integer()):
         raise ValueError(f"need a whole number of at least 64 time intervals, got n_t = {n_t}")
-    return t0, t1, int(n_t)
+    n_t = int(n_t)
+    check_time_nodes(n_t + n_t % 2 + 1)
+    return t0, t1, n_t
 
 
 @dataclass(frozen=True)
@@ -472,10 +485,14 @@ def _periodic_rule(p: WavePacket, k_shift: int, dispersion: str):
     phases(lam, S, scale) (``_dft_phase_chunks``, exact: q Lambda is an
     integer, so t_j Lambda = 2 pi j (q Lambda) / n, reduced mod n in
     integers; S step rows, then one base row per S nodes), zero truncation
-    and no warnings."""
+    and no warnings.  ValueError before the nodes are built when some
+    |q Lambda| is not below 2^53 or n is over ``_TIME_NODE_BUDGET``."""
     q = lattice_q(p.grid.h)
-    m = np.rint(q * _support_lambda(p, k_shift, dispersion)).astype(np.int64)
-    n = 2 * int(m.max() - m.min()) + q
+    qlam = q * _support_lambda(p, k_shift, dispersion)
+    if not np.max(np.abs(qlam)) < 2.0**53:  # past it np.rint is no longer the exact integer
+        raise ValueError(f"q Lambda reaches {np.max(np.abs(qlam)):.4g}, not below 2^53")
+    m = np.rint(qlam).astype(np.int64)
+    n = check_time_nodes(2 * int(m.max() - m.min()) + q)
     weights = (2.0 * np.pi * q / n) * _periodized_fejer(q, n)
 
     def phases(lam, S, scale=1.0):
@@ -523,7 +540,7 @@ def _weighted_quartic(
     evaluation takes about S + n_nodes / S rows of complex exp whatever the
     chunk size.
 
-    The chunks run through ``_chunks.chunk_map``: the first half on the
+    The chunks run through ``_chunks.sum_into``: the first half on the
     calling thread and the second on one pool thread, so at most two
     chunks are live, also when one node alone is over the budget (Q P >
     ``_CHUNK_ENTRIES``, the torus at N = 64: two nodes of Q P entries at a
@@ -590,10 +607,8 @@ def _weighted_quartic(
         au2 += u[..., 1]
         return dvol * float(np.einsum("tx,tx->t", au2, au2) @ weights[j0:j1])
 
-    quartic = 0.0
-    for part in chunk_map([partial(chunk_quartic, j0, min(j0 + chunk, n_nodes))
-                           for j0 in range(0, n_nodes, chunk)]):
-        quartic += part
+    quartic = float(sum_into(np.zeros(1), [(0, partial(chunk_quartic, j, min(j + chunk, n_nodes)))
+                                           for j in range(0, n_nodes, chunk)])[0])
 
     return EvolveResult(
         value=float(max(quartic, 0.0) ** 0.25),
@@ -621,8 +636,9 @@ def evolve_l4_norm(
 def evolve_l4_norm_exact(p: WavePacket, k_shift: int = 0, dispersion: str = "elliptic") -> EvolveResult:
     """L4 norm of phi_w(t)^{1/4} u over all t x (one x1 period) at the slice
     x2 = 0, by the periodic-exact time rule: equal to the frequency side
-    up to rounding.  Needs h^2 = 1/q for an integer q (ValueError before
-    any work otherwise); it uses q (2 spread + 1) time nodes."""
+    up to rounding.  It uses q (2 spread + 1) time nodes, and needs
+    h^2 = 1/q for an integer q, |q Lambda| < 2^53 and at most
+    ``_TIME_NODE_BUDGET`` nodes (ValueError before any work otherwise)."""
     return _weighted_quartic(p, k_shift, dispersion, None, x2_torus=False)
 
 
@@ -987,14 +1003,22 @@ def scan_strichartz_quotients(
     return rows, {**_trend(Ns, per_n_max, warn), "delta": delta}
 
 
-@checked({"Ns": lambda Ns: check_fit_xs(_whole_ns(Ns)), "h": check_h, ("h",): lattice_q})
+def check_box_nodes(Ns, h) -> int:
+    """The box probe's largest time-node count, q (4 N^2 + 1) over its N with
+    q = 1/h^2; ValueError when it is over ``_TIME_NODE_BUDGET``."""
+    return check_time_nodes(max(lattice_q(h) * (4 * int(N) ** 2 + 1) for N in Ns))
+
+
+@checked({"Ns": lambda Ns: check_fit_xs(_whole_ns(Ns)), "h": check_h, ("h",): lattice_q,
+          ("Ns", "h"): check_box_nodes})
 def box_scaling_probe(Ns: tuple = (4, 8, 16, 32), h: float = 0.25) -> tuple[list, dict]:
     """Weighted L4 norms of the square-indicator example over all t; the
     norms should track N^{1/4} within a bounded factor.  Each norm is exact
     by the periodic-exact time rule (the Fejer weight periodized by Poisson
     summation): with q = 1/h^2 the box's Lambda spread is 2 N^2, so it uses
-    q (4 N^2 + 1) nodes, the rows' ``n_t``.  The defaults are those of
-    ``s3lab strichartz --mode box-scaling``."""
+    q (4 N^2 + 1) nodes, the rows' ``n_t``, within ``_TIME_NODE_BUDGET``
+    (``check_box_nodes``).  The defaults are those of ``s3lab strichartz
+    --mode box-scaling``."""
     rows = []
     ratios = []
     for N in Ns:

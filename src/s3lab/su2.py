@@ -86,13 +86,10 @@ def group_mul(g: GroupElement, h: GroupElement) -> GroupElement:
 
 
 def haar_sample(seed) -> GroupElement:
-    """Haar-distributed element from a normalized 4-dimensional standard Gaussian.
-
-    ``seed`` may be an integer seed or a ``numpy.random.Generator``.
-    """
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(4)
-    return GroupElement(complex(x[0], x[1]), complex(x[2], x[3]))
+    """Haar-distributed element from a normalized 4-dimensional standard
+    Gaussian: the first of ``haar_samples(1, seed)``.  ``seed`` may be an
+    integer seed or a ``numpy.random.Generator``."""
+    return haar_samples(1, seed)[0]
 
 
 def haar_samples(count: int, seed) -> list[GroupElement]:

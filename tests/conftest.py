@@ -43,7 +43,7 @@ WORK_FUNCTIONS = (("bilinear", "sampling_plan"), ("lattice", "annulus_measures")
                   ("lattice", "count_quadric_batch"), ("lattice", "count_hyperbola_batch"),
                   ("lattice", "setB_measures"), ("strichartz", "sample_slab_packet"),
                   ("strichartz", "_weighted_quartic"), ("strichartz", "sparse_packet"),
-                  ("cli", "cg_decompose"))
+                  ("clebsch", "cg_decompose"))
 
 
 class WorkCalls(list):

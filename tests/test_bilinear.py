@@ -459,6 +459,26 @@ def test_ratio_scan_refuses_no_pairs(monkeypatch, n_pairs):
     assert calls == []
 
 
+def test_ratio_scan_refuses_swapped_degrees_before_its_plan(monkeypatch):
+    # both ratios divide by sqrt(n+1): with m < n they would read low by
+    # sqrt((m+1)/(n+1)) and pass any ceiling
+    calls = []
+    monkeypatch.setattr("s3lab.bilinear.sampling_plan", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match=r"need deg\(f\) >= deg\(g\); got \(4, 8\)"):
+        bilinear_ratio_scan(4, 8, 3, 0)
+    assert calls == []
+
+
+def test_zonal_witness_refuses_swapped_degrees_before_its_diagonals(monkeypatch):
+    calls = []
+    spy = lambda *a: calls.append(a)  # noqa: E731
+    monkeypatch.setattr("s3lab.bilinear._cell_nodes", spy)
+    monkeypatch.setattr("s3lab.bilinear.wigner_d_diagonal", spy)
+    with pytest.raises(ValueError, match=r"need deg\(f\) >= deg\(g\); got \(4, 8\)"):
+        zonal_pair_ratio(4, 8)
+    assert calls == []
+
+
 def test_multilinear_quadrature_constants():
     fs = [Eigenfunction(0, np.array([[2.0]])), Eigenfunction(0, np.array([[0.5j]]))]
     q = haar_quadrature((32, 32, 32))

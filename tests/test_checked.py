@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from s3lab import bilinear, cli, lattice, strichartz
+from s3lab import bilinear, clebsch, lattice, strichartz
 from s3lab.fitting import InputError, check_seed
 
 _SLAB = {"xi0": [0.0, 0], "a": [1.0, 0.0], "c": 0.0, "M": 2, "N": 4}
@@ -29,7 +29,7 @@ GOOD = {
     strichartz.quadrilinear_check: {},
     strichartz.kernel_split_check: {},
     strichartz.box_scaling_probe: {"Ns": [2, 4], "h": 0.5},
-    cli._cg_table: {"m": 2, "n": 1},
+    clebsch.cg_table_check: {"m": 2, "n": 1},
 }
 
 _SEED = "seed must be a non-negative integer"
@@ -112,10 +112,12 @@ CASES = [
     # lattice_q(True) read q = 1
     (strichartz.box_scaling_probe, {"h": True}, "h", "h must be a finite positive number"),
     (strichartz.box_scaling_probe, {"h": 0.3}, ("h",), "needs h^2 = 1/q for an integer q"),
-    (cli._cg_table, {"m": 6.5}, "m", "need an integer"),
-    (cli._cg_table, {"n": True}, "n", "need an integer"),
-    (cli._cg_table, {"m": 2, "n": 5}, ("m", "n"), "need m >= n >= 0 and m + n <= 200"),
-    (cli._cg_table, {"format": "xml"}, "format", "need one of 'csv', 'json'"),
+    # asked for 16384 * 257 nodes at N = 8
+    (strichartz.box_scaling_probe, {"Ns": [4, 8], "h": 0.0078125}, ("Ns", "h"),
+     "4210688 time nodes are over the budget of 2097152"),
+    (clebsch.cg_table_check, {"m": 6.5}, "m", "need an integer"),
+    (clebsch.cg_table_check, {"n": True}, "n", "need an integer"),
+    (clebsch.cg_table_check, {"m": 2, "n": 5}, ("m", "n"), "need m >= n >= 0 and m + n <= 200"),
 ]
 
 
@@ -145,7 +147,7 @@ def test_the_good_arguments_reach_the_work(work_calls, scan):
 
 
 def test_every_check_of_every_scan_has_a_case():
-    scans = {f for module in (bilinear, lattice, strichartz, cli) for f in vars(module).values()
+    scans = {f for module in (bilinear, lattice, strichartz, clebsch) for f in vars(module).values()
              if inspect.isfunction(f) and hasattr(f, "checks")}
     assert scans == set(GOOD)
     for scan in scans:

@@ -88,6 +88,10 @@ EVALUATIONS = {
                                           (-60.0, 60.0, 1024), x2_torus=True).quartic,
     "product_norm2_batch": lambda: bl.product_norm2_batch(bl.sampling_plan(64, 64),
                                                           *_engine_batch(64, 64, 16)).tolist(),
+    # L = 264: one (pair, node) slice of L^2 entries is over the engine's
+    # budget, so each of the 258 chunks holds one slice
+    "product_norm2_batch_over_budget": lambda: bl.product_norm2_batch(
+        bl.sampling_plan(128, 128), *_engine_batch(128, 128, 2)).tolist(),
     "torus_over_budget": lambda: st._weighted_quartic(_over_budget_torus_packet(), 0, "hyperbolic",
                                                       (-10.0, 10.0, 64), x2_torus=True).quartic,
     "multilinear_l2_quadrature": lambda: bl.multilinear_l2_quadrature(
@@ -132,6 +136,7 @@ PINNED = {
         "0x1.1625b19147908p+26", "0x1.1031f4b801db5p+26", "0x1.1599df1c79caap+26",
         "0x1.0f117dc80566ep+26"],
     "torus": "0x1.dfb2c3c7f98cdp+7",
+    "product_norm2_batch_over_budget": ["0x1.0aebe8909ec9fp+30", "0x1.086a2e9f4a267p+30"],
     "torus_over_budget": "0x1.14f8c4ed88f22p+7",
     "multilinear_l2_quadrature": "0x1.0de407e298929p+0",
     "evaluate_on_grid": "21c5a29b4bcce1a938dcfbe2fc8cf8413ffe361d8b76af61b1480103edc6f314",
@@ -170,6 +175,45 @@ def test_results_come_back_in_chunk_order(monkeypatch, pool_runs):
     assert pool_runs == [2]
 
 
+def test_sums_are_added_in_list_order_when_the_pool_half_ends_first(monkeypatch):
+    # in float64, 1.0 + 1e16 - 1e16 + 1.0 is 1.0 in list order and 0.0 in
+    # the order the halves end here (the pool's -1e16, 1.0 first)
+    _threads(monkeypatch, 2)
+    pool_done = threading.Event()
+    ended = []
+
+    def part(i, value):
+        def sums():
+            if i == 0:  # the caller's half waits for the pool's
+                assert pool_done.wait(30)
+            ended.append(i)
+            if i == 3:
+                pool_done.set()
+            return value
+        return sums
+
+    parts = [1.0, 1e16, -1e16, 1.0]
+    out = chunks.sum_into(np.zeros(1), [(0, part(i, v)) for i, v in enumerate(parts)])
+    assert ended == [2, 3, 0, 1]
+    assert out[0] == 1.0
+    assert sum(parts[2:] + parts[:2]) == 0.0
+
+
+def test_tiles_cover_the_grid_within_the_budget():
+    for n_rows, n_cols, budget in [(5, 7, 14), (3, 40, 16), (1, 1, 8), (4, 4, 100)]:
+        cover = np.zeros((n_rows, n_cols), dtype=int)
+        for rows, cols in chunks.tiles(n_rows, n_cols, budget):
+            assert cover[rows, cols].size <= budget
+            cover[rows, cols] += 1
+        assert (cover == 1).all()
+    # whole rows when a row fits, else pieces of one row
+    assert list(chunks.tiles(5, 7, 14)) == [(slice(0, 2), slice(0, 7)), (slice(2, 4), slice(0, 7)),
+                                            (slice(4, 5), slice(0, 7))]
+    assert list(chunks.tiles(2, 40, 16))[:3] == [(slice(0, 1), slice(0, 16)),
+                                                 (slice(0, 1), slice(16, 32)),
+                                                 (slice(0, 1), slice(32, 40))]
+
+
 def test_callers_on_many_threads_share_the_pool(monkeypatch):
     # four callers on two CPUs, switching threads often: each gets its own
     # results, in its own chunk order
@@ -197,7 +241,6 @@ def test_one_chunk_and_one_cpu_run_on_the_caller(monkeypatch, pool_runs):
     main = threading.get_ident()
     _threads(monkeypatch, 2)
     assert chunks.chunk_map([threading.get_ident]) == [main]
-    assert chunks.chunk_map([threading.get_ident] * 3, serial=True) == [main] * 3
     _threads(monkeypatch, 1)
     assert chunks.chunk_map([threading.get_ident] * 3) == [main] * 3
     assert pool_runs == []

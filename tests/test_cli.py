@@ -1,4 +1,3 @@
-import csv
 import dataclasses
 import json
 import os
@@ -81,13 +80,15 @@ def test_cg_table_fails_closed_on_a_construction_error(tmp_path, monkeypatch, ca
 
 
 def test_cg_table_fails_closed_on_a_nan_table(tmp_path, monkeypatch, capsys):
+    decompose = clebsch.cg_decompose
+
     def nan_table(m, n):
-        table = clebsch.cg_decompose(m, n)
+        table = decompose(m, n)
         blocks = table.blocks.copy()
         blocks[1][0, 0] = np.nan
         return clebsch.CGTable(m=m, n=n, gammas=table.gammas, kvals=table.kvals, blocks=blocks)
 
-    monkeypatch.setattr(cli, "cg_decompose", nan_table)
+    monkeypatch.setattr(clebsch, "cg_decompose", nan_table)
     assert cli.main(["cg-table", "6", "4", "--out", str(tmp_path)]) == 1
     assert "orthogonality defect nan" in capsys.readouterr().err
     summary = strict_json(tmp_path / "cg_table_m6_n4.summary.json")["summary"]
@@ -391,7 +392,7 @@ def test_rerun_refuses_a_bad_manifest(tmp_path, entry_calls, capsys, edit, named
 ])
 def test_rerun_refuses_cg_table_degrees_that_are_not_integers(tmp_path, entry_calls, capsys,
                                                               degrees, named):
-    manifest = {"subcommand": "cg-table", "params": {**degrees, "format": "csv"}, "seed": None}
+    manifest = {"subcommand": "cg-table", "params": degrees, "seed": None}
     code, err, calls, outputs = _rerun_stubbed(tmp_path, entry_calls, capsys, manifest)
     assert code == 2
     assert len(err) == 1 and named in err[0]
@@ -635,6 +636,19 @@ def test_strichartz_box_scaling_refuses_h_off_the_lattice(tmp_path, work_calls, 
         "bad h 0.3: the periodic-exact time rule needs h^2 = 1/q for an integer q, got h = 0.3"]
 
 
+@pytest.mark.parametrize("mode,config,named", [
+    # 16384 * 4097 nodes at N = 32
+    ("box-scaling", {"h": 0.0078125}, "bad Ns (4, 8, 16, 32), h 0.0078125: "
+                                      "67125248 time nodes are over the budget of 2097152"),
+    ("hyperbolic", {"Ns": [2, 4], "trials": 1, "window": [-10, 10, 2**21]},
+     "bad window [-10, 10, 2097152]: 2097153 time nodes are over the budget of 2097152"),
+])
+def test_strichartz_refuses_time_nodes_over_the_budget(tmp_path, work_calls, capsys, mode,
+                                                       config, named):
+    err = _refuses_before_any_work(tmp_path, work_calls, capsys, mode, config)
+    assert err.strip().splitlines() == [named]
+
+
 def test_strichartz_box_scaling_reports_the_exact_rule_nodes(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"Ns": [2, 4], "h": 0.5}))
@@ -827,7 +841,8 @@ def test_rerun_fills_what_a_manifest_leaves_out(tmp_path, entry_calls, capsys, s
     ("lattice-scan", {"lemma": "5.1", "n_quries": 20}, "unknown keys for lemma 5.1: n_quries 20"),
     ("lattice-scan", {"lemma": "5.1", "per_n": 7, "delta": 0.3},
      "unknown keys for lemma 5.1: delta 0.3, per_n 7"),
-    ("cg-table", {"m": 6, "n": 4, "format": "xml"}, "bad format 'xml': need one of 'csv', 'json'"),
+    # a manifest saved with the --format option that went
+    ("cg-table", {"m": 6, "n": 4, "format": "csv"}, "unknown keys for cg-table: format 'csv'"),
     ("cg-table", {"m": 2, "n": 5}, "bad m 2, n 5: need m >= n >= 0 and m + n <= 200"),
     ("strichartz", {"mode": "hyperbolic", "trials": 1.5},
      "bad trials 1.5: trials must be an integer; got 1.5"),
@@ -949,7 +964,7 @@ def test_main_refuses_a_bad_seed(tmp_path, capsys, argv, config):
 @pytest.mark.parametrize("argv,params", [
     (["lattice-scan", "--lemma", "5.1", "--n-queries", "300"],
      {"lemma": "5.1", "seed": 11, "n_queries": 300}),
-    (["cg-table", "6", "4"], {"m": 6, "n": 4, "format": "csv"}),
+    (["cg-table", "6", "4"], {"m": 6, "n": 4}),
 ])
 def test_the_manifest_records_the_resolved_keys(tmp_path, entry_calls, argv, params):
     # the 5.1 manifest used to record per_n, per_config and delta too
@@ -1002,20 +1017,6 @@ def test_every_row_carries_the_first_rows_keys(tmp_path, monkeypatch, capsys, su
     assert rows and all(list(row) == list(rows[0]) for row in rows)
     [path] = tmp_path.glob("*.csv")
     assert path.read_text().splitlines()[0] == ",".join(rows[0])
-
-
-def test_cg_table_json_sidecar_matches_the_csv_and_reruns(tmp_path):
-    first, second = tmp_path / "first", tmp_path / "second"
-    assert cli.main(["cg-table", "5", "3", "--format", "json", "--out", str(first)]) == 0
-    with open(first / "cg_table_m5_n3.csv", newline="") as fh:
-        rows = [{key: float(v) if key == "value" else int(v) for key, v in row.items()}
-                for row in csv.DictReader(fh)]
-    assert json.loads((first / "cg_table_m5_n3.table.json").read_text()) == rows
-    assert cli.main(["rerun", str(first / "cg_table_m5_n3.manifest.json"),
-                     "--out", str(second)]) == 0
-    for suffix in (".csv", ".summary.json", ".table.json"):
-        assert file_sha256(first / f"cg_table_m5_n3{suffix}") == file_sha256(
-            second / f"cg_table_m5_n3{suffix}")
 
 
 def test_strichartz_runs_an_integral_float_trial_count(tmp_path):

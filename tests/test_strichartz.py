@@ -706,6 +706,29 @@ def test_lattice_q_refuses_steps_off_the_lattice(h):
         st.lattice_q(h)
 
 
+def test_time_rules_refuse_nodes_over_the_budget_before_any_work(monkeypatch):
+    calls = []
+    monkeypatch.setattr(st, "_periodized_fejer", lambda *a: calls.append(a))
+    monkeypatch.setattr(st, "_simpson_weights", lambda *a: calls.append(a))
+    p = st.sparse_packet(3, 16, 6.0, 0.5)
+    # 640 000 074 nodes, which used to run past a 120 s timeout
+    with pytest.raises(ValueError, match="640000074 time nodes are over the budget of 2097152"):
+        st.evolve_l4_norm_exact(p, 10**7)
+    # past 2^53, np.rint(q * lam) is no longer the exact integer
+    with pytest.raises(ValueError, match="not below 2\\^53"):
+        st.evolve_l4_norm_exact(p, 10**17)
+    with pytest.raises(ValueError, match="2097153 time nodes are over the budget"):
+        st.evolve_l4_norm(p, 0, "elliptic", (-60.0, 60.0, 2**21))
+    # an odd n_t runs as n_t + 1, so n_t + 2 nodes
+    with pytest.raises(ValueError, match="2097153 time nodes are over the budget"):
+        st._weighted_quartic(p, 0, "hyperbolic", (-60.0, 60.0, 2**21 - 1), x2_torus=True)
+    assert calls == []
+    assert st.check_window((-60, 60, 2**21 - 2)) == (-60.0, 60.0, 2**21 - 2)
+    assert st.check_box_nodes((4, 8, 16, 32), 0.25) == 65552
+    with pytest.raises(ValueError, match="67125248 time nodes are over the budget"):
+        st.check_box_nodes((4, 8, 16, 32), 0.0078125)
+
+
 def test_exact_rule_refuses_before_any_work(monkeypatch):
     calls = []
     monkeypatch.setattr(st, "_support_lambda", lambda *a: calls.append(a))
