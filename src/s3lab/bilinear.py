@@ -365,8 +365,7 @@ def product_norm2_batch(plan: SamplingPlan, abatch: np.ndarray, bbatch: np.ndarr
     second on one pool thread, so at most two chunks are live, also when
     one slice alone is over the budget (L^2 > ``_FFT_CHUNK``).  Each
     chunk's per-pair sums are added in chunk order, so the result is
-    bit-identical to the one-thread loop's.  BLAS
-    threading is not changed.
+    bit-identical to the one-thread loop's.  BLAS threading is not changed.
     """
     abatch, bbatch = _check_batch(plan.m, plan.n, abatch, bbatch)
     w, dm, dn, L = plan.weights, plan.dm, plan.dn, plan.fft_len

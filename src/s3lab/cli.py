@@ -11,10 +11,10 @@ Every subcommand is a table of ``_Entry`` rows: ``cg-table`` and
 reads with their defaults: its runner's parameters (``_keys``).  Every row
 runs a library scan through ``_scan``: its (rows, summary) are the CSV
 rows, whose first row's keys are the columns, and the summary, gated off
-the summary, so a new parameter, row or summary key needs no CLI code.  A value's refusals
-are its runner's own (``fitting.checked``), as for a library caller, the
-seed's included (``fitting.check_seed``); the CLI checks only the selector
-and unknown keys.  ``main`` and ``rerun`` share one resolver, ``_run``: a
+the summary, so a new parameter, row or summary key needs no CLI code.  A
+value's refusals are its runner's own (``fitting.checked``), as for a
+library caller, the seed's included (``fitting.check_seed``); the CLI
+checks only the selector and unknown keys.  ``main`` and ``rerun`` share one resolver, ``_run``: a
 command line, a config and a manifest are read alike, the manifest records
 the resolved keys, and every exit code comes from ``_gate``.  The parser
 sets no default.
