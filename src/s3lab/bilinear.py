@@ -67,8 +67,7 @@ import scipy.fft
 from . import gates
 from ._chunks import chunk_map, sum_into
 from .clebsch import CGTable, _degree_blocks, cg_table, verify_orthogonality
-from .fitting import (check_count, check_integer, check_one_of, check_seed, checked, fit_slope,
-                      largest)
+from .fitting import check_count, check_integer, check_seed, checked, fit_slope, largest
 from .su2 import (GroupElement, HaarQuadrature, haar_quadrature, irrep_matrix, wigner_d,
                   wigner_d_diagonal)
 
@@ -485,22 +484,24 @@ def scan_grid(m_max: int, n_max: int) -> list:
     return cells
 
 
+# Last n of the zonal sweep of ``scan_cells``: its cell (120, 60) is the
+# largest degree that the scans evaluate.
+_ZONAL_N_MAX = 60
+
+
 # a gate over the zonal witnesses alone would pass on no random pair
 @checked({"seed": check_seed, "m_max": check_integer, "n_max": check_integer,
-          ("m_max", "n_max"): scan_grid,
-          "seeds": partial(check_count, "seeds"), "zonal": check_one_of(False, True),
-          "cross_check": check_one_of(False, True),
-          "zonal_n_max": lambda n: check_count("zonal_n_max", check_integer(n))})
-def scan_cells(m_max: int = 64, n_max: int = 64, seeds: int = 500, seed=7, zonal: bool = False,
-               zonal_n_max: int = 60, cross_check: bool = False) -> tuple[list, dict]:
+          ("m_max", "n_max"): scan_grid, "seeds": partial(check_count, "seeds")})
+def scan_cells(m_max: int = 64, n_max: int = 64, seeds: int = 500, seed=7) -> tuple[list, dict]:
     """The ratio scan of ``s3lab bilinear-verify``, with its defaults, over
     ``scan_grid``: per cell, the rows of seeds random pairs
     (``bilinear_ratio_scan``, seed [seed, m, n]) and of the zonal witness,
     which saturates the bound while random maxima decay like (n+1)^(-1/2);
     C*, ``argmax_cell`` (``largest``; a "m,n" key of ``cell_max``) and the
     no-growth slope against log(n+1) read the witness-included cell maxima.
-    ``cross_check`` checks exact norms against Haar quadrature at m <= 8;
-    ``zonal`` adds ``zonal_ratio`` at n = 1 .. zonal_n_max.  np.max and
+    The cross-check compares exact norms with Haar quadrature, and reads the
+    CG defects of the tables it uses, at the cells with m <= 8; the zonal
+    sweep adds ``zonal_ratio`` at n = 1 .. ``_ZONAL_N_MAX``.  np.max and
     np.min keep a NaN; the builtins may not."""
     cells = scan_grid(m_max, n_max)
     rows, maxima, witnesses = [], [], []
@@ -512,27 +513,25 @@ def scan_cells(m_max: int = 64, n_max: int = 64, seeds: int = 500, seed=7, zonal
         maxima.append(float(np.max([*ratios, witnesses[-1]])))
     c_star, index = largest(maxima)
     names = [f"{m},{n}" for m, n in cells]
+    rels, defects = [0.0], [0.0]
+    for m, n in [(m, n) for (m, n) in cells if m <= 8]:
+        report = verify_orthogonality(cg_table(m, n))
+        defects += [report["max_row_defect"], report["max_col_defect"]]
+        quad = haar_quadrature(recommended_levels(m + n))
+        for s in range(3):
+            f = random_eigenfunction(m, [seed, m, n, s, 0])
+            g = random_eigenfunction(n, [seed, m, n, s, 1])
+            exact = product_l2_exact(f, g)
+            rels.append(abs(exact - product_l2_quadrature(f, g, quad)) / max(exact, 1e-300))
+    worst = float(np.max(rels))
+    zr = [zonal_ratio(n) for n in range(1, _ZONAL_N_MAX + 1)]
     summary = {"C_star": c_star, "argmax_cell": None if index is None else names[index],
                "fitted_slope": fit_slope([np.log(n + 1.0) for (_, n) in cells], maxima),
-               "cell_max": dict(zip(names, maxima))}
-    if cross_check:
-        rels, defects = [0.0], [0.0]
-        for m, n in [(m, n) for (m, n) in cells if m <= 8]:
-            report = verify_orthogonality(cg_table(m, n))
-            defects += [report["max_row_defect"], report["max_col_defect"]]
-            quad = haar_quadrature(recommended_levels(m + n))
-            for s in range(3):
-                f = random_eigenfunction(m, [seed, m, n, s, 0])
-                g = random_eigenfunction(n, [seed, m, n, s, 1])
-                exact = product_l2_exact(f, g)
-                rels.append(abs(exact - product_l2_quadrature(f, g, quad)) / max(exact, 1e-300))
-        summary["quadrature_cross_check_rel"] = worst = float(np.max(rels))
-        summary["quadrature_cross_check_ok"] = bool(worst <= gates.CROSS_CHECK_TOL)
-        summary["cg_defect_max"] = float(np.max(defects))
-    if zonal:
-        zr = [zonal_ratio(n) for n in range(1, zonal_n_max + 1)]
-        summary.update(zonal_ratios={str(n): v for n, v in enumerate(zr, 1)},
-                       zonal_min=float(np.min(zr)))
-        witnesses += zr
-    summary["witness_dev_max"] = float(np.max(np.abs(np.array(witnesses) - 1.0)))
+               "cell_max": dict(zip(names, maxima)),
+               "quadrature_cross_check_rel": worst,
+               "quadrature_cross_check_ok": bool(worst <= gates.CROSS_CHECK_TOL),
+               "cg_defect_max": float(np.max(defects)),
+               "zonal_ratios": {str(n): v for n, v in enumerate(zr, 1)},
+               "zonal_min": float(np.min(zr)),
+               "witness_dev_max": float(np.max(np.abs(np.array(witnesses + zr) - 1.0)))}
     return rows, summary

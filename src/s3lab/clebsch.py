@@ -41,7 +41,6 @@ reads one k at a time holds two projectors, not all 2(n+1).
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
@@ -128,16 +127,6 @@ class CGTable:
                 alphas, vals = self.chain_vector(k, gamma)
                 for alpha, v in zip(alphas[::-1].tolist(), vals[::-1].tolist()):
                     yield (self.m, self.n, k, gamma, alpha, gamma - alpha, v)
-
-    def to_json(self, path) -> None:
-        rows = [
-            {"m": r[0], "n": r[1], "k": r[2], "gamma": r[3],
-             "alpha": r[4], "beta": r[5], "value": float(f"{r[6]:.17g}")}
-            for r in self.records()
-        ]
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=1, sort_keys=True)
-            fh.write("\n")
 
 
 def _chain_tops(m: int, n: int) -> np.ndarray:

@@ -83,14 +83,11 @@ def _cg_gate(summary):
 
 
 def _bilinear_gate(summary):
-    checks = [("C*", summary["C_star"], gates.C_STAR_BOUND),
-              ("|slope|", abs(summary["fitted_slope"]), gates.SLOPE_BOUND)]
-    if "quadrature_cross_check_rel" in summary:
-        checks.append(("quadrature cross-check gap", summary["quadrature_cross_check_rel"],
-                       gates.CROSS_CHECK_TOL))
-    if "zonal_min" in summary:
-        checks.append(("zonal minimum", summary["zonal_min"], gates.ZONAL_FLOOR, "floor"))
-    return checks
+    return [("C*", summary["C_star"], gates.C_STAR_BOUND),
+            ("|slope|", abs(summary["fitted_slope"]), gates.SLOPE_BOUND),
+            ("quadrature cross-check gap", summary["quadrature_cross_check_rel"],
+             gates.CROSS_CHECK_TOL),
+            ("zonal minimum", summary["zonal_min"], gates.ZONAL_FLOOR, "floor")]
 
 
 def _scan(module, name: str, gate: Callable, **fixed) -> _Entry:
@@ -218,11 +215,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bilinear-verify", parents=[out],
                        help="bilinear ratio scan on the three-sphere")
-    for option in ("--m-max", "--n-max", "--seeds", "--seed", "--zonal-n-max"):
+    for option in ("--m-max", "--n-max", "--seeds", "--seed"):
         p.add_argument(option, type=int)
-    p.add_argument("--zonal", action="store_true", default=None)
-    p.add_argument("--cross-check", action="store_true", default=None,
-                   help="verify exact norms against the quadrature oracle (m <= 8)")
 
     p = sub.add_parser("lattice-scan", parents=[out], help="measure/counting lemma scans; an "
                                                            "option the lemma does not read exits 2")

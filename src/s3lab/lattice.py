@@ -23,8 +23,9 @@ The scans draw their samples from one seeded generator: lemma 5.1 draws
 each parameter as one array, lemmas 5.2 and 5.3 one query at a time, and
 every scan measures its samples in one kernel call, or one per N.  A
 sample count below 1, an N list that ``check_ns`` refuses, a delta
-outside (0, 1/8) and a 5.2 or 5.3 scan whose estimated kernel work is over
-``_WORK_BUDGET`` are refused before any work.
+outside (0, 1/8), a 5.2 or 5.3 scan whose estimated kernel work is over
+``_WORK_BUDGET`` and an annulus batch of more rows than that are refused
+before any work.
 
 The "up to a constant" cutoffs in the set definitions are instantiated as
 1 (only the resonant-set measures expose theirs, as slack), and
@@ -50,7 +51,8 @@ from .fitting import (check_count, check_delta, check_fit_xs, check_one_of, chec
 _BLOCK = 1 << 14
 # int64 arithmetic in the counters stays exact below this bound
 _INT64_SAFE = 1 << 62
-# Most O(N) kernel entries (2N + 1 per query) a 5.2 or 5.3 scan may ask for.
+# Most O(N) kernel entries (2N + 1 per query) a 5.2 or 5.3 scan may ask for,
+# and most annulus rows (sqrt(C + K) + 1 per query) an annulus batch may.
 # On one Xeon core setB_measures ran about 1e7 entries/s and the counters
 # 8e7-1.4e8, so this bounds a scan's kernel time at about 100 s; criterion
 # 6's 5.2 scans, the largest the repository runs, ask for 1.9e6.
@@ -81,7 +83,8 @@ def annulus_measures(C, K) -> np.ndarray:
     plain difference of two roots near sqrt(C) would lose about
     log10(C/K) digits.  Queries are taken in order of decreasing row count,
     so each block of at most _BLOCK entries is padded only to its widest
-    query; padded rows lie beyond sqrt(C + K) and add exact zeros.
+    query; padded rows lie beyond sqrt(C + K) and add exact zeros.  A batch
+    of more than ``_WORK_BUDGET`` rows in all is refused before any work.
     """
     C = np.asarray(C, dtype=float).ravel()
     K = np.asarray(K, dtype=float).ravel()
@@ -89,7 +92,11 @@ def annulus_measures(C, K) -> np.ndarray:
         raise ValueError("K must be >= 1")
     if not (np.all(np.isfinite(C)) and np.all(np.isfinite(K))):
         raise ValueError("C and K must be finite")
-    dmax = np.floor(np.sqrt(np.maximum(C + K, 0.0))).astype(np.int64)
+    # the rows d = 0 .. dmax of every query, counted in float before any
+    # work: an int64 cast of a root beyond 2^63 would wrap
+    dmax = np.floor(np.sqrt(np.maximum(C + K, 0.0)))
+    _check_work(float(np.sum(dmax + 1.0)))
+    dmax = dmax.astype(np.int64)
     order = np.argsort(-dmax, kind="stable")
     # d^2 and the row weights of the rows d < _BLOCK, once per call for every
     # tile from row 0; a tile further out is one wide query's alone
@@ -397,7 +404,7 @@ def check_lemma52_work(Ns, per_n: int) -> int:
     return _check_work(sum(per_n * (2 * int(N) + 1) for N in Ns))
 
 
-def _check_work(work: int) -> int:
+def _check_work(work: float) -> float:
     if work > _WORK_BUDGET:
         # a work beyond float range has no %g form; an int compares with 1e308 exactly
         size = f"{work:.3g}" if work < 1e308 else "over 1e308"

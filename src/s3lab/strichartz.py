@@ -1026,8 +1026,9 @@ def box_scaling_probe(Ns: tuple = (4, 8, 16, 32), h: float = 0.25) -> tuple[list
         ratio = res.value / float(N) ** 0.25
         rows.append({"N": N, "n_t": res.n_nodes, "norm": res.value, "ratio": ratio})
         ratios.append(ratio)
+    # np.max and np.min keep a NaN; the builtins may drop it
     summary = {"Ns": list(Ns), "ratios": ratios,
-               "spread_factor": float(max(ratios) / min(ratios))}
+               "spread_factor": float(np.max(ratios) / np.min(ratios))}
     return rows, summary
 
 

@@ -139,8 +139,8 @@ def test_criterion_3_bilinear_exactness():
 
 def test_criterion_4_no_log_check():
     t0 = time.time()
-    # the CLI defaults of bilinear-verify, with the zonal sweep
-    rows, summary = bilinear.scan_cells(64, 64, 500, 7, zonal=True, zonal_n_max=60)
+    # the CLI defaults of bilinear-verify
+    rows, summary = bilinear.scan_cells(64, 64, 500, 7)
     c_star, slope, zonal_min = summary["C_star"], summary["fitted_slope"], summary["zonal_min"]
     assert c_star <= C_STAR_BOUND
     assert -SLOPE_BOUND <= slope <= SLOPE_BOUND
@@ -163,7 +163,7 @@ def test_criterion_4_no_log_check():
 def test_criterion_5_multilinear_corollary():
     t0 = time.time()
     quads = {}
-    worst = 0.0
+    ratios = []
     for m1 in range(0, 9):
         for m2 in range(0, m1 + 1):
             for m3 in range(0, m2 + 1):
@@ -177,7 +177,9 @@ def test_criterion_5_multilinear_corollary():
                         bilinear.random_eigenfunction(m3, [m1, m2, m3, s, 3]),
                     ]
                     val = bilinear.multilinear_l2_quadrature(fs, quads[L])
-                    worst = max(worst, val / (np.sqrt(m2 + 1.0) * (m3 + 1.0)))
+                    ratios.append(val / (np.sqrt(m2 + 1.0) * (m3 + 1.0)))
+    # np.max propagates a NaN; the builtin max may drop it
+    worst = np.max(ratios)
     assert worst <= TRILINEAR_BOUND
     _report(5, f"165 triples x 3 seeds, max trilinear ratio {worst:.4f}", t0, 120)
 
@@ -203,7 +205,8 @@ def test_criterion_6_lattice_lemma_scans():
     s53 = timed_scan("5.3", lattice.scan_lemma53, Ns=[64, 128, 256, 512, 1024], delta=0.1,
                      per_config=4)
     assert s53["fitted_slope"] <= SLOPE_BOUND
-    assert max(s53["max_ratio_per_N"].values()) <= SETB_BOUND
+    # np.max propagates a NaN; the builtin max may drop it
+    assert np.max(list(s53["max_ratio_per_N"].values())) <= SETB_BOUND
     _report(
         6,
         f"5.1 max {s51['max_ratio']:.3f}, 5.2 exponents {s52a['fitted_exponent']:+.3f}/"

@@ -298,12 +298,16 @@ def test_sampling_plan_contents():
         sampling_plan(-1, 0)
 
 
-def test_scans_build_no_cg_table():
+def test_scans_build_no_cg_table(monkeypatch):
     cg_table.cache_clear()
     bilinear_ratio_scan(64, 32, 2, 0)
     zonal_pair_ratio(64, 32)
-    scan_cells(8, 4, 2, 0, zonal=True, zonal_n_max=2)
     assert cg_table.cache_info().misses == 0
+    # scan_cells builds one only for the cross-check, at its cells with m <= 8
+    built = []
+    monkeypatch.setattr(bilinear, "cg_table", lambda m, n: built.append((m, n)) or cg_table(m, n))
+    scan_cells(16, 8, 2, 0)
+    assert set(built) == {(8, 0), (8, 4), (8, 8)}
 
 
 @pytest.mark.parametrize("m_max,n_max,seeds,message", [

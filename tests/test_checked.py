@@ -54,11 +54,6 @@ CASES = [
     (bilinear.scan_cells, {"n_max": 3}, ("m_max", "n_max"),
      "the no-growth fit needs cells at two or more n"),
     (bilinear.scan_cells, {"seeds": 0}, "seeds", "seeds must be >= 1; got 0"),
-    # ran as zonal = True
-    (bilinear.scan_cells, {"zonal": "no"}, "zonal", "need one of False, True"),
-    (bilinear.scan_cells, {"cross_check": 1}, "cross_check", "need one of False, True"),
-    # refused with or without zonal
-    (bilinear.scan_cells, {"zonal_n_max": 0}, "zonal_n_max", "zonal_n_max must be >= 1; got 0"),
     (lattice.scan_lemma51, {"n_queries": 0}, "n_queries", "n_queries must be >= 1; got 0"),
     (lattice.scan_lemma52, {"variant": "cubic"}, "variant",
      "need one of 'quadric', 'hyperbola'"),

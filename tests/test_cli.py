@@ -99,19 +99,25 @@ def test_bilinear_verify_small(tmp_path):
     first, second = tmp_path / "first", tmp_path / "second"
     r = run_cli(
         ["bilinear-verify", "--m-max", "8", "--n-max", "8", "--seeds", "10",
-         "--seed", "1", "--zonal", "--zonal-n-max", "4", "--cross-check", "--out", str(first)],
+         "--seed", "1", "--out", str(first)],
         tmp_path,
     )
     assert r.returncode == 0, r.stderr
     summary = json.loads((first / "bilinear_verify.summary.json").read_text())["summary"]
     assert summary["C_star"] <= 1.5
-    assert summary["zonal_min"] >= 0.1
+    # every run has the zonal sweep and the cross-check, and so all four gates
+    assert set(summary["zonal_ratios"]) == {str(n) for n in range(1, 61)}
+    assert summary["zonal_min"] == min(summary["zonal_ratios"].values()) >= gates.ZONAL_FLOOR
+    assert summary["quadrature_cross_check_rel"] <= gates.CROSS_CHECK_TOL
+    assert summary["quadrature_cross_check_ok"] is True
     # health figures: every witness is 1 to rounding, every CG table orthogonal
     witnesses = [float(row.split(",")[3]) for row in
                  (first / "bilinear_verify.csv").read_text().splitlines() if ",zonal," in row]
-    witnesses += summary["zonal_ratios"].values()
-    assert summary["witness_dev_max"] == max(abs(w - 1.0) for w in witnesses)
-    assert summary["witness_dev_max"] <= 1e-12
+    sweep = summary["zonal_ratios"]
+    assert summary["witness_dev_max"] == max(abs(w - 1.0) for w in [*witnesses, *sweep.values()])
+    assert max(abs(w - 1.0) for w in [*witnesses, *(sweep[str(n)] for n in range(1, 5))]) <= 1e-12
+    # the sweep's largest cell (120, 60) keeps the identity to 1e-11, as in test_bilinear
+    assert summary["witness_dev_max"] <= 1e-11
     assert 0.0 < summary["cg_defect_max"] <= gates.CG_DEFECT_BOUND
     rows = (first / "bilinear_verify.csv").read_text().strip().splitlines()
     assert rows[0] == "m,n,seed,ratio"
@@ -159,17 +165,34 @@ def test_bilinear_verify_fails_closed_on_nan_witness(tmp_path, monkeypatch):
 def test_bilinear_verify_fails_closed_on_nan_cross_check(tmp_path, monkeypatch):
     monkeypatch.setattr(bilinear, "product_l2_quadrature", lambda f, g, quad: float("nan"))
     code = cli.main(["bilinear-verify", "--m-max", "8", "--n-max", "4", "--seeds", "2",
-                     "--cross-check", "--out", str(tmp_path)])
+                     "--out", str(tmp_path)])
     assert code == 1
     summary = strict_json(tmp_path / "bilinear_verify.summary.json")["summary"]
     assert summary["quadrature_cross_check_rel"] == "nan"
     assert summary["quadrature_cross_check_ok"] is False
 
 
+def test_bilinear_verify_fails_closed_on_a_nan_cg_table(tmp_path, monkeypatch, capsys):
+    # a NaN coefficient in the cross-check's tables reaches both of its figures
+    def nan_table(m, n):
+        table = clebsch.cg_decompose(m, n)
+        blocks = table.blocks.copy()
+        blocks[0][0, 0] = np.nan
+        return clebsch.CGTable(m=m, n=n, gammas=table.gammas, kvals=table.kvals, blocks=blocks)
+
+    monkeypatch.setattr(bilinear, "cg_table", nan_table)
+    code = cli.main(["bilinear-verify", "--m-max", "8", "--n-max", "4", "--seeds", "2",
+                     "--out", str(tmp_path)])
+    assert code == 1
+    assert "quadrature cross-check gap nan" in capsys.readouterr().err
+    summary = strict_json(tmp_path / "bilinear_verify.summary.json")["summary"]
+    assert summary["cg_defect_max"] == "nan" and summary["quadrature_cross_check_rel"] == "nan"
+
+
 def test_bilinear_verify_fails_closed_on_nan_zonal(tmp_path, monkeypatch):
     monkeypatch.setattr(bilinear, "zonal_ratio", lambda n: float("nan") if n == 2 else 1.0)
     code = cli.main(["bilinear-verify", "--m-max", "8", "--n-max", "4", "--seeds", "2",
-                     "--zonal", "--zonal-n-max", "3", "--out", str(tmp_path)])
+                     "--out", str(tmp_path)])
     assert code == 1
     summary = strict_json(tmp_path / "bilinear_verify.summary.json")["summary"]
     assert summary["zonal_min"] == "nan" and summary["witness_dev_max"] == "nan"
@@ -179,7 +202,7 @@ def test_bilinear_verify_fails_closed_on_nan_zonal(tmp_path, monkeypatch):
 def test_bilinear_verify_gates_the_zonal_floor(tmp_path, monkeypatch, capsys, low):
     monkeypatch.setattr(bilinear, "zonal_ratio", lambda n: low if n == 2 else 1.0)
     code = cli.main(["bilinear-verify", "--m-max", "8", "--n-max", "4", "--seeds", "2",
-                     "--zonal", "--zonal-n-max", "3", "--out", str(tmp_path)])
+                     "--out", str(tmp_path)])
     assert code == 1
     assert f"zonal minimum {low:.4g} is below {gates.ZONAL_FLOOR:g}" in capsys.readouterr().err
 
@@ -753,7 +776,10 @@ def _nan_middle(values):
     # the middle query of the N = 64 batch
     (["lattice-scan", "--lemma", "5.3", "--N", "64", "--N", "128", "--per-config", "1"], None,
      lattice, "setB_measures", 1, _nan_middle, ("max_ratio_per_N", "64")),
-], ids=["elliptic", "hyperbolic", "5.1", "5.3"])
+    # the second of three box norms: the builtins read a spread factor of 1.0267
+    (["strichartz", "--mode", "box-scaling"], {"Ns": [4, 8, 16], "h": 0.5},
+     strichartz, "evolve_l4_norm_exact", 2, _nan_value, ("spread_factor",)),
+], ids=["elliptic", "hyperbolic", "5.1", "5.3", "box-scaling"])
 def test_scan_maxima_keep_a_nan(tmp_path, monkeypatch, argv, config, module, call, n, poison,
                                 field):
     # one NaN sample mid-scan: the maximum reads "nan" and the gate exits 1
@@ -815,14 +841,14 @@ def test_every_entry_fills_a_missing_key_from_its_default(tmp_path, entry_calls,
 
 @pytest.mark.parametrize("sub,params,resolved", [
     ("bilinear-verify", {"n_max": 8}, {"m_max": 64, "n_max": 8}),
-    ("bilinear-verify", {"zonal": True}, {"zonal": True, "zonal_n_max": 60}),
+    ("bilinear-verify", {"seeds": 2}, {"m_max": 64, "n_max": 64, "seeds": 2, "seed": 7}),
     ("lattice-scan", {"lemma": "5.3", "per_config": 2}, {"seed": 11, "per_config": 2}),
     ("strichartz", {"mode": "kernel-split", "k_shift": 2}, {"seed": 3, "k_shift": 2}),
     ("strichartz", {"mode": "hyperbolic", "trials": 2.0}, {"trials": 2}),
 ])
 def test_rerun_fills_what_a_manifest_leaves_out(tmp_path, entry_calls, capsys, sub, params,
                                                 resolved):
-    # a missing m_max, zonal_n_max or seed used to be a KeyError
+    # a missing m_max or seed used to be a KeyError
     code, _, [args], _ = _rerun_stubbed(tmp_path, entry_calls, capsys,
                                         {"subcommand": sub, "params": params})
     assert code == 0
@@ -832,9 +858,10 @@ def test_rerun_fills_what_a_manifest_leaves_out(tmp_path, entry_calls, capsys, s
 @pytest.mark.parametrize("sub,params,named", [
     ("bilinear-verify", {"m_max": "8"}, "bad m_max '8': need an integer"),
     ("bilinear-verify", {"n_max": 8.0}, "bad n_max 8.0: need an integer"),
-    ("bilinear-verify", {"zonal": True, "zonal_n_max": 0},
-     "bad zonal_n_max 0: zonal_n_max must be >= 1; got 0"),
-    ("bilinear-verify", {"zonal": "false"}, "bad zonal 'false': need one of False, True"),
+    # manifests saved with the --zonal, --zonal-n-max and --cross-check options that went
+    ("bilinear-verify", {"zonal": True, "zonal_n_max": 60},
+     "unknown keys for bilinear-verify: zonal True, zonal_n_max 60"),
+    ("bilinear-verify", {"cross_check": True}, "unknown keys for bilinear-verify: cross_check True"),
     ("bilinear-verify", {"m_max": 8, "n_max": 3},
      "bad m_max 8, n_max 3: the no-growth fit needs cells at two or more n"),
     ("bilinear-verify", {"sedes": 3}, "unknown keys for bilinear-verify: sedes 3"),
@@ -977,7 +1004,8 @@ def test_a_row_key_a_scan_adds_reaches_the_csv(tmp_path, monkeypatch):
     # the CSV used to write only the columns of a header list kept in cli.py
     rows = [{"m": 8, "n": 4, "seed": "zonal", "ratio": 1.0, "zonal_partner_top": 0.5}]
     monkeypatch.setattr(cli.bilinear, "scan_cells",
-                        lambda **kw: (rows, {"C_star": 1.0, "fitted_slope": 0.0}))
+                        lambda **kw: (rows, {"C_star": 1.0, "fitted_slope": 0.0,
+                                             "quadrature_cross_check_rel": 0.0, "zonal_min": 1.0}))
     assert cli.main(["bilinear-verify", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "bilinear_verify.csv").read_text().splitlines() == [
         "m,n,seed,ratio,zonal_partner_top", "8,4,zonal,1,0.5"]

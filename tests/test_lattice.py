@@ -262,6 +262,29 @@ def test_annulus_batch_matches_exact_rows_and_scalar(monkeypatch):
         annulus_measures([0.0], [float("inf")])
 
 
+@pytest.mark.parametrize("C,K,rows", [
+    # the int64 cast of 1e150 overflowed and the query read 0.0
+    ([1e300, 1e6], [1.0, 1.0], "1e+150"),
+    # 10^10 rows ran past a 15 s timeout
+    ([1e20], [1.0], "1e+10"),
+])
+def test_annulus_batch_refuses_rows_over_the_budget_before_any_work(monkeypatch, C, K, rows):
+    calls = []
+    monkeypatch.setattr(lattice, "tiles", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match=f"kernel work of {re.escape(rows)} entries is over"):
+        annulus_measures(C, K)
+    assert calls == []
+
+
+def test_annulus_batch_counts_rows_zero_to_the_root(monkeypatch):
+    # C + K = 100: the rows d = 0 .. 10, 11 in all
+    monkeypatch.setattr(lattice, "_WORK_BUDGET", 11)
+    assert annulus_measures([99.0], [1.0])[0] == pytest.approx(annulus_exact(99.0, 1.0))
+    monkeypatch.setattr(lattice, "_WORK_BUDGET", 10)
+    with pytest.raises(ValueError, match="kernel work of 11 entries is over the budget of 10"):
+        annulus_measures([99.0], [1.0])
+
+
 def brute_setB_exact(q: SetBQuery, slack: float) -> Fraction:
     """Exact rational sum over every admissible (m, n) of the interval length,
     from the exact binary values of l, C and slack."""
