@@ -513,7 +513,7 @@ def scan_cells(m_max: int = 64, n_max: int = 64, seeds: int = 500, seed=7) -> tu
         maxima.append(float(np.max([*ratios, witnesses[-1]])))
     c_star, index = largest(maxima)
     names = [f"{m},{n}" for m, n in cells]
-    rels, defects = [0.0], [0.0]
+    rels, defects = [], []  # scan_grid always has a cell with m <= 8
     for m, n in [(m, n) for (m, n) in cells if m <= 8]:
         report = verify_orthogonality(cg_table(m, n))
         defects += [report["max_row_defect"], report["max_col_defect"]]
